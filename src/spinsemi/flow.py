@@ -125,19 +125,53 @@ class Trajectory:
 
 def _chart_factors(y):
     p = 1.0 + y[:2] * y[2:4]
-    if np.min(np.abs(p)) < CHART_TOL:
-        raise ChartSingularity(f"|1 + u_k v_k| = {np.min(np.abs(p)):.3e} below {CHART_TOL}")
+    smallest = np.abs(p).min()
+    if smallest < CHART_TOL:
+        raise ChartSingularity(f"|1 + u_k v_k| = {smallest:.3e} below {CHART_TOL}")
     return p
+
+
+def _phase_space_derivs(model, y):
+    """Chart factors, gradient and Hessian at packed state y: the one
+    model.derivs call that the field and its Jacobian share."""
+    p = _chart_factors(y)
+    _, g, hss = model.derivs(y[:2], y[2:4])
+    return p, g, hss
+
+
+def _field(sys, p, g):
+    pref = p ** 2 / (2j * sys.hbar_j)  # 2j is the imaginary literal 2i
+    return np.concatenate([pref * g[2:4], -pref * g[:2]])
+
+
+# Row r of the Jacobian differentiates udot_0, udot_1, vdot_0, vdot_1: the
+# chart factor p_k and gradient entry it carries, and its sign.
+_ROW_CHART = np.array([0, 1, 0, 1])
+_ROW_GRAD = np.array([2, 3, 0, 1])
+_ROW_SIGN = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+def _jacobian(sys, y, p, g, hss):
+    """d(field)/dy: p_k^2 times the Hessian rows plus the derivative of
+    p_k^2, which only u_k and v_k touch, times the gradient entry."""
+    dp2 = np.zeros((2, 4), dtype=complex)
+    dp2[[0, 1], [0, 1]] = 2.0 * y[2:4] * p   # d(p_k^2)/du_k
+    dp2[[0, 1], [2, 3]] = 2.0 * y[:2] * p    # d(p_k^2)/dv_k
+    rows = (p[_ROW_CHART, None] ** 2 * hss[_ROW_GRAD]
+            + g[_ROW_GRAD, None] * dp2[_ROW_CHART])
+    return _ROW_SIGN[:, None] * rows / (2j * sys.hbar_j)
 
 
 def field_vector(sys, model, y):
     """Right-hand side of Hamilton's equations at packed state y."""
-    p = _chart_factors(y)
-    g = model.grad(y[:2], y[2:4])
-    pref = p ** 2 / (2j * sys.hbar_j)  # 2j is the imaginary literal 2i
-    du = pref * g[2:4]
-    dv = -pref * g[:2]
-    return np.concatenate([du, dv])
+    p, g, _ = _phase_space_derivs(model, y)
+    return _field(sys, p, g)
+
+
+def field_and_jacobian(sys, model, y):
+    """Field and its exact 4x4 Jacobian from one model.derivs call."""
+    p, g, hss = _phase_space_derivs(model, y)
+    return _field(sys, p, g), _jacobian(sys, y, p, g, hss)
 
 
 def hamiltonian_field(sys, model, state):
@@ -148,37 +182,18 @@ def hamiltonian_field(sys, model, state):
 
 def field_jacobian(sys, model, y):
     """Exact 4x4 Jacobian of the field, assembled from grad and hess."""
-    u, v = y[:2], y[2:4]
-    p = _chart_factors(y)
-    g = model.grad(u, v)
-    hss = model.hess(u, v)
-    denom = 2j * sys.hbar_j
-    jac = np.empty((4, 4), dtype=complex)
-    for k in range(2):
-        pk2 = p[k] ** 2
-        # d(udot_k)/d(u_l, v_l)
-        for l in range(4):
-            term = pk2 * hss[2 + k, l]
-            if l == k:          # u_l touches the k-th chart factor
-                term += 2.0 * v[k] * p[k] * g[2 + k]
-            if l == 2 + k:      # v_l touches the k-th chart factor
-                term += 2.0 * u[k] * p[k] * g[2 + k]
-            jac[k, l] = term / denom
-        # d(vdot_k)/d(u_l, v_l)
-        for l in range(4):
-            term = pk2 * hss[k, l]
-            if l == k:
-                term += 2.0 * v[k] * p[k] * g[k]
-            if l == 2 + k:
-                term += 2.0 * u[k] * p[k] * g[k]
-            jac[2 + k, l] = -term / denom
-    return jac
+    p, g, hss = _phase_space_derivs(model, y)
+    return _jacobian(sys, y, p, g, hss)
+
+
+def split_trace(jac):
+    """sum_k [d(udot_k)/du_k - d(vdot_k)/dv_k] of a field Jacobian."""
+    return jac[0, 0] + jac[1, 1] - jac[2, 2] - jac[3, 3]
 
 
 def divergence_split(sys, model, y):
     """sum_k [d(udot_k)/du_k - d(vdot_k)/dv_k], the quantum-correction integrand."""
-    jac = field_jacobian(sys, model, y)
-    return jac[0, 0] + jac[1, 1] - jac[2, 2] - jac[3, 3]
+    return split_trace(field_jacobian(sys, model, y))
 
 
 def _effective_cfg(cfg, t_total):
@@ -234,8 +249,7 @@ def integrate_stability(sys, model, traj, cfg):
     y0 = np.concatenate([traj.ys[0], np.eye(4, dtype=complex).ravel()])
 
     def rhs(t, y):
-        dy = field_vector(sys, model, y[:4])
-        jac = field_jacobian(sys, model, y[:4])
+        dy, jac = field_and_jacobian(sys, model, y[:4])
         dm = jac @ y[4:].reshape(4, 4)
         return np.concatenate([dy, dm.ravel()])
 

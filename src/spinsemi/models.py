@@ -20,7 +20,7 @@ from .spin import (
     SpinSystem,
     binom_sqrt_weights,
     build_spin_operators,
-    htilde_from_operator,
+    derivs_from_factors,
 )
 
 
@@ -40,8 +40,9 @@ def phase_coupling_model(params):
     """H = lam * hbar * J3 (x) J3 with closed-form classical function.
 
     Htilde(u, v) = lam hbar j^2 * G(ux vx) G(uy vy) with G(w) = (1-w)/(1+w);
-    gradients and Hessians are installed in closed form rather than through
-    the generic polynomial path.
+    its value, gradient and Hessian are installed in closed form, sharing
+    G, G' and G'' in one derivs call, rather than through the generic
+    polynomial path.
     """
     sys = params.sys
 
@@ -61,26 +62,18 @@ def phase_coupling_model(params):
     def d2gamma(w):
         return 4.0 / (1.0 + w) ** 3
 
-    def htilde(u, v):
-        return amp * gamma(u[0] * v[0]) * gamma(u[1] * v[1])
-
-    def grad(u, v):
-        wx, wy = u[0] * v[0], u[1] * v[1]
-        gx, gy = gamma(wx), gamma(wy)
-        dx, dy = dgamma(wx), dgamma(wy)
-        return amp * np.array([
-            gy * dx * v[0],
-            gx * dy * v[1],
-            gy * dx * u[0],
-            gx * dy * u[1],
-        ])
-
-    def hess(u, v):
-        wx, wy = u[0] * v[0], u[1] * v[1]
+    def derivs(u, v):
+        ux, uy, vx, vy = u[0], u[1], v[0], v[1]
+        wx, wy = ux * vx, uy * vy
         gx, gy = gamma(wx), gamma(wy)
         dx, dy = dgamma(wx), dgamma(wy)
         d2x, d2y = d2gamma(wx), d2gamma(wy)
-        ux, uy, vx, vy = u[0], u[1], v[0], v[1]
+        grad = np.array([
+            gy * dx * vx,
+            gx * dy * vy,
+            gy * dx * ux,
+            gx * dy * uy,
+        ])
         h = np.empty((4, 4), dtype=complex)
         # ordering (ux, uy, vx, vy)
         h[0, 0] = gy * d2x * vx * vx
@@ -93,11 +86,10 @@ def phase_coupling_model(params):
         h[1, 2] = h[2, 1] = dy * vy * dx * ux
         h[1, 3] = h[3, 1] = gx * (d2y * uy * vy + dy)
         h[2, 3] = h[3, 2] = dx * ux * dy * uy
-        return amp * h
+        return amp * gx * gy, amp * grad, amp * h
 
     return HamiltonianModel(
-        htilde=htilde, grad=grad, hess=hess,
-        label="phase_coupling", sys=sys, operator_factory=make_operator,
+        derivs=derivs, label="phase_coupling", sys=sys, operator_factory=make_operator,
     )
 
 
@@ -232,14 +224,21 @@ def _factor_matrix(ops, kind, power):
     return np.linalg.matrix_power(base[kind], power)
 
 
+def _term_factors(sys, terms):
+    """(coefficient, x factor, y factor) of each term, as d x d matrices."""
+    ops = build_spin_operators(sys)
+    return [
+        (complex(term.coefficient), _factor_matrix(ops, *term.factor_x),
+         _factor_matrix(ops, *term.factor_y))
+        for term in terms
+    ]
+
+
 def assemble_operator(sys, terms):
     """Joint-space matrix for a list of OperatorTerms."""
-    ops = build_spin_operators(sys)
     total = np.zeros((sys.joint_dim, sys.joint_dim), dtype=complex)
-    for term in terms:
-        mx = _factor_matrix(ops, *term.factor_x)
-        my = _factor_matrix(ops, *term.factor_y)
-        total += complex(term.coefficient) * kron(mx, my)
+    for coefficient, mx, my in _term_factors(sys, terms):
+        total += coefficient * kron(mx, my)
     return total
 
 
@@ -247,16 +246,18 @@ def build_operator_model(sys, terms):
     """Generic Hamiltonian from operator terms (stress-test path).
 
     The term list must assemble to a Hermitian operator (i.e. be closed
-    under conjugation); the classical function comes from the generic
-    polynomial continuation.
+    under conjugation). The classical function is evaluated from the
+    per-subsystem factor matrices (derivs_from_factors), never from the
+    assembled joint matrix.
     """
     op = assemble_operator(sys, terms)
     defect = np.max(np.abs(op - op.conj().T)) if op.size else 0.0
     if defect > 1e-12:
         raise NotHermitian(f"assembled operator defect {defect:.3e}")
-    model = htilde_from_operator(sys, op)
-    model.label = "operator_terms"
-    return model
+    return HamiltonianModel(
+        derivs=derivs_from_factors(sys, _term_factors(sys, terms)),
+        label="operator_terms", sys=sys, operator=op,
+    )
 
 
 def free_precession_model(sys, b3):

@@ -23,15 +23,14 @@ from .errors import (
     CausticEncountered,
     LogBranch,
     NegativeRadicand,
-    SingularMatrix,
     ValidityBreakdown,
 )
 from .flow import (
     StabilityMatrix,
-    divergence_split,
-    field_vector,
+    field_and_jacobian,
     integrate_stability,
     integrate_trajectory,
+    split_trace,
 )
 from .numerics import IntegratorConfig, cubic_quadrature, det2, small_inverse
 from .spin import CoherentLabel, coherent_overlap
@@ -138,11 +137,11 @@ def action_integrals(sys, model, traj, xi):
     f_g = np.empty(n, dtype=complex)
     for i in range(n):
         y = traj.ys[i]
-        dy = field_vector(sys, model, y)
+        dy, jac = field_and_jacobian(sys, model, y)
         u, v = y[:2], y[2:4]
         du, dv = dy[:2], dy[2:4]
         f_s[i] = j * np.sum((u * dv - v * du) / (1.0 + u * v)) - 1j * traj.energy[i] / sys.hbar
-        f_g[i] = divergence_split(sys, model, y)
+        f_g[i] = split_trace(jac)
     i_s = cubic_quadrature(traj.ts, f_s) if n > 1 else 0.0
     i_g = cubic_quadrature(traj.ts, f_g) if n > 1 else 0.0
 
@@ -277,11 +276,8 @@ def gaussian_a1a2(stab):
     """
     m_uu, m_vv = stab.m_uu, stab.m_vv
     m_uv, m_vu = stab.m_uv, stab.m_vu
-    try:
-        x = m_vu @ small_inverse(m_uu)
-        y = m_uv @ small_inverse(m_vv)
-    except SingularMatrix:
-        raise
+    x = m_vu @ small_inverse(m_uu)
+    y = m_uv @ small_inverse(m_vv)
     a1 = (
         1.0
         + det2(m_vu) / det2(m_uu) * det2(m_uv) / det2(m_vv)

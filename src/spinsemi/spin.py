@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian, ScaleOverflow
-from .numerics import kron
 
 # two_j * log(1 + |s|^2) beyond this makes (1+|s|^2)^j overflow doubles
 _LOG_RANGE_GUARD = 600.0
@@ -70,27 +69,41 @@ class CoherentLabel:
 class HamiltonianModel:
     """Joint-space operator plus its analytically continued classical function.
 
-    htilde(u, v) continues the coherent-state expectation <s|H|s> to
-    independent complex arguments u = (ux, uy), v = (vx, vy); grad and hess
-    return its first and second partials in the order
-    (d/dux, d/duy, d/dvx, d/dvy).
+    derivs(u, v) -> (h, grad, hess) is the one entry point of classical work.
+    It continues the coherent-state expectation <s|H|s> to independent
+    complex arguments u = (ux, uy), v = (vx, vy) and returns, from one
+    evaluation, its value, its first partials and its second partials in
+    the order (d/dux, d/duy, d/dvx, d/dvy). htilde, grad and hess are views
+    of derivs for callers that need one piece.
+
+    Models built from operator terms evaluate derivs from per-subsystem
+    factor matrices (derivs_from_factors). The dense joint-space path
+    (htilde_from_operator) serves arbitrary joint operators and is the test
+    oracle of the factored one; the phase-coupling closed forms are the
+    oracle of both.
 
     The operator matrix may be supplied lazily through a factory so that
     purely classical work on large spins never materializes the joint-space
     matrix.
     """
 
-    def __init__(self, htilde, grad, hess, label="", sys=None,
-                 operator=None, operator_factory=None):
+    def __init__(self, derivs, label="", sys=None, operator=None, operator_factory=None):
         if operator is None and operator_factory is None:
             raise ValueError("provide operator or operator_factory")
-        self.htilde = htilde
-        self.grad = grad
-        self.hess = hess
+        self.derivs = derivs
         self.label = label
         self.sys = sys
         self._operator = None if operator is None else np.asarray(operator, dtype=complex)
         self._operator_factory = operator_factory
+
+    def htilde(self, u, v):
+        return self.derivs(u, v)[0]
+
+    def grad(self, u, v):
+        return self.derivs(u, v)[1]
+
+    def hess(self, u, v):
+        return self.derivs(u, v)[2]
 
     @property
     def operator(self):
@@ -152,22 +165,98 @@ def product_coherent(sys, label):
     return np.kron(coherent_vector(sys, label.sx), coherent_vector(sys, label.sy))
 
 
-def _component_vectors(sys, a):
-    """Value, first and second derivative component vectors of the
-    unnormalized polynomial ket at complex argument a.
+def _derivative_rows_spec(two_j):
+    """Coefficients and powers of the polynomial ket's value and first two
+    derivative rows: row r, component n is coef[r, n] a^powers[r, n] with
+    coef = sqrt(binomial(2j, n)) times 1, n and n(n-1). The derivative rows
+    carry the shifted powers explicitly (no division by a); where n < r the
+    coefficient vanishes and the power is clipped at 0."""
+    n = np.arange(two_j + 1)
+    w = binom_sqrt_weights(two_j)
+    coef = np.array([w, w * n, w * n * (n - 1)])
+    powers = np.maximum(n - np.arange(3)[:, None], 0)
+    return coef, powers
 
-    Component n of the ket is binom(2j,n)^{1/2} a^n; the derivative vectors
-    carry the shifted powers explicitly (no division by a).
+
+def _derivative_rows(spec, a):
+    """Value, first and second derivative rows of the unnormalized
+    polynomial ket (component n is binom(2j,n)^{1/2} a^n) at each complex
+    argument in the 1-d array a; shape (len(a), 3, 2j+1)."""
+    coef, powers = spec
+    return coef * a[:, None, None] ** powers
+
+
+def _centered_rows(spec, a, b, two_j):
+    """Derivative rows in a of the normalized kets |a) / (1 + a b)^j.
+
+    a and b are 1-d arrays of arguments and their partners. Row r is
+    d^r/da^r of the ket together with its share (1 + a b)^-j of the
+    normalization; its component n is binom(2j,n)^{1/2} a^(n-r) D_r(n),
+    with D_r a polynomial in the distance n - <n> from the mean
+    <n> = 2j a b / (1 + a b). Writing the rows in n - <n> keeps the large
+    terms that cancel near the mean out of the sums over n, and the
+    division keeps two_j in the hundreds inside double range.
     """
-    w = binom_sqrt_weights(sys.two_j)
-    n = np.arange(sys.dim)
-    val = w * a ** n
-    d1 = np.zeros(sys.dim, dtype=complex)
-    d1[1:] = w[1:] * n[1:] * a ** (n[1:] - 1)
-    d2 = np.zeros(sys.dim, dtype=complex)
-    if sys.dim > 2:
-        d2[2:] = w[2:] * n[2:] * (n[2:] - 1) * a ** (n[2:] - 2)
-    return val, d1, d2
+    coef, powers = spec
+    n = np.arange(coef.shape[1])
+    p = 1.0 + a * b
+    lg = two_j * b / p              # d/da of ln (1 + a b)^{2j}
+    curv = two_j * b * b / (p * p)  # minus its second derivative
+    delta = n - (lg * a)[:, None]
+    poly = np.empty((a.size,) + coef.shape, dtype=complex)
+    poly[:, 0] = 1.0
+    poly[:, 1] = delta
+    poly[:, 2] = delta * delta - n + (curv * a * a)[:, None]
+    # components n < r, where the power of a is clipped at 0
+    poly[:, 1, 0] = -lg
+    poly[:, 2, 0] = lg * lg + curv
+    if n.size > 1:
+        poly[:, 2, 1] = (lg * lg + curv) * a - 2.0 * lg
+    rows = coef[0] * a[:, None, None] ** powers * poly
+    return rows / (p ** (0.5 * two_j))[:, None, None]
+
+
+# Variable (ux, uy, vx, vy) -> the derivative order it raises, as a flat
+# offset into the 9 x 9 table g[(cx, ax), (cy, ay)] of bra orders c and
+# ket orders a: ux raises ax, uy raises ay, vx raises cx, vy raises cy.
+_ROW_STEP = np.array([1, 0, 3, 0])
+_COL_STEP = np.array([0, 1, 0, 3])
+_HESS_ROWS = _ROW_STEP[:, None] + _ROW_STEP[None, :]
+_HESS_COLS = _COL_STEP[:, None] + _COL_STEP[None, :]
+
+
+def derivs_from_factors(sys, terms):
+    """Classical derivs of H = sum_t c_t A_t (x) B_t from d x d factors.
+
+    terms is a sequence of (c_t, A_t, B_t). htilde is
+    sum_t c_t phi_t^x phi_t^y with phi_t^k = (v_k|A|u_k) / (1 + u_k v_k)^{2j}
+    (B in place of A for k = y), so each point needs per term and subsystem
+    one 3x3 table of phi's partials, indexed by bra (v) and ket (u)
+    derivative order; the (2j+1)^2 joint space is never touched.
+    """
+    d, two_j = sys.dim, sys.two_j
+    coefficients = np.array([c for c, _, _ in terms], dtype=complex)
+    # factors[k, t] is term t's matrix on subsystem k
+    factors = np.array([[a for _, a, _ in terms], [b for _, _, b in terms]],
+                       dtype=complex).reshape(2, -1, d, d)
+    spec = _derivative_rows_spec(two_j)
+
+    def derivs(u, v):
+        args = np.concatenate([u, v]).astype(complex)     # ux, uy, vx, vy
+        partners = np.concatenate([v, u]).astype(complex)
+        _range_guard(sys, np.max(np.abs(args)))
+        rows = _centered_rows(spec, args, partners, two_j)
+        kets, bras = rows[:2, None], rows[2:, None]
+        # tables[k, t, c, a]: d^c/dv_k^c d^a/du_k^a of phi_t^k
+        tables = bras @ (factors @ kets.transpose(0, 1, 3, 2))
+        # the mixed partial also differentiates the bra's normalization in u
+        mixed = two_j / (1.0 + args[:2] * partners[:2]) ** 2
+        tables[:, :, 1, 1] -= mixed[:, None] * tables[:, :, 0, 0]
+        tx, ty = tables.reshape(2, -1, 9)
+        g = (coefficients[:, None] * tx).T @ ty
+        return g[0, 0], g[_ROW_STEP, _COL_STEP], g[_HESS_ROWS, _HESS_COLS]
+
+    return derivs
 
 
 def htilde_from_operator(sys, h_op):
@@ -176,7 +265,8 @@ def htilde_from_operator(sys, h_op):
     htilde(u, v) = (v|H|u) / prod_k (1 + u_k v_k)^{2j}, where |u) is the
     unnormalized polynomial ket and (v| the matching bra row built from the
     v powers without conjugation. Gradients and Hessians are assembled from
-    explicit derivative component vectors, exactly.
+    explicit derivative component vectors, exactly. This dense path works
+    for any joint operator and is the oracle of derivs_from_factors.
     """
     h_op = np.asarray(h_op, dtype=complex)
     if h_op.shape != (sys.joint_dim, sys.joint_dim):
@@ -187,16 +277,13 @@ def htilde_from_operator(sys, h_op):
     if defect > 1e-12:
         raise NotHermitian(f"max |H - H^dagger| = {defect:.3e}")
     two_j = sys.two_j
+    spec = _derivative_rows_spec(two_j)
 
     def pieces(u, v):
-        ux, uy = u
-        vx, vy = v
-        for a in (ux, uy, vx, vy):
+        args = np.array([u[0], u[1], v[0], v[1]], dtype=complex)
+        for a in args:
             _range_guard(sys, a)
-        kx = _component_vectors(sys, ux)
-        ky = _component_vectors(sys, uy)
-        bx = _component_vectors(sys, vx)
-        by = _component_vectors(sys, vy)
+        kx, ky, bx, by = _derivative_rows(spec, args)
         # kets by derivative order (ax, ay); bras by (cx, cy)
         kets = {
             (0, 0): np.kron(kx[0], ky[0]),
@@ -259,31 +346,17 @@ def htilde_from_operator(sys, h_op):
                 f2[a, b] = f2[b, a] = f(bra_key, ket_key)
         return f0, f1, f2
 
-    def htilde(u, v):
-        bras, hk = pieces(u, v)
-        return (bras[(0, 0)] @ hk[(0, 0)]) / norm_factor(u, v)
-
-    def grad(u, v):
-        bras, hk = pieces(u, v)
-        f0, f1, _ = f_derivs(bras, hk)
-        l1, _ = log_norm_derivs(u, v)
-        return (f1 - f0 * l1) / norm_factor(u, v)
-
-    def hess(u, v):
-        bras, hk = pieces(u, v)
-        f0, f1, f2 = f_derivs(bras, hk)
+    def derivs(u, v):
+        f0, f1, f2 = f_derivs(*pieces(u, v))
         l1, l2 = log_norm_derivs(u, v)
         nrm = norm_factor(u, v)
-        out = (
+        hess = (
             f2
             - np.outer(f1, l1)
             - np.outer(l1, f1)
             - f0 * l2
             + f0 * np.outer(l1, l1)
         )
-        return out / nrm
+        return f0 / nrm, (f1 - f0 * l1) / nrm, hess / nrm
 
-    return HamiltonianModel(
-        htilde=htilde, grad=grad, hess=hess,
-        label="operator", sys=sys, operator=h_op,
-    )
+    return HamiltonianModel(derivs=derivs, label="operator", sys=sys, operator=h_op)

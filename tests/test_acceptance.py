@@ -12,7 +12,7 @@ import pytest
 
 import spinsemi as ss
 from spinsemi.numerics import det2
-from spinsemi.selftest import run_selftest
+from spinsemi.selftest import _pipeline_purity, run_selftest
 
 CFG = ss.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
 
@@ -23,12 +23,6 @@ def _report(num, name, ok, detail=""):
         line += f"  [{detail}]"
     print(line)
     assert ok, line
-
-
-def _pipeline_purity(sys, model, s0, t_final, cfg=CFG):
-    traj = ss.integrate_trajectory(sys, model, s0, t_final, cfg)
-    stab = ss.integrate_stability(sys, model, traj, cfg)[-1]
-    return ss.purity_sc(stab, traj), traj, stab
 
 
 def _random_real_label(rng, radius=1.2):
@@ -175,7 +169,7 @@ def test_criterion_5_pipeline_vs_closed_form():
     for _ in range(20):
         s0 = _random_real_label(rng)
         t_final = float(rng.uniform(0.05, 0.3))
-        p_pipe, _, _ = _pipeline_purity(sys, model, s0, t_final)
+        p_pipe, _, _ = _pipeline_purity(sys, model, s0, t_final, CFG)
         p_closed = ss.pc_purity_sc(params, s0, t_final)
         worst = max(worst, abs(p_pipe - p_closed))
     elapsed = time.perf_counter() - started
@@ -196,7 +190,7 @@ def test_criterion_6_canonical_limit():
         sys = ss.SpinSystem(two_j=two_j)
         model = ss.phase_coupling_model(ss.PhaseCouplingParams(lam=lam, sys=sys))
         s0 = ss.CoherentLabel(z[0] / np.sqrt(two_j), z[1] / np.sqrt(two_j))
-        p_sc, traj, stab = _pipeline_purity(sys, model, s0, lam_t / lam)
+        p_sc, traj, stab = _pipeline_purity(sys, model, s0, lam_t / lam, CFG)
         errs.append(abs(p_sc - target))
         p_can = ss.canonical_purity(ss.CanonicalPurityInputs.from_stability(stab))
         worst_can = max(worst_can, abs(p_can - p_sc))

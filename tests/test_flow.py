@@ -3,7 +3,13 @@ import pytest
 
 import spinsemi as ss
 from spinsemi.errors import ChartSingularity
-from spinsemi.flow import PhaseSpaceState, field_jacobian, field_vector
+from spinsemi.flow import (
+    PhaseSpaceState,
+    divergence_split,
+    field_and_jacobian,
+    field_jacobian,
+    field_vector,
+)
 
 CFG = ss.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
 
@@ -67,6 +73,85 @@ class TestHamiltonianField:
                 2 * step
             )
             assert np.max(np.abs(fd - jac[:, col])) < 1e-6
+
+
+def _loop_jacobian(sys, model, y):
+    """Field Jacobian by the explicit double loop over its entries (oracle)."""
+    u, v = y[:2], y[2:4]
+    p = 1.0 + u * v
+    g = model.grad(u, v)
+    hss = model.hess(u, v)
+    denom = 2j * sys.hbar_j
+    jac = np.empty((4, 4), dtype=complex)
+    for k in range(2):
+        pk2 = p[k] ** 2
+        for l in range(4):
+            term = pk2 * hss[2 + k, l]
+            if l == k:
+                term += 2.0 * v[k] * p[k] * g[2 + k]
+            if l == 2 + k:
+                term += 2.0 * u[k] * p[k] * g[2 + k]
+            jac[k, l] = term / denom
+        for l in range(4):
+            term = pk2 * hss[k, l]
+            if l == k:
+                term += 2.0 * v[k] * p[k] * g[k]
+            if l == 2 + k:
+                term += 2.0 * u[k] * p[k] * g[k]
+            jac[2 + k, l] = -term / denom
+    return jac
+
+
+class _CountingModel:
+    """Forwards to a model and counts its derivs calls."""
+
+    def __init__(self, model):
+        self.model = model
+        self.calls = 0
+
+    def derivs(self, u, v):
+        self.calls += 1
+        return self.model.derivs(u, v)
+
+    def htilde(self, u, v):
+        return self.model.htilde(u, v)
+
+
+class TestFusedDerivatives:
+    @pytest.mark.parametrize("model_of", [
+        lambda sys: ss.phase_coupling_model(ss.PhaseCouplingParams(lam=1.3, sys=sys)),
+        lambda sys: ss.exchange_coupling_model(sys, 1.1),
+        lambda sys: ss.build_operator_model(sys, [
+            ss.OperatorTerm(0.2 + 0.5j, ("J+", 1), ("J3", 1)),
+            ss.OperatorTerm(0.2 - 0.5j, ("J-", 1), ("J3", 1)),
+        ]),
+    ])
+    def test_vectorized_jacobian_matches_loop(self, model_of):
+        sys = ss.SpinSystem(two_j=5, hbar=0.7)
+        model = model_of(sys)
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            u = 0.6 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+            y = np.concatenate([u, np.conj(u) + 0.05 * rng.standard_normal(2)])
+            oracle = _loop_jacobian(sys, model, y)
+            jac = field_jacobian(sys, model, y)
+            assert np.max(np.abs(jac - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+            field, fused = field_and_jacobian(sys, model, y)
+            assert np.array_equal(field, field_vector(sys, model, y))
+            assert np.array_equal(fused, jac)
+
+    def test_one_derivs_call_per_point(self):
+        sys = ss.SpinSystem(two_j=4)
+        counting = _CountingModel(ss.exchange_coupling_model(sys, 0.9))
+        y = np.array([0.3 + 0.2j, -0.5j, 0.3 - 0.2j, 0.5j])
+        field_and_jacobian(sys, counting, y)
+        divergence_split(sys, counting, y)
+        assert counting.calls == 2
+        traj = ss.integrate_trajectory(sys, counting.model, ss.CoherentLabel(0.3, 0.5j),
+                                       0.2, CFG)
+        counting.calls = 0
+        ss.action_integrals(sys, counting, traj, +1)
+        assert counting.calls == len(traj)
 
 
 class TestIntegrateTrajectory:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import spinsemi as ss
 from spinsemi.errors import NotHermitian, ScaleOverflow
-from spinsemi.spin import binom_sqrt_weights
+from spinsemi.spin import binom_sqrt_weights, derivs_from_factors
 
 
 def _j1_j2(sys):
@@ -221,3 +221,87 @@ def test_binom_weights_match_exact():
         w = binom_sqrt_weights(two_j)
         exact = np.sqrt([comb(two_j, n) for n in range(two_j + 1)])
         assert np.max(np.abs(w - exact) / exact) < 1e-13
+
+
+# Terms with powers and complex coefficients; the J3 (x) J+- pair keeps the
+# function non-constant at two_j = 1, where J+^2 vanishes and J3^2 is 1/4.
+OPERATOR_TERMS = [
+    ss.OperatorTerm(0.3 + 0.7j, ("J+", 2), ("J-", 2)),
+    ss.OperatorTerm(0.3 - 0.7j, ("J-", 2), ("J+", 2)),
+    ss.OperatorTerm(1.1, ("J3", 2), ("I", 0)),
+    ss.OperatorTerm(0.4 - 0.2j, ("J3", 1), ("J+", 1)),
+    ss.OperatorTerm(0.4 + 0.2j, ("J3", 1), ("J-", 1)),
+]
+
+FACTORED_MODELS = {
+    "exchange": lambda sys: ss.exchange_coupling_model(sys, 0.9),
+    "free_precession": lambda sys: ss.free_precession_model(sys, 0.7),
+    "operator_terms": lambda sys: ss.build_operator_model(sys, OPERATOR_TERMS),
+}
+
+
+def _near_real_points(rng, count, radius=0.5, spread=0.05):
+    """Non-real (u, v) pairs close to the real submanifold v = conj(u).
+
+    Trajectories live on that submanifold. Far from it (v|H|u) is a sum of
+    terms much larger than itself, and neither path holds 1e-12 there.
+    """
+    for _ in range(count):
+        u = radius * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        v = np.conj(u) + spread * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        yield u, v
+
+
+def _rel_errors(got, want):
+    """Error of each of (h, grad, hess) relative to its largest entry."""
+    return [np.max(np.abs(np.asarray(g) - np.asarray(w))) / np.max(np.abs(w))
+            for g, w in zip(got, want)]
+
+
+class TestFactoredDerivs:
+    @pytest.mark.parametrize("two_j", [1, 2, 5, 10, 40])
+    @pytest.mark.parametrize("name", sorted(FACTORED_MODELS))
+    def test_matches_dense_oracle(self, name, two_j):
+        sys = ss.SpinSystem(two_j=two_j)
+        model = FACTORED_MODELS[name](sys)
+        oracle = ss.htilde_from_operator(sys, model.operator)
+        rng = np.random.default_rng(two_j)
+        for u, v in _near_real_points(rng, 6):
+            assert max(_rel_errors(model.derivs(u, v), oracle.derivs(u, v))) <= 1e-12
+
+    def test_views_equal_derivs(self):
+        sys = ss.SpinSystem(two_j=5)
+        models = [
+            FACTORED_MODELS["operator_terms"](sys),
+            ss.phase_coupling_model(ss.PhaseCouplingParams(lam=0.8, sys=sys)),
+            ss.htilde_from_operator(sys, ss.exchange_coupling_model(sys, 1.0).operator),
+        ]
+        rng = np.random.default_rng(5)
+        for model in models:
+            for u, v in _near_real_points(rng, 3):
+                h, grad, hess = model.derivs(u, v)
+                assert model.htilde(u, v) == h
+                assert np.array_equal(model.grad(u, v), grad)
+                assert np.array_equal(model.hess(u, v), hess)
+
+    def test_empty_term_list_derivs_vanish(self):
+        sys = ss.SpinSystem(two_j=3)
+        h, grad, hess = ss.build_operator_model(sys, []).derivs(
+            np.array([0.4 + 0.1j, -0.3]), np.array([0.4 - 0.1j, -0.3]))
+        assert h == 0.0
+        assert not np.any(grad) and not np.any(hess)
+
+    def test_large_spin_stays_finite_and_matches_closed_form(self):
+        # unnormalized, (v|J3 (x) J3|u) is about (1 + |s|^2)^{4j} ~ 1e430 here
+        sys = ss.SpinSystem(two_j=1000)
+        j3 = np.diag(np.arange(sys.dim) - sys.j).astype(complex)
+        derivs = derivs_from_factors(sys, [(1.0, j3, j3)])
+        closed = ss.phase_coupling_model(ss.PhaseCouplingParams(lam=1.0, sys=sys))
+        rng = np.random.default_rng(1000)
+        for _ in range(4):
+            u = 0.8 * np.exp(2j * np.pi * rng.random(2))
+            v = np.conj(u) * (1.0 + 0.01 * (rng.standard_normal(2)
+                                            + 1j * rng.standard_normal(2)))
+            got = derivs(u, v)
+            assert all(np.all(np.isfinite(x)) for x in got)
+            assert max(_rel_errors(got, closed.derivs(u, v))) <= 1e-12
