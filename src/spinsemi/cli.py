@@ -35,8 +35,6 @@ def _build_parser():
     run_p.add_argument("config", help="path to the JSON configuration")
     run_p.add_argument("--output-dir", default=None, help="directory for output files")
     run_p.add_argument("--quiet", action="store_true", help="suppress progress messages")
-    run_p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for sweeps (default 1, bit-exact)")
 
     val_p = sub.add_parser("validate", help="validate a config file without running")
     val_p.add_argument("config")
@@ -70,8 +68,7 @@ def main(argv=None):
             return EXIT_OK
         if args.verb == "run":
             cfg = parse_config(_read(args.config))
-            run_experiment(cfg, output_dir=args.output_dir,
-                           threads=max(1, args.threads), quiet=args.quiet)
+            run_experiment(cfg, output_dir=args.output_dir, quiet=args.quiet)
             return EXIT_OK
     except ConfigError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -95,6 +95,11 @@ def _complex_pair(section, key, value):
     return complex(value[0], value[1])
 
 
+def sweep_tag(value):
+    """The text a sweep value contributes to its output file name."""
+    return f"{value:g}"
+
+
 def parse_config(document):
     """Validate a JSON configuration document into a RunConfig."""
     try:
@@ -202,6 +207,14 @@ def parse_config(document):
         values = tuple(
             _number("sweep", f"values[{i}]", v) for i, v in enumerate(values)
         )
+        tags = [sweep_tag(v) for v in values]
+        for i, tag in enumerate(tags):
+            if tag in tags[:i]:
+                raise ValidationError(
+                    f"sweep values {values[tags.index(tag)]!r} and {values[i]!r} "
+                    f"would both write the output '{pname}={tag}'",
+                    key="sweep.values",
+                )
         sweep = (pname, values)
 
     return RunConfig(

@@ -49,19 +49,21 @@ def kron(a, b):
 
 
 def hermitian_eig(h):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of a stack of them.
 
-    Returns (eigenvalues, eigenvectors) with eigenvalues sorted ascending
-    and columns of the eigenvector matrix unitary, so that
-    h = V diag(w) V^dagger.
+    For one (n, n) matrix, returns (eigenvalues, eigenvectors) with
+    eigenvalues sorted ascending and columns of the eigenvector matrix
+    unitary, so that h = V diag(w) V^dagger. A stack (k, n, n) gives w of
+    shape (k, n) and V of shape (k, n, n), the same for each matrix, from
+    one batched solver call.
 
-    Raises NotHermitian if max |h - h^dagger| exceeds 1e-12, NoConvergence
-    if the underlying iteration gives up.
+    Raises NotHermitian if max |h - h^dagger| exceeds 1e-12 (over every
+    matrix of a stack), NoConvergence if the underlying iteration gives up.
     """
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("hermitian_eig expects a square matrix")
-    defect = np.max(np.abs(h - h.conj().T))
+    if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2]:
+        raise ValueError("hermitian_eig expects a square matrix or a stack of them")
+    defect = np.max(np.abs(h - h.conj().swapaxes(-1, -2)))
     if defect > HERMITICITY_TOL:
         raise NotHermitian(f"max |h - h^dagger| = {defect:.3e} > {HERMITICITY_TOL}")
     try:

@@ -15,7 +15,6 @@ import json
 import platform
 import sys as _sys
 import time as _time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -23,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .config import CSV_COLUMNS, build_model
+from .config import CSV_COLUMNS, build_model, sweep_tag
 from .errors import ValidityBreakdown
 from .flow import integrate_stability, integrate_trajectory
 from .quantum import PurityCurve, SpectralPropagator, purity, reduced_density
@@ -112,37 +111,24 @@ def _sweep_entries(cfg):
     entries = []
     base = Path(cfg.output_path)
     for val in values:
-        name = f"{base.stem}_{pname}={val:g}{base.suffix}"
+        name = f"{base.stem}_{pname}={sweep_tag(val)}{base.suffix}"
         entries.append(((pname, val), str(base.with_name(name))))
     return entries
 
 
-def run_experiment(cfg, output_dir=None, threads=1, quiet=False, log=None):
+def run_experiment(cfg, output_dir=None, quiet=False, log=None):
     """Run the configured experiment, write outputs, return RunReports.
 
-    Sweep values are computed by a small worker pool when threads > 1;
-    output files are written in configuration order regardless of
-    completion order, so results are deterministic either way.
+    Sweep values are computed and written one after another, in
+    configuration order.
     """
     log = log or (lambda msg: None if quiet else print(msg, file=_sys.stderr))
-    entries = _sweep_entries(cfg)
-
-    def one(entry):
-        override, rel_path = entry
+    reports = []
+    for override, rel_path in _sweep_entries(cfg):
         started = _time.perf_counter()
         model = build_model(cfg, override)
         curve, flagged = compute_curve(cfg, model)
         wall = _time.perf_counter() - started
-        return override, rel_path, curve, flagged, wall
-
-    if threads > 1 and len(entries) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, entries))
-    else:
-        results = [one(entry) for entry in entries]
-
-    reports = []
-    for override, rel_path, curve, flagged, wall in results:
         out_path = Path(output_dir) / rel_path if output_dir else Path(rel_path)
         if out_path.parent and not out_path.parent.exists():
             out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -101,6 +101,18 @@ class TestParseConfig:
         with pytest.raises(ValidationError):
             parse_config(json.dumps(doc))
 
+    @pytest.mark.parametrize("values", [[1.0, 1.0000001], [0.5, 1.0, 1.0]])
+    def test_sweep_values_naming_one_file_are_rejected(self, tmp_path, values):
+        # both values would be written to out_lambda=1.csv
+        doc = minimal_config(sweep={"parameter": "lambda", "values": values})
+        with pytest.raises(ValidationError) as excinfo:
+            parse_config(json.dumps(doc))
+        assert excinfo.value.key == "sweep.values"
+        out_dir = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, doc), "--output-dir", str(out_dir),
+                     "--quiet"]) == 2
+        assert not out_dir.exists()
+
     def test_non_hermitian_terms_fail_validation(self, tmp_path):
         doc = minimal_config(
             hamiltonian={
@@ -173,14 +185,6 @@ class TestRunExperiment:
         assert names == ["out_lambda=0.5.csv", "out_lambda=1.csv", "out_lambda=2.csv"]
         # sweep order preserved in the reports
         assert [r.metadata["sweep_override"][1] for r in reports] == [0.5, 1.0, 2.0]
-
-    def test_threaded_sweep_matches_serial(self, tmp_path):
-        doc = minimal_config(sweep={"parameter": "lambda", "values": [0.5, 1.5]})
-        cfg = parse_config(json.dumps(doc))
-        serial = run_experiment(cfg, output_dir=str(tmp_path / "s"), quiet=True, threads=1)
-        threaded = run_experiment(cfg, output_dir=str(tmp_path / "t"), quiet=True, threads=2)
-        for a, b in zip(serial, threaded):
-            assert a.csv_path.read_bytes() == b.csv_path.read_bytes()
 
     def test_metadata_sidecar(self, tmp_path):
         cfg = parse_config(json.dumps(minimal_config()))

@@ -80,6 +80,24 @@ class TestHermitianEig:
         with pytest.raises(NotHermitian):
             ss.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_stack_matches_single_calls(self):
+        rng = np.random.default_rng(4)
+        a = _rand_complex(rng, (5, 7, 7))
+        stack = a + a.conj().swapaxes(1, 2)
+        w, v = ss.hermitian_eig(stack)
+        assert w.shape == (5, 7) and v.shape == (5, 7, 7)
+        for k in range(5):
+            wk, vk = ss.hermitian_eig(stack[k])
+            assert np.max(np.abs(w[k] - wk)) < 1e-12
+            # eigenvectors agree up to a phase per column
+            overlap = np.abs(np.sum(v[k].conj() * vk, axis=0))
+            assert np.max(np.abs(overlap - 1.0)) < 1e-12
+
+    def test_stack_with_one_defective_matrix_raises(self):
+        stack = np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]], np.eye(2)])
+        with pytest.raises(NotHermitian):
+            ss.hermitian_eig(stack)
+
 
 class TestSmallInverse:
     def test_identity(self):

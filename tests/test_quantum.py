@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinsemi as ss
-from spinsemi.errors import DimensionMismatch
-from spinsemi.quantum import SpectralPropagator
+from spinsemi.errors import DimensionMismatch, NotHermitian
+from spinsemi.quantum import SpectralPropagator, invariant_sectors
 
 
 def _random_state(rng, n):
@@ -181,3 +181,133 @@ def test_spectral_propagator_reuses_decomposition():
     one = prop.apply(psi, 0.3)
     two = ss.evolve_state(model.operator, psi, 0.3, sys.hbar)
     assert np.max(np.abs(one - two)) < 1e-12
+
+
+def _dense_oracle(h, hbar):
+    """(psi, t, xi) -> e^{-i xi H t / hbar} psi, from one whole-matrix eigh.
+
+    A real H is decomposed as a real symmetric matrix, which is several
+    times faster at dimension 1681.
+    """
+    w, v = np.linalg.eigh(h if np.any(h.imag) else h.real)
+    return lambda psi, t, xi: v @ (np.exp(-1j * xi * w * t / hbar) * (v.conj().T @ psi))
+
+
+def _operator_terms_model(sys):
+    # quartic and quadratic terms scaled by 1/j^2 and 1/j, so that |H| t, and
+    # with it the rounding of the eigenphases, grows like the other models'
+    c = (0.3 + 0.2j) / sys.j ** 2
+    return ss.build_operator_model(sys, [
+        ss.OperatorTerm(c, ("J+", 2), ("J-", 2)),
+        ss.OperatorTerm(np.conj(c), ("J-", 2), ("J+", 2)),
+        ss.OperatorTerm(0.6 / sys.j, ("J3", 2), ("I", 0)),
+    ])
+
+
+SECTOR_MODELS = {
+    "phase_coupling": lambda sys: ss.phase_coupling_model(
+        ss.PhaseCouplingParams(lam=0.9, sys=sys)),
+    "exchange_coupling": lambda sys: ss.exchange_coupling_model(sys, 0.8),
+    "free_precession": lambda sys: ss.free_precession_model(sys, 1.1),
+    "operator_terms": _operator_terms_model,
+}
+
+
+def _sector_sizes(h):
+    """Size of every sector of h, smallest first."""
+    return [idx.shape[1] for idx in invariant_sectors(h) for _ in idx]
+
+
+def _bfs_sectors(h):
+    """Oracle: connected components by breadth-first search, as sorted tuples."""
+    adjacent = (h != 0) | (h != 0).T
+    unseen = set(range(h.shape[0]))
+    sectors = []
+    while unseen:
+        frontier = [min(unseen)]
+        unseen.discard(frontier[0])
+        sector = []
+        while frontier:
+            i = frontier.pop()
+            sector.append(i)
+            for j in np.flatnonzero(adjacent[i]):
+                if j in unseen:
+                    unseen.discard(j)
+                    frontier.append(j)
+        sectors.append(tuple(sorted(sector)))
+    return sorted(sectors)
+
+
+class TestSectorEngine:
+    @pytest.mark.parametrize("two_j", [1, 2, 5, 10, 40])
+    @pytest.mark.parametrize("name", list(SECTOR_MODELS))
+    def test_matches_dense_oracle(self, name, two_j):
+        sys = ss.SpinSystem(two_j=two_j, hbar=0.7)
+        h = SECTOR_MODELS[name](sys).operator
+        psi = ss.product_coherent(sys, ss.CoherentLabel(0.6 - 0.2j, -0.4 + 0.5j))
+        prop = SpectralPropagator(h, sys.hbar)
+        oracle = _dense_oracle(h, sys.hbar)
+        t = 1.3 / sys.j
+        for xi in (+1, -1):
+            assert np.max(np.abs(prop.apply(psi, t, xi) - oracle(psi, t, xi))) <= 1e-12
+
+    def test_dense_hamiltonian_is_one_sector(self):
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
+        h = a + a.conj().T
+        assert _sector_sizes(h) == [30]
+        prop = SpectralPropagator(h, 1.0)
+        psi = _random_state(rng, 30)
+        oracle = _dense_oracle(h, 1.0)
+        for xi in (+1, -1):
+            assert np.max(np.abs(prop.apply(psi, 0.9, xi) - oracle(psi, 0.9, xi))) <= 1e-12
+
+    @pytest.mark.parametrize("two_j", [1, 4, 40])
+    def test_phase_coupling_sectors_are_single_states(self, two_j):
+        sys = ss.SpinSystem(two_j=two_j)
+        h = SECTOR_MODELS["phase_coupling"](sys).operator
+        assert _sector_sizes(h) == [1] * sys.dim ** 2
+
+    def test_exchange_sectors_follow_total_j3(self):
+        sys = ss.SpinSystem(two_j=40)
+        sizes = _sector_sizes(SECTOR_MODELS["exchange_coupling"](sys).operator)
+        assert len(sizes) == 81
+        assert max(sizes) == 41
+        assert sum(sizes) == sys.dim ** 2
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sectors_match_breadth_first_search(self, seed):
+        # random sparse patterns, most nonzeros one-sided
+        rng = np.random.default_rng(seed)
+        n = 40
+        h = np.where(rng.random((n, n)) < 0.03, 1.0 + 0.5j, 0.0)
+        np.fill_diagonal(h, rng.standard_normal(n))
+        groups = invariant_sectors(h)
+        found = sorted(tuple(row) for idx in groups for row in idx.tolist())
+        assert found == _bfs_sectors(h)
+        sizes = [idx.shape[1] for idx in groups]
+        assert sizes == sorted(set(sizes))
+
+    def test_one_sided_entry_is_not_hermitian(self):
+        h = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+        h[0, 2] = 0.5
+        with pytest.raises(NotHermitian):
+            SpectralPropagator(h)
+
+    def test_defect_inside_a_sector_is_not_hermitian(self):
+        h = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+        h[1, 3] = 0.25
+        h[3, 1] = 0.25 + 1e-9j
+        with pytest.raises(NotHermitian):
+            SpectralPropagator(h)
+
+    def test_defect_below_tolerance_is_accepted(self):
+        # the whole-matrix check's 1e-12 bound, not a stricter one
+        h = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        h[0, 1] = 1e-13
+        assert _sector_sizes(h) == [1, 2]
+        SpectralPropagator(h)
+
+    def test_wrong_state_length(self):
+        with pytest.raises(DimensionMismatch):
+            SpectralPropagator(np.eye(4)).apply(np.ones(3), 0.1)
