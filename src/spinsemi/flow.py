@@ -10,10 +10,13 @@ Trajectories start from the real point (u, v) = (s0, s0*) and, for Hermitian
 models, stay real; the reality drift is measured, never enforced, so it
 doubles as an integrator diagnostic. The stability matrix is co-integrated
 with the trajectory in one ODE system (20 complex components), which keeps
-its determinant identity accurate to integrator tolerance.
+its determinant identity accurate to integrator tolerance; one integration
+per trajectory gives both, at any sample times, from the integrator's
+dense output.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -80,10 +83,6 @@ class StabilityMatrix:
     def det(self):
         return complex(np.linalg.det(self.m))
 
-    @classmethod
-    def identity(cls):
-        return cls(np.eye(4, dtype=complex))
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -93,6 +92,7 @@ class Trajectory:
     ys: np.ndarray          # (n, 4) rows (ux, uy, vx, vy)
     energy: np.ndarray      # H~ along the samples
     start_label: CoherentLabel
+    ms: Optional[np.ndarray] = None  # (n, 4, 4) stability matrices, if integrated
 
     def __post_init__(self):
         if self.ts.size > 1 and np.any(np.diff(self.ts) <= 0):
@@ -211,18 +211,34 @@ def _effective_cfg(cfg, t_total):
     )
 
 
-def integrate_trajectory(sys, model, s0, t_final, cfg, sample_times=None):
-    """Real critical trajectory from (u, v) = (s0, s0*) over [0, t_final].
+def _field_and_stability(sys, model, y):
+    """Right-hand side of the 20-component (u, v, M) system: the field and
+    dM/dt = J M from one model.derivs call."""
+    dy, jac = field_and_jacobian(sys, model, y[:4])
+    dm = jac @ y[4:].reshape(4, 4)
+    return np.concatenate([dy, dm.ravel()])
 
-    With sample_times=None the samples are the integrator's accepted steps
-    (step-capped so at least ~30 samples exist); otherwise exactly the
-    requested times. The t = 0 start point is always included, whether or
-    not it was requested: every downstream object (endpoint factor,
-    stability window, action boundary terms) is anchored there.
+
+def integrate_trajectory(sys, model, s0, t_final, cfg, sample_times=None):
+    """Real critical trajectory from (u, v) = (s0, s0*) over [0, t_final],
+    with its stability matrices.
+
+    One adaptive integration of (u, v) and M, with dM/dt = J(t) M and
+    M(0) = I, so M sees exactly the flow it linearizes; the result's `ms`
+    holds M at every sample. With sample_times=None the samples are the
+    integrator's accepted steps (step-capped so at least ~30 samples exist);
+    otherwise exactly the requested times, read off the dense output of the
+    same steps, so the cost does not depend on how many are requested. The
+    t = 0 start point is always included, whether or not it was requested:
+    every downstream object (endpoint factor, stability window, action
+    boundary terms) is anchored there.
     """
     if t_final < 0:
         raise ValueError("t_final must be non-negative")
-    y0 = np.array([s0.sx, s0.sy, np.conj(s0.sx), np.conj(s0.sy)], dtype=complex)
+    y0 = np.concatenate([
+        [s0.sx, s0.sy, np.conj(s0.sx), np.conj(s0.sy)],
+        np.eye(4, dtype=complex).ravel(),
+    ])
     if sample_times is not None:
         sample_times = np.asarray(sample_times, dtype=float)
         if sample_times.size == 0 or sample_times[0] > 0.0:
@@ -233,28 +249,24 @@ def integrate_trajectory(sys, model, s0, t_final, cfg, sample_times=None):
     else:
         eff = _effective_cfg(cfg, t_final)
         ts, ys = adaptive_rk(
-            lambda t, y: field_vector(sys, model, y),
+            lambda t, y: _field_and_stability(sys, model, y),
             y0, (0.0, t_final), eff, samples=sample_times,
         )
-    energy = np.array([model.htilde(row[:2], row[2:4]) for row in ys])
-    return Trajectory(ts=ts, ys=ys, energy=energy, start_label=s0)
+    states = np.ascontiguousarray(ys[:, :4])
+    energy = np.array([model.htilde(row[:2], row[2:4]) for row in states])
+    return Trajectory(ts=ts, ys=states, energy=energy, start_label=s0,
+                      ms=ys[:, 4:].reshape(-1, 4, 4))
 
 
 def integrate_stability(sys, model, traj, cfg):
     """Stability matrices along traj, one per sample time.
 
-    Solves dM/dt = J(t) M, M(0) = I, with (u, v) co-integrated in the same
-    state vector so M sees exactly the flow it linearizes.
+    integrate_trajectory already co-integrates M with (u, v), so this reads
+    traj.ms and evaluates no field; sys, model and cfg are not used. Raises
+    ValueError for a trajectory built without stability matrices (such as
+    the closed-form models.pc_trajectory).
     """
-    y0 = np.concatenate([traj.ys[0], np.eye(4, dtype=complex).ravel()])
-
-    def rhs(t, y):
-        dy, jac = field_and_jacobian(sys, model, y[:4])
-        dm = jac @ y[4:].reshape(4, 4)
-        return np.concatenate([dy, dm.ravel()])
-
-    if traj.duration == 0:
-        return [StabilityMatrix.identity() for _ in range(len(traj))]
-    eff = _effective_cfg(cfg, traj.duration)
-    _, ys = adaptive_rk(rhs, y0, (traj.ts[0], traj.ts[-1]), eff, samples=traj.ts)
-    return [StabilityMatrix(row[4:].reshape(4, 4)) for row in ys]
+    if traj.ms is None:
+        raise ValueError("trajectory carries no stability matrices; "
+                         "build it with integrate_trajectory")
+    return [StabilityMatrix(m) for m in traj.ms]

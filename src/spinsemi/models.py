@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import NotHermitian
 from .flow import StabilityMatrix, Trajectory
-from .numerics import kron
 from .spin import (
     HamiltonianModel,
     SpinSystem,
@@ -48,7 +47,7 @@ def phase_coupling_model(params):
 
     def make_operator():
         _, _, j3 = build_spin_operators(sys)
-        return params.lam * sys.hbar * kron(j3, j3)
+        return params.lam * sys.hbar * np.kron(j3, j3)
 
     j = sys.j
     amp = params.lam * sys.hbar * j * j
@@ -238,7 +237,7 @@ def assemble_operator(sys, terms):
     """Joint-space matrix for a list of OperatorTerms."""
     total = np.zeros((sys.joint_dim, sys.joint_dim), dtype=complex)
     for coefficient, mx, my in _term_factors(sys, terms):
-        total += coefficient * kron(mx, my)
+        total += coefficient * np.kron(mx, my)
     return total
 
 

@@ -39,15 +39,6 @@ class IntegratorConfig:
             raise ValueError("initial_step must not exceed max_step")
 
 
-def kron(a, b):
-    """Kronecker product with the standard block layout."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("kron expects two matrices")
-    return np.kron(a, b)
-
-
 def hermitian_eig(h):
     """Eigendecomposition of a Hermitian matrix, or of a stack of them.
 
@@ -112,6 +103,14 @@ _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
 _DP_E = _DP_B5 - _DP_B4
+# Dormand-Prince continuous extension (Hairer, Norsett & Wanner, Solving
+# ODEs I, sec. II.6, DOPRI5 `contd5`): the fourth-order interpolant's
+# theta^2 (1 - theta)^2 term is h * (_DP_D @ k).
+_DP_D = np.array([
+    -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+    -10690763975 / 1880347072, 701980252875 / 199316789632,
+    -1453857185 / 822651844, 69997945 / 29380423,
+])
 
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -129,11 +128,23 @@ def _eval_field(field, t, y):
     return dy
 
 
+def _dense_output(theta, y, y_new, h, k):
+    """States at fractions theta (m,) of the step y -> y_new from its stages k."""
+    ydiff = y_new - y
+    bspl = h * k[0] - ydiff
+    rest = ydiff - h * k[6] - bspl
+    quartic = h * (_DP_D @ k)
+    th = theta[:, None]
+    th1 = 1.0 - th
+    return y + th * (ydiff + th1 * (bspl + th * (rest + th1 * quartic)))
+
+
 def adaptive_rk(field, y0, t_span, cfg, samples=None):
     """Integrate y' = field(t, y) for a complex state vector.
 
     Embedded Dormand-Prince 4(5) pair with PI step control. Local error per
-    step is kept below abs_tol + rel_tol * |y| componentwise (RMS norm).
+    step is kept below abs_tol + rel_tol * |y| componentwise (RMS norm over
+    all components).
 
     Parameters
     ----------
@@ -142,9 +153,12 @@ def adaptive_rk(field, y0, t_span, cfg, samples=None):
     t_span : (t0, t1) with t1 >= t0
     cfg : IntegratorConfig
     samples : optional ascending array of times in [t0, t1]. When given,
-        the integrator lands exactly on each sample (no interpolation) and
-        the output contains exactly those times. Otherwise the output is the
-        accepted-step grid.
+        the output contains exactly those times, read off the Dormand-Prince
+        continuous extension of the accepted step that holds each one; the
+        steps taken, and so the field evaluations, are the same as without
+        samples. A sample at a step end gets that step's value, and a sample
+        at t1 the final value. Otherwise the output is the accepted-step
+        grid.
 
     Returns
     -------
@@ -155,7 +169,10 @@ def adaptive_rk(field, y0, t_span, cfg, samples=None):
         raise ValueError("t_span must be increasing")
     y = np.array(y0, dtype=complex).ravel()
 
-    if samples is not None:
+    if samples is None:
+        ts_out = [t0]
+        ys_out = [y.copy()]
+    else:
         samples = np.asarray(samples, dtype=float)
         if samples.size == 0:
             raise ValueError("samples must be non-empty")
@@ -163,65 +180,58 @@ def adaptive_rk(field, y0, t_span, cfg, samples=None):
             raise ValueError("samples must be strictly increasing")
         if samples[0] < t0 - 1e-14 or samples[-1] > t1 + 1e-12 * max(1.0, abs(t1)):
             raise ValueError("samples must lie within t_span")
+        out = np.empty((samples.size, y.size), dtype=complex)
+        filled = int(np.searchsorted(samples, t0, side="right"))
+        out[:filled] = y
 
     span = t1 - t0
-    state = {
-        "t": t0,
-        "h": min(cfg.initial_step, cfg.max_step, span if span > 0 else cfg.initial_step),
-        "err_prev": 1.0,
-        "k0": None,
-    }
-    ts_out = []
-    ys_out = []
+    t = t0
+    h = min(cfg.initial_step, cfg.max_step, span if span > 0 else cfg.initial_step)
+    err_prev = 1.0
+    end_tol = 1e-14 * max(1.0, abs(t1))
+    k = np.empty((7, y.size), dtype=complex)
+    if t < t1 - end_tol:
+        k[0] = _eval_field(field, t, y)
+    while t < t1 - end_tol:
+        h_try = min(h, cfg.max_step, t1 - t)
+        if h_try < 1e-14 * max(1.0, abs(t)):
+            raise StepSizeUnderflow(f"step size {h_try:.3e} underflowed at t={t:.6e}")
+        for i in range(1, 7):
+            yi = y + h_try * (_DP_A[i] @ k[:i])
+            k[i] = _eval_field(field, t + _DP_C[i] * h_try, yi)
+        y_new = y + h_try * (_DP_B5 @ k)
+        err_vec = h_try * (_DP_E @ k)
+        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        err = np.sqrt(np.mean(np.abs(err_vec / scale) ** 2))
+        if err > 1.0:
+            h = h_try * max(_MIN_FACTOR, _SAFETY * err ** (-_PI_ALPHA))
+            continue
+        t_new = t + h_try
+        last = t_new >= t1 - end_tol
+        if samples is None:
+            ts_out.append(t_new)
+            ys_out.append(y_new)
+        else:
+            # samples this step holds; on the last step, all that remain
+            stop = samples.size if last else int(np.searchsorted(samples, t_new, side="right"))
+            if stop > filled:
+                inside = samples[filled:stop]
+                rows = out[filled:stop]
+                rows[:] = _dense_output((inside - t) / h_try, y, y_new, h_try, k)
+                rows[inside >= (t1 - end_tol if last else t_new)] = y_new
+                filled = stop
+        t, y = t_new, y_new
+        k[0] = k[6]  # FSAL
+        err = max(err, 1e-10)
+        factor = _SAFETY * err ** (-_PI_ALPHA) * err_prev ** _PI_BETA
+        err_prev = err
+        h = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
 
-    def advance(target):
-        """Step adaptively until `target`, landing on it exactly."""
-        tol = 1e-14 * max(1.0, abs(target))
-        k = np.empty((7, y.size), dtype=complex)
-        while state["t"] < target - tol:
-            if state["k0"] is None:
-                state["k0"] = _eval_field(field, state["t"], state["y"])
-            t = state["t"]
-            yc = state["y"]
-            h_try = min(state["h"], cfg.max_step, target - t)
-            if h_try < 1e-14 * max(1.0, abs(t)):
-                raise StepSizeUnderflow(f"step size {h_try:.3e} underflowed at t={t:.6e}")
-            k[0] = state["k0"]
-            for i in range(1, 7):
-                yi = yc + h_try * (_DP_A[i] @ k[:i])
-                k[i] = _eval_field(field, t + _DP_C[i] * h_try, yi)
-            y_new = yc + h_try * (_DP_B5 @ k)
-            err_vec = h_try * (_DP_E @ k)
-            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(yc), np.abs(y_new))
-            err = np.sqrt(np.mean(np.abs(err_vec / scale) ** 2))
-            if err <= 1.0:
-                state["t"] = t + h_try
-                state["y"] = y_new
-                state["k0"] = k[6].copy()  # FSAL
-                if samples is None:
-                    ts_out.append(state["t"])
-                    ys_out.append(y_new.copy())
-                err = max(err, 1e-10)
-                factor = _SAFETY * err ** (-_PI_ALPHA) * state["err_prev"] ** _PI_BETA
-                state["err_prev"] = err
-                state["h"] = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-            else:
-                state["h"] = h_try * max(_MIN_FACTOR, _SAFETY * err ** (-_PI_ALPHA))
-        state["t"] = target
-
-    state["y"] = y
     if samples is None:
-        ts_out.append(t0)
-        ys_out.append(y.copy())
-        if t1 > t0:
-            advance(t1)
-            ts_out[-1] = t1  # snap the final accepted step onto t1 exactly
-    else:
-        for target in samples:
-            advance(target)
-            ts_out.append(target)
-            ys_out.append(state["y"].copy())
-    return np.asarray(ts_out), np.asarray(ys_out)
+        ts_out[-1] = t1  # snap the final accepted step onto t1 exactly
+        return np.asarray(ts_out), np.asarray(ys_out)
+    out[filled:] = y  # samples at t1 when the span is below the end tolerance
+    return samples.copy(), out
 
 
 def cubic_quadrature(ts, fs):

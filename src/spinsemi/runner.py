@@ -60,18 +60,19 @@ def compute_curve(cfg, model=None):
     traj = integrate_trajectory(sys, model, cfg.initial_state, cfg.t_max,
                                 cfg.integrator, sample_times=times)
     m_series = integrate_stability(sys, model, traj, cfg.integrator)
+    det_m = np.linalg.det(traj.ms)
+    start = traj.initial
     p_sc = np.empty(times.size)
     res_detm = np.empty(times.size)
     res_energy = np.abs(traj.energy - traj.energy[0])
     res_im = np.empty(times.size)
     flagged = []
     for i in range(times.size):
-        det_m = m_series[i].det()
         try:
-            ev = purity_sc_evaluate(m_series[i], traj.initial, traj.state(i))
+            ev = purity_sc_evaluate(m_series[i], start, traj.state(i))
             p_sc[i] = ev.p_sc
             res_im[i] = ev.im_residual
-            res_detm[i] = abs(det_m - ev.tcal)
+            res_detm[i] = abs(det_m[i] - ev.tcal)
         except ValidityBreakdown:
             flagged.append(i)
             p_sc[i] = np.nan

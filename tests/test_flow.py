@@ -10,6 +10,17 @@ from spinsemi.flow import (
     field_jacobian,
     field_vector,
 )
+from spinsemi.numerics import (
+    _DP_A,
+    _DP_B5,
+    _DP_C,
+    _DP_E,
+    _MAX_FACTOR,
+    _MIN_FACTOR,
+    _PI_ALPHA,
+    _PI_BETA,
+    _SAFETY,
+)
 
 CFG = ss.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
 
@@ -276,3 +287,109 @@ class TestIntegrateStability:
         traj_full = ss.integrate_trajectory(sys, model, s0, t1 + t2, CFG)
         m_full = ss.integrate_stability(sys, model, traj_full, CFG)[-1]
         assert np.max(np.abs(m_full.m - m2.m @ m1.m)) < 1e-7
+
+
+def _landing_rk(field, y0, cfg, samples):
+    """The integrator before dense output, kept as the oracle: the same
+    Dormand-Prince steps, but each one shortened to land exactly on the next
+    sample. samples[0] is the start time."""
+    t, y = samples[0], np.array(y0, dtype=complex)
+    h = min(cfg.initial_step, cfg.max_step, samples[-1] - samples[0])
+    err_prev = 1.0
+    k = np.empty((7, y.size), dtype=complex)
+    k[0] = field(t, y)
+    out = [y]
+    for target in samples[1:]:
+        while t < target - 1e-14 * max(1.0, abs(target)):
+            h_try = min(h, cfg.max_step, target - t)
+            for i in range(1, 7):
+                k[i] = field(t + _DP_C[i] * h_try, y + h_try * (_DP_A[i] @ k[:i]))
+            y_new = y + h_try * (_DP_B5 @ k)
+            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+            err = np.sqrt(np.mean(np.abs(h_try * (_DP_E @ k) / scale) ** 2))
+            if err <= 1.0:
+                t, y = t + h_try, y_new
+                k[0] = k[6]
+                err = max(err, 1e-10)
+                factor = _SAFETY * err ** (-_PI_ALPHA) * err_prev ** _PI_BETA
+                err_prev = err
+                h = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+            else:
+                h = h_try * max(_MIN_FACTOR, _SAFETY * err ** (-_PI_ALPHA))
+        t = target
+        out.append(y)
+    return np.array(out)
+
+
+def _phase_coupling(sys):
+    return ss.phase_coupling_model(ss.PhaseCouplingParams(lam=1.0, sys=sys))
+
+
+class TestOneIntegration:
+    @pytest.mark.parametrize("model_of, two_j", [
+        (lambda sys: ss.exchange_coupling_model(sys, 1.0), 10),
+        (_phase_coupling, 10),
+        (_phase_coupling, 40),
+    ])
+    def test_dense_output_matches_landing_oracle(self, model_of, two_j):
+        # the two integrators take different steps, so they differ by
+        # truncation error (~1e-11), not by rounding
+        sys = ss.SpinSystem(two_j=two_j)
+        model = model_of(sys)
+        s0 = ss.CoherentLabel(0.5 + 0.2j, -0.3 + 0.4j)
+        t_final = 0.5
+        times = np.linspace(0.0, t_final, 400)
+        # max_step at the sample floor's cap, so both integrators see one config
+        cfg = ss.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, max_step=t_final / 32)
+        traj = ss.integrate_trajectory(sys, model, s0, t_final, cfg, sample_times=times)
+
+        def rhs(t, y):
+            dy, jac = field_and_jacobian(sys, model, y[:4])
+            return np.concatenate([dy, (jac @ y[4:].reshape(4, 4)).ravel()])
+
+        y0 = np.concatenate([traj.ys[0], np.eye(4).ravel()])
+        ref = _landing_rk(rhs, y0, cfg, times)
+        ref_ys, ref_ms = ref[:, :4], ref[:, 4:].reshape(-1, 4, 4)
+        assert np.max(np.abs(traj.ys - ref_ys)) <= 1e-9 * np.max(np.abs(ref_ys))
+        assert np.max(np.abs(traj.ms - ref_ms)) <= 1e-9 * np.max(np.abs(ref_ms))
+
+    def test_field_evaluations_do_not_depend_on_sample_count(self):
+        sys, _, model = _pc(two_j=10)
+        counting = _CountingModel(model)
+        s0 = ss.CoherentLabel(0.5 + 0.2j, -0.3 + 0.4j)
+        ss.integrate_trajectory(sys, counting, s0, 0.5, CFG)
+        natural = counting.calls
+        for n in (63, 1000, 4000):
+            counting.calls = 0
+            ss.integrate_trajectory(sys, counting, s0, 0.5, CFG,
+                                    sample_times=np.linspace(0.0, 0.5, n))
+            assert counting.calls == natural
+
+    def test_closed_forms_at_4000_samples(self):
+        sys, params, model = _pc()
+        s0 = ss.CoherentLabel(0.7 + 0.3j, -0.4 + 0.9j)
+        t_final = 0.35
+        times = np.linspace(0.0, t_final, 4000)
+        traj = ss.integrate_trajectory(sys, model, s0, t_final, CFG, sample_times=times)
+        ref = ss.pc_trajectory(params, s0, t_final, num_samples=4000)
+        assert np.array_equal(traj.ts, ref.ts)
+        assert np.max(np.abs(traj.ys - ref.ys)) < 1e-9
+        assert np.max(np.abs(traj.ms[-1] - ss.pc_stability(params, s0, t_final).m)) < 1e-8
+
+    def test_integrate_stability_reads_the_trajectory(self):
+        sys, params, model = _pc()
+        counting = _CountingModel(model)
+        s0 = ss.CoherentLabel(0.4 + 0.3j, 0.7 - 0.2j)
+        traj = ss.integrate_trajectory(sys, counting, s0, 0.3, CFG)
+        counting.calls = 0
+        series = ss.integrate_stability(sys, counting, traj, CFG)
+        assert counting.calls == 0
+        assert len(series) == len(traj)
+        assert all(np.array_equal(stab.m, m) for stab, m in zip(series, traj.ms))
+
+    def test_integrate_stability_needs_matrices(self):
+        sys, params, model = _pc()
+        traj = ss.pc_trajectory(params, ss.CoherentLabel(0.4, 0.2j), 0.3)
+        assert traj.ms is None
+        with pytest.raises(ValueError):
+            ss.integrate_stability(sys, model, traj, CFG)

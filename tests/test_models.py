@@ -269,7 +269,7 @@ class TestOperatorModels:
         model = ss.exchange_coupling_model(sys, 1.0)
         jp, jm, j3 = ss.build_spin_operators(sys)
         ident = np.eye(sys.dim)
-        total_j3 = ss.kron(j3, ident) + ss.kron(ident, j3)
+        total_j3 = np.kron(j3, ident) + np.kron(ident, j3)
         comm = model.operator @ total_j3 - total_j3 @ model.operator
         assert np.max(np.abs(comm)) < 1e-12
 
@@ -288,4 +288,4 @@ class TestOperatorModels:
         sys = ss.SpinSystem(two_j=2)
         jp, jm, j3 = ss.build_spin_operators(sys)
         op = assemble_operator(sys, [ss.OperatorTerm(1.0, ("J3", 2), ("I", 0))])
-        assert np.max(np.abs(op - ss.kron(j3 @ j3, np.eye(sys.dim)))) < 1e-12
+        assert np.max(np.abs(op - np.kron(j3 @ j3, np.eye(sys.dim)))) < 1e-12

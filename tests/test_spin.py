@@ -141,7 +141,7 @@ class TestHtildeFromOperator:
         sys = ss.SpinSystem(two_j=5)
         jp, jm, j3 = ss.build_spin_operators(sys)
         ident = np.eye(sys.dim)
-        h = ss.kron(j3, ident) + ss.kron(ident, j3)
+        h = np.kron(j3, ident) + np.kron(ident, j3)
         model = ss.htilde_from_operator(sys, h)
         sx, sy = 0.6 + 0.2j, -0.8 + 0.5j
         u = np.array([sx, sy])
