@@ -51,7 +51,6 @@ from .flow import (
     PhaseSpaceState,
     StabilityMatrix,
     Trajectory,
-    hamiltonian_field,
     integrate_stability,
     integrate_trajectory,
 )

@@ -27,7 +27,8 @@ from .models import (
 from .numerics import IntegratorConfig
 from .spin import CoherentLabel, SpinSystem
 
-QUANTITIES = (
+CSV_COLUMNS = (
+    "t",
     "p_exact",
     "p_sc",
     "slin_exact",
@@ -36,8 +37,6 @@ QUANTITIES = (
     "residual_energy",
     "residual_im_psc",
 )
-
-CSV_COLUMNS = ("t",) + QUANTITIES
 
 # model name -> (required numeric params, optional keys)
 MODEL_PARAMS = {
@@ -58,7 +57,6 @@ class RunConfig:
     num_points: int
     integrator: IntegratorConfig
     output_path: str
-    quantities: Tuple[str, ...] = QUANTITIES
     sweep: Optional[Tuple[str, Tuple[float, ...]]] = None
     raw: dict = field(default=None, compare=False, repr=False)
 
@@ -176,18 +174,11 @@ def parse_config(document):
     )
 
     out = data["outputs"]
-    _require_keys("outputs", out, allowed=("path", "quantities"), required=("path",))
+    _require_keys("outputs", out, allowed=("path",), required=("path",))
     path = out["path"]
     if not isinstance(path, str) or not path:
         raise ValidationError("'outputs.path' must be a non-empty string",
                               key="outputs.path")
-    quantities = tuple(out.get("quantities", QUANTITIES))
-    for q in quantities:
-        if q not in QUANTITIES:
-            raise ValidationError(
-                f"unknown quantity '{q}'; available: {list(QUANTITIES)}",
-                key="outputs.quantities",
-            )
 
     sweep = None
     if "sweep" in data:
@@ -226,7 +217,6 @@ def parse_config(document):
         num_points=num_points,
         integrator=integrator,
         output_path=path,
-        quantities=quantities,
         sweep=sweep,
         raw=data,
     )

@@ -34,21 +34,23 @@ _MIN_SAMPLES = 33
 
 @dataclass(frozen=True)
 class PhaseSpaceState:
-    """Complex phase-space point; u and v are length-2 arrays (x, y)."""
+    """Complex phase-space point; u and v hold the (x, y) pair in their
+    last axis, so a (n, 2) pair is the series of n states along a
+    trajectory."""
 
     u: np.ndarray
     v: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=complex).reshape(2))
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=complex).reshape(2))
+        for name in ("u", "v"):
+            arr = np.asarray(getattr(self, name), dtype=complex)
+            if arr.shape[-1:] != (2,):
+                raise ValueError(f"{name} must hold (x, y) in its last axis, got {arr.shape}")
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_vector(cls, y):
-        return cls(y[:2], y[2:4])
-
-    def as_vector(self):
-        return np.concatenate([self.u, self.v])
+        return cls(y[..., :2], y[..., 2:4])
 
     def reality_defect(self):
         """max_k |v_k - conj(u_k)|; zero on the real submanifold."""
@@ -57,31 +59,53 @@ class PhaseSpaceState:
 
 @dataclass(frozen=True)
 class StabilityMatrix:
-    """4x4 linearization in the (du_x, du_y, dv_x, dv_y) ordering."""
+    """4x4 linearization in the (du_x, du_y, dv_x, dv_y) ordering, or the
+    series of them along a trajectory.
+
+    m is (4, 4) for one matrix or (n, 4, 4) for n samples; the block views
+    and det() keep the leading axis. A series has len(s) samples, s[i] is
+    the matrix at sample i (a slice gives a shorter series), and iterating
+    yields the matrices one by one.
+    """
 
     m: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "m", np.asarray(self.m, dtype=complex).reshape(4, 4))
+        m = np.asarray(self.m, dtype=complex)
+        if m.shape[-2:] != (4, 4) or m.ndim > 3:
+            raise ValueError(f"stability matrix must be (4, 4) or (n, 4, 4), got {m.shape}")
+        object.__setattr__(self, "m", m)
+
+    def __len__(self):
+        if self.m.ndim != 3:
+            raise TypeError("a single stability matrix has no length")
+        return len(self.m)
+
+    def __getitem__(self, i):
+        return StabilityMatrix(self.m[i])
+
+    def __iter__(self):
+        return (StabilityMatrix(m) for m in self.m)
 
     @property
     def m_uu(self):
-        return self.m[:2, :2]
+        return self.m[..., :2, :2]
 
     @property
     def m_uv(self):
-        return self.m[:2, 2:]
+        return self.m[..., :2, 2:]
 
     @property
     def m_vu(self):
-        return self.m[2:, :2]
+        return self.m[..., 2:, :2]
 
     @property
     def m_vv(self):
-        return self.m[2:, 2:]
+        return self.m[..., 2:, 2:]
 
     def det(self):
-        return complex(np.linalg.det(self.m))
+        det = np.linalg.det(self.m)
+        return complex(det) if det.ndim == 0 else det
 
 
 @dataclass(frozen=True)
@@ -102,6 +126,7 @@ class Trajectory:
         return self.ts.size
 
     def state(self, i):
+        """State at sample i; a slice, such as slice(None), gives the series."""
         return PhaseSpaceState.from_vector(self.ys[i])
 
     @property
@@ -162,38 +187,15 @@ def _jacobian(sys, y, p, g, hss):
     return _ROW_SIGN[:, None] * rows / (2j * sys.hbar_j)
 
 
-def field_vector(sys, model, y):
-    """Right-hand side of Hamilton's equations at packed state y."""
-    p, g, _ = _phase_space_derivs(model, y)
-    return _field(sys, p, g)
-
-
 def field_and_jacobian(sys, model, y):
     """Field and its exact 4x4 Jacobian from one model.derivs call."""
     p, g, hss = _phase_space_derivs(model, y)
     return _field(sys, p, g), _jacobian(sys, y, p, g, hss)
 
 
-def hamiltonian_field(sys, model, state):
-    """Phase-space velocity at a PhaseSpaceState (chart-guarded)."""
-    dy = field_vector(sys, model, state.as_vector())
-    return PhaseSpaceState.from_vector(dy)
-
-
-def field_jacobian(sys, model, y):
-    """Exact 4x4 Jacobian of the field, assembled from grad and hess."""
-    p, g, hss = _phase_space_derivs(model, y)
-    return _jacobian(sys, y, p, g, hss)
-
-
 def split_trace(jac):
     """sum_k [d(udot_k)/du_k - d(vdot_k)/dv_k] of a field Jacobian."""
     return jac[0, 0] + jac[1, 1] - jac[2, 2] - jac[3, 3]
-
-
-def divergence_split(sys, model, y):
-    """sum_k [d(udot_k)/du_k - d(vdot_k)/dv_k], the quantum-correction integrand."""
-    return split_trace(field_jacobian(sys, model, y))
 
 
 def _effective_cfg(cfg, t_total):
@@ -261,12 +263,12 @@ def integrate_trajectory(sys, model, s0, t_final, cfg, sample_times=None):
 def integrate_stability(sys, model, traj, cfg):
     """Stability matrices along traj, one per sample time.
 
-    integrate_trajectory already co-integrates M with (u, v), so this reads
-    traj.ms and evaluates no field; sys, model and cfg are not used. Raises
-    ValueError for a trajectory built without stability matrices (such as
-    the closed-form models.pc_trajectory).
+    integrate_trajectory already co-integrates M with (u, v), so this wraps
+    traj.ms in one StabilityMatrix series and evaluates no field; sys, model
+    and cfg are not used. Raises ValueError for a trajectory built without
+    stability matrices (such as the closed-form models.pc_trajectory).
     """
     if traj.ms is None:
         raise ValueError("trajectory carries no stability matrices; "
                          "build it with integrate_trajectory")
-    return [StabilityMatrix(m) for m in traj.ms]
+    return StabilityMatrix(traj.ms)

@@ -12,8 +12,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import NotHermitian
 from .flow import StabilityMatrix, Trajectory
+from .numerics import require_hermitian
 from .spin import (
     HamiltonianModel,
     SpinSystem,
@@ -250,9 +250,7 @@ def build_operator_model(sys, terms):
     assembled joint matrix.
     """
     op = assemble_operator(sys, terms)
-    defect = np.max(np.abs(op - op.conj().T)) if op.size else 0.0
-    if defect > 1e-12:
-        raise NotHermitian(f"assembled operator defect {defect:.3e}")
+    require_hermitian(op)
     return HamiltonianModel(
         derivs=derivs_from_factors(sys, _term_factors(sys, terms)),
         label="operator_terms", sys=sys, operator=op,

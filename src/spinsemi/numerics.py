@@ -54,14 +54,20 @@ def hermitian_eig(h):
     h = np.asarray(h, dtype=complex)
     if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2]:
         raise ValueError("hermitian_eig expects a square matrix or a stack of them")
-    defect = np.max(np.abs(h - h.conj().swapaxes(-1, -2)))
-    if defect > HERMITICITY_TOL:
-        raise NotHermitian(f"max |h - h^dagger| = {defect:.3e} > {HERMITICITY_TOL}")
+    require_hermitian(h)
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     return w, v
+
+
+def require_hermitian(h):
+    """Raise NotHermitian if max |h - h^dagger| exceeds 1e-12 (over every
+    matrix of a stack)."""
+    defect = np.max(np.abs(h - h.conj().swapaxes(-1, -2)), initial=0.0)
+    if defect > HERMITICITY_TOL:
+        raise NotHermitian(f"max |h - h^dagger| = {defect:.3e} > {HERMITICITY_TOL}")
 
 
 def small_inverse(m):
@@ -83,8 +89,8 @@ def small_inverse(m):
 
 
 def det2(m):
-    """Determinant of a 2x2 block."""
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    """Determinant of a 2x2 block, or of each block of a (..., 2, 2) stack."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
 # Dormand-Prince 5(4) tableau.

@@ -8,7 +8,8 @@ One run produces a CSV with the fixed column set
 (17 significant digits, LF line endings) plus a JSON metadata sidecar at
 <path>.meta.json. Rows where the semiclassical formula left its validity
 window carry nan in the p_sc/slin_sc/residual_im_psc columns and are listed
-in the sidecar; they are flagged, never fabricated.
+in the sidecar (flagged_rows) with the reason for each (flag_reasons); they
+are flagged, never fabricated.
 """
 
 import json
@@ -23,7 +24,6 @@ import numpy as np
 
 from . import __version__
 from .config import CSV_COLUMNS, build_model, sweep_tag
-from .errors import ValidityBreakdown
 from .flow import integrate_stability, integrate_trajectory
 from .quantum import PurityCurve, SpectralPropagator, purity, reduced_density
 from .semiclassical import purity_sc_evaluate
@@ -45,7 +45,8 @@ class RunReport:
 
 
 def compute_curve(cfg, model=None):
-    """PurityCurve for one configuration (no file output)."""
+    """PurityCurve for one configuration (no file output), and the flagged
+    rows: row index -> why the semiclassical formula broke down there."""
     model = model or build_model(cfg)
     times = np.linspace(0.0, cfg.t_max, cfg.num_points)
     sys = cfg.system
@@ -60,33 +61,19 @@ def compute_curve(cfg, model=None):
     traj = integrate_trajectory(sys, model, cfg.initial_state, cfg.t_max,
                                 cfg.integrator, sample_times=times)
     m_series = integrate_stability(sys, model, traj, cfg.integrator)
-    det_m = np.linalg.det(traj.ms)
-    start = traj.initial
-    p_sc = np.empty(times.size)
-    res_detm = np.empty(times.size)
-    res_energy = np.abs(traj.energy - traj.energy[0])
-    res_im = np.empty(times.size)
-    flagged = []
-    for i in range(times.size):
-        try:
-            ev = purity_sc_evaluate(m_series[i], start, traj.state(i))
-            p_sc[i] = ev.p_sc
-            res_im[i] = ev.im_residual
-            res_detm[i] = abs(det_m[i] - ev.tcal)
-        except ValidityBreakdown:
-            flagged.append(i)
-            p_sc[i] = np.nan
-            res_im[i] = np.nan
-            res_detm[i] = np.nan
+    ev = purity_sc_evaluate(m_series, traj.initial, traj.state(slice(None)))
+    flags = {i: reason for i, reason in enumerate(ev.reason) if reason is not None}
+    res_detm = np.abs(m_series.det() - ev.tcal)
+    res_detm[list(flags)] = np.nan
     curve = PurityCurve(
         times=times,
         p_exact=p_exact,
-        p_sc=p_sc,
+        p_sc=ev.p_sc,
         residual_detM=res_detm,
-        residual_energy=res_energy,
-        residual_im_psc=res_im,
+        residual_energy=np.abs(traj.energy - traj.energy[0]),
+        residual_im_psc=ev.im_residual,
     )
-    return curve, flagged
+    return curve, flags
 
 
 def _format_value(x):
@@ -128,7 +115,8 @@ def run_experiment(cfg, output_dir=None, quiet=False, log=None):
     for override, rel_path in _sweep_entries(cfg):
         started = _time.perf_counter()
         model = build_model(cfg, override)
-        curve, flagged = compute_curve(cfg, model)
+        curve, flags = compute_curve(cfg, model)
+        flagged = list(flags)
         wall = _time.perf_counter() - started
         out_path = Path(output_dir) / rel_path if output_dir else Path(rel_path)
         if out_path.parent and not out_path.parent.exists():
@@ -150,6 +138,7 @@ def run_experiment(cfg, output_dir=None, quiet=False, log=None):
                 "max_residual_im_psc": _maximum(finite(curve.residual_im_psc)),
             },
             "flagged_rows": flagged,
+            "flag_reasons": list(flags.values()),
         }
         meta_path = Path(str(out_path) + ".meta.json")
         with open(meta_path, "w", newline="\n") as fh:

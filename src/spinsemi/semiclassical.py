@@ -74,45 +74,41 @@ class AuxDeterminants:
     d: complex
     d_prime: complex
     d_dprime: complex
-    tcal: complex = None
 
 
-def _permuted_blocks(m, perm):
-    q = m[list(perm), :]
-    return q[:2, :2], q[2:, 2:], q[2:, :2], q[:2, 2:]  # A, B, C, D
+def _permuted_dets(m, perm):
+    """Determinants of the A, B, C, D blocks of m with its rows permuted."""
+    top, bottom = list(perm[:2]), list(perm[2:])
+    return (det2(m[..., top, :2]), det2(m[..., bottom, 2:]),
+            det2(m[..., bottom, :2]), det2(m[..., top, 2:]))
 
 
-def aux_determinants(stab, endpoints=None):
-    """Auxiliary determinants of a stability matrix.
-
-    endpoints, when given, is the (initial, final) pair of PhaseSpaceStates
-    used to evaluate the endpoint factor tcal; it is left None for purely
-    algebraic inputs.
-    """
+def aux_determinants(stab):
+    """Auxiliary determinants of a stability matrix, or of each matrix of a
+    (n, 4, 4) series (then every field is an array over the samples)."""
     m = stab.m if isinstance(stab, StabilityMatrix) else np.asarray(stab, dtype=complex)
-    a, b, c, d_blk = _permuted_blocks(m, _PERM_ONE)
-    ap, bp, cp, dp_blk = _permuted_blocks(m, _PERM_TWO)
-    det_a, det_b, det_c, det_d = det2(a), det2(b), det2(c), det2(d_blk)
-    det_ap, det_bp, det_cp, det_dp = det2(ap), det2(bp), det2(cp), det2(dp_blk)
-    d = det2(m[:2, :2]) * det2(m[2:, 2:]) + det2(m[:2, 2:]) * det2(m[2:, :2])
+    det_a, det_b, det_c, det_d = _permuted_dets(m, _PERM_ONE)
+    det_ap, det_bp, det_cp, det_dp = _permuted_dets(m, _PERM_TWO)
+    d = (det2(m[..., :2, :2]) * det2(m[..., 2:, 2:])
+         + det2(m[..., :2, 2:]) * det2(m[..., 2:, :2]))
     d_prime = det_a * det_b + det_c * det_d
     d_dprime = det_ap * det_bp + det_cp * det_dp
-    tcal = None
-    if endpoints is not None:
-        start, end = endpoints
-        tcal = endpoint_factor(start, end)
     return AuxDeterminants(
         det_a=det_a, det_b=det_b, det_c=det_c, det_d=det_d,
         det_ap=det_ap, det_bp=det_bp, det_cp=det_cp, det_dp=det_dp,
-        d=d, d_prime=d_prime, d_dprime=d_dprime, tcal=tcal,
+        d=d, d_prime=d_prime, d_dprime=d_dprime,
     )
 
 
+def _chart_product(state):
+    """prod_k (1 + u_k v_k) at a state, or along a series of states."""
+    return (1.0 + state.u[..., 0] * state.v[..., 0]) * (1.0 + state.u[..., 1] * state.v[..., 1])
+
+
 def endpoint_factor(start, end):
-    """prod_k (1 + u''_k v''_k)^2 / (1 + u'_k v'_k)^2 (equals det M)."""
-    num = (1.0 + end.u[0] * end.v[0]) * (1.0 + end.u[1] * end.v[1])
-    den = (1.0 + start.u[0] * start.v[0]) * (1.0 + start.u[1] * start.v[1])
-    return (num / den) ** 2
+    """prod_k (1 + u''_k v''_k)^2 / (1 + u'_k v'_k)^2 (equals det M); end may
+    be a series of states, such as traj.state(slice(None))."""
+    return (_chart_product(end) / _chart_product(start)) ** 2
 
 
 def _principal_log(z):
@@ -172,26 +168,23 @@ def action_integrals(sys, model, traj, xi):
 def prefactor(traj, m_series, xi=+1):
     """Square root of the propagator prefactor with continuous branch tracking.
 
-    The prefactor series P(t) is evaluated at every sample; its argument is
-    unwound along the series so the square root picks up -pi per completed
-    turn, mirroring a Maslov-type index.
+    The prefactor series P(t) is evaluated at every sample of the
+    StabilityMatrix series m_series; its argument is unwound along the
+    series so the square root picks up -pi per completed turn, mirroring a
+    Maslov-type index.
     """
     if len(m_series) != len(traj):
         raise ValueError("stability series not aligned with trajectory samples")
-    start = traj.initial
-    den0 = (1.0 + start.u[0] * start.v[0]) * (1.0 + start.u[1] * start.v[1])
-    vals = np.empty(len(traj), dtype=complex)
-    for i, stab in enumerate(m_series):
-        st = traj.state(i)
-        ratio = (1.0 + st.u[0] * st.v[0]) * (1.0 + st.u[1] * st.v[1]) / den0
-        block = stab.m_vv if xi == +1 else stab.m_uu
-        det_block = det2(block)
-        if abs(det_block) < CAUSTIC_TOL:
-            raise CausticEncountered(
-                f"|det M_{'vv' if xi == +1 else 'uu'}| = {abs(det_block):.3e} "
-                f"at t = {traj.ts[i]:.6e}"
-            )
-        vals[i] = ratio / det_block
+    det_block = det2(m_series.m_vv if xi == +1 else m_series.m_uu)
+    caustic = np.flatnonzero(np.abs(det_block) < CAUSTIC_TOL)
+    if caustic.size:
+        i = caustic[0]
+        raise CausticEncountered(
+            f"|det M_{'vv' if xi == +1 else 'uu'}| = {abs(det_block[i]):.3e} "
+            f"at t = {traj.ts[i]:.6e}"
+        )
+    ratio = _chart_product(traj.state(slice(None))) / _chart_product(traj.initial)
+    vals = ratio / det_block
     theta = np.unwrap(np.angle(vals))
     return np.sqrt(np.abs(vals[-1])) * np.exp(0.5j * theta[-1])
 
@@ -215,57 +208,73 @@ def semiclassical_propagator_real(sys, model, s0, t_final, cfg=None):
 
 @dataclass(frozen=True)
 class PurityEvaluation:
-    """purity_sc with its consistency diagnostics."""
+    """purity_sc with its consistency diagnostics: scalars for one stability
+    matrix, arrays over the samples for a series.
+
+    reason is None where the formula holds and says which validity condition
+    failed where it does not; those samples carry nan in p_sc and
+    im_residual.
+    """
 
     p_sc: float
     im_residual: float
-    detm_residual: float
     tcal: complex
-    aux: AuxDeterminants
+    reason: str
 
 
 def purity_sc_evaluate(stab, start, end):
     """Full stability-matrix purity evaluation with diagnostics.
 
-    Returns the principal-branch value of [1 + 2 d''/T]^(-1/2) and checks it
+    stab is one StabilityMatrix with end one state, or a series with end
+    the matching series of states (start stays the t = 0 state). Returns
+    the principal-branch value of [1 + 2 d''/T]^(-1/2) and checks it
     against the determinant form T / sqrt((d-d')^2 - d''^2); disagreement
     beyond 1e-7 relative means the matrix is inconsistent with its own
-    endpoint factor and the evaluation is rejected.
+    endpoint factor. Samples that fail a check are flagged through reason,
+    never raised: the first failing check, in the order below, names it.
     """
-    aux = aux_determinants(stab, endpoints=(start, end))
-    tcal = aux.tcal
+    aux = aux_determinants(stab)
+    tcal = endpoint_factor(start, end)
     radicand = 1.0 + 2.0 * aux.d_dprime / tcal
-    if radicand.real <= 0.0:
-        raise ValidityBreakdown(
-            f"Re(1 + 2 d''/T) = {radicand.real:.3e} <= 0; outside the validity window"
-        )
-    p_main = radicand ** -0.5
     det_form_sq = (aux.d - aux.d_prime) ** 2 - aux.d_dprime ** 2
-    if det_form_sq == 0:
-        raise ValidityBreakdown("determinant form vanished")
-    p_det = tcal / np.sqrt(det_form_sq)
-    detm_residual = abs(p_main - p_det) / max(abs(p_main), 1e-300)
-    if detm_residual > 1e-7:
-        raise ValidityBreakdown(
-            f"purity forms disagree by {detm_residual:.3e} (> 1e-7): "
-            "stability matrix inconsistent with det M = T"
-        )
-    im_residual = abs(p_main.imag)
-    if im_residual > 1e-6:
-        raise ValidityBreakdown(f"|Im P_sc| = {im_residual:.3e} > 1e-6")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_main = radicand ** -0.5
+        p_det = tcal / np.sqrt(det_form_sq)
+        disagreement = np.abs(p_main - p_det) / np.maximum(np.abs(p_main), 1e-300)
+    im_residual = np.abs(p_main.imag)
+    checks = (
+        (radicand.real <= 0.0, radicand.real,
+         "Re(1 + 2 d''/T) = {:.3e} <= 0; outside the validity window"),
+        (det_form_sq == 0, det_form_sq, "determinant form vanished"),
+        (disagreement > 1e-7, disagreement,
+         "purity forms disagree by {:.3e} (> 1e-7): "
+         "stability matrix inconsistent with det M = T"),
+        (im_residual > 1e-6, im_residual, "|Im P_sc| = {:.3e} > 1e-6"),
+    )
+    reason = np.full(np.shape(p_main), None, dtype=object)
+    for failed, value, message in checks:
+        for i in map(tuple, np.argwhere(failed)):
+            if reason[i] is None:
+                reason[i] = message.format(value[i])
+    flagged = np.not_equal(reason, None)
     return PurityEvaluation(
-        p_sc=float(p_main.real),
-        im_residual=im_residual,
-        detm_residual=detm_residual,
-        tcal=tcal,
-        aux=aux,
+        p_sc=np.where(flagged, np.nan, p_main.real)[()],
+        im_residual=np.where(flagged, np.nan, im_residual)[()],
+        tcal=tcal[()],
+        reason=reason[()],
     )
 
 
 def purity_sc(stab, traj, sample=-1):
-    """Semiclassical purity from a stability matrix and its trajectory."""
-    end = traj.state(sample)
-    return purity_sc_evaluate(stab, traj.initial, end).p_sc
+    """Semiclassical purity from a stability matrix and its trajectory.
+
+    Raises ValidityBreakdown where purity_sc_evaluate flags the sample.
+    """
+    ev = purity_sc_evaluate(stab, traj.initial, traj.state(sample))
+    reason = next((r for r in np.ravel(ev.reason) if r is not None), None)
+    if reason is not None:
+        raise ValidityBreakdown(reason)
+    return ev.p_sc
 
 
 def gaussian_a1a2(stab):

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, ScaleOverflow
+from .errors import DimensionMismatch, ScaleOverflow
+from .numerics import require_hermitian
 
 # two_j * log(1 + |s|^2) beyond this makes (1+|s|^2)^j overflow doubles
 _LOG_RANGE_GUARD = 600.0
@@ -273,9 +274,7 @@ def htilde_from_operator(sys, h_op):
         raise DimensionMismatch(
             f"operator shape {h_op.shape}, expected {(sys.joint_dim, sys.joint_dim)}"
         )
-    defect = np.max(np.abs(h_op - h_op.conj().T))
-    if defect > 1e-12:
-        raise NotHermitian(f"max |H - H^dagger| = {defect:.3e}")
+    require_hermitian(h_op)
     two_j = sys.two_j
     spec = _derivative_rows_spec(two_j)
 

@@ -33,7 +33,6 @@ class TestParseConfig:
         cfg = parse_config(json.dumps(minimal_config()))
         assert cfg.integrator.rel_tol == 1e-10
         assert cfg.integrator.abs_tol == 1e-12
-        assert cfg.quantities == tuple(CSV_COLUMNS[1:])
         assert cfg.system.hbar == 1.0
 
     def test_negative_t_max(self):
@@ -77,10 +76,14 @@ class TestParseConfig:
         with pytest.raises(ValidationError):
             parse_config(json.dumps(doc))
 
-    def test_unknown_quantity(self):
-        doc = minimal_config(outputs={"path": "o.csv", "quantities": ["entropy"]})
-        with pytest.raises(ValidationError):
+    def test_quantities_key_rejected(self, tmp_path, capsys):
+        # the CSV always holds every column, so there is nothing to select
+        doc = minimal_config(outputs={"path": "o.csv", "quantities": ["p_exact"]})
+        with pytest.raises(ValidationError) as excinfo:
             parse_config(json.dumps(doc))
+        assert excinfo.value.key == "outputs.quantities"
+        assert main(["validate", write_config(tmp_path, doc)]) == 2
+        assert "outputs.quantities" in capsys.readouterr().err
 
     def test_operator_terms_model(self):
         doc = minimal_config(
@@ -193,31 +196,43 @@ class TestRunExperiment:
         assert meta["config"] == cfg.raw
         assert "max_residual_detM" in meta["invariants"]
         assert meta["flagged_rows"] == []
+        assert meta["flag_reasons"] == []
         assert reports[0].max_residual_detM >= 0.0
 
     def test_validity_breakdown_rows_flagged_not_fabricated(self, tmp_path, monkeypatch):
         import spinsemi.runner as runner_mod
-        from spinsemi.errors import ValidityBreakdown
+        from spinsemi.semiclassical import PurityEvaluation
 
         real_eval = runner_mod.purity_sc_evaluate
         calls = {"n": 0}
 
         def breaking(stab, start, end):
             calls["n"] += 1
-            if calls["n"] > 1:  # every row after t = 0
-                raise ValidityBreakdown("forced for the flag-path test")
-            return real_eval(stab, start, end)
+            ev = real_eval(stab, start, end)
+            flagged = np.arange(len(stab)) > 0  # every row after t = 0
+            reason = ev.reason.copy()
+            reason[flagged] = "forced for the flag-path test"
+            return PurityEvaluation(
+                p_sc=np.where(flagged, np.nan, ev.p_sc),
+                im_residual=np.where(flagged, np.nan, ev.im_residual),
+                tcal=ev.tcal,
+                reason=reason,
+            )
 
         monkeypatch.setattr(runner_mod, "purity_sc_evaluate", breaking)
         cfg = parse_config(json.dumps(minimal_config()))
         reports = run_experiment(cfg, output_dir=str(tmp_path), quiet=True)
         report = reports[0]
+        assert calls["n"] == 1  # one series evaluation per curve
         assert len(report.flagged_rows) == cfg.num_points - 1
         rows = _read_csv(report.csv_path)
         assert np.all(np.isnan(rows["p_sc"][1:]))
+        assert np.all(np.isnan(rows["residual_detM"][1:]))
+        assert np.isfinite(rows["p_sc"][0])
         assert np.all(np.isfinite(rows["p_exact"]))
         meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
         assert meta["flagged_rows"] == list(range(1, cfg.num_points))
+        assert meta["flag_reasons"] == ["forced for the flag-path test"] * (cfg.num_points - 1)
 
 
 class TestCliVerbs:

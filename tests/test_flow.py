@@ -3,13 +3,7 @@ import pytest
 
 import spinsemi as ss
 from spinsemi.errors import ChartSingularity
-from spinsemi.flow import (
-    PhaseSpaceState,
-    divergence_split,
-    field_and_jacobian,
-    field_jacobian,
-    field_vector,
-)
+from spinsemi.flow import field_and_jacobian
 from spinsemi.numerics import (
     _DP_A,
     _DP_B5,
@@ -31,6 +25,10 @@ def _pc(two_j=6, lam=1.0):
     return sys, params, ss.phase_coupling_model(params)
 
 
+def _field(sys, model, y):
+    return field_and_jacobian(sys, model, np.asarray(y, dtype=complex))[0]
+
+
 class TestHamiltonianField:
     def test_constant_hamiltonian_gives_zero_field(self):
         sys = ss.SpinSystem(two_j=3)
@@ -38,20 +36,18 @@ class TestHamiltonianField:
         model = ss.build_operator_model(
             sys, [ss.OperatorTerm(2.5, ("I", 0), ("I", 0))]
         )
-        state = PhaseSpaceState([0.4 + 0.1j, -0.2], [0.4 - 0.1j, -0.2])
-        vel = ss.hamiltonian_field(sys, model, state)
-        assert np.max(np.abs(vel.as_vector())) < 1e-14
+        y = np.array([0.4 + 0.1j, -0.2, 0.4 - 0.1j, -0.2])
+        assert np.max(np.abs(_field(sys, model, y))) < 1e-14
 
     def test_phase_coupling_rates(self):
         sys, params, model = _pc()
         sx, sy = 0.7 + 0.3j, -0.4 + 0.9j
-        state = PhaseSpaceState([sx, sy], [np.conj(sx), np.conj(sy)])
-        vel = ss.hamiltonian_field(sys, model, state)
+        vel = _field(sys, model, [sx, sy, np.conj(sx), np.conj(sy)])
         j = sys.j
         lam_x = 1j * params.lam * j * (1 - abs(sy) ** 2) / (1 + abs(sy) ** 2)
         lam_y = 1j * params.lam * j * (1 - abs(sx) ** 2) / (1 + abs(sx) ** 2)
-        assert abs(vel.u[0] - lam_x * sx) < 1e-12
-        assert abs(vel.u[1] - lam_y * sy) < 1e-12
+        assert abs(vel[0] - lam_x * sx) < 1e-12
+        assert abs(vel[1] - lam_y * sy) < 1e-12
 
     def test_real_point_velocity_conjugation(self):
         # Hermitian model at v = u*: vdot = conj(udot)
@@ -60,29 +56,25 @@ class TestHamiltonianField:
         rng = np.random.default_rng(3)
         for _ in range(5):
             u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            state = PhaseSpaceState(u, np.conj(u))
-            vel = ss.hamiltonian_field(sys, model, state)
-            assert np.max(np.abs(vel.v - np.conj(vel.u))) < 1e-10
+            vel = _field(sys, model, np.concatenate([u, np.conj(u)]))
+            assert np.max(np.abs(vel[2:] - np.conj(vel[:2]))) < 1e-10
 
     def test_chart_singularity(self):
         sys, _, model = _pc()
-        state = PhaseSpaceState([1j, 0.3], [1j, 0.3])  # 1 + (1j)(1j) = 0
         with pytest.raises(ChartSingularity):
-            ss.hamiltonian_field(sys, model, state)
+            _field(sys, model, [1j, 0.3, 1j, 0.3])  # 1 + (1j)(1j) = 0
 
     def test_jacobian_matches_finite_differences(self):
         sys = ss.SpinSystem(two_j=4)
         model = ss.exchange_coupling_model(sys, 1.1)
         rng = np.random.default_rng(7)
         y = 0.5 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        jac = field_jacobian(sys, model, y)
+        _, jac = field_and_jacobian(sys, model, y)
         step = 1e-6
         for col in range(4):
             dy = np.zeros(4, dtype=complex)
             dy[col] = step
-            fd = (field_vector(sys, model, y + dy) - field_vector(sys, model, y - dy)) / (
-                2 * step
-            )
+            fd = (_field(sys, model, y + dy) - _field(sys, model, y - dy)) / (2 * step)
             assert np.max(np.abs(fd - jac[:, col])) < 1e-6
 
 
@@ -145,19 +137,15 @@ class TestFusedDerivatives:
             u = 0.6 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
             y = np.concatenate([u, np.conj(u) + 0.05 * rng.standard_normal(2)])
             oracle = _loop_jacobian(sys, model, y)
-            jac = field_jacobian(sys, model, y)
+            _, jac = field_and_jacobian(sys, model, y)
             assert np.max(np.abs(jac - oracle)) <= 1e-12 * np.max(np.abs(oracle))
-            field, fused = field_and_jacobian(sys, model, y)
-            assert np.array_equal(field, field_vector(sys, model, y))
-            assert np.array_equal(fused, jac)
 
     def test_one_derivs_call_per_point(self):
         sys = ss.SpinSystem(two_j=4)
         counting = _CountingModel(ss.exchange_coupling_model(sys, 0.9))
         y = np.array([0.3 + 0.2j, -0.5j, 0.3 - 0.2j, 0.5j])
         field_and_jacobian(sys, counting, y)
-        divergence_split(sys, counting, y)
-        assert counting.calls == 2
+        assert counting.calls == 1
         traj = ss.integrate_trajectory(sys, counting.model, ss.CoherentLabel(0.3, 0.5j),
                                        0.2, CFG)
         counting.calls = 0
@@ -223,6 +211,18 @@ class TestIntegrateStability:
         traj = ss.integrate_trajectory(sys, model, ss.CoherentLabel(0.3, 0.1), 0.0, CFG)
         series = ss.integrate_stability(sys, model, traj, CFG)
         assert np.allclose(series[0].m, np.eye(4))
+
+    def test_series_is_one_stability_matrix(self):
+        sys, _, model = _pc()
+        traj = ss.integrate_trajectory(sys, model, ss.CoherentLabel(0.3, 0.1), 0.2, CFG)
+        series = ss.integrate_stability(sys, model, traj, CFG)
+        assert isinstance(series, ss.StabilityMatrix)
+        assert series.m.shape == (len(traj), 4, 4) and len(series) == len(traj)
+        dets = np.array([stab.det() for stab in series])
+        assert np.max(np.abs(series.det() - dets)) <= 1e-14 * np.max(np.abs(dets))
+        assert np.array_equal(series[1:].m_vv, traj.ms[1:, 2:, 2:])
+        with pytest.raises(ValueError):
+            ss.StabilityMatrix(np.eye(3))
 
     def test_noninteracting_is_block_diagonal(self):
         sys = ss.SpinSystem(two_j=4)

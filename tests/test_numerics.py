@@ -147,11 +147,12 @@ class TestAdaptiveRk:
         params = ss.PhaseCouplingParams(lam=1.0, sys=sys)
         model = ss.phase_coupling_model(params)
         s0 = ss.CoherentLabel(0.7 + 0.3j, -0.4 + 0.9j)
-        from spinsemi.flow import field_vector
+        from spinsemi.flow import field_and_jacobian
 
         cfg = ss.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, max_step=0.02)
         y0 = [s0.sx, s0.sy, np.conj(s0.sx), np.conj(s0.sy)]
-        _, ys = ss.adaptive_rk(lambda t, y: field_vector(sys, model, y), y0, (0.0, 0.5), cfg)
+        _, ys = ss.adaptive_rk(lambda t, y: field_and_jacobian(sys, model, y)[0], y0,
+                               (0.0, 0.5), cfg)
         ref = ss.pc_trajectory(params, s0, 0.5, num_samples=2).ys[-1]
         assert np.max(np.abs(ys[-1] - ref)) < 1e-9
 

@@ -100,9 +100,9 @@ class TestActionIntegrals:
         deriv = (vals[1] - vals[0]) / (2 * delta)
         traj = ss.integrate_trajectory(sys, model, s0, t0, CFG)
         end = traj.final
-        from spinsemi.flow import field_vector
+        from spinsemi.flow import field_and_jacobian
 
-        dy = field_vector(sys, model, traj.ys[-1])
+        dy, _ = field_and_jacobian(sys, model, traj.ys[-1])
         correction = -2j * sys.hbar_j * np.sum(end.u * dy[2:4] / (1 + end.u * end.v))
         expected = -traj.energy[-1] + correction
         assert abs(deriv - expected) < 1e-5 * max(1.0, abs(expected))
@@ -188,12 +188,10 @@ class TestPrefactor:
 
         sys, _, model = _pc()
         traj = ss.integrate_trajectory(sys, model, ss.CoherentLabel(0.3, 0.2), 0.1, CFG)
-        singular = np.eye(4, dtype=complex)
-        singular[2:, 2:] = 0.0  # det M_vv = 0
-        series = [ss.StabilityMatrix(np.eye(4)) for _ in range(len(traj) - 1)]
-        series.append(ss.StabilityMatrix(singular))
-        with pytest.raises(CausticEncountered):
-            ss.prefactor(traj, series, +1)
+        ms = np.tile(np.eye(4, dtype=complex), (len(traj), 1, 1))
+        ms[-1, 2:, 2:] = 0.0  # det M_vv = 0 at the last sample
+        with pytest.raises(CausticEncountered, match=f"at t = {traj.ts[-1]:.6e}"):
+            ss.prefactor(traj, ss.StabilityMatrix(ms), +1)
 
     def test_phase_continuity_between_samples(self):
         sys, params, model = _pc(two_j=8, lam=1.5)
@@ -361,17 +359,26 @@ class TestPuritySc:
         m[0, 3] = m[1, 2] = 0.8j
         m[2, 1] = m[3, 0] = 0.8j
         stab = ss.StabilityMatrix(m)
-        origin = PhaseSpaceState([0.0, 0.0], [0.0, 0.0])
-        with pytest.raises(ValidityBreakdown):
-            purity_sc_evaluate(stab, origin, origin)
+        ev = purity_sc_evaluate(stab, _ORIGIN, _ORIGIN)
+        assert ev.reason.startswith("Re(1 + 2 d''/T) = ")
+        assert np.isnan(ev.p_sc) and np.isnan(ev.im_residual)
+        with pytest.raises(ValidityBreakdown, match="outside the validity window"):
+            ss.purity_sc(stab, _static_trajectory())
 
     def test_inconsistent_matrix_rejected(self):
         # det M = 16 but the endpoint factor says 1: the two purity forms
         # cannot agree and the evaluation must refuse
         stab = ss.StabilityMatrix(2.0 * np.eye(4))
-        origin = PhaseSpaceState([0.0, 0.0], [0.0, 0.0])
-        with pytest.raises(ValidityBreakdown):
-            purity_sc_evaluate(stab, origin, origin)
+        ev = purity_sc_evaluate(stab, _ORIGIN, _ORIGIN)
+        assert ev.reason.startswith("purity forms disagree by ")
+        assert np.isnan(ev.p_sc) and np.isnan(ev.im_residual)
+        with pytest.raises(ValidityBreakdown, match="inconsistent with det M = T"):
+            ss.purity_sc(stab, _static_trajectory())
+
+    def test_valid_sample_has_no_reason(self):
+        ev = purity_sc_evaluate(ss.StabilityMatrix(np.eye(4)), _ORIGIN, _ORIGIN)
+        assert ev.reason is None
+        assert ev.p_sc == 1.0 and ev.im_residual == 0.0 and ev.tcal == 1.0
 
     def test_short_time_slope_matches_quadratic_law(self):
         # S_lin_sc(T)/T^2 converges onto the short-time coefficient
@@ -399,6 +406,112 @@ class TestPuritySc:
         pa = ss.purity_sc(m_a[-1], traj_a)
         pb = ss.purity_sc(m_b[-1], traj_b)
         assert abs(pa - pb) < 1e-9
+
+
+_ORIGIN = PhaseSpaceState([0.0, 0.0], [0.0, 0.0])
+
+
+def _static_trajectory():
+    """One-sample trajectory resting at the origin."""
+    return Trajectory(ts=np.array([0.0]), ys=np.zeros((1, 4), dtype=complex),
+                      energy=np.zeros(1), start_label=ss.CoherentLabel(0.0, 0.0))
+
+
+def _per_row_evaluate(m, start, end):
+    """The evaluation of one 4x4 stability matrix at one endpoint pair, as
+    it was before the series path, kept as its oracle: it raises
+    ValidityBreakdown where the series path flags the sample."""
+    def permuted_dets(perm):
+        q = m[list(perm), :]
+        return det2(q[:2, :2]), det2(q[2:, 2:]), det2(q[2:, :2]), det2(q[:2, 2:])
+
+    det_a, det_b, det_c, det_d = permuted_dets((0, 3, 2, 1))
+    det_ap, det_bp, det_cp, det_dp = permuted_dets((0, 2, 1, 3))
+    d = det2(m[:2, :2]) * det2(m[2:, 2:]) + det2(m[:2, 2:]) * det2(m[2:, :2])
+    d_prime = det_a * det_b + det_c * det_d
+    d_dprime = det_ap * det_bp + det_cp * det_dp
+    num = (1.0 + end.u[0] * end.v[0]) * (1.0 + end.u[1] * end.v[1])
+    den = (1.0 + start.u[0] * start.v[0]) * (1.0 + start.u[1] * start.v[1])
+    tcal = (num / den) ** 2
+    radicand = 1.0 + 2.0 * d_dprime / tcal
+    if radicand.real <= 0.0:
+        raise ValidityBreakdown(
+            f"Re(1 + 2 d''/T) = {radicand.real:.3e} <= 0; outside the validity window"
+        )
+    p_main = radicand ** -0.5
+    det_form_sq = (d - d_prime) ** 2 - d_dprime ** 2
+    if det_form_sq == 0:
+        raise ValidityBreakdown("determinant form vanished")
+    p_det = tcal / np.sqrt(det_form_sq)
+    detm_residual = abs(p_main - p_det) / max(abs(p_main), 1e-300)
+    if detm_residual > 1e-7:
+        raise ValidityBreakdown(
+            f"purity forms disagree by {detm_residual:.3e} (> 1e-7): "
+            "stability matrix inconsistent with det M = T"
+        )
+    im_residual = abs(p_main.imag)
+    if im_residual > 1e-6:
+        raise ValidityBreakdown(f"|Im P_sc| = {im_residual:.3e} > 1e-6")
+    return float(p_main.real), im_residual, tcal
+
+
+def _series_vs_per_row(m_series, start, ends):
+    """Largest relative gap of p_sc, im_residual and tcal between the series
+    evaluation and the per-row oracle; flagged rows must carry the reason
+    the oracle raises."""
+    ev = purity_sc_evaluate(m_series, start, ends)
+    worst = 0.0
+    for i, stab in enumerate(m_series):
+        end = PhaseSpaceState(ends.u[i], ends.v[i])
+        try:
+            p_sc, im_residual, tcal = _per_row_evaluate(stab.m, start, end)
+        except ValidityBreakdown as exc:
+            assert ev.reason[i] == str(exc)
+            assert np.isnan(ev.p_sc[i]) and np.isnan(ev.im_residual[i])
+            continue
+        assert ev.reason[i] is None
+        # im_residual is the imaginary part of the purity, so |p_sc| scales it
+        worst = max(worst,
+                    abs(ev.p_sc[i] - p_sc) / abs(p_sc),
+                    abs(ev.im_residual[i] - im_residual) / abs(p_sc),
+                    abs(ev.tcal[i] - tcal) / abs(tcal))
+    return worst
+
+
+class TestSeriesEvaluation:
+    @pytest.mark.parametrize("model_of, two_j", [
+        (lambda sys: ss.phase_coupling_model(ss.PhaseCouplingParams(lam=1.0, sys=sys)), 10),
+        (lambda sys: ss.phase_coupling_model(ss.PhaseCouplingParams(lam=1.0, sys=sys)), 40),
+        (lambda sys: ss.exchange_coupling_model(sys, 1.0), 10),
+    ], ids=["phase_coupling-10", "phase_coupling-40", "exchange-10"])
+    def test_matches_per_row_oracle(self, model_of, two_j):
+        sys = ss.SpinSystem(two_j=two_j)
+        model = model_of(sys)
+        s0 = ss.CoherentLabel(0.5 + 0.2j, -0.3 + 0.4j)
+        times = np.linspace(0.0, 0.5, 400)
+        traj = ss.integrate_trajectory(sys, model, s0, times[-1], CFG, sample_times=times)
+        m_series = ss.integrate_stability(sys, model, traj, CFG)
+        assert _series_vs_per_row(m_series, traj.initial, traj.state(slice(None))) <= 1e-12
+
+    def test_one_bad_row_is_flagged_alone(self):
+        sys, params, model = _pc(two_j=10)
+        times = np.linspace(0.0, 0.3, 50)
+        traj = ss.integrate_trajectory(sys, model, ss.CoherentLabel(0.6, 0.4j), times[-1],
+                                       CFG, sample_times=times)
+        ms = traj.ms.copy()
+        ms[17] = 2.0 * np.eye(4)  # inconsistent with its endpoint factor
+        ends = traj.state(slice(None))
+        ev = purity_sc_evaluate(ss.StabilityMatrix(ms), traj.initial, ends)
+        assert [i for i, r in enumerate(ev.reason) if r is not None] == [17]
+        assert ev.reason[17].startswith("purity forms disagree by ")
+        assert np.isnan(ev.p_sc[17]) and np.isnan(ev.im_residual[17])
+        for i in range(len(traj)):
+            one = purity_sc_evaluate(ss.StabilityMatrix(ms[i]), traj.initial, traj.state(i))
+            assert one.reason == ev.reason[i]
+            if i != 17:
+                assert abs(one.p_sc - ev.p_sc[i]) <= 1e-12 * abs(one.p_sc)
+                assert abs(one.im_residual - ev.im_residual[i]) <= 1e-12 * abs(one.p_sc)
+            assert abs(one.tcal - ev.tcal[i]) <= 1e-12 * abs(one.tcal)
 
 
 class TestGaussianCoefficients:
