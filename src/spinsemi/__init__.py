@@ -38,7 +38,6 @@ from .spin import (
     product_coherent,
 )
 from .quantum import (
-    DensityMatrix,
     PurityCurve,
     evolve_state,
     exact_propagator_overlap,
@@ -57,10 +56,10 @@ from .flow import (
 from .semiclassical import (
     ActionBundle,
     AuxDeterminants,
-    CanonicalPurityInputs,
     action_hessians_from_stability,
     action_integrals,
     aux_determinants,
+    block_identity_defect,
     canonical_purity,
     contraction_checks,
     gaussian_a1a2,

@@ -12,6 +12,7 @@ the minimal document is
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -73,22 +74,31 @@ def _require_keys(section, mapping, allowed, required):
             raise ValidationError(f"missing key '{section}.{key}'", key=f"{section}.{key}")
 
 
-def _number(section, key, value, positive=False):
+def _finite(value):
+    """value is a JSON number (not a bool) that a float holds finitely; the
+    json module reads NaN and Infinity as floats."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"'{section}.{key}' must be a number", key=f"{section}.{key}")
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond float range
+        return False
+
+
+def _number(section, key, value, positive=False):
+    if not _finite(value):
+        raise ValidationError(f"'{section}.{key}' must be a finite number",
+                              key=f"{section}.{key}")
     if positive and value <= 0:
         raise ValidationError(f"'{section}.{key}' must be positive", key=f"{section}.{key}")
     return float(value)
 
 
 def _complex_pair(section, key, value):
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in value)
-    ):
+    if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(_finite, value)):
         raise ValidationError(
-            f"'{section}.{key}' must be a [re, im] pair", key=f"{section}.{key}"
+            f"'{section}.{key}' must be a [re, im] pair of finite numbers",
+            key=f"{section}.{key}",
         )
     return complex(value[0], value[1])
 
@@ -164,12 +174,11 @@ def parse_config(document):
     integ = data.get("integrator", {})
     _require_keys("integrator", integ, allowed=("rel_tol", "abs_tol", "max_step"),
                   required=())
-    max_step = _number("integrator", "max_step", integ.get("max_step", float("inf")),
-                       positive=True)
+    max_step = (_number("integrator", "max_step", integ["max_step"], positive=True)
+                if "max_step" in integ else float("inf"))
     integrator = IntegratorConfig(
         rel_tol=_number("integrator", "rel_tol", integ.get("rel_tol", 1e-10), positive=True),
         abs_tol=_number("integrator", "abs_tol", integ.get("abs_tol", 1e-12), positive=True),
-        initial_step=min(1e-4, max_step),
         max_step=max_step,
     )
 
@@ -233,7 +242,7 @@ def _parse_terms(raw_terms):
                       required=("coefficient", "x", "y"))
         coeff = item["coefficient"]
         if isinstance(coeff, (int, float)) and not isinstance(coeff, bool):
-            cval = complex(coeff)
+            cval = complex(_number(sec, "coefficient", coeff))
         else:
             cval = _complex_pair(sec, "coefficient", coeff)
         factors = []

@@ -15,14 +15,13 @@ per trajectory gives both, at any sample times, from the integrator's
 dense output.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import ChartSingularity
 from .numerics import adaptive_rk
-from .spin import CoherentLabel
 
 CHART_TOL = 1e-12
 
@@ -51,10 +50,6 @@ class PhaseSpaceState:
     @classmethod
     def from_vector(cls, y):
         return cls(y[..., :2], y[..., 2:4])
-
-    def reality_defect(self):
-        """max_k |v_k - conj(u_k)|; zero on the real submanifold."""
-        return float(np.max(np.abs(self.v - np.conj(self.u))))
 
 
 @dataclass(frozen=True)
@@ -110,12 +105,15 @@ class StabilityMatrix:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled classical trajectory with its conserved-energy diagnostic."""
+    """Sampled classical trajectory with its conserved-energy diagnostic.
+
+    It starts from the real point of its initial label: ys[0, :2] is
+    (sx, sy) and ys[0, 2:] its conjugate.
+    """
 
     ts: np.ndarray
     ys: np.ndarray          # (n, 4) rows (ux, uy, vx, vy)
     energy: np.ndarray      # H~ along the samples
-    start_label: CoherentLabel
     ms: Optional[np.ndarray] = None  # (n, 4, 4) stability matrices, if integrated
 
     def __post_init__(self):
@@ -136,10 +134,6 @@ class Trajectory:
     @property
     def final(self):
         return self.state(-1)
-
-    @property
-    def duration(self):
-        return float(self.ts[-1] - self.ts[0])
 
     def energy_drift(self):
         return float(np.max(np.abs(self.energy - self.energy[0])))
@@ -205,12 +199,7 @@ def _effective_cfg(cfg, t_total):
     cap = t_total / (_MIN_SAMPLES - 1)
     if cfg.max_step <= cap:
         return cfg
-    return type(cfg)(
-        rel_tol=cfg.rel_tol,
-        abs_tol=cfg.abs_tol,
-        initial_step=min(cfg.initial_step, cap),
-        max_step=cap,
-    )
+    return replace(cfg, max_step=cap)
 
 
 def _field_and_stability(sys, model, y):
@@ -256,8 +245,7 @@ def integrate_trajectory(sys, model, s0, t_final, cfg, sample_times=None):
         )
     states = np.ascontiguousarray(ys[:, :4])
     energy = np.array([model.htilde(row[:2], row[2:4]) for row in states])
-    return Trajectory(ts=ts, ys=states, energy=energy, start_label=s0,
-                      ms=ys[:, 4:].reshape(-1, 4, 4))
+    return Trajectory(ts=ts, ys=states, energy=energy, ms=ys[:, 4:].reshape(-1, 4, 4))
 
 
 def integrate_stability(sys, model, traj, cfg):

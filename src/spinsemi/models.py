@@ -47,7 +47,7 @@ def phase_coupling_model(params):
 
     def make_operator():
         _, _, j3 = build_spin_operators(sys)
-        return params.lam * sys.hbar * np.kron(j3, j3)
+        return np.kron(params.lam * sys.hbar * j3, j3)
 
     j = sys.j
     amp = params.lam * sys.hbar * j * j
@@ -87,9 +87,7 @@ def phase_coupling_model(params):
         h[2, 3] = h[3, 2] = dx * ux * dy * uy
         return amp * gx * gy, amp * grad, amp * h
 
-    return HamiltonianModel(
-        derivs=derivs, label="phase_coupling", sys=sys, operator_factory=make_operator,
-    )
+    return HamiltonianModel(derivs, make_operator, label="phase_coupling")
 
 
 def _pc_rates(params, u0, v0):
@@ -113,7 +111,7 @@ def pc_trajectory(params, s0, t_final, num_samples=129):
     ys[:, 3] = v0[1] * np.exp(-lam_y * ts)
     model = phase_coupling_model(params)
     energy = np.full(ts.size, model.htilde(u0, v0))
-    return Trajectory(ts=ts, ys=ys, energy=energy, start_label=s0)
+    return Trajectory(ts=ts, ys=ys, energy=energy)
 
 
 def pc_stability(params, s0, t_final):
@@ -237,11 +235,11 @@ def assemble_operator(sys, terms):
     """Joint-space matrix for a list of OperatorTerms."""
     total = np.zeros((sys.joint_dim, sys.joint_dim), dtype=complex)
     for coefficient, mx, my in _term_factors(sys, terms):
-        total += coefficient * np.kron(mx, my)
+        total += np.kron(coefficient * mx, my)
     return total
 
 
-def build_operator_model(sys, terms):
+def build_operator_model(sys, terms, label="operator_terms"):
     """Generic Hamiltonian from operator terms (stress-test path).
 
     The term list must assemble to a Hermitian operator (i.e. be closed
@@ -252,8 +250,7 @@ def build_operator_model(sys, terms):
     op = assemble_operator(sys, terms)
     require_hermitian(op)
     return HamiltonianModel(
-        derivs=derivs_from_factors(sys, _term_factors(sys, terms)),
-        label="operator_terms", sys=sys, operator=op,
+        derivs_from_factors(sys, _term_factors(sys, terms)), lambda: op, label=label,
     )
 
 
@@ -263,9 +260,7 @@ def free_precession_model(sys, b3):
         OperatorTerm(b3, ("J3", 1), ("I", 0)),
         OperatorTerm(b3, ("I", 0), ("J3", 1)),
     ]
-    model = build_operator_model(sys, terms)
-    model.label = "free_precession"
-    return model
+    return build_operator_model(sys, terms, label="free_precession")
 
 
 def exchange_coupling_model(sys, lam):
@@ -275,6 +270,4 @@ def exchange_coupling_model(sys, lam):
         OperatorTerm(half, ("J+", 1), ("J-", 1)),
         OperatorTerm(half, ("J-", 1), ("J+", 1)),
     ]
-    model = build_operator_model(sys, terms)
-    model.label = "exchange_coupling"
-    return model
+    return build_operator_model(sys, terms, label="exchange_coupling")

@@ -19,6 +19,8 @@ from .errors import (
 
 HERMITICITY_TOL = 1e-12
 SINGULARITY_FACTOR = 1e-13
+# first trial step of adaptive_rk, lowered to max_step and the span
+FIRST_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -27,16 +29,14 @@ class IntegratorConfig:
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    initial_step: float = 1e-4
     max_step: float = float("inf")
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
+        # written as not (x > 0) so that nan is rejected too
+        if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
-        if self.initial_step <= 0:
-            raise ValueError("initial_step must be positive")
-        if self.initial_step > self.max_step:
-            raise ValueError("initial_step must not exceed max_step")
+        if not self.max_step > 0:
+            raise ValueError("max_step must be positive")
 
 
 def hermitian_eig(h):
@@ -192,7 +192,7 @@ def adaptive_rk(field, y0, t_span, cfg, samples=None):
 
     span = t1 - t0
     t = t0
-    h = min(cfg.initial_step, cfg.max_step, span if span > 0 else cfg.initial_step)
+    h = min(FIRST_STEP, cfg.max_step, span if span > 0 else FIRST_STEP)
     err_prev = 1.0
     end_tol = 1e-14 * max(1.0, abs(t1))
     k = np.empty((7, y.size), dtype=complex)

@@ -7,40 +7,13 @@ sector is diagonalized on its own. Long-time phases are exact, and a whole
 purity curve reuses one set of sector eigendecompositions.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch
 from .numerics import hermitian_eig
 from .spin import product_coherent
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Reduced density matrix with its defining sanity bounds."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        rho = np.asarray(self.entries, dtype=complex)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise DimensionMismatch("density matrix must be square")
-        object.__setattr__(self, "entries", rho)
-
-    @property
-    def dim(self):
-        return self.entries.shape[0]
-
-    def validate(self, tol=1e-10):
-        rho = self.entries
-        if np.max(np.abs(rho - rho.conj().T)) > tol:
-            raise ValueError("density matrix not Hermitian within tolerance")
-        if abs(np.trace(rho) - 1.0) > tol:
-            raise ValueError("density matrix trace differs from 1")
-        if np.min(np.linalg.eigvalsh(rho)) < -tol:
-            raise ValueError("density matrix has a negative eigenvalue")
-        return self
 
 
 @dataclass
@@ -50,25 +23,24 @@ class PurityCurve:
     times: np.ndarray
     p_exact: np.ndarray
     p_sc: np.ndarray
-    slin_exact: np.ndarray = field(default=None)
-    slin_sc: np.ndarray = field(default=None)
-    residual_detM: np.ndarray = field(default=None)
-    residual_energy: np.ndarray = field(default=None)
-    residual_im_psc: np.ndarray = field(default=None)
+    residual_detM: np.ndarray
+    residual_energy: np.ndarray
+    residual_im_psc: np.ndarray
 
     def __post_init__(self):
         n = len(self.times)
-        if self.slin_exact is None:
-            self.slin_exact = 1.0 - np.asarray(self.p_exact)
-        if self.slin_sc is None:
-            self.slin_sc = 1.0 - np.asarray(self.p_sc)
-        for name in ("p_exact", "p_sc", "slin_exact", "slin_sc",
-                     "residual_detM", "residual_energy", "residual_im_psc"):
-            val = getattr(self, name)
-            if val is None:
-                setattr(self, name, np.full(n, np.nan))
-            elif len(val) != n:
+        for name in ("p_exact", "p_sc", "residual_detM", "residual_energy",
+                     "residual_im_psc"):
+            if len(getattr(self, name)) != n:
                 raise DimensionMismatch(f"{name} not aligned with the time grid")
+
+    @property
+    def slin_exact(self):
+        return 1.0 - self.p_exact
+
+    @property
+    def slin_sc(self):
+        return 1.0 - self.p_sc
 
 
 def invariant_sectors(h):
@@ -156,7 +128,7 @@ def evolve_state(h, psi0, t, hbar=1.0, xi=+1):
 
 
 def reduced_density(psi, subsystem, dim):
-    """Partial trace of |psi><psi| onto one factor.
+    """Partial trace of |psi><psi| onto one factor, as a (dim, dim) array.
 
     psi lives on the joint space with x as the left Kronecker factor and
     must have length dim^2.
@@ -171,12 +143,12 @@ def reduced_density(psi, subsystem, dim):
         rho = mat.T @ mat.conj()
     else:
         raise ValueError("subsystem must be 'x' or 'y'")
-    return DensityMatrix(rho)
+    return rho
 
 
 def purity(rho):
     """Tr(rho^2), computed as the Frobenius norm squared (manifestly >= 0)."""
-    return float(np.sum(np.abs(rho.entries) ** 2))
+    return float(np.sum(np.abs(rho) ** 2))
 
 
 def linear_entropy(rho):

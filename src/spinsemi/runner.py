@@ -39,10 +39,6 @@ class RunReport:
     csv_path: Path
     flagged_rows: Sequence[int]
 
-    @property
-    def max_residual_detM(self):
-        return self.metadata["invariants"]["max_residual_detM"]
-
 
 def compute_curve(cfg, model=None):
     """PurityCurve for one configuration (no file output), and the flagged
@@ -104,13 +100,12 @@ def _sweep_entries(cfg):
     return entries
 
 
-def run_experiment(cfg, output_dir=None, quiet=False, log=None):
+def run_experiment(cfg, output_dir=None, quiet=False):
     """Run the configured experiment, write outputs, return RunReports.
 
     Sweep values are computed and written one after another, in
-    configuration order.
+    configuration order, each reported on stderr unless quiet.
     """
-    log = log or (lambda msg: None if quiet else print(msg, file=_sys.stderr))
     reports = []
     for override, rel_path in _sweep_entries(cfg):
         started = _time.perf_counter()
@@ -144,8 +139,9 @@ def run_experiment(cfg, output_dir=None, quiet=False, log=None):
         with open(meta_path, "w", newline="\n") as fh:
             json.dump(metadata, fh, indent=2, default=str)
             fh.write("\n")
-        log(f"wrote {out_path} ({len(curve.times)} rows"
-            + (f", {len(flagged)} flagged" if flagged else "") + ")")
+        if not quiet:
+            print(f"wrote {out_path} ({len(curve.times)} rows"
+                  + (f", {len(flagged)} flagged" if flagged else "") + ")", file=_sys.stderr)
         reports.append(RunReport(
             curve=curve, metadata=metadata, csv_path=out_path, flagged_rows=flagged,
         ))

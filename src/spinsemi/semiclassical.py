@@ -147,7 +147,7 @@ def action_integrals(sys, model, traj, xi):
         for k in range(2)
     )
     s_eta = end.u  # diagonal endpoint: s_eta^* = v(T) = conj(u(T)) on real trajectories
-    s_mu = np.array([traj.start_label.sx, traj.start_label.sy])
+    s_mu = start.u
     lam_norm = float(
         j * np.sum(np.log((1.0 + np.abs(s_eta) ** 2) * (1.0 + np.abs(s_mu) ** 2)))
     )
@@ -365,40 +365,25 @@ def stability_from_action_hessians(sys, hessians, start, end, xi=+1):
     return StabilityMatrix(np.block([[m_uu, m_uv], [m_vu, m_vv]]))
 
 
-@dataclass(frozen=True)
-class CanonicalPurityInputs:
-    """Stability blocks plus the derived determinants feeding the
-    canonical (harmonic-limit) purity formula."""
-
-    m_uu: np.ndarray
-    m_uv: np.ndarray
-    m_vu: np.ndarray
-    m_vv: np.ndarray
-
-    @classmethod
-    def from_stability(cls, stab):
-        return cls(stab.m_uu, stab.m_uv, stab.m_vu, stab.m_vv)
-
-    def block_identity_defect(self):
-        """Residual of the permuted-determinant block identity (must be ~0)."""
-        m = np.block([[self.m_uu, self.m_uv], [self.m_vu, self.m_vv]])
-        aux = aux_determinants(m)
-        lhs = self.m_uv @ small_inverse(self.m_vv)
-        rhs = np.array([[aux.det_d, -aux.det_dp], [aux.det_bp, aux.det_b]]) / det2(self.m_vv)
-        lhs2 = self.m_vu @ small_inverse(self.m_uu)
-        rhs2 = np.array([[aux.det_c, aux.det_ap], [-aux.det_cp, aux.det_a]]) / det2(self.m_uu)
-        return float(max(np.max(np.abs(lhs - rhs)), np.max(np.abs(lhs2 - rhs2))))
+def block_identity_defect(stab):
+    """Residual of the permuted-determinant block identity of one stability
+    matrix (must be ~0)."""
+    aux = aux_determinants(stab)
+    lhs = stab.m_uv @ small_inverse(stab.m_vv)
+    rhs = np.array([[aux.det_d, -aux.det_dp], [aux.det_bp, aux.det_b]]) / det2(stab.m_vv)
+    lhs2 = stab.m_vu @ small_inverse(stab.m_uu)
+    rhs2 = np.array([[aux.det_c, aux.det_ap], [-aux.det_cp, aux.det_a]]) / det2(stab.m_uu)
+    return float(max(np.max(np.abs(lhs - rhs)), np.max(np.abs(lhs2 - rhs2))))
 
 
-def canonical_purity(inputs):
-    """Harmonic-limit purity from stability blocks.
+def canonical_purity(stab):
+    """Harmonic-limit purity of one stability matrix.
 
     Valid when the endpoint factor has contracted to 1 (large-spin scaled
     labels); then it coincides with the stability-matrix purity.
     """
-    m = np.block([[inputs.m_uu, inputs.m_uv], [inputs.m_vu, inputs.m_vv]])
-    aux = aux_determinants(m)
-    mm = det2(inputs.m_uu) * det2(inputs.m_vv)
+    aux = aux_determinants(stab)
+    mm = det2(stab.m_uu) * det2(stab.m_vv)
     e_prime = -4.0 * (mm * aux.det_ap * aux.det_bp) ** 2
     e_dprime = (
         aux.det_ap ** 2 * aux.det_b * aux.det_d

@@ -83,19 +83,16 @@ class HamiltonianModel:
     oracle of the factored one; the phase-coupling closed forms are the
     oracle of both.
 
-    The operator matrix may be supplied lazily through a factory so that
-    purely classical work on large spins never materializes the joint-space
-    matrix.
+    operator is a zero-argument callable returning the joint-space matrix.
+    It runs once, on the first read of the operator property, so purely
+    classical work on large spins never materializes that matrix.
     """
 
-    def __init__(self, derivs, label="", sys=None, operator=None, operator_factory=None):
-        if operator is None and operator_factory is None:
-            raise ValueError("provide operator or operator_factory")
+    def __init__(self, derivs, operator, label=""):
         self.derivs = derivs
         self.label = label
-        self.sys = sys
-        self._operator = None if operator is None else np.asarray(operator, dtype=complex)
-        self._operator_factory = operator_factory
+        self._operator = None
+        self._make_operator = operator
 
     def htilde(self, u, v):
         return self.derivs(u, v)[0]
@@ -109,7 +106,7 @@ class HamiltonianModel:
     @property
     def operator(self):
         if self._operator is None:
-            self._operator = np.asarray(self._operator_factory(), dtype=complex)
+            self._operator = np.asarray(self._make_operator(), dtype=complex)
         return self._operator
 
 
@@ -358,4 +355,4 @@ def htilde_from_operator(sys, h_op):
         )
         return f0 / nrm, (f1 - f0 * l1) / nrm, hess / nrm
 
-    return HamiltonianModel(derivs=derivs, label="operator", sys=sys, operator=h_op)
+    return HamiltonianModel(derivs, lambda: h_op, label="operator")

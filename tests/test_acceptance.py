@@ -192,7 +192,7 @@ def test_criterion_6_canonical_limit():
         s0 = ss.CoherentLabel(z[0] / np.sqrt(two_j), z[1] / np.sqrt(two_j))
         p_sc, traj, stab = _pipeline_purity(sys, model, s0, lam_t / lam, CFG)
         errs.append(abs(p_sc - target))
-        p_can = ss.canonical_purity(ss.CanonicalPurityInputs.from_stability(stab))
+        p_can = ss.canonical_purity(stab)
         worst_can = max(worst_can, abs(p_can - p_sc))
     order = np.polyfit(np.log([2.0 / tj for tj in two_js]), np.log(errs), 1)[0]
     elapsed = time.perf_counter() - started

@@ -9,6 +9,8 @@ from spinsemi.config import CSV_COLUMNS, available_models, build_model, parse_co
 from spinsemi.errors import ParseError, ValidationError
 from spinsemi.runner import run_experiment
 
+NAN, INF = float("nan"), float("inf")
+
 
 def minimal_config(**overrides):
     doc = {
@@ -69,7 +71,7 @@ class TestParseConfig:
     def test_tiny_max_step_accepted(self):
         doc = minimal_config(integrator={"max_step": 1e-6})
         cfg = parse_config(json.dumps(doc))
-        assert cfg.integrator.initial_step <= cfg.integrator.max_step == 1e-6
+        assert cfg.integrator.max_step == 1e-6
 
     def test_nonpositive_max_step_rejected(self):
         doc = minimal_config(integrator={"max_step": 0.0})
@@ -114,6 +116,33 @@ class TestParseConfig:
         out_dir = tmp_path / "out"
         assert main(["run", write_config(tmp_path, doc), "--output-dir", str(out_dir),
                      "--quiet"]) == 2
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("section, entry, key", [
+        ("hamiltonian", {"model": "phase_coupling", "lambda": NAN}, "hamiltonian.lambda"),
+        ("initial_state", {"sx": [NAN, 0.0], "sy": [1.0, 0.0]}, "initial_state.sx"),
+        ("time", {"t_max": INF, "num_points": 9}, "time.t_max"),
+        ("time", {"t_max": 10 ** 400, "num_points": 9}, "time.t_max"),
+        ("integrator", {"max_step": NAN}, "integrator.max_step"),
+        ("integrator", {"rel_tol": NAN}, "integrator.rel_tol"),
+        ("sweep", {"parameter": "lambda", "values": [1.0, NAN]}, "sweep.values[1]"),
+        ("hamiltonian", {"model": "operator_terms", "terms": [
+            {"coefficient": NAN, "x": ["J3", 1], "y": ["J3", 1]}]},
+         "hamiltonian.terms[0].coefficient"),
+        ("hamiltonian", {"model": "operator_terms", "terms": [
+            {"coefficient": [1.0, -INF], "x": ["J3", 1], "y": ["J3", 1]}]},
+         "hamiltonian.terms[0].coefficient"),
+    ])
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, section, entry, key):
+        # json reads NaN, Infinity and integers beyond float range
+        doc = minimal_config(**{section: entry})
+        with pytest.raises(ValidationError) as excinfo:
+            parse_config(json.dumps(doc))
+        assert excinfo.value.key == key
+        out_dir = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, doc), "--output-dir", str(out_dir),
+                     "--quiet"]) == 2
+        assert key in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_non_hermitian_terms_fail_validation(self, tmp_path):
@@ -197,7 +226,7 @@ class TestRunExperiment:
         assert "max_residual_detM" in meta["invariants"]
         assert meta["flagged_rows"] == []
         assert meta["flag_reasons"] == []
-        assert reports[0].max_residual_detM >= 0.0
+        assert reports[0].metadata["invariants"]["max_residual_detM"] >= 0.0
 
     def test_validity_breakdown_rows_flagged_not_fabricated(self, tmp_path, monkeypatch):
         import spinsemi.runner as runner_mod

@@ -5,6 +5,7 @@ import spinsemi as ss
 from spinsemi.errors import ChartSingularity
 from spinsemi.flow import field_and_jacobian
 from spinsemi.numerics import (
+    FIRST_STEP,
     _DP_A,
     _DP_B5,
     _DP_C,
@@ -294,7 +295,7 @@ def _landing_rk(field, y0, cfg, samples):
     Dormand-Prince steps, but each one shortened to land exactly on the next
     sample. samples[0] is the start time."""
     t, y = samples[0], np.array(y0, dtype=complex)
-    h = min(cfg.initial_step, cfg.max_step, samples[-1] - samples[0])
+    h = min(FIRST_STEP, cfg.max_step, samples[-1] - samples[0])
     err_prev = 1.0
     k = np.empty((7, y.size), dtype=complex)
     k[0] = field(t, y)

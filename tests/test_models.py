@@ -63,6 +63,13 @@ class TestPhaseCouplingModel:
             assert np.max(np.abs(closed.grad(u, v) - generic.grad(u, v))) < 1e-10
             assert np.max(np.abs(closed.hess(u, v) - generic.hess(u, v))) < 1e-10
 
+    def test_large_spin_builds_no_joint_matrix(self):
+        # the (2j+1)^2 joint matrix at two_j=1000 would take 16 TB
+        sys, params = _params(two_j=1000, lam=0.7)
+        model = ss.phase_coupling_model(params)
+        zero = np.zeros(2, dtype=complex)
+        assert model.htilde(zero, zero) == pytest.approx(params.lam * sys.j ** 2)
+
 
 class TestPcTrajectory:
     def test_static_when_uncoupled(self):

@@ -190,8 +190,14 @@ class TestAdaptiveRk:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ss.IntegratorConfig(rel_tol=-1.0)
-        with pytest.raises(ValueError):
-            ss.IntegratorConfig(initial_step=1.0, max_step=0.1)
+        for bad in ({"max_step": 0.0}, {"max_step": -1.0}, {"max_step": np.nan},
+                    {"rel_tol": np.nan}, {"abs_tol": np.nan}):
+            with pytest.raises(ValueError):
+                ss.IntegratorConfig(**bad)
+        # any positive max_step is accepted: the first trial step follows it
+        cfg = ss.IntegratorConfig(max_step=1e-6)
+        ts, _ = ss.adaptive_rk(lambda t, y: y, [1.0 + 0j], (0.0, 1e-5), cfg)
+        assert np.max(np.diff(ts)) <= 1e-6 * (1 + 1e-12)
 
 
 class TestCubicQuadrature:

@@ -51,7 +51,7 @@ class TestReducedDensity:
         vx = np.array([1.0, 1j]) / np.sqrt(2)
         vy = np.array([0.6, 0.8])
         rho = ss.reduced_density(np.kron(vx, vy), "x", 2)
-        assert np.max(np.abs(rho.entries - np.outer(vx, vx.conj()))) < 1e-12
+        assert np.max(np.abs(rho - np.outer(vx, vx.conj()))) < 1e-12
         assert ss.purity(rho) == pytest.approx(1.0)
 
     def test_bell_state(self):
@@ -59,7 +59,7 @@ class TestReducedDensity:
         bell[0] = bell[3] = 1 / np.sqrt(2)
         for sub in ("x", "y"):
             rho = ss.reduced_density(bell, sub, 2)
-            assert np.max(np.abs(rho.entries - 0.5 * np.eye(2))) < 1e-12
+            assert np.max(np.abs(rho - 0.5 * np.eye(2))) < 1e-12
         assert ss.purity(ss.reduced_density(bell, "x", 2)) == pytest.approx(0.5)
 
     @given(dim=st.integers(min_value=2, max_value=6), seed=st.integers(0, 1000))
@@ -67,8 +67,9 @@ class TestReducedDensity:
     def test_unit_trace(self, dim, seed):
         psi = _random_state(np.random.default_rng(seed), dim * dim)
         rho = ss.reduced_density(psi, "x", dim)
-        assert abs(np.trace(rho.entries) - 1.0) < 1e-12
-        rho.validate()
+        assert abs(np.trace(rho) - 1.0) < 1e-12
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-10
+        assert np.min(np.linalg.eigvalsh(rho)) >= -1e-10
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -94,6 +95,28 @@ class TestReducedDensity:
         bell[0] = bell[3] = 1 / np.sqrt(2)
         rho = ss.reduced_density(bell, "x", 2)
         assert ss.linear_entropy(rho) == pytest.approx(0.5)
+
+
+class TestPurityCurve:
+    def _columns(self, n):
+        rng = np.random.default_rng(3)
+        return dict(times=np.linspace(0.0, 1.0, n), p_exact=rng.uniform(size=n),
+                    p_sc=rng.uniform(size=n), residual_detM=np.zeros(n),
+                    residual_energy=np.zeros(n), residual_im_psc=np.zeros(n))
+
+    def test_linear_entropies_follow_purities(self):
+        cols = self._columns(7)
+        curve = ss.PurityCurve(**cols)
+        assert np.array_equal(curve.slin_exact, 1.0 - cols["p_exact"])
+        assert np.array_equal(curve.slin_sc, 1.0 - cols["p_sc"])
+
+    @pytest.mark.parametrize("name", ["p_exact", "p_sc", "residual_detM",
+                                      "residual_energy", "residual_im_psc"])
+    def test_misaligned_column_rejected(self, name):
+        cols = self._columns(7)
+        cols[name] = cols[name][:-1]
+        with pytest.raises(DimensionMismatch):
+            ss.PurityCurve(**cols)
 
 
 class TestExactPurityCurve:

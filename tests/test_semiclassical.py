@@ -152,7 +152,6 @@ class TestActionIntegrals:
             ts=np.array([0.0, 0.1]),
             ys=ys,
             energy=np.zeros(2, dtype=complex),
-            start_label=ss.CoherentLabel(2.0j, 0.1),
         )
         with pytest.raises(LogBranch):
             ss.action_integrals(sys, model, traj, +1)
@@ -244,7 +243,7 @@ class TestBackwardBranch:
         k_back = ss.prefactor(traj, m_series, -1) * np.exp(bundle.exponent)
         s_eta = ss.CoherentLabel(traj.final.u[0], traj.final.u[1])
         k_ex = ss.exact_propagator_overlap(
-            sys, model.operator, s_eta, traj.start_label, traj.ts[-1]
+            sys, model.operator, s_eta, ss.CoherentLabel(*traj.initial.u), traj.ts[-1]
         )
         assert abs(k_back - np.conj(k_ex)) / abs(k_ex) < 2e-2
 
@@ -414,7 +413,7 @@ _ORIGIN = PhaseSpaceState([0.0, 0.0], [0.0, 0.0])
 def _static_trajectory():
     """One-sample trajectory resting at the origin."""
     return Trajectory(ts=np.array([0.0]), ys=np.zeros((1, 4), dtype=complex),
-                      energy=np.zeros(1), start_label=ss.CoherentLabel(0.0, 0.0))
+                      energy=np.zeros(1))
 
 
 def _per_row_evaluate(m, start, end):
@@ -598,8 +597,7 @@ class TestActionHessians:
 
 class TestCanonicalPurity:
     def test_identity(self):
-        inputs = ss.CanonicalPurityInputs.from_stability(ss.StabilityMatrix(np.eye(4)))
-        assert ss.canonical_purity(inputs) == pytest.approx(1.0)
+        assert ss.canonical_purity(ss.StabilityMatrix(np.eye(4))) == pytest.approx(1.0)
 
     def test_matches_stability_purity_for_scaled_labels(self):
         z = (1.0, 0.5 + 0.5j)
@@ -610,14 +608,13 @@ class TestCanonicalPurity:
             s0 = ss.CoherentLabel(z[0] / np.sqrt(two_j), z[1] / np.sqrt(two_j))
             traj, m_series = _pipeline(sys, model, s0, lam_t / lam)
             p_stab = ss.purity_sc(m_series[-1], traj)
-            p_can = ss.canonical_purity(ss.CanonicalPurityInputs.from_stability(m_series[-1]))
+            p_can = ss.canonical_purity(m_series[-1])
             assert abs(p_can - p_stab) < 1e-6
 
     def test_block_identity_defect_is_small(self):
         sys, params, model = _pc()
         traj, m_series = _pipeline(sys, model, ss.CoherentLabel(0.4, 0.2j), 0.2)
-        inputs = ss.CanonicalPurityInputs.from_stability(m_series[-1])
-        assert inputs.block_identity_defect() < 1e-8
+        assert ss.block_identity_defect(m_series[-1]) < 1e-8
 
     def test_two_oscillator_short_time_limit(self):
         z = (1.0, 0.5 + 0.5j)
@@ -627,7 +624,7 @@ class TestCanonicalPurity:
         model = ss.phase_coupling_model(ss.PhaseCouplingParams(lam=1.0, sys=sys))
         s0 = ss.CoherentLabel(z[0] / np.sqrt(128), z[1] / np.sqrt(128))
         traj, m_series = _pipeline(sys, model, s0, lam_t)
-        p_can = ss.canonical_purity(ss.CanonicalPurityInputs.from_stability(m_series[-1]))
+        p_can = ss.canonical_purity(m_series[-1])
         assert abs(p_can - target) < 2e-5
 
 

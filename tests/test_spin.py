@@ -214,6 +214,22 @@ class TestHtildeFromOperator:
             ss.htilde_from_operator(sys, bad)
 
 
+def test_operator_is_built_once_on_first_read():
+    calls = []
+
+    def make_operator():
+        calls.append(1)
+        return np.eye(4)
+
+    model = ss.HamiltonianModel(lambda u, v: (0.0, np.zeros(4), np.zeros((4, 4))),
+                                make_operator, label="probe")
+    assert calls == []
+    first = model.operator
+    assert model.operator is first
+    assert calls == [1]
+    assert first.dtype == complex and model.label == "probe"
+
+
 def test_binom_weights_match_exact():
     from math import comb
 
