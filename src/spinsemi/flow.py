@@ -244,7 +244,7 @@ def integrate_trajectory(sys, model, s0, t_final, cfg, sample_times=None):
             y0, (0.0, t_final), eff, samples=sample_times,
         )
     states = np.ascontiguousarray(ys[:, :4])
-    energy = np.array([model.htilde(row[:2], row[2:4]) for row in states])
+    energy = model.htilde(states[:, :2], states[:, 2:])
     return Trajectory(ts=ts, ys=states, energy=energy, ms=ys[:, 4:].reshape(-1, 4, 4))
 
 

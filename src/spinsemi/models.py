@@ -62,6 +62,8 @@ def phase_coupling_model(params):
         return 4.0 / (1.0 + w) ** 3
 
     def derivs(u, v):
+        # the series axis of (n, 2) arguments stays last until the return
+        u, v = np.asarray(u).T, np.asarray(v).T
         ux, uy, vx, vy = u[0], u[1], v[0], v[1]
         wx, wy = ux * vx, uy * vy
         gx, gy = gamma(wx), gamma(wy)
@@ -73,7 +75,7 @@ def phase_coupling_model(params):
             gy * dx * ux,
             gx * dy * uy,
         ])
-        h = np.empty((4, 4), dtype=complex)
+        h = np.empty((4, 4) + wx.shape, dtype=complex)
         # ordering (ux, uy, vx, vy)
         h[0, 0] = gy * d2x * vx * vx
         h[1, 1] = gx * d2y * vy * vy
@@ -85,7 +87,10 @@ def phase_coupling_model(params):
         h[1, 2] = h[2, 1] = dy * vy * dx * ux
         h[1, 3] = h[3, 1] = gx * (d2y * uy * vy + dy)
         h[2, 3] = h[3, 2] = dx * ux * dy * uy
-        return amp * gx * gy, amp * grad, amp * h
+        h *= amp
+        # h is symmetric, so h.T puts the series axis first without
+        # reordering the 4x4 entries
+        return amp * gx * gy, amp * grad.T, h.T
 
     return HamiltonianModel(derivs, make_operator, label="phase_coupling")
 

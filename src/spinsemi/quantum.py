@@ -15,6 +15,10 @@ from .errors import DimensionMismatch
 from .numerics import hermitian_eig
 from .spin import product_coherent
 
+# complex elements per array when a time grid is evaluated in chunks
+# (1 MiB): bounds the memory of whole-curve evaluation at any grid length
+CHUNK = 1 << 16
+
 
 @dataclass
 class PurityCurve:
@@ -106,20 +110,32 @@ class SpectralPropagator:
         self.w = np.concatenate(eigenvalues)
 
     def apply(self, psi, t, xi=+1):
+        """e^{-i xi H t / hbar} psi: shape (dim,) for a scalar t, (n_t, dim)
+        for a 1-d array of times. psi is rotated into the eigenbases once;
+        then one batched matmul per sector size covers all the times."""
         psi = np.asarray(psi, dtype=complex)
         if psi.shape != (self.dim,):
             raise DimensionMismatch(f"state shape {psi.shape}, expected ({self.dim},)")
+        t = np.asarray(t, dtype=float)
+        if t.ndim > 1:
+            raise ValueError("times must be a scalar or a 1-d array")
+        n_t = t.size
         x = psi[self.perm]
-        y = np.empty_like(x)
-        phases = np.exp((-1j * xi * t / self.hbar) * self.w)
+        # coeffs[i, k]: the phase of eigenvector i at time k, then times
+        # psi's coefficient on it; y[i, k]: component i of the permuted
+        # basis at time k
+        coeffs = np.multiply.outer(self.w, -1j * xi * t.ravel() / self.hbar)
+        np.exp(coeffs, out=coeffs)
+        y = np.empty_like(coeffs)
         for span, v, vh in self.blocks:
-            shape = v.shape[:2] + (1,)
-            coeffs = vh @ x[span].reshape(shape)
-            coeffs *= phases[span].reshape(shape)
-            np.matmul(v, coeffs, out=y[span].reshape(shape))
-        out = np.empty_like(psi)
-        out[self.perm] = y
-        return out
+            k, s = v.shape[:2]
+            block = coeffs[span].reshape(k, s, n_t)
+            block *= vh @ x[span].reshape(k, s, 1)
+            np.matmul(v, block, out=y[span].reshape(k, s, n_t))
+        # the coefficients are spent: their buffer takes the (n_t, dim) result
+        out = coeffs.reshape(n_t, self.dim)
+        out[:, self.perm] = y.T
+        return out[0] if t.ndim == 0 else out
 
 
 def evolve_state(h, psi0, t, hbar=1.0, xi=+1):
@@ -128,44 +144,56 @@ def evolve_state(h, psi0, t, hbar=1.0, xi=+1):
 
 
 def reduced_density(psi, subsystem, dim):
-    """Partial trace of |psi><psi| onto one factor, as a (dim, dim) array.
+    """Partial trace of |psi><psi| onto one factor.
 
-    psi lives on the joint space with x as the left Kronecker factor and
-    must have length dim^2.
+    psi lives on the joint space with x as the left Kronecker factor; its
+    last axis must have length dim^2. A stack of states (..., dim^2) gives
+    a stack of (..., dim, dim) density matrices.
     """
     psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (dim * dim,):
-        raise DimensionMismatch(f"state length {psi.shape}, expected ({dim * dim},)")
-    mat = psi.reshape(dim, dim)
+    if psi.shape[-1:] != (dim * dim,):
+        raise DimensionMismatch(f"state shape {psi.shape}, expected (..., {dim * dim})")
+    mat = psi.reshape(psi.shape[:-1] + (dim, dim))
     if subsystem == "x":
-        rho = mat @ mat.conj().T
+        rho = mat @ mat.conj().swapaxes(-1, -2)
     elif subsystem == "y":
-        rho = mat.T @ mat.conj()
+        rho = mat.swapaxes(-1, -2) @ mat.conj()
     else:
         raise ValueError("subsystem must be 'x' or 'y'")
     return rho
 
 
 def purity(rho):
-    """Tr(rho^2), computed as the Frobenius norm squared (manifestly >= 0)."""
-    return float(np.sum(np.abs(rho) ** 2))
+    """Tr(rho^2), computed as the Frobenius norm squared (manifestly >= 0).
+
+    A float for one (d, d) matrix, an array for a stack (..., d, d).
+    """
+    p = np.sum(np.abs(rho) ** 2, axis=(-2, -1))
+    return float(p) if p.ndim == 0 else p
 
 
 def linear_entropy(rho):
     return 1.0 - purity(rho)
 
 
+def time_chunks(n_times, dim):
+    """Slices of a grid of n_times times, CHUNK // dim rows each (at least
+    one), so each chunk's states of dimension dim span about CHUNK elements."""
+    rows = max(1, CHUNK // dim)
+    return [slice(i, i + rows) for i in range(0, n_times, rows)]
+
+
 def exact_purity_curve(sys, model, s0, times, subsystem="x"):
-    """Reduced-state purity of the evolved product coherent state, per time."""
+    """Reduced-state purity of the evolved product coherent state, per time,
+    evaluated a chunk of times at a time."""
     times = np.asarray(times, dtype=float)
     if times.size and (np.any(np.diff(times) <= 0) or times[0] < 0):
         raise ValueError("times must be ascending and non-negative")
     psi0 = product_coherent(sys, s0)
     prop = SpectralPropagator(model.operator, sys.hbar)
     out = np.empty(times.size)
-    for i, t in enumerate(times):
-        psi = prop.apply(psi0, t)
-        out[i] = purity(reduced_density(psi, subsystem, sys.dim))
+    for rows in time_chunks(times.size, prop.dim):
+        out[rows] = purity(reduced_density(prop.apply(psi0, times[rows]), subsystem, sys.dim))
     return out
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .config import CSV_COLUMNS, build_model, sweep_tag
 from .flow import integrate_stability, integrate_trajectory
-from .quantum import PurityCurve, SpectralPropagator, purity, reduced_density
+from .quantum import PurityCurve, SpectralPropagator, purity, reduced_density, time_chunks
 from .semiclassical import purity_sc_evaluate
 from .spin import product_coherent
 
@@ -50,9 +50,8 @@ def compute_curve(cfg, model=None):
     psi0 = product_coherent(sys, cfg.initial_state)
     prop = SpectralPropagator(model.operator, sys.hbar)
     p_exact = np.empty(times.size)
-    for i, t in enumerate(times):
-        rho = reduced_density(prop.apply(psi0, t), "x", sys.dim)
-        p_exact[i] = purity(rho)
+    for rows in time_chunks(times.size, prop.dim):
+        p_exact[rows] = purity(reduced_density(prop.apply(psi0, times[rows]), "x", sys.dim))
 
     traj = integrate_trajectory(sys, model, cfg.initial_state, cfg.t_max,
                                 cfg.integrator, sample_times=times)
@@ -72,20 +71,16 @@ def compute_curve(cfg, model=None):
     return curve, flags
 
 
-def _format_value(x):
-    return f"{x:.17g}"
-
-
 def write_csv(path, curve):
     columns = [
         curve.times, curve.p_exact, curve.p_sc, curve.slin_exact,
         curve.slin_sc, curve.residual_detM, curve.residual_energy,
         curve.residual_im_psc,
     ]
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for i in range(len(curve.times)):
-            fh.write(",".join(_format_value(col[i]) for col in columns) + "\n")
+        fh.write((row * len(curve.times)) % tuple(np.column_stack(columns).ravel().tolist()))
 
 
 def _sweep_entries(cfg):

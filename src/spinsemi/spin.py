@@ -74,8 +74,10 @@ class HamiltonianModel:
     It continues the coherent-state expectation <s|H|s> to independent
     complex arguments u = (ux, uy), v = (vx, vy) and returns, from one
     evaluation, its value, its first partials and its second partials in
-    the order (d/dux, d/duy, d/dvx, d/dvy). htilde, grad and hess are views
-    of derivs for callers that need one piece.
+    the order (d/dux, d/duy, d/dvx, d/dvy). u and v are (2,) for one point,
+    giving shapes (), (4,) and (4, 4), or (n, 2) for a series of n points,
+    giving (n,), (n, 4) and (n, 4, 4). htilde, grad and hess are views of
+    derivs for callers that need one piece.
 
     Models built from operator terms evaluate derivs from per-subsystem
     factor matrices (derivs_from_factors). The dense joint-space path
@@ -240,19 +242,26 @@ def derivs_from_factors(sys, terms):
     spec = _derivative_rows_spec(two_j)
 
     def derivs(u, v):
-        args = np.concatenate([u, v]).astype(complex)     # ux, uy, vx, vy
-        partners = np.concatenate([v, u]).astype(complex)
+        # m points, one row (ux, uy, vx, vy) each; m = 1 for a single point
+        args = np.concatenate([u, v], axis=-1).astype(complex).reshape(-1, 4)
+        partners = np.concatenate([v, u], axis=-1).astype(complex).reshape(-1, 4)
+        m = len(args)
         _range_guard(sys, np.max(np.abs(args)))
-        rows = _centered_rows(spec, args, partners, two_j)
-        kets, bras = rows[:2, None], rows[2:, None]
-        # tables[k, t, c, a]: d^c/dv_k^c d^a/du_k^a of phi_t^k
-        tables = bras @ (factors @ kets.transpose(0, 1, 3, 2))
+        rows = _centered_rows(spec, args.ravel(), partners.ravel(), two_j)
+        rows = rows.reshape(m, 4, 3, d)
+        kets, bras = rows[:, :2, None], rows[:, 2:, None]
+        # tables[i, k, t, c, a]: d^c/dv_k^c d^a/du_k^a of phi_t^k at point i
+        tables = bras @ (factors @ kets.transpose(0, 1, 2, 4, 3))
         # the mixed partial also differentiates the bra's normalization in u
-        mixed = two_j / (1.0 + args[:2] * partners[:2]) ** 2
-        tables[:, :, 1, 1] -= mixed[:, None] * tables[:, :, 0, 0]
-        tx, ty = tables.reshape(2, -1, 9)
-        g = (coefficients[:, None] * tx).T @ ty
-        return g[0, 0], g[_ROW_STEP, _COL_STEP], g[_HESS_ROWS, _HESS_COLS]
+        mixed = two_j / (1.0 + args[:, :2] * partners[:, :2]) ** 2
+        tables[:, :, :, 1, 1] -= mixed[:, :, None] * tables[:, :, :, 0, 0]
+        tables = tables.reshape(m, 2, -1, 9)
+        tx, ty = tables[:, 0], tables[:, 1]
+        g = (coefficients[:, None] * tx).transpose(0, 2, 1) @ ty
+        h, grad, hess = g[:, 0, 0], g[:, _ROW_STEP, _COL_STEP], g[:, _HESS_ROWS, _HESS_COLS]
+        if np.ndim(u) == 1:
+            return h[0], grad[0], hess[0]
+        return h, grad, hess
 
     return derivs
 
@@ -342,7 +351,7 @@ def htilde_from_operator(sys, h_op):
                 f2[a, b] = f2[b, a] = f(bra_key, ket_key)
         return f0, f1, f2
 
-    def derivs(u, v):
+    def point_derivs(u, v):
         f0, f1, f2 = f_derivs(*pieces(u, v))
         l1, l2 = log_norm_derivs(u, v)
         nrm = norm_factor(u, v)
@@ -354,5 +363,13 @@ def htilde_from_operator(sys, h_op):
             + f0 * np.outer(l1, l1)
         )
         return f0 / nrm, (f1 - f0 * l1) / nrm, hess / nrm
+
+    def derivs(u, v):
+        if np.ndim(u) == 1:
+            return point_derivs(u, v)
+        # a series of (n, 2) points, point by point: the oracle keeps the
+        # arithmetic of its single-point evaluation
+        h, g, hss = zip(*(point_derivs(a, b) for a, b in zip(u, v)))
+        return np.array(h), np.array(g), np.array(hss)
 
     return HamiltonianModel(derivs, lambda: h_op, label="operator")

@@ -7,7 +7,7 @@ import spinsemi as ss
 from spinsemi.cli import main
 from spinsemi.config import CSV_COLUMNS, available_models, build_model, parse_config
 from spinsemi.errors import ParseError, ValidationError
-from spinsemi.runner import run_experiment
+from spinsemi.runner import compute_curve, run_experiment, write_csv
 
 NAN, INF = float("nan"), float("inf")
 
@@ -262,6 +262,56 @@ class TestRunExperiment:
         meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
         assert meta["flagged_rows"] == list(range(1, cfg.num_points))
         assert meta["flag_reasons"] == ["forced for the flag-path test"] * (cfg.num_points - 1)
+
+
+    def test_exact_column_is_the_exact_purity_curve(self):
+        # 1201 points at two_j = 4 (joint dimension 25) are one chunk;
+        # at two_j = 12 (169) they are four
+        for two_j in (4, 12):
+            cfg = parse_config(json.dumps(minimal_config(
+                system={"two_j": two_j},
+                hamiltonian={"model": "exchange_coupling", "lambda": 0.7},
+                time={"t_max": 0.4, "num_points": 1201},
+            )))
+            curve, _ = compute_curve(cfg)
+            model = build_model(cfg)
+            assert np.array_equal(curve.p_exact, ss.exact_purity_curve(
+                cfg.system, model, cfg.initial_state, curve.times))
+
+
+def _per_value_csv(path, curve):
+    """The CSV writer that formatted each value on its own: the oracle of
+    write_csv's one-format writer."""
+    columns = [
+        curve.times, curve.p_exact, curve.p_sc, curve.slin_exact,
+        curve.slin_sc, curve.residual_detM, curve.residual_energy,
+        curve.residual_im_psc,
+    ]
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        for i in range(len(curve.times)):
+            fh.write(",".join(f"{col[i]:.17g}" for col in columns) + "\n")
+
+
+def test_csv_bytes_match_the_per_value_writer(tmp_path):
+    special = np.array([NAN, INF, -INF, -0.0, 5e-324, 0.1 + 0.2, 1.0 / 3.0, 0.0,
+                        123456789.01234567, -2.5e-300])
+    n = special.size
+    curve = ss.PurityCurve(
+        times=np.linspace(0.0, 1.0, n),
+        p_exact=special,
+        p_sc=special[::-1].copy(),
+        residual_detM=np.roll(special, 3),
+        residual_energy=np.roll(special, 5),
+        residual_im_psc=np.roll(special, 7),
+    )
+    write_csv(tmp_path / "new.csv", curve)
+    _per_value_csv(tmp_path / "old.csv", curve)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    for text in (b"nan", b"inf", b"-inf", b"-0", b"4.9406564584124654e-324",
+                 b"0.30000000000000004"):
+        assert text in new
 
 
 class TestCliVerbs:

@@ -107,17 +107,20 @@ def _loop_jacobian(sys, model, y):
 
 
 class _CountingModel:
-    """Forwards to a model and counts its derivs calls."""
+    """Forwards to a model, counts its derivs calls and records the shape
+    of each htilde argument."""
 
     def __init__(self, model):
         self.model = model
         self.calls = 0
+        self.htilde_shapes = []
 
     def derivs(self, u, v):
         self.calls += 1
         return self.model.derivs(u, v)
 
     def htilde(self, u, v):
+        self.htilde_shapes.append(np.shape(u))
         return self.model.htilde(u, v)
 
 
@@ -152,6 +155,21 @@ class TestFusedDerivatives:
         counting.calls = 0
         ss.action_integrals(sys, counting, traj, +1)
         assert counting.calls == len(traj)
+
+
+    @pytest.mark.parametrize("model_of", [
+        lambda sys: ss.phase_coupling_model(ss.PhaseCouplingParams(lam=1.3, sys=sys)),
+        lambda sys: ss.exchange_coupling_model(sys, 1.1),
+    ])
+    def test_one_energy_call_per_trajectory(self, model_of):
+        sys = ss.SpinSystem(two_j=4)
+        counting = _CountingModel(model_of(sys))
+        times = np.linspace(0.0, 0.3, 57)
+        traj = ss.integrate_trajectory(sys, counting, ss.CoherentLabel(0.3, 0.5j), 0.3,
+                                       CFG, sample_times=times)
+        assert counting.htilde_shapes == [(57, 2)]
+        per_point = np.array([counting.model.htilde(y[:2], y[2:]) for y in traj.ys])
+        assert np.max(np.abs(traj.energy - per_point)) <= 1e-12 * np.max(np.abs(per_point))
 
 
 class TestIntegrateTrajectory:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import spinsemi as ss
 from spinsemi.errors import DimensionMismatch, NotHermitian
-from spinsemi.quantum import SpectralPropagator, invariant_sectors
+from spinsemi.quantum import CHUNK, SpectralPropagator, invariant_sectors, time_chunks
 
 
 def _random_state(rng, n):
@@ -334,3 +334,132 @@ class TestSectorEngine:
     def test_wrong_state_length(self):
         with pytest.raises(DimensionMismatch):
             SpectralPropagator(np.eye(4)).apply(np.ones(3), 0.1)
+
+
+def _per_time_apply(prop, psi, t):
+    """The per-time evolution the whole-grid apply replaced: one
+    matrix-vector rotation into and out of the eigenbases per sector size
+    and time."""
+    x = psi[prop.perm]
+    y = np.empty_like(x)
+    phases = np.exp((-1j * t / prop.hbar) * prop.w)
+    for span, v, vh in prop.blocks:
+        shape = v.shape[:2] + (1,)
+        coeffs = vh @ x[span].reshape(shape)
+        coeffs *= phases[span].reshape(shape)
+        np.matmul(v, coeffs, out=y[span].reshape(shape))
+    out = np.empty_like(psi)
+    out[prop.perm] = y
+    return out
+
+
+def _per_time_purities(prop, psi0, times, subsystem, dim):
+    """Oracle of the chunked curve: a scalar loop over the times, with the
+    single-state partial trace and purity."""
+    out = []
+    for t in times:
+        mat = _per_time_apply(prop, psi0, t).reshape(dim, dim)
+        rho = mat @ mat.conj().T if subsystem == "x" else mat.T @ mat.conj()
+        out.append(np.sum(np.abs(rho) ** 2))
+    return np.array(out)
+
+
+def _dense_terms_model(sys):
+    # the J+- terms on each side connect every basis state: one sector
+    return ss.build_operator_model(sys, [
+        ss.OperatorTerm(0.4 / sys.j, ("J+", 1), ("I", 0)),
+        ss.OperatorTerm(0.4 / sys.j, ("J-", 1), ("I", 0)),
+        ss.OperatorTerm(0.3j / sys.j, ("I", 0), ("J+", 1)),
+        ss.OperatorTerm(-0.3j / sys.j, ("I", 0), ("J-", 1)),
+        ss.OperatorTerm(0.9 / sys.j, ("J3", 1), ("J3", 1)),
+    ])
+
+
+CURVE_MODELS = dict(SECTOR_MODELS, operator_terms=_dense_terms_model)
+
+
+def _prime_above(n):
+    while any(n % k == 0 for k in range(2, int(n ** 0.5) + 1)):
+        n += 1
+    return n
+
+
+class TestWholeCurve:
+    @pytest.mark.parametrize("two_j", [4, 10, 40])
+    @pytest.mark.parametrize("name", sorted(CURVE_MODELS))
+    def test_chunked_curve_matches_per_time_loop(self, name, two_j):
+        sys = ss.SpinSystem(two_j=two_j, hbar=0.7)
+        prop = SpectralPropagator(CURVE_MODELS[name](sys).operator, sys.hbar)
+        psi0 = ss.product_coherent(sys, ss.CoherentLabel(0.6 - 0.2j, -0.4 + 0.5j))
+        # a prime number of times spanning three chunks, and two times
+        n = _prime_above(2 * (CHUNK // sys.joint_dim) + 1)
+        assert len(time_chunks(n, sys.joint_dim)) == 3
+        for times in (np.linspace(0.0, 1.3 / sys.j, n), np.array([0.0, 0.9 / sys.j])):
+            for sub in ("x", "y"):
+                got = np.concatenate([
+                    ss.purity(ss.reduced_density(prop.apply(psi0, times[rows]), sub, sys.dim))
+                    for rows in time_chunks(times.size, sys.joint_dim)
+                ])
+                want = _per_time_purities(prop, psi0, times, sub, sys.dim)
+                assert np.max(np.abs(got - want) / want) <= 1e-12
+
+    def test_exact_purity_curve_is_the_chunked_evaluation(self):
+        sys = ss.SpinSystem(two_j=10)
+        model = ss.exchange_coupling_model(sys, 0.8)
+        s0 = ss.CoherentLabel(0.5 + 0.1j, -0.3j)
+        times = np.linspace(0.0, 0.6, 1201)
+        prop = SpectralPropagator(model.operator, sys.hbar)
+        psi0 = ss.product_coherent(sys, s0)
+        for sub in ("x", "y"):
+            want = np.concatenate([
+                ss.purity(ss.reduced_density(prop.apply(psi0, times[rows]), sub, sys.dim))
+                for rows in time_chunks(times.size, sys.joint_dim)
+            ])
+            assert np.array_equal(ss.exact_purity_curve(sys, model, s0, times, sub), want)
+
+    @pytest.mark.parametrize("name", sorted(CURVE_MODELS))
+    def test_apply_on_a_grid_matches_per_time_apply(self, name):
+        sys = ss.SpinSystem(two_j=6, hbar=0.7)
+        prop = SpectralPropagator(CURVE_MODELS[name](sys).operator, sys.hbar)
+        psi = ss.product_coherent(sys, ss.CoherentLabel(0.3 + 0.4j, -0.7))
+        times = np.array([0.0, 0.2, 0.9, 2.5])
+        for xi in (+1, -1):
+            states = prop.apply(psi, times, xi)
+            assert states.shape == (times.size, sys.joint_dim)
+            for t, state in zip(times, states):
+                oracle = _per_time_apply(prop, psi, xi * t)
+                assert np.max(np.abs(state - oracle)) <= 1e-12
+                assert np.array_equal(prop.apply(psi, t, xi), prop.apply(psi, [t], xi)[0])
+        assert prop.apply(psi, 0.4).shape == (sys.joint_dim,)
+        assert prop.apply(psi, np.array([])).shape == (0, sys.joint_dim)
+        with pytest.raises(ValueError):
+            prop.apply(psi, np.zeros((2, 2)))
+
+    def test_stacks_of_states_and_density_matrices(self):
+        rng = np.random.default_rng(12)
+        dim = 4
+        psis = np.array([_random_state(rng, dim * dim) for _ in range(6)]).reshape(2, 3, -1)
+        for sub in ("x", "y"):
+            rhos = ss.reduced_density(psis, sub, dim)
+            assert rhos.shape == (2, 3, dim, dim)
+            purities = ss.purity(rhos)
+            assert purities.shape == (2, 3)
+            for i in range(2):
+                for k in range(3):
+                    rho = ss.reduced_density(psis[i, k], sub, dim)
+                    assert np.array_equal(rhos[i, k], rho)
+                    assert type(ss.purity(rho)) is float
+                    assert purities[i, k] == pytest.approx(ss.purity(rho), rel=1e-14)
+        with pytest.raises(DimensionMismatch):
+            ss.reduced_density(np.ones((3, 5)), "x", 2)
+
+    def test_chunks_bound_the_rows_per_call(self):
+        # the benchmark's dense_sampling (two_j = 10) and exact_large_spin
+        # (two_j = 40) grids
+        chunks = time_chunks(4000, 121)
+        assert [c.stop - c.start for c in chunks[:-1]] == [541] * 7
+        assert chunks[-1] == slice(3787, 4328)
+        assert len(time_chunks(100, 1681)) == 3
+        assert time_chunks(100, 1681)[0] == slice(0, 38)
+        assert time_chunks(5, CHUNK + 1) == [slice(i, i + 1) for i in range(5)]
+        assert time_chunks(0, 121) == []

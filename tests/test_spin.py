@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinsemi as ss
+from spinsemi import spin
 from spinsemi.errors import NotHermitian, ScaleOverflow
+from spinsemi.models import _term_factors
 from spinsemi.spin import binom_sqrt_weights, derivs_from_factors
 
 
@@ -321,3 +323,107 @@ class TestFactoredDerivs:
             got = derivs(u, v)
             assert all(np.all(np.isfinite(x)) for x in got)
             assert max(_rel_errors(got, closed.derivs(u, v))) <= 1e-12
+
+
+def _point_phase_coupling_derivs(lam, sys):
+    """The phase-coupling closed forms as written for one point only,
+    unpacking u and v entry by entry (numpy scalar arithmetic)."""
+    j = sys.j
+    amp = lam * sys.hbar * j * j
+
+    def derivs(u, v):
+        ux, uy, vx, vy = u[0], u[1], v[0], v[1]
+        wx, wy = ux * vx, uy * vy
+        gx, gy = (1.0 - wx) / (1.0 + wx), (1.0 - wy) / (1.0 + wy)
+        dx, dy = -2.0 / (1.0 + wx) ** 2, -2.0 / (1.0 + wy) ** 2
+        d2x, d2y = 4.0 / (1.0 + wx) ** 3, 4.0 / (1.0 + wy) ** 3
+        grad = np.array([gy * dx * vx, gx * dy * vy, gy * dx * ux, gx * dy * uy])
+        h = np.empty((4, 4), dtype=complex)
+        h[0, 0] = gy * d2x * vx * vx
+        h[1, 1] = gx * d2y * vy * vy
+        h[2, 2] = gy * d2x * ux * ux
+        h[3, 3] = gx * d2y * uy * uy
+        h[0, 1] = h[1, 0] = dx * vx * dy * vy
+        h[0, 2] = h[2, 0] = gy * (d2x * ux * vx + dx)
+        h[0, 3] = h[3, 0] = dx * vx * dy * uy
+        h[1, 2] = h[2, 1] = dy * vy * dx * ux
+        h[1, 3] = h[3, 1] = gx * (d2y * uy * vy + dy)
+        h[2, 3] = h[3, 2] = dx * ux * dy * uy
+        return amp * gx * gy, amp * grad, amp * h
+
+    return derivs
+
+
+def _point_factored_derivs(sys, terms):
+    """derivs_from_factors as written for one point only: no leading axis."""
+    d, two_j = sys.dim, sys.two_j
+    coefficients = np.array([c for c, _, _ in terms], dtype=complex)
+    factors = np.array([[a for _, a, _ in terms], [b for _, _, b in terms]],
+                       dtype=complex).reshape(2, -1, d, d)
+    spec = spin._derivative_rows_spec(two_j)
+
+    def derivs(u, v):
+        args = np.concatenate([u, v]).astype(complex)
+        partners = np.concatenate([v, u]).astype(complex)
+        rows = spin._centered_rows(spec, args, partners, two_j)
+        kets, bras = rows[:2, None], rows[2:, None]
+        tables = bras @ (factors @ kets.transpose(0, 1, 3, 2))
+        mixed = two_j / (1.0 + args[:2] * partners[:2]) ** 2
+        tables[:, :, 1, 1] -= mixed[:, None] * tables[:, :, 0, 0]
+        tx, ty = tables.reshape(2, -1, 9)
+        g = (coefficients[:, None] * tx).T @ ty
+        return (g[0, 0], g[spin._ROW_STEP, spin._COL_STEP],
+                g[spin._HESS_ROWS, spin._HESS_COLS])
+
+    return derivs
+
+
+def _series_points(rng, n):
+    u, v = zip(*_near_real_points(rng, n))
+    return np.array(u), np.array(v)
+
+
+SERIES_MODELS = {
+    "phase_coupling": lambda sys: ss.phase_coupling_model(
+        ss.PhaseCouplingParams(lam=0.8, sys=sys)),
+    "dense_oracle": lambda sys: ss.htilde_from_operator(
+        sys, ss.build_operator_model(sys, OPERATOR_TERMS).operator),
+    **FACTORED_MODELS,
+}
+
+
+class TestSeriesContract:
+    @pytest.mark.parametrize("two_j", [1, 4, 10])
+    @pytest.mark.parametrize("name", sorted(SERIES_MODELS))
+    def test_series_rows_match_point_calls(self, name, two_j):
+        sys = ss.SpinSystem(two_j=two_j)
+        model = SERIES_MODELS[name](sys)
+        rng = np.random.default_rng(two_j)
+        for n in (1, 2, 7):
+            u, v = _series_points(rng, n)
+            series = model.derivs(u, v)
+            assert [x.shape for x in series] == [(n,), (n, 4), (n, 4, 4)]
+            for i in range(n):
+                point = model.derivs(u[i], v[i])
+                if name == "phase_coupling":
+                    # numpy rounds complex products of arrays (fused
+                    # multiply-add) and of scalars differently
+                    assert max(_rel_errors([x[i] for x in series], point)) <= 1e-12
+                else:
+                    assert all(np.array_equal(x[i], p) for x, p in zip(series, point))
+
+    @pytest.mark.parametrize("two_j", [1, 4, 40])
+    def test_single_point_keeps_the_point_arithmetic(self, two_j):
+        sys = ss.SpinSystem(two_j=two_j, hbar=0.7)
+        pairs = [
+            (ss.phase_coupling_model(ss.PhaseCouplingParams(lam=0.8, sys=sys)).derivs,
+             _point_phase_coupling_derivs(0.8, sys)),
+            (ss.build_operator_model(sys, OPERATOR_TERMS).derivs,
+             _point_factored_derivs(sys, _term_factors(sys, OPERATOR_TERMS))),
+        ]
+        rng = np.random.default_rng(two_j)
+        for derivs, point in pairs:
+            for u, v in _near_real_points(rng, 5):
+                got, want = derivs(u, v), point(u, v)
+                assert type(got[0]) is type(want[0])
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
