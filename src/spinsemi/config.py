@@ -39,15 +39,6 @@ CSV_COLUMNS = (
     "residual_im_psc",
 )
 
-# model name -> (required numeric params, optional keys)
-MODEL_PARAMS = {
-    "phase_coupling": ("lambda",),
-    "free_precession": ("b3",),
-    "exchange_coupling": ("lambda",),
-    "operator_terms": ("terms",),
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     system: SpinSystem
@@ -141,18 +132,19 @@ def parse_config(document):
     if not isinstance(ham, dict) or "model" not in ham:
         raise ValidationError("'hamiltonian.model' is required", key="hamiltonian.model")
     name = ham["model"]
-    if name not in MODEL_PARAMS:
+    if name not in MODELS:
         raise ValidationError(
-            f"unknown hamiltonian model '{name}'; available: {sorted(MODEL_PARAMS)}",
+            f"unknown hamiltonian model '{name}'; available: {sorted(MODELS)}",
             key="hamiltonian.model",
         )
-    _require_keys("hamiltonian", ham, allowed=("model",) + MODEL_PARAMS[name],
-                  required=("model",) + MODEL_PARAMS[name])
+    model_params = MODELS[name][0]
+    _require_keys("hamiltonian", ham, allowed=("model",) + model_params,
+                  required=("model",) + model_params)
     params = {}
     if name == "operator_terms":
         params["terms"] = _parse_terms(ham["terms"])
     else:
-        pname = MODEL_PARAMS[name][0]
+        pname = model_params[0]
         params[pname] = _number("hamiltonian", pname, ham[pname])
 
     ini = data["initial_state"]
@@ -195,7 +187,7 @@ def parse_config(document):
         _require_keys("sweep", sw, allowed=("parameter", "values"),
                       required=("parameter", "values"))
         pname = sw["parameter"]
-        if name == "operator_terms" or pname not in MODEL_PARAMS[name]:
+        if name == "operator_terms" or pname not in model_params:
             raise ValidationError(
                 f"sweep parameter '{pname}' is not a numeric parameter of model '{name}'",
                 key="sweep.parameter",
@@ -264,39 +256,50 @@ def _parse_terms(raw_terms):
     return terms
 
 
+def _operator_terms_model(system, params):
+    """A term list that does not assemble to a Hermitian operator is a
+    configuration mistake, so it surfaces as ValidationError."""
+    try:
+        return build_operator_model(system, params["terms"])
+    except NotHermitian as exc:
+        raise ValidationError(
+            f"'hamiltonian.terms' does not assemble to a Hermitian operator: {exc}",
+            key="hamiltonian.terms",
+        ) from exc
+
+
+# model name -> (parameters, summary, builder(system, params))
+MODELS = {
+    "phase_coupling": (
+        ("lambda",), "lambda (coupling rate); H = lambda hbar J3 (x) J3",
+        lambda system, p: phase_coupling_model(PhaseCouplingParams(lam=p["lambda"], sys=system)),
+    ),
+    "free_precession": (
+        ("b3",), "b3 (field); H = b3 (J3 (x) I + I (x) J3), non-interacting",
+        lambda system, p: free_precession_model(system, p["b3"]),
+    ),
+    "exchange_coupling": (
+        ("lambda",), "lambda; H = (lambda hbar / 2)(J+ (x) J- + J- (x) J+)",
+        lambda system, p: exchange_coupling_model(system, p["lambda"]),
+    ),
+    "operator_terms": (
+        ("terms",), "terms: list of {coefficient, x: [kind, power], y: [kind, power]}",
+        _operator_terms_model,
+    ),
+}
+
+
 def build_model(cfg, override=None):
     """Instantiate the configured Hamiltonian model.
 
     override, when given, is a (param_name, value) pair from a sweep.
-    A term list that does not assemble to a Hermitian operator is a
-    configuration mistake, so it surfaces as ValidationError here.
     """
     params = dict(cfg.model_params)
     if override is not None:
         params[override[0]] = override[1]
-    name = cfg.model_name
-    if name == "phase_coupling":
-        return phase_coupling_model(PhaseCouplingParams(lam=params["lambda"], sys=cfg.system))
-    if name == "free_precession":
-        return free_precession_model(cfg.system, params["b3"])
-    if name == "exchange_coupling":
-        return exchange_coupling_model(cfg.system, params["lambda"])
-    if name == "operator_terms":
-        try:
-            return build_operator_model(cfg.system, params["terms"])
-        except NotHermitian as exc:
-            raise ValidationError(
-                f"'hamiltonian.terms' does not assemble to a Hermitian operator: {exc}",
-                key="hamiltonian.terms",
-            ) from exc
-    raise ValidationError(f"unknown model '{name}'", key="hamiltonian.model")
+    return MODELS[cfg.model_name][2](cfg.system, params)
 
 
 def available_models():
     """Name -> parameter summary of the built-in Hamiltonians."""
-    return {
-        "phase_coupling": "lambda (coupling rate); H = lambda hbar J3 (x) J3",
-        "free_precession": "b3 (field); H = b3 (J3 (x) I + I (x) J3), non-interacting",
-        "exchange_coupling": "lambda; H = (lambda hbar / 2)(J+ (x) J- + J- (x) J+)",
-        "operator_terms": "terms: list of {coefficient, x: [kind, power], y: [kind, power]}",
-    }
+    return {name: summary for name, (_, summary, _) in MODELS.items()}

@@ -19,7 +19,7 @@ from .spin import (
     SpinSystem,
     binom_sqrt_weights,
     build_spin_operators,
-    derivs_from_factors,
+    derivs_from_terms,
 )
 
 
@@ -216,13 +216,17 @@ class OperatorTerm:
         for name, (kind, power) in (("factor_x", self.factor_x), ("factor_y", self.factor_y)):
             if kind not in self._KINDS:
                 raise ValueError(f"{name} kind must be one of {self._KINDS}, got {kind!r}")
-            if power < 0 or int(power) != power:
+            if isinstance(power, bool) or not isinstance(power, int) or power < 0:
                 raise ValueError(f"{name} power must be a non-negative integer")
 
 
 def _factor_matrix(ops, kind, power):
-    jplus, jminus, j3 = ops
-    base = {"J+": jplus, "J-": jminus, "J3": j3, "I": np.eye(j3.shape[0], dtype=complex)}
+    jplus, _, j3 = ops
+    if kind == "J-":
+        # the adjoint of J+^power to the last bit, so that a term list closed
+        # under conjugation assembles to an exactly Hermitian matrix
+        return _factor_matrix(ops, "J+", power).conj().T
+    base = {"J+": jplus, "J3": j3, "I": np.eye(j3.shape[0], dtype=complex)}
     return np.linalg.matrix_power(base[kind], power)
 
 
@@ -248,15 +252,14 @@ def build_operator_model(sys, terms, label="operator_terms"):
     """Generic Hamiltonian from operator terms (stress-test path).
 
     The term list must assemble to a Hermitian operator (i.e. be closed
-    under conjugation). The classical function is evaluated from the
-    per-subsystem factor matrices (derivs_from_factors), never from the
-    assembled joint matrix.
+    under conjugation); the assembled joint matrix serves that check and
+    the exact engine. The classical function comes from the closed-form
+    symbols of the terms' factors (derivs_from_terms), never from a matrix.
     """
     op = assemble_operator(sys, terms)
     require_hermitian(op)
-    return HamiltonianModel(
-        derivs_from_factors(sys, _term_factors(sys, terms)), lambda: op, label=label,
-    )
+    triples = [(term.coefficient, term.factor_x, term.factor_y) for term in terms]
+    return HamiltonianModel(derivs_from_terms(sys, triples), lambda: op, label=label)
 
 
 def free_precession_model(sys, b3):

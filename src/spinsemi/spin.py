@@ -79,11 +79,11 @@ class HamiltonianModel:
     giving (n,), (n, 4) and (n, 4, 4). htilde, grad and hess are views of
     derivs for callers that need one piece.
 
-    Models built from operator terms evaluate derivs from per-subsystem
-    factor matrices (derivs_from_factors). The dense joint-space path
-    (htilde_from_operator) serves arbitrary joint operators and is the test
-    oracle of the factored one; the phase-coupling closed forms are the
-    oracle of both.
+    Models built from operator terms evaluate derivs from the closed-form
+    coherent-state symbols of their factors (derivs_from_terms), at a cost
+    that does not depend on j. The dense joint-space path
+    (htilde_from_operator) serves arbitrary joint operators and is their
+    test oracle; the phase-coupling closed forms are the oracle of both.
 
     operator is a zero-argument callable returning the joint-space matrix.
     It runs once, on the first read of the operator property, so purely
@@ -165,57 +165,6 @@ def product_coherent(sys, label):
     return np.kron(coherent_vector(sys, label.sx), coherent_vector(sys, label.sy))
 
 
-def _derivative_rows_spec(two_j):
-    """Coefficients and powers of the polynomial ket's value and first two
-    derivative rows: row r, component n is coef[r, n] a^powers[r, n] with
-    coef = sqrt(binomial(2j, n)) times 1, n and n(n-1). The derivative rows
-    carry the shifted powers explicitly (no division by a); where n < r the
-    coefficient vanishes and the power is clipped at 0."""
-    n = np.arange(two_j + 1)
-    w = binom_sqrt_weights(two_j)
-    coef = np.array([w, w * n, w * n * (n - 1)])
-    powers = np.maximum(n - np.arange(3)[:, None], 0)
-    return coef, powers
-
-
-def _derivative_rows(spec, a):
-    """Value, first and second derivative rows of the unnormalized
-    polynomial ket (component n is binom(2j,n)^{1/2} a^n) at each complex
-    argument in the 1-d array a; shape (len(a), 3, 2j+1)."""
-    coef, powers = spec
-    return coef * a[:, None, None] ** powers
-
-
-def _centered_rows(spec, a, b, two_j):
-    """Derivative rows in a of the normalized kets |a) / (1 + a b)^j.
-
-    a and b are 1-d arrays of arguments and their partners. Row r is
-    d^r/da^r of the ket together with its share (1 + a b)^-j of the
-    normalization; its component n is binom(2j,n)^{1/2} a^(n-r) D_r(n),
-    with D_r a polynomial in the distance n - <n> from the mean
-    <n> = 2j a b / (1 + a b). Writing the rows in n - <n> keeps the large
-    terms that cancel near the mean out of the sums over n, and the
-    division keeps two_j in the hundreds inside double range.
-    """
-    coef, powers = spec
-    n = np.arange(coef.shape[1])
-    p = 1.0 + a * b
-    lg = two_j * b / p              # d/da of ln (1 + a b)^{2j}
-    curv = two_j * b * b / (p * p)  # minus its second derivative
-    delta = n - (lg * a)[:, None]
-    poly = np.empty((a.size,) + coef.shape, dtype=complex)
-    poly[:, 0] = 1.0
-    poly[:, 1] = delta
-    poly[:, 2] = delta * delta - n + (curv * a * a)[:, None]
-    # components n < r, where the power of a is clipped at 0
-    poly[:, 1, 0] = -lg
-    poly[:, 2, 0] = lg * lg + curv
-    if n.size > 1:
-        poly[:, 2, 1] = (lg * lg + curv) * a - 2.0 * lg
-    rows = coef[0] * a[:, None, None] ** powers * poly
-    return rows / (p ** (0.5 * two_j))[:, None, None]
-
-
 # Variable (ux, uy, vx, vy) -> the derivative order it raises, as a flat
 # offset into the 9 x 9 table g[(cx, ax), (cy, ay)] of bra orders c and
 # ket orders a: ux raises ax, uy raises ay, vx raises cx, vy raises cy.
@@ -225,41 +174,95 @@ _HESS_ROWS = _ROW_STEP[:, None] + _ROW_STEP[None, :]
 _HESS_COLS = _COL_STEP[:, None] + _COL_STEP[None, :]
 
 
-def derivs_from_factors(sys, terms):
-    """Classical derivs of H = sum_t c_t A_t (x) B_t from d x d factors.
+def _factor_symbol(two_j, kind, power):
+    """Symbol (v|A|u) / (v|u) of A = kind^power on one spin, in closed form.
 
-    terms is a sequence of (c_t, A_t, B_t). htilde is
-    sum_t c_t phi_t^x phi_t^y with phi_t^k = (v_k|A|u_k) / (1 + u_k v_k)^{2j}
-    (B in place of A for k = y), so each point needs per term and subsystem
-    one 3x3 table of phi's partials, indexed by bra (v) and ket (u)
-    derivative order; the (2j+1)^2 joint space is never touched.
+    Returned as {(a, b, c, e): coefficient} over the monomials
+    u^a v^b r^c z^e, with r = 1 / (1 + uv) and z = (uv - 1) / (uv + 1).
+    J+^p gives (2j)_p v^p r^p and J-^p gives (2j)_p u^p r^p, with (2j)_p the
+    falling factorial (zero for p > 2j). J3^p gives the p-th moment s_p of
+    n - j for n binomial(2j, (1 + z) / 2), by the recursion
+    s_{p+1} = j z s_p + (1 - z^2) / 2 ds_p/dz from s_0 = 1. I gives 1.
+    (Arecchi, Courtens, Gilmore & Thomas, Phys. Rev. A 6, 2211 (1972).)
     """
-    d, two_j = sys.dim, sys.two_j
-    coefficients = np.array([c for c, _, _ in terms], dtype=complex)
-    # factors[k, t] is term t's matrix on subsystem k
-    factors = np.array([[a for _, a, _ in terms], [b for _, _, b in terms]],
-                       dtype=complex).reshape(2, -1, d, d)
-    spec = _derivative_rows_spec(two_j)
+    if kind == "J3":
+        s = np.ones(1)  # coefficients of z^0, z^1, ...
+        for _ in range(power):
+            ds = np.arange(1, len(s)) * s[1:]
+            s = np.pad(0.5 * two_j * s, (1, 0)) + 0.5 * (np.pad(ds, (0, 2)) - np.pad(ds, (2, 0)))
+        return {(0, 0, 0, e): c for e, c in enumerate(s) if c}
+    if kind == "I":
+        return {(0, 0, 0, 0): 1.0}
+    scale = float(math.prod(range(two_j, two_j - power, -1)))
+    return {(0, power, power, 0) if kind == "J+" else (power, 0, power, 0): scale}
+
+
+def _partial(poly, var):
+    """d/du (var 0) or d/dv (var 1) of a symbol polynomial. r and z depend
+    on uv alone: dr/d(uv) = -r^2 and dz/d(uv) = 2 r^2."""
+    out = {}
+    for (a, b, c, e), k in poly.items():
+        own = (a - 1 + var, b - var)  # the explicit power, lowered
+        via = (a + var, b + 1 - var)  # times d(uv)/du = v or d(uv)/dv = u
+        for weight, mono in (((a, b)[var], own + (c, e)),
+                             (-c, via + (c + 1, e)),
+                             (2 * e, via + (c + 2, e - 1))):
+            if weight:
+                out[mono] = out.get(mono, 0.0) + weight * k
+    return out
+
+
+def _symbol_partials(poly):
+    """The 9 partials d^c/dv^c d^a/du^a (c, a <= 2) of a symbol, at flat
+    index 3 c + a."""
+    out = [poly, _partial(poly, 0)]
+    out.append(_partial(out[1], 0))
+    for i in range(6):  # d/dv of the entry one bra order lower
+        out.append(_partial(out[i], 1))
+    return out
+
+
+def derivs_from_terms(sys, terms):
+    """Classical derivs of H = sum_t c_t A_t (x) B_t from closed-form symbols.
+
+    terms is a sequence of (c_t, (kind, power) of A_t, (kind, power) of B_t),
+    kind one of J+ J- J3 I. htilde is sum_t c_t phi_t^x phi_t^y, with
+    phi_t^k the symbol of the term's factor on subsystem k (_factor_symbol).
+    Each symbol's 9 partials in (u_k, v_k) are differentiated once, here,
+    into one coefficient table over shared monomials; a call evaluates the
+    monomials at each point and contracts them with that table, so its cost
+    does not depend on j and no (2j+1)-dimensional vector is formed.
+    """
+    # partials[k][9 t + 3 c + a]: d^c/dv_k^c d^a/du_k^a of phi_t^k
+    partials = [[p for factor in factors
+                 for p in _symbol_partials(_factor_symbol(sys.two_j, *factor))]
+                for factors in ([x for _, x, _ in terms], [y for _, _, y in terms])]
+    monomials = sorted({mono for side in partials for p in side for mono in p})
+    index = {mono: i for i, mono in enumerate(monomials)}
+    # powers[q, 0, 0, i]: exponent of variable q = u, v, r, z in monomial i
+    powers = np.array(monomials, dtype=int).reshape(-1, 4).T.reshape(4, 1, 1, -1)
+    # coefficients[k, i, col]: monomial i in partials[k][col], times c_t on x
+    coefficients = np.zeros((2, len(monomials), 9 * len(terms)), dtype=complex)
+    for k, side in enumerate(partials):
+        for col, partial in enumerate(side):
+            for mono, coef in partial.items():
+                coefficients[k, index[mono], col] = coef
+    coefficients[0] *= np.repeat([complex(c) for c, _, _ in terms], 9)
 
     def derivs(u, v):
-        # m points, one row (ux, uy, vx, vy) each; m = 1 for a single point
-        args = np.concatenate([u, v], axis=-1).astype(complex).reshape(-1, 4)
-        partners = np.concatenate([v, u], axis=-1).astype(complex).reshape(-1, 4)
-        m = len(args)
-        _range_guard(sys, np.max(np.abs(args)))
-        rows = _centered_rows(spec, args.ravel(), partners.ravel(), two_j)
-        rows = rows.reshape(m, 4, 3, d)
-        kets, bras = rows[:, :2, None], rows[:, 2:, None]
-        # tables[i, k, t, c, a]: d^c/dv_k^c d^a/du_k^a of phi_t^k at point i
-        tables = bras @ (factors @ kets.transpose(0, 1, 2, 4, 3))
-        # the mixed partial also differentiates the bra's normalization in u
-        mixed = two_j / (1.0 + args[:, :2] * partners[:, :2]) ** 2
-        tables[:, :, :, 1, 1] -= mixed[:, :, None] * tables[:, :, :, 0, 0]
-        tables = tables.reshape(m, 2, -1, 9)
-        tx, ty = tables[:, 0], tables[:, 1]
-        g = (coefficients[:, None] * tx).transpose(0, 2, 1) @ ty
+        # m points, m = 1 for a single one
+        point = np.ndim(u) == 1
+        u = np.asarray(u, dtype=complex).reshape(-1, 2)
+        v = np.asarray(v, dtype=complex).reshape(-1, 2)
+        w = u * v
+        r = 1.0 / (1.0 + w)
+        # values[i, k, l]: monomial l at (u_k, v_k) of point i
+        values = (np.array([u, v, r, (w - 1.0) * r])[..., None] ** powers).prod(axis=0)
+        # tables[i, k, t, 3 c + a]: d^c/dv_k^c d^a/du_k^a of c_t phi_t^k
+        tables = (values[:, :, None] @ coefficients).reshape(len(u), 2, -1, 9)
+        g = tables[:, 0].transpose(0, 2, 1) @ tables[:, 1]
         h, grad, hess = g[:, 0, 0], g[:, _ROW_STEP, _COL_STEP], g[:, _HESS_ROWS, _HESS_COLS]
-        if np.ndim(u) == 1:
+        if point:
             return h[0], grad[0], hess[0]
         return h, grad, hess
 
@@ -273,7 +276,9 @@ def htilde_from_operator(sys, h_op):
     unnormalized polynomial ket and (v| the matching bra row built from the
     v powers without conjugation. Gradients and Hessians are assembled from
     explicit derivative component vectors, exactly. This dense path works
-    for any joint operator and is the oracle of derivs_from_factors.
+    for any joint operator and is the oracle of derivs_from_terms near the
+    real submanifold; far from it, (v|H|u) is a sum of terms much larger
+    than itself and the path loses its accuracy as j grows.
     """
     h_op = np.asarray(h_op, dtype=complex)
     if h_op.shape != (sys.joint_dim, sys.joint_dim):
@@ -282,31 +287,23 @@ def htilde_from_operator(sys, h_op):
         )
     require_hermitian(h_op)
     two_j = sys.two_j
-    spec = _derivative_rows_spec(two_j)
+    # row r of the polynomial ket's value and first two derivatives has
+    # component n = coef[r, n] a^powers[r, n]: sqrt(binomial(2j, n)) times
+    # 1, n and n(n-1), with the power clipped at 0 where coef vanishes
+    n = np.arange(two_j + 1)
+    w = binom_sqrt_weights(two_j)
+    coef = np.array([w, w * n, w * n * (n - 1)])
+    powers = np.maximum(n - np.arange(3)[:, None], 0)
+    orders = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 
     def pieces(u, v):
         args = np.array([u[0], u[1], v[0], v[1]], dtype=complex)
         for a in args:
             _range_guard(sys, a)
-        kx, ky, bx, by = _derivative_rows(spec, args)
-        # kets by derivative order (ax, ay); bras by (cx, cy)
-        kets = {
-            (0, 0): np.kron(kx[0], ky[0]),
-            (1, 0): np.kron(kx[1], ky[0]),
-            (0, 1): np.kron(kx[0], ky[1]),
-            (2, 0): np.kron(kx[2], ky[0]),
-            (1, 1): np.kron(kx[1], ky[1]),
-            (0, 2): np.kron(kx[0], ky[2]),
-        }
-        bras = {
-            (0, 0): np.kron(bx[0], by[0]),
-            (1, 0): np.kron(bx[1], by[0]),
-            (0, 1): np.kron(bx[0], by[1]),
-            (2, 0): np.kron(bx[2], by[0]),
-            (1, 1): np.kron(bx[1], by[1]),
-            (0, 2): np.kron(bx[0], by[2]),
-        }
-        hk = {key: h_op @ ket for key, ket in kets.items()}
+        kx, ky, bx, by = coef * args[:, None, None] ** powers
+        # bras by derivative order (cx, cy); H times kets by (ax, ay)
+        bras = {(a, b): np.kron(bx[a], by[b]) for a, b in orders}
+        hk = {(a, b): h_op @ np.kron(kx[a], ky[b]) for a, b in orders}
         return bras, hk
 
     def log_norm_derivs(u, v):
@@ -325,9 +322,6 @@ def htilde_from_operator(sys, h_op):
         l2[1, 3] = l2[3, 1] = two_j / py ** 2
         return l1, l2
 
-    def norm_factor(u, v):
-        return ((1.0 + u[0] * v[0]) * (1.0 + u[1] * v[1])) ** two_j
-
     # variable index -> (bra order, ket order) increment
     _BUMP = {0: ((0, 0), (1, 0)), 1: ((0, 0), (0, 1)),
              2: ((1, 0), (0, 0)), 3: ((0, 1), (0, 0))}
@@ -337,10 +331,7 @@ def htilde_from_operator(sys, h_op):
             return bras[bra_key] @ hk[ket_key]
 
         f0 = f((0, 0), (0, 0))
-        f1 = np.empty(4, dtype=complex)
-        for a in range(4):
-            b, k = _BUMP[a]
-            f1[a] = f(b, k)
+        f1 = np.array([f(*_BUMP[a]) for a in range(4)], dtype=complex)
         f2 = np.empty((4, 4), dtype=complex)
         for a in range(4):
             for b in range(a, 4):
@@ -354,7 +345,7 @@ def htilde_from_operator(sys, h_op):
     def point_derivs(u, v):
         f0, f1, f2 = f_derivs(*pieces(u, v))
         l1, l2 = log_norm_derivs(u, v)
-        nrm = norm_factor(u, v)
+        nrm = ((1.0 + u[0] * v[0]) * (1.0 + u[1] * v[1])) ** two_j
         hess = (
             f2
             - np.outer(f1, l1)

@@ -291,6 +291,14 @@ class TestOperatorModels:
         with pytest.raises(ValueError):
             ss.OperatorTerm(1.0, ("J3", -1), ("I", 0))
 
+    @pytest.mark.parametrize("power", [2.0, True])
+    def test_term_power_must_be_an_int(self, power):
+        # as in a config file, where [kind, power] needs an integer power
+        with pytest.raises(ValueError):
+            ss.OperatorTerm(1.0, ("J3", power), ("I", 0))
+        with pytest.raises(ValueError):
+            ss.OperatorTerm(1.0, ("I", 0), ("J+", power))
+
     def test_assemble_powers(self):
         sys = ss.SpinSystem(two_j=2)
         jp, jm, j3 = ss.build_spin_operators(sys)

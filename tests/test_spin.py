@@ -7,7 +7,7 @@ import spinsemi as ss
 from spinsemi import spin
 from spinsemi.errors import NotHermitian, ScaleOverflow
 from spinsemi.models import _term_factors
-from spinsemi.spin import binom_sqrt_weights, derivs_from_factors
+from spinsemi.spin import binom_sqrt_weights, derivs_from_terms
 
 
 def _j1_j2(sys):
@@ -242,13 +242,17 @@ def test_binom_weights_match_exact():
 
 
 # Terms with powers and complex coefficients; the J3 (x) J+- pair keeps the
-# function non-constant at two_j = 1, where J+^2 vanishes and J3^2 is 1/4.
+# function non-constant at two_j = 1, where J+^2 and J-^3 vanish (powers
+# above 2j) and J3^2 is 1/4.
 OPERATOR_TERMS = [
     ss.OperatorTerm(0.3 + 0.7j, ("J+", 2), ("J-", 2)),
     ss.OperatorTerm(0.3 - 0.7j, ("J-", 2), ("J+", 2)),
     ss.OperatorTerm(1.1, ("J3", 2), ("I", 0)),
     ss.OperatorTerm(0.4 - 0.2j, ("J3", 1), ("J+", 1)),
     ss.OperatorTerm(0.4 + 0.2j, ("J3", 1), ("J-", 1)),
+    ss.OperatorTerm(-0.6, ("I", 0), ("J3", 3)),
+    ss.OperatorTerm(0.2 - 0.5j, ("J-", 3), ("J3", 1)),
+    ss.OperatorTerm(0.2 + 0.5j, ("J+", 3), ("J3", 1)),
 ]
 
 FACTORED_MODELS = {
@@ -277,7 +281,7 @@ def _rel_errors(got, want):
 
 
 class TestFactoredDerivs:
-    @pytest.mark.parametrize("two_j", [1, 2, 5, 10, 40])
+    @pytest.mark.parametrize("two_j", [1, 2, 4, 5, 10, 40])
     @pytest.mark.parametrize("name", sorted(FACTORED_MODELS))
     def test_matches_dense_oracle(self, name, two_j):
         sys = ss.SpinSystem(two_j=two_j)
@@ -312,8 +316,7 @@ class TestFactoredDerivs:
     def test_large_spin_stays_finite_and_matches_closed_form(self):
         # unnormalized, (v|J3 (x) J3|u) is about (1 + |s|^2)^{4j} ~ 1e430 here
         sys = ss.SpinSystem(two_j=1000)
-        j3 = np.diag(np.arange(sys.dim) - sys.j).astype(complex)
-        derivs = derivs_from_factors(sys, [(1.0, j3, j3)])
+        derivs = derivs_from_terms(sys, [(1.0, ("J3", 1), ("J3", 1))])
         closed = ss.phase_coupling_model(ss.PhaseCouplingParams(lam=1.0, sys=sys))
         rng = np.random.default_rng(1000)
         for _ in range(4):
@@ -354,24 +357,67 @@ def _point_phase_coupling_derivs(lam, sys):
     return derivs
 
 
+def _centered_rows(spec, a, b, two_j):
+    """Derivative rows in a of the normalized kets |a) / (1 + a b)^j.
+
+    a and b are 1-d arrays of arguments and their partners. Row r is
+    d^r/da^r of the ket together with its share (1 + a b)^-j of the
+    normalization; its component n is binom(2j,n)^{1/2} a^(n-r) D_r(n),
+    with D_r a polynomial in the distance n - <n> from the mean
+    <n> = 2j a b / (1 + a b). Writing the rows in n - <n> keeps the large
+    terms that cancel near the mean out of the sums over n, and the
+    division keeps two_j in the hundreds inside double range.
+    """
+    coef, powers = spec
+    n = np.arange(coef.shape[1])
+    p = 1.0 + a * b
+    lg = two_j * b / p              # d/da of ln (1 + a b)^{2j}
+    curv = two_j * b * b / (p * p)  # minus its second derivative
+    delta = n - (lg * a)[:, None]
+    poly = np.empty((a.size,) + coef.shape, dtype=a.dtype)
+    poly[:, 0] = 1.0
+    poly[:, 1] = delta
+    poly[:, 2] = delta * delta - n + (curv * a * a)[:, None]
+    # components n < r, where the power of a is clipped at 0
+    poly[:, 1, 0] = -lg
+    poly[:, 2, 0] = lg * lg + curv
+    if n.size > 1:
+        poly[:, 2, 1] = (lg * lg + curv) * a - 2.0 * lg
+    rows = coef[0] * a[:, None, None] ** powers * poly
+    return rows / (p ** (0.5 * two_j))[:, None, None]
+
+
 def _point_factored_derivs(sys, terms):
-    """derivs_from_factors as written for one point only: no leading axis."""
+    """The factored path: derivs of sum_t c_t A_t (x) B_t at one point from
+    the d x d factor matrices, contracted with (2j+1)-long centred
+    derivative rows. It never forms the joint matrix, so it is the oracle of
+    derivs_from_terms at spins the dense path cannot reach. It runs in
+    extended precision: in doubles its own rounding grows with j, to 1e-10
+    of the Hessian at two_j = 1000 near the real submanifold.
+
+    terms is a sequence of (c_t, A_t, B_t), as models._term_factors gives.
+    """
     d, two_j = sys.dim, sys.two_j
-    coefficients = np.array([c for c, _, _ in terms], dtype=complex)
+    coefficients = np.array([c for c, _, _ in terms], dtype=np.clongdouble)
     factors = np.array([[a for _, a, _ in terms], [b for _, _, b in terms]],
-                       dtype=complex).reshape(2, -1, d, d)
-    spec = spin._derivative_rows_spec(two_j)
+                       dtype=np.clongdouble).reshape(2, -1, d, d)
+    n = np.arange(d)
+    ratios = (two_j - n[:-1]).astype(np.longdouble) / (n[:-1] + 1)
+    weights = np.cumprod(np.sqrt(np.concatenate([[np.longdouble(1.0)], ratios])))
+    spec = (np.array([weights, weights * n, weights * n * (n - 1)]),
+            np.maximum(n - np.arange(3)[:, None], 0))
 
     def derivs(u, v):
-        args = np.concatenate([u, v]).astype(complex)
-        partners = np.concatenate([v, u]).astype(complex)
-        rows = spin._centered_rows(spec, args, partners, two_j)
+        args = np.concatenate([u, v]).astype(np.clongdouble)
+        partners = np.concatenate([v, u]).astype(np.clongdouble)
+        rows = _centered_rows(spec, args, partners, two_j)
         kets, bras = rows[:2, None], rows[2:, None]
         tables = bras @ (factors @ kets.transpose(0, 1, 3, 2))
+        # the mixed partial also differentiates the bra's normalization in u
         mixed = two_j / (1.0 + args[:2] * partners[:2]) ** 2
         tables[:, :, 1, 1] -= mixed[:, None] * tables[:, :, 0, 0]
         tx, ty = tables.reshape(2, -1, 9)
-        g = (coefficients[:, None] * tx).T @ ty
+        g = ((coefficients[:, None] * tx).T @ ty).astype(complex)
         return (g[0, 0], g[spin._ROW_STEP, spin._COL_STEP],
                 g[spin._HESS_ROWS, spin._HESS_COLS])
 
@@ -415,15 +461,73 @@ class TestSeriesContract:
     @pytest.mark.parametrize("two_j", [1, 4, 40])
     def test_single_point_keeps_the_point_arithmetic(self, two_j):
         sys = ss.SpinSystem(two_j=two_j, hbar=0.7)
-        pairs = [
-            (ss.phase_coupling_model(ss.PhaseCouplingParams(lam=0.8, sys=sys)).derivs,
-             _point_phase_coupling_derivs(0.8, sys)),
-            (ss.build_operator_model(sys, OPERATOR_TERMS).derivs,
-             _point_factored_derivs(sys, _term_factors(sys, OPERATOR_TERMS))),
-        ]
+        closed = ss.phase_coupling_model(ss.PhaseCouplingParams(lam=0.8, sys=sys)).derivs
+        point = _point_phase_coupling_derivs(0.8, sys)
+        terms = ss.build_operator_model(sys, OPERATOR_TERMS).derivs
+        factored = _point_factored_derivs(sys, _term_factors(sys, OPERATOR_TERMS))
         rng = np.random.default_rng(two_j)
-        for derivs, point in pairs:
-            for u, v in _near_real_points(rng, 5):
-                got, want = derivs(u, v), point(u, v)
-                assert type(got[0]) is type(want[0])
-                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        for u, v in _near_real_points(rng, 5):
+            got, want = closed(u, v), point(u, v)
+            assert type(got[0]) is type(want[0])
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            # the symbols' arithmetic differs from the factored path's
+            got, want = terms(u, v), factored(u, v)
+            assert type(got[0]) is type(want[0])
+            assert max(_rel_errors(got, want)) <= 1e-12
+
+
+def _explicit_symbol(sys, kind, power, u, v):
+    """(v|A|u) / (1 + uv)^{2j} for A = kind^power as a (2j+1)-term sum."""
+    weights = binom_sqrt_weights(sys.two_j)
+    n = np.arange(sys.dim)
+    jplus, jminus, j3 = ss.build_spin_operators(sys)
+    base = {"J+": jplus, "J-": jminus, "J3": j3, "I": np.eye(sys.dim)}[kind]
+    bra, ket = weights * v ** n, weights * u ** n
+    return bra @ np.linalg.matrix_power(base, power) @ ket / (1.0 + u * v) ** sys.two_j
+
+
+class TestSymbols:
+    FACTORS = ([("J3", p) for p in range(6)] + [("J+", a) for a in range(4)]
+               + [("J-", a) for a in range(4)] + [("I", 0)])
+
+    @pytest.mark.parametrize("two_j", [1, 2, 6, 11])
+    def test_factor_symbols_match_explicit_sums(self, two_j):
+        # |uv| <= 0.25 keeps the explicit sums well conditioned, with v
+        # independent of u, off the real submanifold v = conj(u)
+        sys = ss.SpinSystem(two_j=two_j)
+        rng = np.random.default_rng(two_j)
+        for kind, power in self.FACTORS:
+            derivs = derivs_from_terms(sys, [(1.0, (kind, power), ("I", 0))])
+            for _ in range(4):
+                u, v = 0.5 * rng.uniform(0.1, 1.0, 2) * np.exp(2j * np.pi * rng.random(2))
+                h = derivs(np.array([u, 0.3]), np.array([v, -0.2j]))[0]
+                want = _explicit_symbol(sys, kind, power, u, v)
+                if kind != "J3" and power > two_j:
+                    assert h == 0.0 and abs(want) == 0.0
+                else:
+                    assert abs(h - want) <= 1e-12 * abs(want), (kind, power)
+
+    @pytest.mark.parametrize("two_j", [40, 1000])
+    def test_j3_j3_matches_phase_coupling_off_the_submanifold(self, two_j):
+        # the factored and dense paths lose all accuracy at such points
+        sys = ss.SpinSystem(two_j=two_j, hbar=0.7)
+        derivs = derivs_from_terms(sys, [(1.3 * sys.hbar, ("J3", 1), ("J3", 1))])
+        closed = ss.phase_coupling_model(ss.PhaseCouplingParams(lam=1.3, sys=sys))
+        rng = np.random.default_rng(two_j)
+        for _ in range(10):
+            u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            assert max(_rel_errors(derivs(u, v), closed.derivs(u, v))) <= 1e-12
+
+    def test_exchange_at_large_spin_matches_factored_oracle(self):
+        # a joint matrix of this spin would take 16 TB
+        sys = ss.SpinSystem(two_j=1000)
+        c = 0.4 - 0.3j
+        terms = [ss.OperatorTerm(c, ("J+", 1), ("J-", 1)),
+                 ss.OperatorTerm(np.conj(c), ("J-", 1), ("J+", 1))]
+        derivs = derivs_from_terms(sys, [(t.coefficient, t.factor_x, t.factor_y)
+                                         for t in terms])
+        factored = _point_factored_derivs(sys, _term_factors(sys, terms))
+        rng = np.random.default_rng(1000)
+        for u, v in _near_real_points(rng, 3):
+            assert max(_rel_errors(derivs(u, v), factored(u, v))) <= 1e-12
