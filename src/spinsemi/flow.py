@@ -12,7 +12,9 @@ doubles as an integrator diagnostic. The stability matrix is co-integrated
 with the trajectory in one ODE system (20 complex components), which keeps
 its determinant identity accurate to integrator tolerance; one integration
 per trajectory gives both, at any sample times, from the integrator's
-dense output.
+dense output. Its right-hand side, _field_and_stability, is the one place
+the field and its Jacobian are formed: one model.derivs call, then scalar
+arithmetic; field_and_jacobian evaluates it at M = I.
 """
 
 from dataclasses import dataclass, replace
@@ -142,54 +144,51 @@ class Trajectory:
         return float(np.max(np.abs(self.ys[:, 2:] - np.conj(self.ys[:, :2]))))
 
 
-def _chart_factors(y):
-    p = 1.0 + y[:2] * y[2:4]
-    smallest = np.abs(p).min()
+def require_chart(smallest):
+    """Raise ChartSingularity if smallest, the least |1 + u_k v_k| of a state
+    or a series of them, is below CHART_TOL."""
     if smallest < CHART_TOL:
         raise ChartSingularity(f"|1 + u_k v_k| = {smallest:.3e} below {CHART_TOL}")
-    return p
 
 
-def _phase_space_derivs(model, y):
-    """Chart factors, gradient and Hessian at packed state y: the one
-    model.derivs call that the field and its Jacobian share."""
-    p = _chart_factors(y)
+def _field_and_stability(sys, model, y, out):
+    """Right-hand side of the 20-component (u, v, M) system, written into out.
+
+    From one model.derivs call (gradient g and Hessian hss, ordered u_x,
+    u_y, v_x, v_y), with p_k = 1 + u_k v_k and c = 1 / (2 i hbar j):
+    udot_k = c p_k^2 g[v_k] and vdot_k = -c p_k^2 g[u_k]. Each Jacobian row
+    keeps its field row's sign: c p_k^2 times the Hessian row of its g
+    entry, plus that entry times c d(p_k^2) = 2 c p_k (v_k du_k + u_k dv_k).
+    The rest is scalar arithmetic with no scratch array; out[:4] gets the
+    field and out[4:] dM/dt = J M, with M = y[4:] row-major.
+    """
+    ux, uy, vx, vy = y[:4].tolist()
+    px = 1.0 + ux * vx
+    py = 1.0 + uy * vy
+    require_chart(min(abs(px), abs(py)))
     _, g, hss = model.derivs(y[:2], y[2:4])
-    return p, g, hss
-
-
-def _field(sys, p, g):
-    pref = p ** 2 / (2j * sys.hbar_j)  # 2j is the imaginary literal 2i
-    return np.concatenate([pref * g[2:4], -pref * g[:2]])
-
-
-# Row r of the Jacobian differentiates udot_0, udot_1, vdot_0, vdot_1: the
-# chart factor p_k and gradient entry it carries, and its sign.
-_ROW_CHART = np.array([0, 1, 0, 1])
-_ROW_GRAD = np.array([2, 3, 0, 1])
-_ROW_SIGN = np.array([1.0, 1.0, -1.0, -1.0])
-
-
-def _jacobian(sys, y, p, g, hss):
-    """d(field)/dy: p_k^2 times the Hessian rows plus the derivative of
-    p_k^2, which only u_k and v_k touch, times the gradient entry."""
-    dp2 = np.zeros((2, 4), dtype=complex)
-    dp2[[0, 1], [0, 1]] = 2.0 * y[2:4] * p   # d(p_k^2)/du_k
-    dp2[[0, 1], [2, 3]] = 2.0 * y[:2] * p    # d(p_k^2)/dv_k
-    rows = (p[_ROW_CHART, None] ** 2 * hss[_ROW_GRAD]
-            + g[_ROW_GRAD, None] * dp2[_ROW_CHART])
-    return _ROW_SIGN[:, None] * rows / (2j * sys.hbar_j)
+    gux, guy, gvx, gvy = g.tolist()
+    hux, huy, hvx, hvy = hss.tolist()
+    c = 1.0 / (2j * sys.hbar_j)  # 2j is the imaginary literal 2i
+    ax, ay = c * px * px, c * py * py
+    ex, ey, fx, fy = 2.0 * c * px * gvx, 2.0 * c * py * gvy, 2.0 * c * px * gux, 2.0 * c * py * guy
+    jac = [ax * hvx[0] + ex * vx, ax * hvx[1], ax * hvx[2] + ex * ux, ax * hvx[3],
+           ay * hvy[0], ay * hvy[1] + ey * vy, ay * hvy[2], ay * hvy[3] + ey * uy,
+           -ax * hux[0] - fx * vx, -ax * hux[1], -ax * hux[2] - fx * ux, -ax * hux[3],
+           -ay * huy[0], -ay * huy[1] - fy * vy, -ay * huy[2], -ay * huy[3] - fy * uy]
+    out[:4] = ax * gvx, ay * gvy, -ax * gux, -ay * guy
+    np.matmul(np.array(jac, dtype=complex).reshape(4, 4), y[4:].reshape(4, 4),
+              out=out[4:].reshape(4, 4))
+    return out
 
 
 def field_and_jacobian(sys, model, y):
-    """Field and its exact 4x4 Jacobian from one model.derivs call."""
-    p, g, hss = _phase_space_derivs(model, y)
-    return _field(sys, p, g), _jacobian(sys, y, p, g, hss)
-
-
-def split_trace(jac):
-    """sum_k [d(udot_k)/du_k - d(vdot_k)/dv_k] of a field Jacobian."""
-    return jac[0, 0] + jac[1, 1] - jac[2, 2] - jac[3, 3]
+    """Field and its exact 4x4 Jacobian at the packed state y (u_x, u_y,
+    v_x, v_y), from one model.derivs call: the (u, v, M) right-hand side at
+    M = I, whose M block is the Jacobian itself."""
+    y = np.concatenate([np.asarray(y, dtype=complex), np.eye(4, dtype=complex).ravel()])
+    out = _field_and_stability(sys, model, y, np.empty(20, dtype=complex))
+    return out[:4], out[4:].reshape(4, 4)
 
 
 def _effective_cfg(cfg, t_total):
@@ -200,14 +199,6 @@ def _effective_cfg(cfg, t_total):
     if cfg.max_step <= cap:
         return cfg
     return replace(cfg, max_step=cap)
-
-
-def _field_and_stability(sys, model, y):
-    """Right-hand side of the 20-component (u, v, M) system: the field and
-    dM/dt = J M from one model.derivs call."""
-    dy, jac = field_and_jacobian(sys, model, y[:4])
-    dm = jac @ y[4:].reshape(4, 4)
-    return np.concatenate([dy, dm.ravel()])
 
 
 def integrate_trajectory(sys, model, s0, t_final, cfg, sample_times=None):
@@ -239,8 +230,9 @@ def integrate_trajectory(sys, model, s0, t_final, cfg, sample_times=None):
         ys = y0[None, :]
     else:
         eff = _effective_cfg(cfg, t_final)
+        out = np.empty(20, dtype=complex)
         ts, ys = adaptive_rk(
-            lambda t, y: _field_and_stability(sys, model, y),
+            lambda t, y: _field_and_stability(sys, model, y, out),
             y0, (0.0, t_final), eff, samples=sample_times,
         )
     states = np.ascontiguousarray(ys[:, :4])

@@ -5,6 +5,8 @@ thousand rows (joint spin Hilbert spaces) or exactly 2x2/4x4 (stability
 blocks), and the ODE systems have a few dozen complex components.
 """
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +119,10 @@ _DP_D = np.array([
     -10690763975 / 1880347072, 701980252875 / 199316789632,
     -1453857185 / 822651844, 69997945 / 29380423,
 ])
+# The weights as complex arrays: they only ever multiply the complex stages,
+# and real ones would be cast to complex on every product (same values).
+_DP_A = [a.astype(complex) for a in _DP_A]
+_DP_B5, _DP_E, _DP_D = (w.astype(complex) for w in (_DP_B5, _DP_E, _DP_D))
 
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -129,7 +135,9 @@ def _eval_field(field, t, y):
     dy = np.asarray(field(t, y), dtype=complex)
     if dy.shape != y.shape:
         raise FieldEvaluationError(f"field returned shape {dy.shape}, expected {y.shape}")
-    if not np.all(np.isfinite(dy.view(float))):
+    # sum |dy|^2 is finite only if every entry is; when it is not, the
+    # entrywise test tells a non-finite entry from an overflow of finite ones
+    if not cmath.isfinite(np.vdot(dy, dy)) and not np.isfinite(dy).all():
         raise FieldEvaluationError(f"field returned non-finite values at t={t}")
     return dy
 
@@ -196,6 +204,7 @@ def adaptive_rk(field, y0, t_span, cfg, samples=None):
     err_prev = 1.0
     end_tol = 1e-14 * max(1.0, abs(t1))
     k = np.empty((7, y.size), dtype=complex)
+    abs_y = np.abs(y)
     if t < t1 - end_tol:
         k[0] = _eval_field(field, t, y)
     while t < t1 - end_tol:
@@ -206,9 +215,10 @@ def adaptive_rk(field, y0, t_span, cfg, samples=None):
             yi = y + h_try * (_DP_A[i] @ k[:i])
             k[i] = _eval_field(field, t + _DP_C[i] * h_try, yi)
         y_new = y + h_try * (_DP_B5 @ k)
-        err_vec = h_try * (_DP_E @ k)
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = np.sqrt(np.mean(np.abs(err_vec / scale) ** 2))
+        abs_new = np.abs(y_new)  # |y| of the next step
+        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y, abs_new)
+        ratio = np.abs(h_try * (_DP_E @ k) / scale)
+        err = math.sqrt((ratio * ratio).sum() / ratio.size)  # RMS of ratio
         if err > 1.0:
             h = h_try * max(_MIN_FACTOR, _SAFETY * err ** (-_PI_ALPHA))
             continue
@@ -226,7 +236,7 @@ def adaptive_rk(field, y0, t_span, cfg, samples=None):
                 rows[:] = _dense_output((inside - t) / h_try, y, y_new, h_try, k)
                 rows[inside >= (t1 - end_tol if last else t_new)] = y_new
                 filled = stop
-        t, y = t_new, y_new
+        t, y, abs_y = t_new, y_new, abs_new
         k[0] = k[6]  # FSAL
         err = max(err, 1e-10)
         factor = _SAFETY * err ** (-_PI_ALPHA) * err_prev ** _PI_BETA

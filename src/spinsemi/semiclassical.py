@@ -25,13 +25,7 @@ from .errors import (
     NegativeRadicand,
     ValidityBreakdown,
 )
-from .flow import (
-    StabilityMatrix,
-    field_and_jacobian,
-    integrate_stability,
-    integrate_trajectory,
-    split_trace,
-)
+from .flow import StabilityMatrix, integrate_stability, integrate_trajectory, require_chart
 from .numerics import IntegratorConfig, cubic_quadrature, det2, small_inverse
 from .spin import CoherentLabel, coherent_overlap
 
@@ -122,22 +116,24 @@ def action_integrals(sys, model, traj, xi):
 
     Quadratures reuse the trajectory's own sample grid (fourth order local
     cubics); the precondition is that the grid was produced by the adaptive
-    integrator, so it resolves the integrands.
+    integrator, so it resolves the integrands. The integrands at every
+    sample come from one model.derivs call on the whole series.
 
     The boundary term lambda_norm is evaluated for the diagonal endpoint
     choice: bra label fixed at u(T), ket label at the start label.
     """
     j = sys.two_j / 2.0
     n = len(traj)
-    f_s = np.empty(n, dtype=complex)
-    f_g = np.empty(n, dtype=complex)
-    for i in range(n):
-        y = traj.ys[i]
-        dy, jac = field_and_jacobian(sys, model, y)
-        u, v = y[:2], y[2:4]
-        du, dv = dy[:2], dy[2:4]
-        f_s[i] = j * np.sum((u * dv - v * du) / (1.0 + u * v)) - 1j * traj.energy[i] / sys.hbar
-        f_g[i] = split_trace(jac)
+    u, v = traj.ys[:, :2], traj.ys[:, 2:4]
+    p = 1.0 + u * v
+    require_chart(np.abs(p).min())
+    _, g, hss = model.derivs(u, v)
+    c = 1.0 / (2j * sys.hbar_j)  # 2j is the imaginary literal 2i
+    du, dv = c * p ** 2 * g[:, 2:], -c * p ** 2 * g[:, :2]
+    f_s = j * np.sum((u * dv - v * du) / p, axis=1) - 1j * traj.energy / sys.hbar
+    # split trace sum_k [d(udot_k)/du_k - d(vdot_k)/dv_k] of the field Jacobian
+    mixed = hss[:, [2, 3], [0, 1]] + hss[:, [0, 1], [2, 3]]  # d2H/du_k dv_k, both orders
+    f_g = c * np.sum(p ** 2 * mixed + 2.0 * p * (v * g[:, 2:] + u * g[:, :2]), axis=1)
     i_s = cubic_quadrature(traj.ts, f_s) if n > 1 else 0.0
     i_g = cubic_quadrature(traj.ts, f_g) if n > 1 else 0.0
 

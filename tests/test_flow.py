@@ -3,7 +3,7 @@ import pytest
 
 import spinsemi as ss
 from spinsemi.errors import ChartSingularity
-from spinsemi.flow import field_and_jacobian
+from spinsemi.flow import CHART_TOL, Trajectory, _field_and_stability, field_and_jacobian
 from spinsemi.numerics import (
     FIRST_STEP,
     _DP_A,
@@ -28,6 +28,31 @@ def _pc(two_j=6, lam=1.0):
 
 def _field(sys, model, y):
     return field_and_jacobian(sys, model, np.asarray(y, dtype=complex))[0]
+
+
+# Row r of the Jacobian differentiates udot_0, udot_1, vdot_0, vdot_1: the
+# chart factor p_k and gradient entry it carries, and its sign.
+_ROW_CHART = np.array([0, 1, 0, 1])
+_ROW_GRAD = np.array([2, 3, 0, 1])
+_ROW_SIGN = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+def _scatter_field_and_jacobian(sys, model, y):
+    """The field and Jacobian as numpy arrays, with the derivative of p_k^2
+    scattered into a zero-filled (2, 4) table (the array form the scalar
+    kernel replaced, kept as its oracle)."""
+    p = 1.0 + y[:2] * y[2:4]
+    if np.abs(p).min() < CHART_TOL:
+        raise ChartSingularity("chart")
+    _, g, hss = model.derivs(y[:2], y[2:4])
+    pref = p ** 2 / (2j * sys.hbar_j)
+    field = np.concatenate([pref * g[2:4], -pref * g[:2]])
+    dp2 = np.zeros((2, 4), dtype=complex)
+    dp2[[0, 1], [0, 1]] = 2.0 * y[2:4] * p   # d(p_k^2)/du_k
+    dp2[[0, 1], [2, 3]] = 2.0 * y[:2] * p    # d(p_k^2)/dv_k
+    rows = (p[_ROW_CHART, None] ** 2 * hss[_ROW_GRAD]
+            + g[_ROW_GRAD, None] * dp2[_ROW_CHART])
+    return field, _ROW_SIGN[:, None] * rows / (2j * sys.hbar_j)
 
 
 class TestHamiltonianField:
@@ -154,7 +179,7 @@ class TestFusedDerivatives:
                                        0.2, CFG)
         counting.calls = 0
         ss.action_integrals(sys, counting, traj, +1)
-        assert counting.calls == len(traj)
+        assert counting.calls == 1
 
 
     @pytest.mark.parametrize("model_of", [
@@ -170,6 +195,64 @@ class TestFusedDerivatives:
         assert counting.htilde_shapes == [(57, 2)]
         per_point = np.array([counting.model.htilde(y[:2], y[2:]) for y in traj.ys])
         assert np.max(np.abs(traj.energy - per_point)) <= 1e-12 * np.max(np.abs(per_point))
+
+
+_KERNEL_MODELS = {
+    "phase_coupling":
+        lambda sys: ss.phase_coupling_model(ss.PhaseCouplingParams(lam=1.3, sys=sys)),
+    "exchange_coupling": lambda sys: ss.exchange_coupling_model(sys, 1.1),
+    "operator_terms": lambda sys: ss.build_operator_model(sys, [
+        ss.OperatorTerm(0.2 + 0.5j, ("J+", 1), ("J3", 1)),
+        ss.OperatorTerm(0.2 - 0.5j, ("J-", 1), ("J3", 1)),
+        ss.OperatorTerm(-0.6, ("I", 0), ("J3", 2)),
+        ss.OperatorTerm(0.4 - 0.3j, ("J+", 1), ("J-", 1)),
+        ss.OperatorTerm(0.4 + 0.3j, ("J-", 1), ("J+", 1)),
+    ]),
+}
+
+
+def _kernel_points(rng, count=4):
+    """States on v = conj(u), a little off it, and far off it."""
+    for offset in (0.0, 1e-3, 0.5):
+        for _ in range(count):
+            u = 0.6 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+            noise = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            yield np.concatenate([u, np.conj(u) + offset * noise])
+
+
+class TestKernel:
+    @pytest.mark.parametrize("two_j", [1, 5, 10, 40])
+    @pytest.mark.parametrize("name", sorted(_KERNEL_MODELS))
+    def test_matches_scatter_oracle(self, name, two_j):
+        sys = ss.SpinSystem(two_j=two_j, hbar=0.7)
+        model = _KERNEL_MODELS[name](sys)
+        rng = np.random.default_rng(two_j)
+        out = np.empty(20, dtype=complex)
+        for y in _kernel_points(rng):
+            field, jac = _scatter_field_and_jacobian(sys, model, y)
+            got_field, got_jac = field_and_jacobian(sys, model, y)
+            assert np.max(np.abs(got_field - field)) <= 1e-14 * np.max(np.abs(field))
+            assert np.max(np.abs(got_jac - jac)) <= 1e-14 * np.max(np.abs(jac))
+            m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            rhs = _field_and_stability(sys, model, np.concatenate([y, m.ravel()]), out)
+            assert rhs is out
+            dm = jac @ m
+            assert np.max(np.abs(rhs[:4] - field)) <= 1e-14 * np.max(np.abs(field))
+            assert np.max(np.abs(rhs[4:].reshape(4, 4) - dm)) <= 1e-14 * np.max(np.abs(dm))
+
+    def test_chart_singularity_message(self):
+        sys, _, model = _pc()
+        y = np.array([1j, 0.3, 1j, 0.3])  # 1 + (1j)(1j) = 0
+        message = r"\|1 \+ u_k v_k\| = 0\.000e\+00 below 1e-12"
+        with pytest.raises(ChartSingularity, match=message):
+            field_and_jacobian(sys, model, y)
+        with pytest.raises(ChartSingularity, match=message):
+            _field_and_stability(sys, model, np.concatenate([y, np.eye(4).ravel()]),
+                                 np.empty(20, dtype=complex))
+        traj = Trajectory(ts=np.array([0.0, 0.1]), ys=np.array([[0.3, 0.3, 0.3, 0.3], y]),
+                          energy=np.zeros(2, dtype=complex))
+        with pytest.raises(ChartSingularity, match=message):
+            ss.action_integrals(sys, model, traj, +1)
 
 
 class TestIntegrateTrajectory:
@@ -363,7 +446,7 @@ class TestOneIntegration:
         traj = ss.integrate_trajectory(sys, model, s0, t_final, cfg, sample_times=times)
 
         def rhs(t, y):
-            dy, jac = field_and_jacobian(sys, model, y[:4])
+            dy, jac = _scatter_field_and_jacobian(sys, model, y[:4])
             return np.concatenate([dy, (jac @ y[4:].reshape(4, 4)).ravel()])
 
         y0 = np.concatenate([traj.ys[0], np.eye(4).ravel()])
@@ -412,3 +495,33 @@ class TestOneIntegration:
         assert traj.ms is None
         with pytest.raises(ValueError):
             ss.integrate_stability(sys, model, traj, CFG)
+
+
+# seed-0 labels 0-2 of the benchmark's label draw
+_LABELS = [
+    ss.CoherentLabel(0.589162207071752 + 0.1551186170334857j,
+                     0.5146591039827678 + 0.05363834185771081j),
+    ss.CoherentLabel(-0.512079451876481 - 0.4057073685663083j,
+                     -0.08712750991646735 - 0.6725689357931776j),
+    ss.CoherentLabel(0.2355718736362402 - 0.5364625090724819j,
+                     0.6836668889588055 + 0.011764678136563952j),
+]
+
+
+@pytest.mark.parametrize("model_of, two_j, t_max, num_points, counts", [
+    (lambda sys: ss.exchange_coupling_model(sys, 1.0), 10, 0.5, 100, [685, 739, 715]),
+    (_phase_coupling, 40, 0.05, 100, [385, 337, 361]),
+    (_phase_coupling, 10, 0.5, 4000, [943, 799, 871]),
+])
+def test_field_evaluation_counts_are_pinned(model_of, two_j, t_max, num_points, counts):
+    # the benchmark workloads' curves at the default integrator settings
+    sys = ss.SpinSystem(two_j=two_j)
+    counting = _CountingModel(model_of(sys))
+    times = np.linspace(0.0, t_max, num_points)
+    got = []
+    for label in _LABELS:
+        counting.calls = 0
+        ss.integrate_trajectory(sys, counting, label, t_max, ss.IntegratorConfig(),
+                                sample_times=times)
+        got.append(counting.calls)
+    assert got == counts

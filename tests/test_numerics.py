@@ -10,7 +10,20 @@ from spinsemi.errors import (
     SingularMatrix,
     StepSizeUnderflow,
 )
-from spinsemi.numerics import cubic_quadrature, det2
+from spinsemi.numerics import (
+    FIRST_STEP,
+    _DP_A,
+    _DP_B5,
+    _DP_C,
+    _DP_E,
+    _MAX_FACTOR,
+    _MIN_FACTOR,
+    _PI_ALPHA,
+    _PI_BETA,
+    _SAFETY,
+    cubic_quadrature,
+    det2,
+)
 
 
 def _rand_complex(rng, shape):
@@ -81,6 +94,42 @@ class TestSmallInverse:
     def test_wrong_shape(self):
         with pytest.raises(ValueError):
             ss.small_inverse(np.eye(3))
+
+
+def _reference_rk(field, y0, t1, cfg):
+    """adaptive_rk's accepted-step loop from t = 0 with real weights and the
+    error norm written out as np.sqrt(np.mean(np.abs(err / scale) ** 2))
+    (oracle); returns the step grid, the states and the number of rejected
+    steps."""
+    a_rows, b5, e = [a.real for a in _DP_A], _DP_B5.real, _DP_E.real
+    t, y = 0.0, np.array(y0, dtype=complex)
+    h = min(FIRST_STEP, cfg.max_step, t1)
+    err_prev = 1.0
+    rejected = 0
+    k = np.empty((7, y.size), dtype=complex)
+    k[0] = field(t, y)
+    ts, ys = [t], [y]
+    while t < t1 - 1e-14 * max(1.0, t1):
+        h_try = min(h, cfg.max_step, t1 - t)
+        for i in range(1, 7):
+            k[i] = field(t + _DP_C[i] * h_try, y + h_try * (a_rows[i] @ k[:i]))
+        y_new = y + h_try * (b5 @ k)
+        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        err = np.sqrt(np.mean(np.abs(h_try * (e @ k) / scale) ** 2))
+        if err > 1.0:
+            rejected += 1
+            h = h_try * max(_MIN_FACTOR, _SAFETY * err ** (-_PI_ALPHA))
+            continue
+        t, y = t + h_try, y_new
+        ts.append(t)
+        ys.append(y)
+        k[0] = k[6]
+        err = max(err, 1e-10)
+        factor = _SAFETY * err ** (-_PI_ALPHA) * err_prev ** _PI_BETA
+        err_prev = err
+        h = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+    ts[-1] = t1
+    return np.asarray(ts), np.asarray(ys), rejected
 
 
 class TestAdaptiveRk:
@@ -181,6 +230,68 @@ class TestAdaptiveRk:
         cfg = ss.IntegratorConfig()
         with pytest.raises(FieldEvaluationError):
             ss.adaptive_rk(lambda t, y: y * np.nan, [1.0 + 0j], (0.0, 1.0), cfg)
+
+    @pytest.mark.parametrize("bad", [complex(0.0, np.inf), complex(0.0, np.nan)])
+    def test_one_non_finite_imaginary_part_at_a_later_stage(self, bad):
+        # evaluations 0-3 are clean; the fifth (stage 4 of the first step)
+        # carries a single non-finite imaginary part
+        calls = []
+
+        def field(t, y):
+            calls.append(t)
+            dy = (0.3 + 2j) * y
+            if len(calls) == 5:
+                dy[3] = complex(dy[3].real, bad.imag)
+            return dy
+
+        cfg = ss.IntegratorConfig()
+        with pytest.raises(FieldEvaluationError, match="non-finite") as raised:
+            ss.adaptive_rk(field, np.ones(6, dtype=complex), (0.0, 1.0), cfg)
+        assert len(calls) == 5 and f"t={calls[-1]}" in str(raised.value)
+
+    def test_wrong_shape_raises(self):
+        cfg = ss.IntegratorConfig()
+        for wrong in (lambda t, y: y[:-1], lambda t, y: y[:1], lambda t, y: y[None, :]):
+            with pytest.raises(FieldEvaluationError, match="shape"):
+                ss.adaptive_rk(wrong, [1.0 + 0j, 2.0], (0.0, 1.0), cfg)
+
+    def test_list_return_is_accepted(self):
+        cfg = ss.IntegratorConfig()
+        rate = 0.3 + 2j
+        rates = np.array([rate, -rate])
+        ts, ys = ss.adaptive_rk(lambda t, y: (rates * y).tolist(), [1.0 + 0j, 0.5j],
+                                (0.0, 1.0), cfg)
+        ref_ts, ref_ys = ss.adaptive_rk(lambda t, y: rates * y, [1.0 + 0j, 0.5j],
+                                        (0.0, 1.0), cfg)
+        assert np.array_equal(ts, ref_ts) and np.array_equal(ys, ref_ys)
+
+    def test_huge_finite_values_are_accepted(self):
+        # |dy|^2 overflows to inf although every entry is finite
+        cfg = ss.IntegratorConfig()
+        _, ys = ss.adaptive_rk(lambda t, y: 0 * y + 1e200, [0j, 0j], (0.0, 1.0), cfg)
+        assert np.allclose(ys[-1], 1e200, rtol=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_accepted_steps_match_reference_loop(self, seed):
+        # a linear system whose rates jump up near t = 0.5, so that the step
+        # control rejects steps too
+        rng = np.random.default_rng(seed)
+        a = _rand_complex(rng, (8, 8))
+        y0 = _rand_complex(rng, 8)
+        cfg = ss.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12)
+        calls = []
+
+        def field(t, y):
+            calls.append(t)
+            return (1.0 + 30.0 * np.exp(-((t - 0.5) / 0.02) ** 2)) * (a @ y)
+
+        ts, ys = ss.adaptive_rk(field, y0, (0.0, 1.0), cfg)
+        natural = list(calls)
+        calls.clear()
+        ref_ts, ref_ys, rejected = _reference_rk(field, y0, 1.0, cfg)
+        assert rejected > 0
+        assert calls == natural
+        assert np.array_equal(ts, ref_ts) and np.array_equal(ys, ref_ys)
 
     def test_zero_span(self):
         cfg = ss.IntegratorConfig()

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import spinsemi as ss
 from spinsemi.errors import ValidityBreakdown
-from spinsemi.flow import PhaseSpaceState, Trajectory
-from spinsemi.numerics import det2
+from spinsemi.flow import PhaseSpaceState, Trajectory, field_and_jacobian
+from spinsemi.numerics import cubic_quadrature, det2
 from spinsemi.semiclassical import (
     endpoint_factor,
     purity_sc_evaluate,
@@ -54,7 +54,46 @@ def cofactor_det(m):
     )
 
 
+def _loop_action_integrands(sys, model, traj):
+    """The action and split-trace integrals from one field_and_jacobian
+    call per sample (the loop the series evaluation replaced, kept as its
+    oracle)."""
+    j = sys.two_j / 2.0
+    n = len(traj)
+    f_s = np.empty(n, dtype=complex)
+    f_g = np.empty(n, dtype=complex)
+    for i in range(n):
+        y = traj.ys[i]
+        dy, jac = field_and_jacobian(sys, model, y)
+        u, v = y[:2], y[2:4]
+        du, dv = dy[:2], dy[2:4]
+        f_s[i] = j * np.sum((u * dv - v * du) / (1.0 + u * v)) - 1j * traj.energy[i] / sys.hbar
+        f_g[i] = jac[0, 0] + jac[1, 1] - jac[2, 2] - jac[3, 3]
+    return cubic_quadrature(traj.ts, f_s), cubic_quadrature(traj.ts, f_g)
+
+
 class TestActionIntegrals:
+    @pytest.mark.parametrize("model_of", [
+        lambda sys: ss.phase_coupling_model(ss.PhaseCouplingParams(lam=1.3, sys=sys)),
+        lambda sys: ss.exchange_coupling_model(sys, 0.9),
+        lambda sys: ss.build_operator_model(sys, [
+            ss.OperatorTerm(0.2 + 0.5j, ("J+", 1), ("J3", 1)),
+            ss.OperatorTerm(0.2 - 0.5j, ("J-", 1), ("J3", 1)),
+        ]),
+    ])
+    def test_series_matches_per_sample_loop(self, model_of):
+        sys = ss.SpinSystem(two_j=5, hbar=0.7)
+        model = model_of(sys)
+        for s0 in (ss.CoherentLabel(0.5 - 0.4j, 0.9), ss.CoherentLabel(-0.3 + 0.6j, 0.2j)):
+            traj = ss.integrate_trajectory(sys, model, s0, 0.5, CFG)
+            i_s, i_g = _loop_action_integrands(sys, model, traj)
+            for xi in (+1, -1):
+                bundle = ss.action_integrals(sys, model, traj, xi)
+                s_action = -1j * sys.hbar * (xi * i_s + bundle.lambda_tilde)
+                g_corr = -1j * sys.hbar * (-(xi / 4.0) * i_g)
+                assert abs(bundle.s_action - s_action) <= 1e-12 * abs(s_action)
+                assert abs(bundle.g_corr - g_corr) <= 1e-12 * abs(g_corr)
+
     def test_constant_hamiltonian(self):
         # static trajectory: (i/hbar) S = -(i/hbar) E T + Lambda-tilde
         sys = ss.SpinSystem(two_j=3)
