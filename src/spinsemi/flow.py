@@ -12,9 +12,9 @@ doubles as an integrator diagnostic. The stability matrix is co-integrated
 with the trajectory in one ODE system (20 complex components), which keeps
 its determinant identity accurate to integrator tolerance; one integration
 per trajectory gives both, at any sample times, from the integrator's
-dense output. Its right-hand side, _field_and_stability, is the one place
-the field and its Jacobian are formed: one model.derivs call, then scalar
-arithmetic; field_and_jacobian evaluates it at M = I.
+dense output. hamilton_equations is the one place the field and its
+Jacobian are formed, by the same arithmetic at one point (the ODE's
+right-hand side) and along a series (the action integrands).
 """
 
 from dataclasses import dataclass, replace
@@ -151,24 +151,20 @@ def require_chart(smallest):
         raise ChartSingularity(f"|1 + u_k v_k| = {smallest:.3e} below {CHART_TOL}")
 
 
-def _field_and_stability(sys, model, y, out):
-    """Right-hand side of the 20-component (u, v, M) system, written into out.
-
-    From one model.derivs call (gradient g and Hessian hss, ordered u_x,
-    u_y, v_x, v_y), with p_k = 1 + u_k v_k and c = 1 / (2 i hbar j):
-    udot_k = c p_k^2 g[v_k] and vdot_k = -c p_k^2 g[u_k]. Each Jacobian row
-    keeps its field row's sign: c p_k^2 times the Hessian row of its g
-    entry, plus that entry times c d(p_k^2) = 2 c p_k (v_k du_k + u_k dv_k).
-    The rest is scalar arithmetic with no scratch array; out[:4] gets the
-    field and out[4:] dM/dt = J M, with M = y[4:] row-major.
+def hamilton_equations(sys, y, g, hss):
+    """Hamilton's field (udot_x, udot_y, vdot_x, vdot_y) and its Jacobian's
+    16 entries, row-major, from y = (u_x, u_y, v_x, v_y) and H~'s gradient
+    entries g and Hessian rows hss, all Python complex scalars (one point)
+    or numpy rows (a series). With p_k = 1 + u_k v_k and c = 1/(2 i hbar j),
+    udot_k = c p_k^2 g[v_k] and vdot_k = -c p_k^2 g[u_k]; each Jacobian row,
+    with its field row's sign, is c p_k^2 times the Hessian row of its g
+    entry plus that entry times c d(p_k^2) = 2 c p_k (v_k du_k + u_k dv_k).
     """
-    ux, uy, vx, vy = y[:4].tolist()
+    ux, uy, vx, vy = y
+    gux, guy, gvx, gvy = g
+    hux, huy, hvx, hvy = hss
     px = 1.0 + ux * vx
     py = 1.0 + uy * vy
-    require_chart(min(abs(px), abs(py)))
-    _, g, hss = model.derivs(y[:2], y[2:4])
-    gux, guy, gvx, gvy = g.tolist()
-    hux, huy, hvx, hvy = hss.tolist()
     c = 1.0 / (2j * sys.hbar_j)  # 2j is the imaginary literal 2i
     ax, ay = c * px * px, c * py * py
     ex, ey, fx, fy = 2.0 * c * px * gvx, 2.0 * c * py * gvy, 2.0 * c * px * gux, 2.0 * c * py * guy
@@ -176,7 +172,22 @@ def _field_and_stability(sys, model, y, out):
            ay * hvy[0], ay * hvy[1] + ey * vy, ay * hvy[2], ay * hvy[3] + ey * uy,
            -ax * hux[0] - fx * vx, -ax * hux[1], -ax * hux[2] - fx * ux, -ax * hux[3],
            -ay * huy[0], -ay * huy[1] - fy * vy, -ay * huy[2], -ay * huy[3] - fy * uy]
-    out[:4] = ax * gvx, ay * gvy, -ax * gux, -ay * guy
+    return (ax * gvx, ay * gvy, -ax * gux, -ay * guy), jac
+
+
+def _hamilton_at(sys, model, y):
+    """hamilton_equations at y[:4] in Python scalars, from one derivs call."""
+    ux, uy, vx, vy = point = y[:4].tolist()
+    require_chart(min(abs(1.0 + ux * vx), abs(1.0 + uy * vy)))
+    _, g, hss = model.derivs(y[:2], y[2:4])
+    return hamilton_equations(sys, point, g.tolist(), hss.tolist())
+
+
+def _field_and_stability(sys, model, y, out):
+    """Right-hand side of the (u, v, M) system into out: the field, then
+    dM/dt = J M with M = y[4:] row-major."""
+    field, jac = _hamilton_at(sys, model, y)
+    out[:4] = field
     np.matmul(np.array(jac, dtype=complex).reshape(4, 4), y[4:].reshape(4, 4),
               out=out[4:].reshape(4, 4))
     return out
@@ -184,11 +195,9 @@ def _field_and_stability(sys, model, y, out):
 
 def field_and_jacobian(sys, model, y):
     """Field and its exact 4x4 Jacobian at the packed state y (u_x, u_y,
-    v_x, v_y), from one model.derivs call: the (u, v, M) right-hand side at
-    M = I, whose M block is the Jacobian itself."""
-    y = np.concatenate([np.asarray(y, dtype=complex), np.eye(4, dtype=complex).ravel()])
-    out = _field_and_stability(sys, model, y, np.empty(20, dtype=complex))
-    return out[:4], out[4:].reshape(4, 4)
+    v_x, v_y), from one model.derivs call."""
+    field, jac = _hamilton_at(sys, model, np.asarray(y, dtype=complex))
+    return np.array(field, dtype=complex), np.array(jac, dtype=complex).reshape(4, 4)
 
 
 def _effective_cfg(cfg, t_total):
@@ -225,16 +234,11 @@ def integrate_trajectory(sys, model, s0, t_final, cfg, sample_times=None):
         sample_times = np.asarray(sample_times, dtype=float)
         if sample_times.size == 0 or sample_times[0] > 0.0:
             sample_times = np.concatenate([[0.0], sample_times])
-    if t_final == 0:
-        ts = np.array([0.0])
-        ys = y0[None, :]
-    else:
-        eff = _effective_cfg(cfg, t_final)
-        out = np.empty(20, dtype=complex)
-        ts, ys = adaptive_rk(
-            lambda t, y: _field_and_stability(sys, model, y, out),
-            y0, (0.0, t_final), eff, samples=sample_times,
-        )
+    out = np.empty(20, dtype=complex)
+    ts, ys = adaptive_rk(
+        lambda t, y: _field_and_stability(sys, model, y, out),
+        y0, (0.0, t_final), _effective_cfg(cfg, t_final), samples=sample_times,
+    )
     states = np.ascontiguousarray(ys[:, :4])
     energy = model.htilde(states[:, :2], states[:, 2:])
     return Trajectory(ts=ts, ys=states, energy=energy, ms=ys[:, 4:].reshape(-1, 4, 4))

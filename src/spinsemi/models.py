@@ -44,11 +44,7 @@ def phase_coupling_model(params):
     polynomial path.
     """
     sys = params.sys
-
-    def make_operator():
-        _, _, j3 = build_spin_operators(sys)
-        return np.kron(params.lam * sys.hbar * j3, j3)
-
+    term = OperatorTerm(params.lam * sys.hbar, ("J3", 1), ("J3", 1))
     j = sys.j
     amp = params.lam * sys.hbar * j * j
 
@@ -92,7 +88,7 @@ def phase_coupling_model(params):
         # reordering the 4x4 entries
         return amp * gx * gy, amp * grad.T, h.T
 
-    return HamiltonianModel(derivs, make_operator, label="phase_coupling")
+    return HamiltonianModel(derivs, lambda: assemble_operator(sys, [term]), label="phase_coupling")
 
 
 def _pc_rates(params, u0, v0):
@@ -241,10 +237,14 @@ def _term_factors(sys, terms):
 
 
 def assemble_operator(sys, terms):
-    """Joint-space matrix for a list of OperatorTerms."""
-    total = np.zeros((sys.joint_dim, sys.joint_dim), dtype=complex)
-    for coefficient, mx, my in _term_factors(sys, terms):
-        total += np.kron(coefficient * mx, my)
+    """Joint-space matrix for a list of OperatorTerms, summed in place onto
+    the first term's product (so one term allocates one joint matrix)."""
+    products = (np.kron(c * mx, my) for c, mx, my in _term_factors(sys, terms))
+    total = next(products, None)
+    if total is None:
+        return np.zeros((sys.joint_dim, sys.joint_dim), dtype=complex)
+    for product in products:
+        total += product
     return total
 
 

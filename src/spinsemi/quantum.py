@@ -109,10 +109,10 @@ class SpectralPropagator:
             start += idx.size
         self.w = np.concatenate(eigenvalues)
 
-    def apply(self, psi, t, xi=+1):
-        """e^{-i xi H t / hbar} psi: shape (dim,) for a scalar t, (n_t, dim)
-        for a 1-d array of times. psi is rotated into the eigenbases once;
-        then one batched matmul per sector size covers all the times."""
+    def apply(self, psi, t):
+        """e^{-i H t / hbar} psi, shape (dim,) for a scalar t, (n_t, dim) for
+        a 1-d array of times (t < 0 runs backward). psi is rotated into the
+        eigenbases once; one batched matmul per sector size covers all times."""
         psi = np.asarray(psi, dtype=complex)
         if psi.shape != (self.dim,):
             raise DimensionMismatch(f"state shape {psi.shape}, expected ({self.dim},)")
@@ -124,7 +124,7 @@ class SpectralPropagator:
         # coeffs[i, k]: the phase of eigenvector i at time k, then times
         # psi's coefficient on it; y[i, k]: component i of the permuted
         # basis at time k
-        coeffs = np.multiply.outer(self.w, -1j * xi * t.ravel() / self.hbar)
+        coeffs = np.multiply.outer(self.w, -1j * t.ravel() / self.hbar)
         np.exp(coeffs, out=coeffs)
         y = np.empty_like(coeffs)
         for span, v, vh in self.blocks:
@@ -138,9 +138,9 @@ class SpectralPropagator:
         return out[0] if t.ndim == 0 else out
 
 
-def evolve_state(h, psi0, t, hbar=1.0, xi=+1):
-    """Evolve psi0 under Hermitian h for time t (xi=-1 reverses time)."""
-    return SpectralPropagator(h, hbar).apply(np.asarray(psi0, dtype=complex), t, xi)
+def evolve_state(h, psi0, t, hbar=1.0):
+    """Evolve psi0 under Hermitian h for time t (a negative t reverses time)."""
+    return SpectralPropagator(h, hbar).apply(np.asarray(psi0, dtype=complex), t)
 
 
 def reduced_density(psi, subsystem, dim):
@@ -200,5 +200,5 @@ def exact_purity_curve(sys, model, s0, times, subsystem="x"):
 def exact_propagator_overlap(sys, h, s_eta, s0, t, xi=+1):
     """<s_eta | e^{-i xi H t / hbar} | s_0> on the joint space."""
     bra = product_coherent(sys, s_eta)
-    ket = evolve_state(h, product_coherent(sys, s0), t, sys.hbar, xi)
+    ket = evolve_state(h, product_coherent(sys, s0), xi * t, sys.hbar)
     return complex(np.vdot(bra, ket))

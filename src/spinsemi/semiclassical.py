@@ -25,7 +25,8 @@ from .errors import (
     NegativeRadicand,
     ValidityBreakdown,
 )
-from .flow import StabilityMatrix, integrate_stability, integrate_trajectory, require_chart
+from .flow import (StabilityMatrix, hamilton_equations, integrate_stability,
+                   integrate_trajectory, require_chart)
 from .numerics import IntegratorConfig, cubic_quadrature, det2, small_inverse
 from .spin import CoherentLabel, coherent_overlap
 
@@ -116,8 +117,9 @@ def action_integrals(sys, model, traj, xi):
 
     Quadratures reuse the trajectory's own sample grid (fourth order local
     cubics); the precondition is that the grid was produced by the adaptive
-    integrator, so it resolves the integrands. The integrands at every
-    sample come from one model.derivs call on the whole series.
+    integrator, so it resolves the integrands. Both come from one series
+    model.derivs call through flow.hamilton_equations: the field, and the
+    split trace sum_k [d(udot_k)/du_k - d(vdot_k)/dv_k] of its Jacobian.
 
     The boundary term lambda_norm is evaluated for the diagonal endpoint
     choice: bra label fixed at u(T), ket label at the start label.
@@ -128,24 +130,17 @@ def action_integrals(sys, model, traj, xi):
     p = 1.0 + u * v
     require_chart(np.abs(p).min())
     _, g, hss = model.derivs(u, v)
-    c = 1.0 / (2j * sys.hbar_j)  # 2j is the imaginary literal 2i
-    du, dv = c * p ** 2 * g[:, 2:], -c * p ** 2 * g[:, :2]
+    field, jac = hamilton_equations(sys, traj.ys.T, g.T, hss.transpose(1, 2, 0))
+    du, dv = np.transpose(field[:2]), np.transpose(field[2:])
     f_s = j * np.sum((u * dv - v * du) / p, axis=1) - 1j * traj.energy / sys.hbar
-    # split trace sum_k [d(udot_k)/du_k - d(vdot_k)/dv_k] of the field Jacobian
-    mixed = hss[:, [2, 3], [0, 1]] + hss[:, [0, 1], [2, 3]]  # d2H/du_k dv_k, both orders
-    f_g = c * np.sum(p ** 2 * mixed + 2.0 * p * (v * g[:, 2:] + u * g[:, :2]), axis=1)
+    f_g = jac[0] + jac[5] - jac[10] - jac[15]
     i_s = cubic_quadrature(traj.ts, f_s) if n > 1 else 0.0
     i_g = cubic_quadrature(traj.ts, f_g) if n > 1 else 0.0
 
-    start, end = traj.initial, traj.final
-    lam_tilde = j * sum(
-        _principal_log((1.0 + start.u[k] * start.v[k]) * (1.0 + end.u[k] * end.v[k]))
-        for k in range(2)
-    )
-    s_eta = end.u  # diagonal endpoint: s_eta^* = v(T) = conj(u(T)) on real trajectories
-    s_mu = start.u
+    lam_tilde = j * sum(_principal_log(p[0, k] * p[-1, k]) for k in range(2))
+    # bra label s_eta = u(T): s_eta^* = v(T) on real trajectories
     lam_norm = float(
-        j * np.sum(np.log((1.0 + np.abs(s_eta) ** 2) * (1.0 + np.abs(s_mu) ** 2)))
+        j * np.sum(np.log((1.0 + np.abs(u[-1]) ** 2) * (1.0 + np.abs(u[0]) ** 2)))
     )
 
     log_s = xi * i_s + lam_tilde          # this is (i/hbar) * S_xi

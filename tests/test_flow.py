@@ -262,6 +262,9 @@ class TestIntegrateTrajectory:
         traj = ss.integrate_trajectory(sys, model, s0, 0.0, CFG)
         assert len(traj) == 1
         assert np.allclose(traj.ys[0], [0.3, 0.5j, 0.3, -0.5j])
+        # a zero span takes the same path as any other: samples past it fail
+        with pytest.raises(ValueError, match="samples must lie within t_span"):
+            ss.integrate_trajectory(sys, model, s0, 0.0, CFG, sample_times=[0.0, 0.5])
 
     def test_phase_coupling_closed_form(self):
         sys, params, model = _pc()

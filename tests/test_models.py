@@ -304,3 +304,12 @@ class TestOperatorModels:
         jp, jm, j3 = ss.build_spin_operators(sys)
         op = assemble_operator(sys, [ss.OperatorTerm(1.0, ("J3", 2), ("I", 0))])
         assert np.max(np.abs(op - np.kron(j3 @ j3, np.eye(sys.dim)))) < 1e-12
+
+    @pytest.mark.parametrize("lam", [1.0, 0.37])
+    @pytest.mark.parametrize("two_j", [1, 10, 40])
+    def test_phase_coupling_operator_is_the_assembled_term(self, two_j, lam):
+        # the kron of scaled J3 matrices the term list replaced, as oracle
+        sys = ss.SpinSystem(two_j=two_j, hbar=0.7)
+        _, _, j3 = ss.build_spin_operators(sys)
+        op = ss.phase_coupling_model(ss.PhaseCouplingParams(lam=lam, sys=sys)).operator
+        assert np.array_equal(op, np.kron(lam * sys.hbar * j3, j3))

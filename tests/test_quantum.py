@@ -33,7 +33,7 @@ class TestEvolveState:
         h = a + a.conj().T
         psi = _random_state(rng, 6)
         fwd = ss.evolve_state(h, psi, 1.7)
-        back = ss.evolve_state(h, fwd, 1.7, xi=-1)
+        back = ss.evolve_state(h, fwd, -1.7)
         assert np.max(np.abs(back - psi)) < 1e-10
 
     def test_norm_preserved_long_time(self):
@@ -272,7 +272,7 @@ class TestSectorEngine:
         oracle = _dense_oracle(h, sys.hbar)
         t = 1.3 / sys.j
         for xi in (+1, -1):
-            assert np.max(np.abs(prop.apply(psi, t, xi) - oracle(psi, t, xi))) <= 1e-12
+            assert np.max(np.abs(prop.apply(psi, xi * t) - oracle(psi, t, xi))) <= 1e-12
 
     def test_dense_hamiltonian_is_one_sector(self):
         rng = np.random.default_rng(11)
@@ -283,7 +283,7 @@ class TestSectorEngine:
         psi = _random_state(rng, 30)
         oracle = _dense_oracle(h, 1.0)
         for xi in (+1, -1):
-            assert np.max(np.abs(prop.apply(psi, 0.9, xi) - oracle(psi, 0.9, xi))) <= 1e-12
+            assert np.max(np.abs(prop.apply(psi, xi * 0.9) - oracle(psi, 0.9, xi))) <= 1e-12
 
     @pytest.mark.parametrize("two_j", [1, 4, 40])
     def test_phase_coupling_sectors_are_single_states(self, two_j):
@@ -424,12 +424,12 @@ class TestWholeCurve:
         psi = ss.product_coherent(sys, ss.CoherentLabel(0.3 + 0.4j, -0.7))
         times = np.array([0.0, 0.2, 0.9, 2.5])
         for xi in (+1, -1):
-            states = prop.apply(psi, times, xi)
+            states = prop.apply(psi, xi * times)
             assert states.shape == (times.size, sys.joint_dim)
             for t, state in zip(times, states):
                 oracle = _per_time_apply(prop, psi, xi * t)
                 assert np.max(np.abs(state - oracle)) <= 1e-12
-                assert np.array_equal(prop.apply(psi, t, xi), prop.apply(psi, [t], xi)[0])
+                assert np.array_equal(prop.apply(psi, xi * t), prop.apply(psi, [xi * t])[0])
         assert prop.apply(psi, 0.4).shape == (sys.joint_dim,)
         assert prop.apply(psi, np.array([])).shape == (0, sys.joint_dim)
         with pytest.raises(ValueError):
