@@ -14,6 +14,7 @@ import numpy as np
 
 from .flow import StabilityMatrix, Trajectory
 from .numerics import require_hermitian
+from .quantum import Sectors, connected_sectors
 from .spin import (
     HamiltonianModel,
     SpinSystem,
@@ -88,7 +89,9 @@ def phase_coupling_model(params):
         # reordering the 4x4 entries
         return amp * gx * gy, amp * grad.T, h.T
 
-    return HamiltonianModel(derivs, lambda: assemble_operator(sys, [term]), label="phase_coupling")
+    return HamiltonianModel(derivs, lambda: assemble_operator(sys, [term]),
+                            label="phase_coupling",
+                            sectors=lambda: _term_sectors(sys, [term]))
 
 
 def _pc_rates(params, u0, v0):
@@ -168,16 +171,20 @@ def pc_exact_purity(params, s0, t_final):
     """Exact reduced-state purity of the phase-coupling model (finite sum).
 
     The four binomial-weighted index sums collapse to an autocorrelation
-    form; indices run to 2j since the binomials vanish beyond.
+    form; indices run to 2j since the binomials vanish beyond. The x pair
+    (n, n') enters only through delta = n - n', so the sum runs over the
+    4j + 1 distinct deltas, each weighted by the autocorrelation of the x
+    binomials.
     """
     two_j = params.sys.two_j
     wx = _binomial_probabilities(two_j, abs(s0.sx) ** 2)
     wy = _binomial_probabilities(two_j, abs(s0.sy) ** 2)
     n = np.arange(two_j + 1)
-    deltas = (n[:, None] - n[None, :]).ravel()
+    deltas = np.arange(-two_j, two_j + 1)
+    # weights[k] = sum_n wx[n + deltas[k]] wx[n]
+    weights = np.correlate(wx, wx, mode="full")
     # phi[k] = sum_n wy[n] e^{-i lam T n delta_k}; the y double sum is |phi|^2
     phi = wy @ np.exp(-1j * params.lam * t_final * np.outer(n, deltas))
-    weights = np.outer(wx, wx).ravel()
     return float(weights @ (np.abs(phi) ** 2))
 
 
@@ -237,29 +244,102 @@ def _term_factors(sys, terms):
 
 
 def assemble_operator(sys, terms):
-    """Joint-space matrix for a list of OperatorTerms, summed in place onto
-    the first term's product (so one term allocates one joint matrix)."""
+    """Dense joint-space matrix for a list of OperatorTerms, summed in place
+    onto the first term's product (so one term allocates one joint matrix).
+    The oracle of _term_sectors, and the operator of every term model."""
     products = (np.kron(c * mx, my) for c, mx, my in _term_factors(sys, terms))
+    return _sum_in_order(products, (sys.joint_dim, sys.joint_dim))
+
+
+def _sum_in_order(products, shape):
+    """The sum of the term products, added in place onto the first one in
+    term order (zeros of shape for no terms)."""
     total = next(products, None)
     if total is None:
-        return np.zeros((sys.joint_dim, sys.joint_dim), dtype=complex)
+        return np.zeros(shape, dtype=complex)
     for product in products:
         total += product
     return total
+
+
+def _term_edges(d, factors):
+    """Joint (row, column) pairs each term reaches, as flat index arrays.
+
+    Term c Ax (x) Ay reaches ((nx, ny), (mx, my)) wherever Ax[nx, mx] and
+    Ay[ny, my] are both nonzero, so it gives nnz(Ax) nnz(Ay) pairs (about
+    d^2, as each factor is one band). Also returns the nonzero positions
+    of each term's factors, term by term.
+    """
+    patterns = [(np.nonzero(mx), np.nonzero(my)) for _, mx, my in factors]
+    rows = [(rx[:, None] * d + ry).ravel() for (rx, _), (ry, _) in patterns]
+    cols = [(cx[:, None] * d + cy).ravel() for (_, cx), (_, cy) in patterns]
+    empty = np.empty(0, dtype=np.intp)
+    return np.concatenate(rows or [empty]), np.concatenate(cols or [empty]), patterns
+
+
+def _require_hermitian_terms(sys, terms):
+    """require_hermitian on the joint operator of the terms, from their
+    entries: each entry is summed over the terms in term order, from the
+    same products as np.kron, so the check is the whole-matrix check."""
+    if not terms:
+        return
+    n = sys.joint_dim
+    factors = _term_factors(sys, terms)
+    rows, cols, patterns = _term_edges(sys.dim, factors)
+    vals = [((c * mx)[px][:, None] * my[py]).ravel()
+            for (c, mx, my), (px, py) in zip(factors, patterns)]
+    keys, where = np.unique(rows * n + cols, return_inverse=True)
+    h = np.zeros(keys.size, dtype=complex)
+    np.add.at(h, where, np.concatenate(vals))
+    # H^dagger at (r, c) is conj(H[c, r]): zero where no term reaches (c, r)
+    mirror = (keys % n) * n + keys // n
+    at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
+    require_hermitian(h, np.where(keys[at] == mirror, h[at], 0.0).conj())
+
+
+def _term_sectors(sys, terms):
+    """Sectors (quantum.Sectors) of the joint operator of the terms, from
+    their d x d factors, without forming the (2j+1)^2 x (2j+1)^2 matrix.
+
+    The sectors are the connected components of the pairs the terms reach
+    (coarser than those of the summed matrix where terms cancel). Each
+    size's blocks are gathered from the d x d factors, summing
+    (c Ax)[ix, ix'] Ay[iy, iy'] over the terms in term order: the
+    arithmetic of the np.kron sum, so each block equals the dense one.
+    """
+    d = sys.dim
+    factors = _term_factors(sys, terms)
+    rows, cols, _ = _term_edges(d, factors)
+    indices = connected_sectors(rows, cols, sys.joint_dim)
+    scaled = [(c * mx, my) for c, mx, my in factors]
+    blocks = []
+    for idx in indices:
+        # flat positions of (ix, ix') and (iy, iy') in the d x d factors
+        ix, iy = divmod(idx, d)
+        at_x = ix[:, :, None] * d + ix[:, None, :]
+        at_y = iy[:, :, None] * d + iy[:, None, :]
+        blocks.append(_sum_in_order((mx.take(at_x) * my.take(at_y) for mx, my in scaled),
+                                    idx.shape + idx.shape[-1:]))
+    return Sectors(sys.joint_dim, indices, blocks)
 
 
 def build_operator_model(sys, terms, label="operator_terms"):
     """Generic Hamiltonian from operator terms (stress-test path).
 
     The term list must assemble to a Hermitian operator (i.e. be closed
-    under conjugation); the assembled joint matrix serves that check and
-    the exact engine. The classical function comes from the closed-form
-    symbols of the terms' factors (derivs_from_terms), never from a matrix.
+    under conjugation); that is checked here, on the summed term entries,
+    and raises NotHermitian. The exact engine reads the model's sectors,
+    built on first use from the terms' factors (_term_sectors); the dense
+    joint matrix (assemble_operator) is built only when operator is read.
+    The classical function comes from the closed-form symbols of the
+    terms' factors (derivs_from_terms), never from a matrix.
     """
-    op = assemble_operator(sys, terms)
-    require_hermitian(op)
+    terms = tuple(terms)  # read again, lazily, by operator and sectors
+    _require_hermitian_terms(sys, terms)
     triples = [(term.coefficient, term.factor_x, term.factor_y) for term in terms]
-    return HamiltonianModel(derivs_from_terms(sys, triples), lambda: op, label=label)
+    return HamiltonianModel(derivs_from_terms(sys, triples),
+                            lambda: assemble_operator(sys, terms), label=label,
+                            sectors=lambda: _term_sectors(sys, terms))
 
 
 def free_precession_model(sys, b3):

@@ -64,10 +64,13 @@ def hermitian_eig(h):
     return w, v
 
 
-def require_hermitian(h):
+def require_hermitian(h, adjoint=None):
     """Raise NotHermitian if max |h - h^dagger| exceeds 1e-12 (over every
-    matrix of a stack)."""
-    defect = np.max(np.abs(h - h.conj().swapaxes(-1, -2)), initial=0.0)
+    matrix of a stack). For an operator held as a list of its entries, h is
+    that list and adjoint the entries of h^dagger at the same places."""
+    if adjoint is None:
+        adjoint = h.conj().swapaxes(-1, -2)
+    defect = np.max(np.abs(h - adjoint), initial=0.0)
     if defect > HERMITICITY_TOL:
         raise NotHermitian(f"max |h - h^dagger| = {defect:.3e} > {HERMITICITY_TOL}")
 
@@ -256,7 +259,9 @@ def cubic_quadrature(ts, fs):
     Each interval is integrated with the Lagrange cubic through the four
     nearest samples, so the composite rule is fourth-order accurate on the
     (possibly non-uniform) grid. Needs at least two samples; with fewer than
-    four it falls back to the highest polynomial degree available.
+    four it falls back to the highest polynomial degree available. The
+    Lagrange weights of every interval are formed at once in closed form,
+    and each sample's summed weight multiplies it once.
     """
     ts = np.asarray(ts, dtype=float)
     fs = np.asarray(fs)
@@ -265,16 +270,20 @@ def cubic_quadrature(ts, fs):
         raise ValueError("ts and fs must have matching length")
     if n < 2:
         return 0.0 * (fs[0] if n else 0.0)
-    total = 0.0 + 0.0j if np.iscomplexobj(fs) else 0.0
-    for i in range(n - 1):
-        lo = min(max(i - 1, 0), max(n - 4, 0))
-        hi = min(lo + 4, n)
-        xs = ts[lo:hi] - ts[i]
-        vals = fs[lo:hi]
-        deg = xs.size - 1
-        vander = np.vander(xs, deg + 1, increasing=True)
-        coeffs = np.linalg.solve(vander, vals)
-        b = ts[i + 1] - ts[i]
-        powers = np.array([b ** (p + 1) / (p + 1) for p in range(deg + 1)])
-        total = total + coeffs @ powers
-    return total
+    p = min(n, 4)  # samples per local rule
+    # interval i runs from ts[i] by width[i] and uses samples at[i]
+    at = np.clip(np.arange(n - 1) - 1, 0, n - p)[:, None] + np.arange(p)
+    nodes = ts[at] - ts[:-1, None]
+    width = np.diff(ts)
+    weights = np.empty((n - 1, p))
+    for m in range(p):
+        # coefficients, lowest power first, of prod_{k != m} (x - x_k),
+        # integrated over [0, width] and divided by prod_{k != m} (x_m - x_k)
+        poly, denom = [1.0], 1.0
+        for k in range(p):
+            if k != m:
+                poly = [a - nodes[:, k] * b for a, b in zip([0.0] + poly, poly + [0.0])]
+                denom = denom * (nodes[:, m] - nodes[:, k])
+        integral = sum(c * width ** (q + 1) / (q + 1) for q, c in enumerate(poly))
+        weights[:, m] = integral / denom
+    return np.bincount(at.ravel(), weights=weights.ravel(), minlength=n) @ fs

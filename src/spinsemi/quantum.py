@@ -2,9 +2,15 @@
 
 Evolution goes through the spectral decomposition of the joint
 Hamiltonian, taken block by block: the basis splits into the sectors that
-H never connects (connected components of its nonzero pattern) and each
+H never connects (connected components of the pairs it links) and each
 sector is diagonalized on its own. Long-time phases are exact, and a whole
 purity curve reuses one set of sector eigendecompositions.
+
+The engine's input is a Sectors description: index arrays and Hermitian
+block stacks per sector size. Models built from operator terms derive it
+from their terms' d x d factors (model.sectors), so no (2j+1)^2 x (2j+1)^2
+joint matrix is formed on the run path; a dense matrix is split through
+invariant_sectors, which serves the oracles and small spins.
 """
 
 from dataclasses import dataclass
@@ -47,17 +53,15 @@ class PurityCurve:
         return 1.0 - self.p_sc
 
 
-def invariant_sectors(h):
-    """Basis indices of the sectors of h, grouped by sector size.
+def connected_sectors(rows, cols, n):
+    """Basis indices of the connected components of a graph on n nodes,
+    grouped by component size.
 
-    The sectors are the connected components of the graph with an edge
-    i - j wherever h[i, j] or h[j, i] is nonzero (compared with exact
-    zero), so h has no entry, in either triangle, between two sectors.
-    Returns one (k, s) index array per sector size s, ascending in s; each
-    row lists one sector's indices in ascending order.
+    The edges are i - j for each pair (rows[k], cols[k]), taken both ways.
+    Returns one (k, s) index array per component size s, ascending in s;
+    each row lists one component's indices in ascending order, and the
+    rows of a size are ordered by their smallest index.
     """
-    n = h.shape[0]
-    rows, cols = divmod(np.flatnonzero(h != 0), n)
     # label[i] is the smallest index known to share i's sector: take the
     # minimum across each edge, both ways, then follow labels to their own
     # labels.
@@ -79,30 +83,68 @@ def invariant_sectors(h):
             for s in np.flatnonzero(np.bincount(sizes))]
 
 
+def invariant_sectors(h):
+    """Basis indices of the sectors of h, grouped by sector size.
+
+    The sectors are the connected components (connected_sectors) of the
+    graph with an edge i - j wherever h[i, j] or h[j, i] is nonzero
+    (compared with exact zero), so h has no entry, in either triangle,
+    between two sectors.
+    """
+    n = h.shape[0]
+    rows, cols = divmod(np.flatnonzero(h != 0), n)
+    return connected_sectors(rows, cols, n)
+
+
+@dataclass(frozen=True)
+class Sectors:
+    """An operator on a basis of dim states, split into invariant sectors.
+
+    indices[g] is a (k, s) array of basis indices, one sector per row, for
+    the g-th sector size s (ascending, as connected_sectors orders them);
+    blocks[g] is the (k, s, s) stack of the operator restricted to those
+    sectors. The operator has no entry outside the blocks.
+    """
+
+    dim: int
+    indices: list
+    blocks: list
+
+
+def dense_sectors(h):
+    """Sectors of a dense square matrix h: invariant_sectors(h) and its
+    blocks gathered from h."""
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.size == 0:
+        raise ValueError("expected a non-empty square matrix")
+    indices = invariant_sectors(h)
+    return Sectors(h.shape[0], indices,
+                   [h[idx[:, :, None], idx[:, None, :]] for idx in indices])
+
+
 class SpectralPropagator:
     """e^{-i H t / hbar} applied through the eigenbases of H's sectors.
 
-    Sectors of equal size are stacked: one batched eigendecomposition per
-    size at construction, and one batched rotation into and out of the
-    eigenbases per size on each apply. The basis is permuted so that each
-    size's sectors are contiguous, row by row.
+    H is a Sectors description, or a dense matrix that is split through
+    invariant_sectors. Sectors of equal size are stacked: one batched,
+    Hermiticity-checked eigendecomposition per size at construction, and
+    one batched rotation into and out of the eigenbases per size on each
+    apply. The basis is permuted so that each size's sectors are
+    contiguous, row by row.
     """
 
     def __init__(self, h, hbar=1.0):
-        h = np.asarray(h, dtype=complex)
-        if h.ndim != 2 or h.shape[0] != h.shape[1] or h.size == 0:
-            raise ValueError("SpectralPropagator expects a non-empty square matrix")
-        self.dim = h.shape[0]
+        sectors = h if isinstance(h, Sectors) else dense_sectors(h)
+        self.dim = sectors.dim
         self.hbar = hbar
-        sectors = invariant_sectors(h)
-        self.perm = np.concatenate([idx.ravel() for idx in sectors])
+        self.perm = np.concatenate([idx.ravel() for idx in sectors.indices])
         eigenvalues = []
         self.blocks = []  # (slice of the permuted basis, V, V^dagger) per size
         start = 0
-        # h is exactly zero between sectors, both ways, so checking each
-        # sector block for Hermiticity checks the whole matrix
-        for idx in sectors:
-            w, v = hermitian_eig(h[idx[:, :, None], idx[:, None, :]])
+        # H has no entry between sectors, so checking each block for
+        # Hermiticity checks the whole operator
+        for idx, block in zip(sectors.indices, sectors.blocks):
+            w, v = hermitian_eig(block)
             eigenvalues.append(w.ravel())
             self.blocks.append((slice(start, start + idx.size), v,
                                 np.ascontiguousarray(v.conj().swapaxes(1, 2))))
@@ -139,7 +181,8 @@ class SpectralPropagator:
 
 
 def evolve_state(h, psi0, t, hbar=1.0):
-    """Evolve psi0 under Hermitian h for time t (a negative t reverses time)."""
+    """Evolve psi0 under Hermitian h (a dense matrix or Sectors) for time t
+    (a negative t reverses time)."""
     return SpectralPropagator(h, hbar).apply(np.asarray(psi0, dtype=complex), t)
 
 
@@ -190,7 +233,7 @@ def exact_purity_curve(sys, model, s0, times, subsystem="x"):
     if times.size and (np.any(np.diff(times) <= 0) or times[0] < 0):
         raise ValueError("times must be ascending and non-negative")
     psi0 = product_coherent(sys, s0)
-    prop = SpectralPropagator(model.operator, sys.hbar)
+    prop = SpectralPropagator(model.sectors, sys.hbar)
     out = np.empty(times.size)
     for rows in time_chunks(times.size, prop.dim):
         out[rows] = purity(reduced_density(prop.apply(psi0, times[rows]), subsystem, sys.dim))

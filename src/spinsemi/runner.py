@@ -48,7 +48,7 @@ def compute_curve(cfg, model=None):
     sys = cfg.system
 
     psi0 = product_coherent(sys, cfg.initial_state)
-    prop = SpectralPropagator(model.operator, sys.hbar)
+    prop = SpectralPropagator(model.sectors, sys.hbar)
     p_exact = np.empty(times.size)
     for rows in time_chunks(times.size, prop.dim):
         p_exact[rows] = purity(reduced_density(prop.apply(psi0, times[rows]), "x", sys.dim))

@@ -85,16 +85,25 @@ class HamiltonianModel:
     (htilde_from_operator) serves arbitrary joint operators and is their
     test oracle; the phase-coupling closed forms are the oracle of both.
 
-    operator is a zero-argument callable returning the joint-space matrix.
-    It runs once, on the first read of the operator property, so purely
-    classical work on large spins never materializes that matrix.
+    The exact engine reads sectors, the joint operator split into the
+    sectors it never connects (a quantum.Sectors). sectors is a
+    zero-argument callable building it; operator-term models pass one that
+    works from the d x d factors of their terms, so no joint-space matrix
+    is formed. Without it, the sectors come from the dense operator.
+
+    operator is a zero-argument callable returning the dense joint-space
+    matrix, for the oracles, exact overlaps and small spins. Each of
+    operator and sectors runs once, on the first read of its property, so
+    purely classical work on large spins builds neither.
     """
 
-    def __init__(self, derivs, operator, label=""):
+    def __init__(self, derivs, operator, label="", sectors=None):
         self.derivs = derivs
         self.label = label
         self._operator = None
         self._make_operator = operator
+        self._sectors = None
+        self._make_sectors = sectors
 
     def htilde(self, u, v):
         return self.derivs(u, v)[0]
@@ -110,6 +119,17 @@ class HamiltonianModel:
         if self._operator is None:
             self._operator = np.asarray(self._make_operator(), dtype=complex)
         return self._operator
+
+    @property
+    def sectors(self):
+        if self._sectors is None:
+            if self._make_sectors is None:
+                # quantum imports this module, so it is imported on first use
+                from .quantum import dense_sectors
+                self._sectors = dense_sectors(self.operator)
+            else:
+                self._sectors = self._make_sectors()
+        return self._sectors
 
 
 def binom_sqrt_weights(two_j):

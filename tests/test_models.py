@@ -1,12 +1,18 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import spinsemi as ss
-from spinsemi.errors import NotHermitian
+from spinsemi.config import build_model, parse_config
+from spinsemi.errors import NotHermitian, ValidationError
 from spinsemi.models import (
+    _binomial_probabilities,
     assemble_operator,
     pc_purity_sc_printed,
 )
+from spinsemi.numerics import require_hermitian
 
 CFG = ss.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
 
@@ -207,6 +213,27 @@ class TestPcExactPurity:
             )
 
 
+def phase_matrix_pc_purity(params, s0, t_final):
+    """Oracle of pc_exact_purity: the autocorrelation form summed over every
+    x pair (n, n'), through the (2j+1) x (2j+1)^2 phase matrix."""
+    two_j = params.sys.two_j
+    wx = _binomial_probabilities(two_j, abs(s0.sx) ** 2)
+    wy = _binomial_probabilities(two_j, abs(s0.sy) ** 2)
+    n = np.arange(two_j + 1)
+    deltas = (n[:, None] - n[None, :]).ravel()
+    phi = wy @ np.exp(-1j * params.lam * t_final * np.outer(n, deltas))
+    return float(np.outer(wx, wx).ravel() @ (np.abs(phi) ** 2))
+
+
+@pytest.mark.parametrize("two_j", [1, 10, 40, 160])
+def test_pc_exact_purity_matches_phase_matrix_sum(two_j):
+    sys, params = _params(two_j=two_j, lam=0.9, hbar=0.7)
+    for s0 in (ss.CoherentLabel(0.7, 1.3j), ss.CoherentLabel(0.4 - 0.2j, 0.9)):
+        for t in (0.0, 0.03, 0.4, 2.0):
+            want = phase_matrix_pc_purity(params, s0, t)
+            assert abs(ss.pc_exact_purity(params, s0, t) - want) <= 1e-12 * want
+
+
 class TestShortTimeLaw:
     def test_pole_state_never_entangles(self):
         sys, params = _params()
@@ -284,6 +311,85 @@ class TestOperatorModels:
         sys = ss.SpinSystem(two_j=2)
         with pytest.raises(NotHermitian):
             ss.build_operator_model(sys, [ss.OperatorTerm(1.0, ("J+", 1), ("I", 0))])
+
+    @pytest.mark.parametrize("two_j", [1, 5, 10, 40])
+    def test_rejects_non_hermitian_term_list_at_any_spin(self, two_j):
+        sys = ss.SpinSystem(two_j=two_j)
+        with pytest.raises(NotHermitian):
+            ss.build_operator_model(sys, [ss.OperatorTerm(1.0, ("J+", 1), ("I", 0))])
+
+    def test_non_hermitian_term_list_is_a_config_error(self):
+        doc = {
+            "system": {"two_j": 5},
+            "hamiltonian": {"model": "operator_terms",
+                            "terms": [{"coefficient": 1.0, "x": ["J+", 1], "y": ["I", 0]}]},
+            "initial_state": {"sx": [0.5, 0.0], "sy": [0.3, 0.1]},
+            "time": {"t_max": 1.0, "num_points": 5},
+            "outputs": {"path": "out.csv"},
+        }
+        with pytest.raises(ValidationError) as excinfo:
+            build_model(parse_config(json.dumps(doc)))
+        assert excinfo.value.key == "hamiltonian.terms"
+
+    @pytest.mark.parametrize("two_j", [1, 2, 5])
+    def test_term_check_is_the_whole_matrix_check(self, two_j):
+        # lists whose summed entries are Hermitian, off by a defect above or
+        # below the 1e-12 bound, or off in pattern: the check on the term
+        # entries and the check on the assembled matrix agree
+        sys = ss.SpinSystem(two_j=two_j)
+        c = 0.3 + 0.2j
+        lists = [
+            [ss.OperatorTerm(c, ("J+", 2), ("J-", 1)), ss.OperatorTerm(np.conj(c), ("J-", 2), ("J+", 1))],
+            [ss.OperatorTerm(c, ("J+", 1), ("J-", 1)), ss.OperatorTerm(c, ("J-", 1), ("J+", 1))],
+            [ss.OperatorTerm(0.5, ("J+", 1), ("J3", 1)), ss.OperatorTerm(0.5 + 1e-9, ("J-", 1), ("J3", 1))],
+            [ss.OperatorTerm(0.5, ("J+", 1), ("J3", 1)), ss.OperatorTerm(0.5 + 1e-15, ("J-", 1), ("J3", 1))],
+            [ss.OperatorTerm(0.5, ("J+", 1), ("I", 0)), ss.OperatorTerm(0.5, ("J-", 1), ("I", 0)),
+             ss.OperatorTerm(1e-13j, ("J3", 1), ("I", 0))],
+            [ss.OperatorTerm(1.0, ("J+", 1), ("J+", 1)), ss.OperatorTerm(-1.0, ("J+", 1), ("J+", 1))],
+            [ss.OperatorTerm(1.0, ("J3", 2), ("J-", 1))],
+            [ss.OperatorTerm(2.0j, ("I", 0), ("I", 0))],
+        ]
+        for terms in lists:
+            try:
+                require_hermitian(assemble_operator(sys, terms))
+            except NotHermitian:
+                with pytest.raises(NotHermitian):
+                    ss.build_operator_model(sys, terms)
+            else:
+                ss.build_operator_model(sys, terms)
+
+    def test_large_spin_term_model_builds_without_joint_matrix(self):
+        # the (2j+1)^2 joint matrix at two_j=1000 would take 14.6 TiB; the
+        # Hermiticity check works on the 10^6 term entries instead
+        sys = ss.SpinSystem(two_j=1000, hbar=0.7)
+        tracemalloc.start()
+        try:
+            model = ss.build_operator_model(sys, [ss.OperatorTerm(0.9 * sys.hbar, ("J3", 1), ("J3", 1))])
+            with pytest.raises(NotHermitian):
+                ss.build_operator_model(sys, [ss.OperatorTerm(1.0, ("J+", 1), ("J3", 1))])
+            u = np.array([0.3 + 0.1j, -0.2 + 0.05j])
+            h, grad, hess = model.derivs(u, np.conj(u))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2 ** 20
+        closed = ss.phase_coupling_model(ss.PhaseCouplingParams(lam=0.9, sys=sys))
+        for got, want in zip((h, grad, hess), closed.derivs(u, np.conj(u))):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_term_list_is_read_once(self):
+        # sectors and operator are built later, from the list given at build
+        sys = ss.SpinSystem(two_j=3)
+        terms = [ss.OperatorTerm(0.5, ("J+", 1), ("J-", 1)),
+                 ss.OperatorTerm(0.5, ("J-", 1), ("J+", 1))]
+        model = ss.build_operator_model(sys, iter(terms))
+        terms.append(ss.OperatorTerm(1.0, ("J3", 1), ("I", 0)))
+        want = ss.exchange_coupling_model(sys, 1.0)
+        assert np.array_equal(model.operator, want.operator)
+        for got, ref in zip(model.sectors.blocks, want.sectors.blocks):
+            assert np.array_equal(got, ref)
+        u = np.array([0.3 + 0.1j, -0.2])
+        assert model.htilde(u, np.conj(u)) == want.htilde(u, np.conj(u))
 
     def test_term_validation(self):
         with pytest.raises(ValueError):

@@ -311,6 +311,22 @@ class TestAdaptiveRk:
         assert np.max(np.diff(ts)) <= 1e-6 * (1 + 1e-12)
 
 
+def _quadrature_by_solves(ts, fs):
+    """Oracle of cubic_quadrature: each interval's local polynomial from a
+    Vandermonde solve on its (up to) four nearest samples, integrated term by
+    term, in a loop over the intervals."""
+    n = ts.size
+    total = 0.0 + 0.0j if np.iscomplexobj(fs) else 0.0
+    for i in range(n - 1):
+        lo = min(max(i - 1, 0), max(n - 4, 0))
+        hi = min(lo + 4, n)
+        xs = ts[lo:hi] - ts[i]
+        coeffs = np.linalg.solve(np.vander(xs, xs.size, increasing=True), fs[lo:hi])
+        b = ts[i + 1] - ts[i]
+        total = total + coeffs @ np.array([b ** (p + 1) / (p + 1) for p in range(xs.size)])
+    return total
+
+
 class TestCubicQuadrature:
     def test_exact_for_cubics(self):
         rng = np.random.default_rng(9)
@@ -329,6 +345,19 @@ class TestCubicQuadrature:
         assert errs[2] < 2e-8
         # composite local-cubic rule: global error O(h^4)
         assert errs[0] / errs[1] > 12.0 and errs[1] / errs[2] > 12.0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 120])
+    def test_matches_per_interval_solve(self, n):
+        # non-uniform grids, real and complex samples
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            ts = np.cumsum(rng.uniform(0.05, 1.0, size=n)) / n
+            for fs in (np.cos(7.0 * ts) + ts ** 3,
+                       np.exp(3j * ts) * (1.0 + ts) + _rand_complex(rng, n)):
+                got = cubic_quadrature(ts, fs)
+                want = _quadrature_by_solves(ts, fs)
+                assert abs(got - want) <= 1e-12 * max(abs(want), np.sum(np.abs(fs)) / n)
+                assert np.iscomplexobj(got) == np.iscomplexobj(fs)
 
     def test_det2(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])

@@ -1,11 +1,25 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinsemi as ss
+from spinsemi import models, quantum
+from spinsemi.config import parse_config
 from spinsemi.errors import DimensionMismatch, NotHermitian
-from spinsemi.quantum import CHUNK, SpectralPropagator, invariant_sectors, time_chunks
+from spinsemi.quantum import (
+    CHUNK,
+    Sectors,
+    SpectralPropagator,
+    connected_sectors,
+    dense_sectors,
+    invariant_sectors,
+    time_chunks,
+)
+from spinsemi.runner import compute_curve
 
 
 def _random_state(rng, n):
@@ -463,3 +477,195 @@ class TestWholeCurve:
         assert time_chunks(100, 1681)[0] == slice(0, 38)
         assert time_chunks(5, CHUNK + 1) == [slice(i, i + 1) for i in range(5)]
         assert time_chunks(0, 121) == []
+
+
+def _term_list_models(sys):
+    """Operator-term lists beyond the built-in models: complex coefficients,
+    J+^2 / J-^2, J3^2, an I (x) I term, the empty list, hopping terms that
+    join what the first (diagonal) term leaves apart, and a list whose
+    terms cancel (its term sectors are coarser than the matrix's)."""
+    c = (0.3 + 0.2j) / sys.j ** 2
+    lists = {
+        "complex_quartic": [
+            ss.OperatorTerm(c, ("J+", 2), ("J-", 2)),
+            ss.OperatorTerm(np.conj(c), ("J-", 2), ("J+", 2)),
+            ss.OperatorTerm(0.6 / sys.j, ("J3", 2), ("I", 0)),
+            ss.OperatorTerm(-0.4, ("I", 0), ("I", 0)),
+        ],
+        "mixed": [
+            ss.OperatorTerm(0.7j / sys.j, ("J+", 1), ("J3", 1)),
+            ss.OperatorTerm(-0.7j / sys.j, ("J-", 1), ("J3", 1)),
+            ss.OperatorTerm(0.2 / sys.j, ("J3", 1), ("J3", 2)),
+        ],
+        "empty": [],
+        "hopping_after_diagonal": [
+            ss.OperatorTerm(0.9 / sys.j, ("J3", 1), ("J3", 1)),
+            ss.OperatorTerm(0.4 / sys.j, ("J+", 1), ("I", 0)),
+            ss.OperatorTerm(0.4 / sys.j, ("J-", 1), ("I", 0)),
+            ss.OperatorTerm(0.3j / sys.j, ("I", 0), ("J+", 1)),
+            ss.OperatorTerm(-0.3j / sys.j, ("I", 0), ("J-", 1)),
+        ],
+        "cancelling": [
+            ss.OperatorTerm(0.5, ("J+", 1), ("I", 0)),
+            ss.OperatorTerm(-0.5, ("J+", 1), ("I", 0)),
+            ss.OperatorTerm(0.5, ("J-", 1), ("I", 0)),
+            ss.OperatorTerm(-0.5, ("J-", 1), ("I", 0)),
+            ss.OperatorTerm(0.9 / sys.j, ("J3", 1), ("J3", 1)),
+        ],
+    }
+    return {name: ss.build_operator_model(sys, terms) for name, terms in lists.items()}
+
+
+BUILT_IN_MODELS = {
+    "phase_coupling": SECTOR_MODELS["phase_coupling"],
+    "exchange_coupling": SECTOR_MODELS["exchange_coupling"],
+    "free_precession": SECTOR_MODELS["free_precession"],
+}
+
+
+def _rows(indices):
+    return [tuple(row) for idx in indices for row in idx.tolist()]
+
+
+def _assert_blocks_match(sectors, h):
+    """Each block of sectors equals h gathered at its indices, to 1e-12
+    relative, and h has no entry outside the blocks."""
+    assert sectors.dim == h.shape[0]
+    scale = max(np.max(np.abs(h)), 1e-300)
+    inside = np.zeros(h.shape, dtype=bool)
+    for idx, block in zip(sectors.indices, sectors.blocks):
+        assert block.shape == idx.shape + idx.shape[-1:]
+        want = h[idx[:, :, None], idx[:, None, :]]
+        assert np.max(np.abs(block - want), initial=0.0) <= 1e-12 * scale
+        inside[idx[:, :, None], idx[:, None, :]] = True
+    assert not np.any(h[~inside])
+
+
+def _assert_propagators_match(sys, sectors, h):
+    psi = ss.product_coherent(sys, ss.CoherentLabel(0.6 - 0.2j, -0.4 + 0.5j))
+    times = np.linspace(-1.3 / sys.j, 1.3 / sys.j, 7)
+    got = SpectralPropagator(sectors, sys.hbar).apply(psi, times)
+    want = SpectralPropagator(h, sys.hbar).apply(psi, times)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+class TestTermSectors:
+    @pytest.mark.parametrize("two_j", [1, 5, 10, 40])
+    @pytest.mark.parametrize("name", sorted(BUILT_IN_MODELS))
+    def test_built_in_models_match_dense_sectors(self, name, two_j):
+        sys = ss.SpinSystem(two_j=two_j, hbar=0.7)
+        model = BUILT_IN_MODELS[name](sys)
+        h = model.operator
+        dense = dense_sectors(h)
+        assert len(model.sectors.indices) == len(dense.indices)
+        for got, want in zip(model.sectors.indices, dense.indices):
+            assert np.array_equal(got, want)
+        _assert_blocks_match(model.sectors, h)
+        _assert_propagators_match(sys, model.sectors, h)
+
+    @pytest.mark.parametrize("two_j", [1, 5, 10, 40])
+    def test_term_lists_refine_into_term_sectors(self, two_j):
+        sys = ss.SpinSystem(two_j=two_j, hbar=0.7)
+        for name, model in _term_list_models(sys).items():
+            h = model.operator
+            term_rows = _rows(model.sectors.indices)
+            assert sorted(i for row in term_rows for i in row) == list(range(sys.joint_dim))
+            home = {i: k for k, row in enumerate(term_rows) for i in row}
+            for row in _rows(invariant_sectors(h)):
+                assert len({home[i] for i in row}) == 1, name
+            _assert_blocks_match(model.sectors, h)
+            # the hopping list is one sector of every state; at two_j=40
+            # its two 1681-state eigendecompositions would take seconds
+            if name != "hopping_after_diagonal" or two_j <= 10:
+                _assert_propagators_match(sys, model.sectors, h)
+
+    def test_cancelling_terms_give_coarser_sectors(self):
+        sys = ss.SpinSystem(two_j=5)
+        model = _term_list_models(sys)["cancelling"]
+        assert [idx.shape[1] for idx in invariant_sectors(model.operator)] == [1]
+        assert [idx.shape[1] for idx in model.sectors.indices] == [sys.dim]
+
+    def test_empty_list_is_all_single_states(self):
+        sys = ss.SpinSystem(two_j=4)
+        sectors = ss.build_operator_model(sys, []).sectors
+        assert [idx.shape for idx in sectors.indices] == [(sys.joint_dim, 1)]
+        assert not np.any(sectors.blocks[0])
+
+    def test_dense_front_end_is_connected_sectors_of_the_pattern(self):
+        rng = np.random.default_rng(3)
+        h = np.where(rng.random((30, 30)) < 0.04, 1.0, 0.0)
+        rows, cols = np.nonzero(h)
+        for got, want in zip(invariant_sectors(h), connected_sectors(rows, cols, 30)):
+            assert np.array_equal(got, want)
+        # no edges: every state its own sector
+        assert [idx.shape for idx in connected_sectors(np.array([], int), np.array([], int), 4)] == [(4, 1)]
+
+    def test_propagator_takes_sectors_or_a_dense_matrix(self):
+        h = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        h[0, 2] = h[2, 0] = 0.5
+        psi = np.array([0.6, 0.0, 0.8j])
+        from_dense = SpectralPropagator(h).apply(psi, 0.7)
+        from_sectors = SpectralPropagator(dense_sectors(h)).apply(psi, 0.7)
+        assert np.array_equal(from_dense, from_sectors)
+        with pytest.raises(ValueError):
+            SpectralPropagator(np.ones((2, 3)))
+        with pytest.raises(NotHermitian):
+            bad = Sectors(2, [np.array([[0, 1]])], [np.array([[[1.0, 1.0], [0.0, 1.0]]])])
+            SpectralPropagator(bad)
+
+
+def _no_dense_operator(monkeypatch):
+    """Make every dense joint-space path raise: the term assembler and the
+    dense sector scan."""
+    def fail(*args, **kwargs):
+        raise AssertionError("dense joint-space matrix on the run path")
+    monkeypatch.setattr(models, "assemble_operator", fail)
+    monkeypatch.setattr(quantum, "invariant_sectors", fail)
+
+
+@pytest.mark.parametrize("name", ["phase_coupling", "exchange_coupling",
+                                  "free_precession", "operator_terms"])
+def test_run_path_reads_no_dense_operator(monkeypatch, name):
+    _no_dense_operator(monkeypatch)
+    hamiltonian = {
+        "phase_coupling": {"lambda": 0.9},
+        "exchange_coupling": {"lambda": 0.8},
+        "free_precession": {"b3": 1.1},
+        "operator_terms": {"terms": [
+            {"coefficient": [0.3, 0.2], "x": ["J+", 2], "y": ["J-", 2]},
+            {"coefficient": [0.3, -0.2], "x": ["J-", 2], "y": ["J+", 2]},
+            {"coefficient": 0.6, "x": ["J3", 2], "y": ["I", 0]},
+        ]},
+    }[name]
+    doc = {
+        "system": {"two_j": 6},
+        "hamiltonian": dict(model=name, **hamiltonian),
+        "initial_state": {"sx": [0.5, 0.1], "sy": [-0.3, 0.4]},
+        "time": {"t_max": 0.2, "num_points": 5},
+        "outputs": {"path": "out.csv"},
+    }
+    cfg = parse_config(json.dumps(doc))
+    curve, _ = compute_curve(cfg)
+    assert curve.p_exact[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_exchange_curve_at_large_spin_stays_small(monkeypatch):
+    # the joint matrix at two_j=100 alone would take 1.7 GB; the sectors
+    # (sizes up to 101) hold 0.7 M entries
+    _no_dense_operator(monkeypatch)
+    sys = ss.SpinSystem(two_j=100)
+    s0 = ss.CoherentLabel(0.5 + 0.1j, -0.3j)
+    times = np.linspace(0.0, 0.5 / sys.j, 20)
+    tracemalloc.start()
+    try:
+        model = ss.exchange_coupling_model(sys, 1.0)
+        curve = ss.exact_purity_curve(sys, model, s0, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2 ** 20
+    assert curve[0] == pytest.approx(1.0, abs=1e-12)
+    assert np.all((curve > 1.0 / sys.dim) & (curve <= 1.0 + 1e-12))
+    assert curve[-1] < 1.0 - 1e-4
+    other = ss.exact_purity_curve(sys, model, s0, times, subsystem="y")
+    assert np.max(np.abs(curve - other)) < 1e-10
