@@ -27,10 +27,8 @@ def main():
         sys = ss.SpinSystem(two_j=two_j)
         model = ss.phase_coupling_model(ss.PhaseCouplingParams(lam=args.coupling, sys=sys))
         t_final = args.scaled_time / (args.coupling * sys.j)
-        k_sc = ss.semiclassical_propagator_real(sys, model, s0, t_final, cfg)
-        traj = ss.integrate_trajectory(sys, model, s0, t_final, cfg)
-        s_eta = ss.CoherentLabel(traj.final.u[0], traj.final.u[1])
-        k_ex = ss.exact_propagator_overlap(sys, model.operator, s_eta, s0, t_final)
+        k_sc, s_eta = ss.semiclassical_propagator_real(sys, model, s0, t_final, cfg)
+        k_ex = ss.exact_propagator_overlap(sys, model, s_eta, s0, t_final)
         print(f"{two_j:6d} {abs(k_sc):12.8f} {abs(k_ex):12.8f} "
               f"{abs(k_sc - k_ex) / abs(k_ex):12.3e}")
 

@@ -29,7 +29,7 @@ from .errors import (
 from .numerics import IntegratorConfig, adaptive_rk, hermitian_eig, small_inverse
 from .spin import (
     CoherentLabel,
-    HamiltonianModel,
+    OperatorTerm,
     SpinSystem,
     build_spin_operators,
     coherent_overlap,
@@ -68,7 +68,7 @@ from .semiclassical import (
     semiclassical_propagator_real,
 )
 from .models import (
-    OperatorTerm,
+    HamiltonianModel,
     PhaseCouplingParams,
     build_operator_model,
     exchange_coupling_model,

@@ -18,7 +18,6 @@ from typing import Optional, Tuple
 
 from .errors import NotHermitian, ParseError, ValidationError
 from .models import (
-    OperatorTerm,
     PhaseCouplingParams,
     build_operator_model,
     exchange_coupling_model,
@@ -26,7 +25,7 @@ from .models import (
     phase_coupling_model,
 )
 from .numerics import IntegratorConfig
-from .spin import CoherentLabel, SpinSystem
+from .spin import CoherentLabel, OperatorTerm, SpinSystem
 
 CSV_COLUMNS = (
     "t",

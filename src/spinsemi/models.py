@@ -1,4 +1,11 @@
-"""Built-in Hamiltonian models.
+"""Hamiltonian models: a model is its operator-term list.
+
+HamiltonianModel holds the list, its classical function and the entries of
+the joint operator it sums to; build_operator_model is its one constructor.
+Both engines start from the list: the classical function from the closed-form
+symbols of the terms' factors (or a model's own closed form), the exact
+engine from the sectors of the entries. The dense joint matrix is assembled
+only for the test oracles.
 
 The phase-coupling system (J3 (x) J3 interaction) is the exactly solvable
 benchmark: every object along the pipeline -- classical trajectory,
@@ -8,7 +15,6 @@ here, so the numerical machinery can be checked end to end against it.
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -16,10 +22,10 @@ from .flow import StabilityMatrix, Trajectory
 from .numerics import require_hermitian
 from .quantum import Sectors, connected_sectors
 from .spin import (
-    HamiltonianModel,
+    OperatorTerm,
     SpinSystem,
+    _term_factors,
     binom_sqrt_weights,
-    build_spin_operators,
     derivs_from_terms,
 )
 
@@ -89,9 +95,7 @@ def phase_coupling_model(params):
         # reordering the 4x4 entries
         return amp * gx * gy, amp * grad.T, h.T
 
-    return HamiltonianModel(derivs, lambda: assemble_operator(sys, [term]),
-                            label="phase_coupling",
-                            sectors=lambda: _term_sectors(sys, [term]))
+    return build_operator_model(sys, [term], label="phase_coupling", derivs=derivs)
 
 
 def _pc_rates(params, u0, v0):
@@ -205,141 +209,134 @@ def pc_slin_short_time(params, s0, t_final):
     return val ** 2
 
 
-@dataclass(frozen=True)
-class OperatorTerm:
-    """One product term coefficient * Ox^px (x) Oy^py of a joint operator."""
+class HamiltonianModel:
+    """A joint Hamiltonian H = sum_t c_t A_t (x) B_t, held as its term list.
 
-    coefficient: complex
-    factor_x: Tuple[str, int]
-    factor_y: Tuple[str, int]
+    sys is the SpinSystem and terms the frozen tuple of OperatorTerms.
+    entries = (keys, values) lists the operator's entries (_term_entries):
+    the sorted flat positions r * n + c (n = sys.joint_dim) that the terms
+    reach, and the entry summed there in term order. label names the model.
 
-    _KINDS = ("J+", "J-", "J3", "I")
+    derivs(u, v) -> (h, grad, hess) is the one entry point of classical
+    work. It continues the coherent-state expectation <s|H|s> to independent
+    complex arguments u = (ux, uy), v = (vx, vy) and returns, from one
+    evaluation, its value, its first partials and its second partials in
+    the order (d/dux, d/duy, d/dvx, d/dvy). u and v are (2,) for one point,
+    giving shapes (), (4,) and (4, 4), or (n, 2) for a series of n points,
+    giving (n,), (n, 4) and (n, 4, 4). htilde, grad and hess are views of
+    derivs for callers that need one piece.
 
-    def __post_init__(self):
-        for name, (kind, power) in (("factor_x", self.factor_x), ("factor_y", self.factor_y)):
-            if kind not in self._KINDS:
-                raise ValueError(f"{name} kind must be one of {self._KINDS}, got {kind!r}")
-            if isinstance(power, bool) or not isinstance(power, int) or power < 0:
-                raise ValueError(f"{name} power must be a non-negative integer")
+    sectors is the exact engine's one input: the operator split into the
+    sectors it never connects (a quantum.Sectors), built from entries on
+    each read. operator is the dense joint-space matrix (assemble_operator,
+    from the factors, independent of entries), built on its first read; it
+    is for the test oracles only, so no run forms it.
+    """
 
+    def __init__(self, sys, terms, entries, derivs, label):
+        self.sys = sys
+        self.terms = terms
+        self.entries = entries
+        self.derivs = derivs
+        self.label = label
+        self._operator = None
 
-def _factor_matrix(ops, kind, power):
-    jplus, _, j3 = ops
-    if kind == "J-":
-        # the adjoint of J+^power to the last bit, so that a term list closed
-        # under conjugation assembles to an exactly Hermitian matrix
-        return _factor_matrix(ops, "J+", power).conj().T
-    base = {"J+": jplus, "J3": j3, "I": np.eye(j3.shape[0], dtype=complex)}
-    return np.linalg.matrix_power(base[kind], power)
+    def htilde(self, u, v):
+        return self.derivs(u, v)[0]
 
+    def grad(self, u, v):
+        return self.derivs(u, v)[1]
 
-def _term_factors(sys, terms):
-    """(coefficient, x factor, y factor) of each term, as d x d matrices."""
-    ops = build_spin_operators(sys)
-    return [
-        (complex(term.coefficient), _factor_matrix(ops, *term.factor_x),
-         _factor_matrix(ops, *term.factor_y))
-        for term in terms
-    ]
+    def hess(self, u, v):
+        return self.derivs(u, v)[2]
+
+    @property
+    def operator(self):
+        if self._operator is None:
+            self._operator = assemble_operator(self.sys, self.terms)
+        return self._operator
+
+    @property
+    def sectors(self):
+        """The connected components of the entries' (row, column) pairs,
+        with each size's blocks looked up in the entries. Where terms
+        cancel, these sectors are coarser than those of the summed matrix."""
+        n = self.sys.joint_dim
+        keys = self.entries[0]
+        indices = connected_sectors(keys // n, keys % n, n)
+        return Sectors(n, indices, [_entries_at(self.entries, idx[:, :, None] * n + idx[:, None, :])
+                                    for idx in indices])
 
 
 def assemble_operator(sys, terms):
-    """Dense joint-space matrix for a list of OperatorTerms, summed in place
-    onto the first term's product (so one term allocates one joint matrix).
-    The oracle of _term_sectors, and the operator of every term model."""
+    """Dense joint-space matrix for a list of OperatorTerms: the np.kron
+    products summed in place onto the first term's product, in term order
+    (so one term allocates one joint matrix). The oracle of the entries and
+    sectors of a model."""
     products = (np.kron(c * mx, my) for c, mx, my in _term_factors(sys, terms))
-    return _sum_in_order(products, (sys.joint_dim, sys.joint_dim))
-
-
-def _sum_in_order(products, shape):
-    """The sum of the term products, added in place onto the first one in
-    term order (zeros of shape for no terms)."""
     total = next(products, None)
     if total is None:
-        return np.zeros(shape, dtype=complex)
+        return np.zeros((sys.joint_dim, sys.joint_dim), dtype=complex)
     for product in products:
         total += product
     return total
 
 
-def _term_edges(d, factors):
-    """Joint (row, column) pairs each term reaches, as flat index arrays.
+def _term_entries(sys, terms):
+    """(keys, values): the sorted flat positions r * n + c of every joint
+    entry a term reaches, and the entry there, summed over the terms that
+    reach it in term order.
 
     Term c Ax (x) Ay reaches ((nx, ny), (mx, my)) wherever Ax[nx, mx] and
-    Ay[ny, my] are both nonzero, so it gives nnz(Ax) nnz(Ay) pairs (about
-    d^2, as each factor is one band). Also returns the nonzero positions
-    of each term's factors, term by term.
+    Ay[ny, my] are both nonzero, so it gives nnz(Ax) nnz(Ay) entries (about
+    d^2, as each factor is one band). Each is the product np.kron forms,
+    (c Ax)[nx, mx] Ay[ny, my], so each value equals the assembled matrix's.
     """
-    patterns = [(np.nonzero(mx), np.nonzero(my)) for _, mx, my in factors]
-    rows = [(rx[:, None] * d + ry).ravel() for (rx, _), (ry, _) in patterns]
-    cols = [(cx[:, None] * d + cy).ravel() for (_, cx), (_, cy) in patterns]
-    empty = np.empty(0, dtype=np.intp)
-    return np.concatenate(rows or [empty]), np.concatenate(cols or [empty]), patterns
+    n, d = sys.joint_dim, sys.dim
+    keys, values = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=complex)]
+    for c, mx, my in _term_factors(sys, terms):
+        (rx, cx), (ry, cy) = np.nonzero(mx), np.nonzero(my)
+        rows = (rx * d)[:, None] + ry
+        cols = (cx * d)[:, None] + cy
+        keys.append((rows * n + cols).ravel())
+        values.append(((c * mx)[rx, cx][:, None] * my[ry, cy]).ravel())
+    # a stable sort keeps each position's products in term order, and
+    # reduceat adds them onto the first one, as assemble_operator does
+    keys = np.concatenate(keys)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[starts], np.add.reduceat(np.concatenate(values)[order], starts)
 
 
-def _require_hermitian_terms(sys, terms):
-    """require_hermitian on the joint operator of the terms, from their
-    entries: each entry is summed over the terms in term order, from the
-    same products as np.kron, so the check is the whole-matrix check."""
-    if not terms:
-        return
-    n = sys.joint_dim
-    factors = _term_factors(sys, terms)
-    rows, cols, patterns = _term_edges(sys.dim, factors)
-    vals = [((c * mx)[px][:, None] * my[py]).ravel()
-            for (c, mx, my), (px, py) in zip(factors, patterns)]
-    keys, where = np.unique(rows * n + cols, return_inverse=True)
-    h = np.zeros(keys.size, dtype=complex)
-    np.add.at(h, where, np.concatenate(vals))
-    # H^dagger at (r, c) is conj(H[c, r]): zero where no term reaches (c, r)
-    mirror = (keys % n) * n + keys // n
-    at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
-    require_hermitian(h, np.where(keys[at] == mirror, h[at], 0.0).conj())
+def _entries_at(entries, at):
+    """The operator's entries at the flat positions at (any shape), zero
+    where no term reaches."""
+    keys, values = entries
+    if not keys.size:
+        return np.zeros(np.shape(at), dtype=complex)
+    pos = np.minimum(np.searchsorted(keys, at), keys.size - 1)
+    return np.where(keys[pos] == at, values[pos], 0.0)
 
 
-def _term_sectors(sys, terms):
-    """Sectors (quantum.Sectors) of the joint operator of the terms, from
-    their d x d factors, without forming the (2j+1)^2 x (2j+1)^2 matrix.
-
-    The sectors are the connected components of the pairs the terms reach
-    (coarser than those of the summed matrix where terms cancel). Each
-    size's blocks are gathered from the d x d factors, summing
-    (c Ax)[ix, ix'] Ay[iy, iy'] over the terms in term order: the
-    arithmetic of the np.kron sum, so each block equals the dense one.
-    """
-    d = sys.dim
-    factors = _term_factors(sys, terms)
-    rows, cols, _ = _term_edges(d, factors)
-    indices = connected_sectors(rows, cols, sys.joint_dim)
-    scaled = [(c * mx, my) for c, mx, my in factors]
-    blocks = []
-    for idx in indices:
-        # flat positions of (ix, ix') and (iy, iy') in the d x d factors
-        ix, iy = divmod(idx, d)
-        at_x = ix[:, :, None] * d + ix[:, None, :]
-        at_y = iy[:, :, None] * d + iy[:, None, :]
-        blocks.append(_sum_in_order((mx.take(at_x) * my.take(at_y) for mx, my in scaled),
-                                    idx.shape + idx.shape[-1:]))
-    return Sectors(sys.joint_dim, indices, blocks)
-
-
-def build_operator_model(sys, terms, label="operator_terms"):
-    """Generic Hamiltonian from operator terms (stress-test path).
+def build_operator_model(sys, terms, label="operator_terms", derivs=None):
+    """The HamiltonianModel of a list of OperatorTerms; every model is
+    built here.
 
     The term list must assemble to a Hermitian operator (i.e. be closed
-    under conjugation); that is checked here, on the summed term entries,
-    and raises NotHermitian. The exact engine reads the model's sectors,
-    built on first use from the terms' factors (_term_sectors); the dense
-    joint matrix (assemble_operator) is built only when operator is read.
-    The classical function comes from the closed-form symbols of the
-    terms' factors (derivs_from_terms), never from a matrix.
+    under conjugation). That is checked here, on the entries, against their
+    mirrored lookup (the whole-matrix check, 1e-12, without the matrix), and
+    raises NotHermitian. derivs, when given, is a closed form of the terms'
+    classical function; otherwise it comes from the closed-form symbols of
+    the terms' factors (derivs_from_terms), never from a matrix.
     """
-    terms = tuple(terms)  # read again, lazily, by operator and sectors
-    _require_hermitian_terms(sys, terms)
-    triples = [(term.coefficient, term.factor_x, term.factor_y) for term in terms]
-    return HamiltonianModel(derivs_from_terms(sys, triples),
-                            lambda: assemble_operator(sys, terms), label=label,
-                            sectors=lambda: _term_sectors(sys, terms))
+    terms = tuple(terms)
+    entries = _term_entries(sys, terms)
+    keys, values = entries
+    n = sys.joint_dim
+    # H^dagger at (r, c) is conj(H[c, r])
+    require_hermitian(values, _entries_at(entries, (keys % n) * n + keys // n).conj())
+    return HamiltonianModel(sys, terms, entries, derivs or derivs_from_terms(sys, terms), label)
 
 
 def free_precession_model(sys, b3):

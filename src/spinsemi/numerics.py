@@ -70,8 +70,10 @@ def require_hermitian(h, adjoint=None):
     that list and adjoint the entries of h^dagger at the same places."""
     if adjoint is None:
         adjoint = h.conj().swapaxes(-1, -2)
-    defect = np.max(np.abs(h - adjoint), initial=0.0)
-    if defect > HERMITICITY_TOL:
+    with np.errstate(invalid="ignore"):  # inf - inf is a nan defect
+        defect = np.max(np.abs(h - adjoint), initial=0.0)
+    # written as not (defect <= tol) so that nan is rejected too
+    if not defect <= HERMITICITY_TOL:
         raise NotHermitian(f"max |h - h^dagger| = {defect:.3e} > {HERMITICITY_TOL}")
 
 

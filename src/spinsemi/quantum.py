@@ -7,10 +7,10 @@ sector is diagonalized on its own. Long-time phases are exact, and a whole
 purity curve reuses one set of sector eigendecompositions.
 
 The engine's input is a Sectors description: index arrays and Hermitian
-block stacks per sector size. Models built from operator terms derive it
-from their terms' d x d factors (model.sectors), so no (2j+1)^2 x (2j+1)^2
-joint matrix is formed on the run path; a dense matrix is split through
-invariant_sectors, which serves the oracles and small spins.
+block stacks per sector size. Every model derives it from its operator's
+entries (model.sectors), so no (2j+1)^2 x (2j+1)^2 joint matrix is formed
+outside the oracles; those pass a dense matrix, which is split through
+invariant_sectors.
 """
 
 from dataclasses import dataclass
@@ -240,8 +240,9 @@ def exact_purity_curve(sys, model, s0, times, subsystem="x"):
     return out
 
 
-def exact_propagator_overlap(sys, h, s_eta, s0, t, xi=+1):
-    """<s_eta | e^{-i xi H t / hbar} | s_0> on the joint space."""
+def exact_propagator_overlap(sys, model, s_eta, s0, t, xi=+1):
+    """<s_eta | e^{-i xi H t / hbar} | s_0> on the joint space, H the
+    model's, evolved through model.sectors."""
     bra = product_coherent(sys, s_eta)
-    ket = evolve_state(h, product_coherent(sys, s0), xi * t, sys.hbar)
+    ket = evolve_state(model.sectors, product_coherent(sys, s0), xi * t, sys.hbar)
     return complex(np.vdot(bra, ket))

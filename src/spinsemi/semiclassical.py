@@ -185,16 +185,17 @@ def semiclassical_propagator_real(sys, model, s0, t_final, cfg=None):
 
     Evaluates sqrt(P) * exp[(i/hbar)(S + G) - Lambda] with the bra label
     fixed at the trajectory endpoint, where the single real trajectory
-    satisfies the boundary conditions exactly.
+    satisfies the boundary conditions exactly. Returns (value, s_eta), with
+    s_eta that bra label, u(T) (s0 at t_final = 0).
     """
     cfg = cfg or IntegratorConfig()
     traj = integrate_trajectory(sys, model, s0, t_final, cfg)
     if t_final == 0:
-        return 1.0 + 0.0j
+        return 1.0 + 0.0j, s0
     m_series = integrate_stability(sys, model, traj, cfg)
     bundle = action_integrals(sys, model, traj, +1)
     root_pref = prefactor(traj, m_series, +1)
-    return root_pref * cmath.exp(bundle.exponent)
+    return root_pref * cmath.exp(bundle.exponent), CoherentLabel(*traj.final.u)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Spin-j operators, spin coherent states, and the classical Hamiltonian.
+"""Spin-j operators, spin coherent states, the operator-term format, and the
+classical Hamiltonian.
 
 Conventions (used everywhere downstream):
   * basis |{-j+n}> with n = 0..2j, so J3 is diagonal ascending;
@@ -9,6 +10,7 @@ Conventions (used everywhere downstream):
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -65,71 +67,6 @@ class CoherentLabel:
 
     def conj(self):
         return CoherentLabel(np.conj(self.sx), np.conj(self.sy))
-
-
-class HamiltonianModel:
-    """Joint-space operator plus its analytically continued classical function.
-
-    derivs(u, v) -> (h, grad, hess) is the one entry point of classical work.
-    It continues the coherent-state expectation <s|H|s> to independent
-    complex arguments u = (ux, uy), v = (vx, vy) and returns, from one
-    evaluation, its value, its first partials and its second partials in
-    the order (d/dux, d/duy, d/dvx, d/dvy). u and v are (2,) for one point,
-    giving shapes (), (4,) and (4, 4), or (n, 2) for a series of n points,
-    giving (n,), (n, 4) and (n, 4, 4). htilde, grad and hess are views of
-    derivs for callers that need one piece.
-
-    Models built from operator terms evaluate derivs from the closed-form
-    coherent-state symbols of their factors (derivs_from_terms), at a cost
-    that does not depend on j. The dense joint-space path
-    (htilde_from_operator) serves arbitrary joint operators and is their
-    test oracle; the phase-coupling closed forms are the oracle of both.
-
-    The exact engine reads sectors, the joint operator split into the
-    sectors it never connects (a quantum.Sectors). sectors is a
-    zero-argument callable building it; operator-term models pass one that
-    works from the d x d factors of their terms, so no joint-space matrix
-    is formed. Without it, the sectors come from the dense operator.
-
-    operator is a zero-argument callable returning the dense joint-space
-    matrix, for the oracles, exact overlaps and small spins. Each of
-    operator and sectors runs once, on the first read of its property, so
-    purely classical work on large spins builds neither.
-    """
-
-    def __init__(self, derivs, operator, label="", sectors=None):
-        self.derivs = derivs
-        self.label = label
-        self._operator = None
-        self._make_operator = operator
-        self._sectors = None
-        self._make_sectors = sectors
-
-    def htilde(self, u, v):
-        return self.derivs(u, v)[0]
-
-    def grad(self, u, v):
-        return self.derivs(u, v)[1]
-
-    def hess(self, u, v):
-        return self.derivs(u, v)[2]
-
-    @property
-    def operator(self):
-        if self._operator is None:
-            self._operator = np.asarray(self._make_operator(), dtype=complex)
-        return self._operator
-
-    @property
-    def sectors(self):
-        if self._sectors is None:
-            if self._make_sectors is None:
-                # quantum imports this module, so it is imported on first use
-                from .quantum import dense_sectors
-                self._sectors = dense_sectors(self.operator)
-            else:
-                self._sectors = self._make_sectors()
-        return self._sectors
 
 
 def binom_sqrt_weights(two_j):
@@ -194,6 +131,47 @@ _HESS_ROWS = _ROW_STEP[:, None] + _ROW_STEP[None, :]
 _HESS_COLS = _COL_STEP[:, None] + _COL_STEP[None, :]
 
 
+@dataclass(frozen=True)
+class OperatorTerm:
+    """One product term coefficient * Ox^px (x) Oy^py of a joint operator."""
+
+    coefficient: complex
+    factor_x: Tuple[str, int]
+    factor_y: Tuple[str, int]
+
+    _KINDS = ("J+", "J-", "J3", "I")
+
+    def __post_init__(self):
+        if not np.isfinite(self.coefficient):
+            raise ValueError("coefficient must be finite")
+        for name, (kind, power) in (("factor_x", self.factor_x), ("factor_y", self.factor_y)):
+            if kind not in self._KINDS:
+                raise ValueError(f"{name} kind must be one of {self._KINDS}, got {kind!r}")
+            if isinstance(power, bool) or not isinstance(power, int) or power < 0:
+                raise ValueError(f"{name} power must be a non-negative integer")
+
+
+def _factor_matrix(ops, kind, power):
+    """The d x d matrix of kind^power, from build_spin_operators' ops."""
+    jplus, _, j3 = ops
+    if kind == "J-":
+        # the adjoint of J+^power to the last bit, so that a term list closed
+        # under conjugation assembles to an exactly Hermitian matrix
+        return _factor_matrix(ops, "J+", power).conj().T
+    base = {"J+": jplus, "J3": j3, "I": np.eye(j3.shape[0], dtype=complex)}
+    return np.linalg.matrix_power(base[kind], power)
+
+
+def _term_factors(sys, terms):
+    """(coefficient, x factor, y factor) of each term, as d x d matrices."""
+    ops = build_spin_operators(sys)
+    return [
+        (complex(term.coefficient), _factor_matrix(ops, *term.factor_x),
+         _factor_matrix(ops, *term.factor_y))
+        for term in terms
+    ]
+
+
 def _factor_symbol(two_j, kind, power):
     """Symbol (v|A|u) / (v|u) of A = kind^power on one spin, in closed form.
 
@@ -245,8 +223,7 @@ def _symbol_partials(poly):
 def derivs_from_terms(sys, terms):
     """Classical derivs of H = sum_t c_t A_t (x) B_t from closed-form symbols.
 
-    terms is a sequence of (c_t, (kind, power) of A_t, (kind, power) of B_t),
-    kind one of J+ J- J3 I. htilde is sum_t c_t phi_t^x phi_t^y, with
+    terms is a sequence of OperatorTerms c_t A_t (x) B_t. htilde is sum_t c_t phi_t^x phi_t^y, with
     phi_t^k the symbol of the term's factor on subsystem k (_factor_symbol).
     Each symbol's 9 partials in (u_k, v_k) are differentiated once, here,
     into one coefficient table over shared monomials; a call evaluates the
@@ -256,7 +233,7 @@ def derivs_from_terms(sys, terms):
     # partials[k][9 t + 3 c + a]: d^c/dv_k^c d^a/du_k^a of phi_t^k
     partials = [[p for factor in factors
                  for p in _symbol_partials(_factor_symbol(sys.two_j, *factor))]
-                for factors in ([x for _, x, _ in terms], [y for _, _, y in terms])]
+                for factors in ([t.factor_x for t in terms], [t.factor_y for t in terms])]
     monomials = sorted({mono for side in partials for p in side for mono in p})
     index = {mono: i for i, mono in enumerate(monomials)}
     # powers[q, 0, 0, i]: exponent of variable q = u, v, r, z in monomial i
@@ -267,7 +244,7 @@ def derivs_from_terms(sys, terms):
         for col, partial in enumerate(side):
             for mono, coef in partial.items():
                 coefficients[k, index[mono], col] = coef
-    coefficients[0] *= np.repeat([complex(c) for c, _, _ in terms], 9)
+    coefficients[0] *= np.repeat([complex(t.coefficient) for t in terms], 9)
 
     def derivs(u, v):
         # m points, m = 1 for a single one
@@ -290,8 +267,10 @@ def derivs_from_terms(sys, terms):
 
 
 def htilde_from_operator(sys, h_op):
-    """Classical Hamiltonian from a joint-space Hermitian operator.
+    """Classical derivs of a joint-space Hermitian operator, the dense oracle.
 
+    Returns derivs(u, v) -> (h, grad, hess), the kind of function
+    derivs_from_terms returns for a term list, of
     htilde(u, v) = (v|H|u) / prod_k (1 + u_k v_k)^{2j}, where |u) is the
     unnormalized polynomial ket and (v| the matching bra row built from the
     v powers without conjugation. Gradients and Hessians are assembled from
@@ -383,4 +362,4 @@ def htilde_from_operator(sys, h_op):
         h, g, hss = zip(*(point_derivs(a, b) for a, b in zip(u, v)))
         return np.array(h), np.array(g), np.array(hss)
 
-    return HamiltonianModel(derivs, lambda: h_op, label="operator")
+    return derivs

@@ -53,6 +53,14 @@ class TestHermitianEig:
         with pytest.raises(NotHermitian):
             ss.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("entry", [np.nan, complex(0.0, np.nan), np.inf])
+    def test_non_finite_entry_raises(self, entry):
+        # nan fails every comparison, so a defect of nan must not pass
+        with pytest.raises(NotHermitian):
+            ss.hermitian_eig(np.array([[1.0, entry], [0.0, 1.0]]))
+        with pytest.raises(NotHermitian):
+            ss.hermitian_eig(np.array([[entry, 0.0], [0.0, 1.0]]))
+
     def test_stack_matches_single_calls(self):
         rng = np.random.default_rng(4)
         a = _rand_complex(rng, (5, 7, 7))

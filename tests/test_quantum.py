@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import spinsemi as ss
 from spinsemi import models, quantum
-from spinsemi.config import parse_config
+from spinsemi.config import build_model, parse_config
 from spinsemi.errors import DimensionMismatch, NotHermitian
 from spinsemi.quantum import (
     CHUNK,
@@ -183,7 +183,7 @@ class TestExactPropagatorOverlap:
         model = ss.phase_coupling_model(ss.PhaseCouplingParams(lam=1.0, sys=sys))
         se = ss.CoherentLabel(0.4, -0.2 + 0.6j)
         s0 = ss.CoherentLabel(-0.1 + 0.3j, 0.9)
-        val = ss.exact_propagator_overlap(sys, model.operator, se, s0, 0.0)
+        val = ss.exact_propagator_overlap(sys, model, se, s0, 0.0)
         expected = ss.coherent_overlap(sys, se.sx, s0.sx) * ss.coherent_overlap(
             sys, se.sy, s0.sy
         )
@@ -196,7 +196,7 @@ class TestExactPropagatorOverlap:
         for _ in range(5):
             se = ss.CoherentLabel(*(rng.standard_normal(2) + 1j * rng.standard_normal(2)))
             s0 = ss.CoherentLabel(*(rng.standard_normal(2) + 1j * rng.standard_normal(2)))
-            val = ss.exact_propagator_overlap(sys, model.operator, se, s0, 0.7)
+            val = ss.exact_propagator_overlap(sys, model, se, s0, 0.7)
             assert abs(val) <= 1.0 + 1e-12
 
     def test_unitarity_reversal(self):
@@ -205,8 +205,8 @@ class TestExactPropagatorOverlap:
         model = ss.phase_coupling_model(ss.PhaseCouplingParams(lam=0.8, sys=sys))
         se = ss.CoherentLabel(0.4 + 0.1j, -0.2)
         s0 = ss.CoherentLabel(0.7, 0.3j)
-        fwd = ss.exact_propagator_overlap(sys, model.operator, se, s0, 1.1, xi=+1)
-        rev = ss.exact_propagator_overlap(sys, model.operator, s0, se, 1.1, xi=-1)
+        fwd = ss.exact_propagator_overlap(sys, model, se, s0, 1.1, xi=+1)
+        rev = ss.exact_propagator_overlap(sys, model, s0, se, 1.1, xi=-1)
         assert abs(fwd - np.conj(rev)) < 1e-10
 
 
@@ -328,6 +328,15 @@ class TestSectorEngine:
     def test_one_sided_entry_is_not_hermitian(self):
         h = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
         h[0, 2] = 0.5
+        with pytest.raises(NotHermitian):
+            SpectralPropagator(h)
+
+    def test_nan_entry_is_not_hermitian(self):
+        h = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+        h[1, 3] = h[3, 1] = np.nan
+        with pytest.raises(NotHermitian):
+            SpectralPropagator(h)
+        h = np.diag([1.0, np.nan, 3.0, 4.0]).astype(complex)
         with pytest.raises(NotHermitian):
             SpectralPropagator(h)
 
@@ -614,6 +623,23 @@ class TestTermSectors:
             SpectralPropagator(bad)
 
 
+@pytest.mark.parametrize("two_j", [1, 5, 10, 40])
+@pytest.mark.parametrize("name", sorted(BUILT_IN_MODELS))
+def test_exact_overlap_on_sectors_equals_dense_path(name, two_j):
+    # the overlap through model.sectors against the dense matrix's own
+    # sector split, bitwise
+    sys = ss.SpinSystem(two_j=two_j, hbar=0.7)
+    model = BUILT_IN_MODELS[name](sys)
+    s_eta = ss.CoherentLabel(0.3 + 0.4j, -0.5)
+    s0 = ss.CoherentLabel(0.6 - 0.2j, -0.4 + 0.5j)
+    for xi in (+1, -1):
+        t = 1.3 / sys.j
+        dense = complex(np.vdot(ss.product_coherent(sys, s_eta),
+                                ss.evolve_state(model.operator, ss.product_coherent(sys, s0),
+                                                xi * t, sys.hbar)))
+        assert ss.exact_propagator_overlap(sys, model, s_eta, s0, t, xi) == dense
+
+
 def _no_dense_operator(monkeypatch):
     """Make every dense joint-space path raise: the term assembler and the
     dense sector scan."""
@@ -647,6 +673,10 @@ def test_run_path_reads_no_dense_operator(monkeypatch, name):
     cfg = parse_config(json.dumps(doc))
     curve, _ = compute_curve(cfg)
     assert curve.p_exact[0] == pytest.approx(1.0, abs=1e-12)
+    model = build_model(cfg)
+    s0 = cfg.initial_state
+    assert ss.exact_propagator_overlap(cfg.system, model, s0, s0, 0.0) == pytest.approx(1.0, abs=1e-12)
+    assert abs(ss.exact_propagator_overlap(cfg.system, model, s0, s0, 0.2)) <= 1.0 + 1e-12
 
 
 def test_exchange_curve_at_large_spin_stays_small(monkeypatch):

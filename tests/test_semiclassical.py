@@ -282,7 +282,7 @@ class TestBackwardBranch:
         k_back = ss.prefactor(traj, m_series, -1) * np.exp(bundle.exponent)
         s_eta = ss.CoherentLabel(traj.final.u[0], traj.final.u[1])
         k_ex = ss.exact_propagator_overlap(
-            sys, model.operator, s_eta, ss.CoherentLabel(*traj.initial.u), traj.ts[-1]
+            sys, model, s_eta, ss.CoherentLabel(*traj.initial.u), traj.ts[-1]
         )
         assert abs(k_back - np.conj(k_ex)) / abs(k_ex) < 2e-2
 
@@ -290,13 +290,15 @@ class TestBackwardBranch:
 class TestSemiclassicalPropagator:
     def test_zero_time_is_self_overlap(self):
         sys, _, model = _pc()
-        val = ss.semiclassical_propagator_real(sys, model, ss.CoherentLabel(0.4, 0.7j), 0.0, CFG)
+        s0 = ss.CoherentLabel(0.4, 0.7j)
+        val, s_eta = ss.semiclassical_propagator_real(sys, model, s0, 0.0, CFG)
         assert abs(val - 1.0) < 1e-9
+        assert s_eta == s0
 
     def test_noninteracting_unit_modulus(self):
         sys = ss.SpinSystem(two_j=10)
         model = ss.free_precession_model(sys, 0.9)
-        val = ss.semiclassical_propagator_real(
+        val, _ = ss.semiclassical_propagator_real(
             sys, model, ss.CoherentLabel(0.8, -0.5 + 0.3j), 1.0, CFG
         )
         assert abs(abs(val) - 1.0) < 1e-6
@@ -310,10 +312,8 @@ class TestSemiclassicalPropagator:
             model = ss.phase_coupling_model(ss.PhaseCouplingParams(lam=lam, sys=sys))
             label = ss.CoherentLabel(*s0)
             t_final = 0.2 / (lam * sys.j)
-            k_sc = ss.semiclassical_propagator_real(sys, model, label, t_final, CFG)
-            traj = ss.integrate_trajectory(sys, model, label, t_final, CFG)
-            s_eta = ss.CoherentLabel(traj.final.u[0], traj.final.u[1])
-            k_ex = ss.exact_propagator_overlap(sys, model.operator, s_eta, label, t_final)
+            k_sc, s_eta = ss.semiclassical_propagator_real(sys, model, label, t_final, CFG)
+            k_ex = ss.exact_propagator_overlap(sys, model, s_eta, label, t_final)
             errors.append(abs(k_sc - k_ex) / abs(k_ex))
         assert errors[-1] <= 5e-2
         assert errors[0] > errors[1] > errors[2]

@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinsemi as ss
-from spinsemi import spin
+from spinsemi import models, spin
 from spinsemi.errors import NotHermitian, ScaleOverflow
-from spinsemi.models import _term_factors
-from spinsemi.spin import binom_sqrt_weights, derivs_from_terms
+from spinsemi.spin import _term_factors, binom_sqrt_weights, derivs_from_terms
 
 
 def _j1_j2(sys):
@@ -144,10 +143,10 @@ class TestHtildeFromOperator:
         jp, jm, j3 = ss.build_spin_operators(sys)
         ident = np.eye(sys.dim)
         h = np.kron(j3, ident) + np.kron(ident, j3)
-        model = ss.htilde_from_operator(sys, h)
+        derivs = ss.htilde_from_operator(sys, h)
         sx, sy = 0.6 + 0.2j, -0.8 + 0.5j
         u = np.array([sx, sy])
-        val = model.htilde(u, np.conj(u))
+        val = derivs(u, np.conj(u))[0]
         j = sys.j
         expected = j * (abs(sx) ** 2 - 1) / (abs(sx) ** 2 + 1) + j * (abs(sy) ** 2 - 1) / (
             abs(sy) ** 2 + 1
@@ -169,7 +168,7 @@ class TestHtildeFromOperator:
                 * (1 - u[0] * v[0]) / (1 + u[0] * v[0])
                 * (1 - u[1] * v[1]) / (1 + u[1] * v[1])
             )
-            assert abs(generic.htilde(u, v) - expected) < 1e-10 * max(1.0, abs(expected))
+            assert abs(generic(u, v)[0] - expected) < 1e-10 * max(1.0, abs(expected))
 
     def test_gradient_matches_finite_differences(self):
         sys = ss.SpinSystem(two_j=3)
@@ -216,20 +215,40 @@ class TestHtildeFromOperator:
             ss.htilde_from_operator(sys, bad)
 
 
-def test_operator_is_built_once_on_first_read():
+def test_operator_is_built_once_on_first_read(monkeypatch):
+    # a term model builds neither its dense operator nor its sectors at
+    # build time; the operator is built on its first read and kept
     calls = []
 
-    def make_operator():
-        calls.append(1)
-        return np.eye(4)
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
 
-    model = ss.HamiltonianModel(lambda u, v: (0.0, np.zeros(4), np.zeros((4, 4))),
-                                make_operator, label="probe")
-    assert calls == []
-    first = model.operator
-    assert model.operator is first
-    assert calls == [1]
-    assert first.dtype == complex and model.label == "probe"
+    monkeypatch.setattr(models, "assemble_operator",
+                        counting("operator", models.assemble_operator))
+    monkeypatch.setattr(models, "connected_sectors",
+                        counting("sectors", models.connected_sectors))
+    sys = ss.SpinSystem(two_j=1)
+    for build in (lambda: ss.exchange_coupling_model(sys, 0.8),
+                  lambda: ss.phase_coupling_model(ss.PhaseCouplingParams(lam=0.9, sys=sys))):
+        calls.clear()
+        model = build()
+        assert calls == []
+        first = model.operator
+        assert model.operator is first
+        assert calls == ["operator"]
+        assert first.dtype == complex and first.shape == (sys.joint_dim, sys.joint_dim)
+        model.sectors
+        assert calls == ["operator", "sectors"]
+
+
+def _dense_derivs_model(model):
+    """model with its derivs replaced by the dense oracle of its operator."""
+    return ss.build_operator_model(
+        model.sys, model.terms, label=model.label,
+        derivs=ss.htilde_from_operator(model.sys, model.operator))
 
 
 def test_binom_weights_match_exact():
@@ -289,14 +308,14 @@ class TestFactoredDerivs:
         oracle = ss.htilde_from_operator(sys, model.operator)
         rng = np.random.default_rng(two_j)
         for u, v in _near_real_points(rng, 6):
-            assert max(_rel_errors(model.derivs(u, v), oracle.derivs(u, v))) <= 1e-12
+            assert max(_rel_errors(model.derivs(u, v), oracle(u, v))) <= 1e-12
 
     def test_views_equal_derivs(self):
         sys = ss.SpinSystem(two_j=5)
         models = [
             FACTORED_MODELS["operator_terms"](sys),
             ss.phase_coupling_model(ss.PhaseCouplingParams(lam=0.8, sys=sys)),
-            ss.htilde_from_operator(sys, ss.exchange_coupling_model(sys, 1.0).operator),
+            _dense_derivs_model(ss.exchange_coupling_model(sys, 1.0)),
         ]
         rng = np.random.default_rng(5)
         for model in models:
@@ -316,7 +335,7 @@ class TestFactoredDerivs:
     def test_large_spin_stays_finite_and_matches_closed_form(self):
         # unnormalized, (v|J3 (x) J3|u) is about (1 + |s|^2)^{4j} ~ 1e430 here
         sys = ss.SpinSystem(two_j=1000)
-        derivs = derivs_from_terms(sys, [(1.0, ("J3", 1), ("J3", 1))])
+        derivs = derivs_from_terms(sys, [ss.OperatorTerm(1.0, ("J3", 1), ("J3", 1))])
         closed = ss.phase_coupling_model(ss.PhaseCouplingParams(lam=1.0, sys=sys))
         rng = np.random.default_rng(1000)
         for _ in range(4):
@@ -395,7 +414,7 @@ def _point_factored_derivs(sys, terms):
     extended precision: in doubles its own rounding grows with j, to 1e-10
     of the Hessian at two_j = 1000 near the real submanifold.
 
-    terms is a sequence of (c_t, A_t, B_t), as models._term_factors gives.
+    terms is a sequence of (c_t, A_t, B_t), as spin._term_factors gives.
     """
     d, two_j = sys.dim, sys.two_j
     coefficients = np.array([c for c, _, _ in terms], dtype=np.clongdouble)
@@ -432,8 +451,8 @@ def _series_points(rng, n):
 SERIES_MODELS = {
     "phase_coupling": lambda sys: ss.phase_coupling_model(
         ss.PhaseCouplingParams(lam=0.8, sys=sys)),
-    "dense_oracle": lambda sys: ss.htilde_from_operator(
-        sys, ss.build_operator_model(sys, OPERATOR_TERMS).operator),
+    "dense_oracle": lambda sys: _dense_derivs_model(
+        ss.build_operator_model(sys, OPERATOR_TERMS)),
     **FACTORED_MODELS,
 }
 
@@ -497,7 +516,7 @@ class TestSymbols:
         sys = ss.SpinSystem(two_j=two_j)
         rng = np.random.default_rng(two_j)
         for kind, power in self.FACTORS:
-            derivs = derivs_from_terms(sys, [(1.0, (kind, power), ("I", 0))])
+            derivs = derivs_from_terms(sys, [ss.OperatorTerm(1.0, (kind, power), ("I", 0))])
             for _ in range(4):
                 u, v = 0.5 * rng.uniform(0.1, 1.0, 2) * np.exp(2j * np.pi * rng.random(2))
                 h = derivs(np.array([u, 0.3]), np.array([v, -0.2j]))[0]
@@ -511,7 +530,7 @@ class TestSymbols:
     def test_j3_j3_matches_phase_coupling_off_the_submanifold(self, two_j):
         # the factored and dense paths lose all accuracy at such points
         sys = ss.SpinSystem(two_j=two_j, hbar=0.7)
-        derivs = derivs_from_terms(sys, [(1.3 * sys.hbar, ("J3", 1), ("J3", 1))])
+        derivs = derivs_from_terms(sys, [ss.OperatorTerm(1.3 * sys.hbar, ("J3", 1), ("J3", 1))])
         closed = ss.phase_coupling_model(ss.PhaseCouplingParams(lam=1.3, sys=sys))
         rng = np.random.default_rng(two_j)
         for _ in range(10):
@@ -525,8 +544,7 @@ class TestSymbols:
         c = 0.4 - 0.3j
         terms = [ss.OperatorTerm(c, ("J+", 1), ("J-", 1)),
                  ss.OperatorTerm(np.conj(c), ("J-", 1), ("J+", 1))]
-        derivs = derivs_from_terms(sys, [(t.coefficient, t.factor_x, t.factor_y)
-                                         for t in terms])
+        derivs = derivs_from_terms(sys, terms)
         factored = _point_factored_derivs(sys, _term_factors(sys, terms))
         rng = np.random.default_rng(1000)
         for u, v in _near_real_points(rng, 3):
