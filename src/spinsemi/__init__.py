@@ -31,15 +31,12 @@ from .spin import (
     CoherentLabel,
     OperatorTerm,
     SpinSystem,
-    build_spin_operators,
     coherent_overlap,
     coherent_vector,
-    htilde_from_operator,
     product_coherent,
 )
 from .quantum import (
     PurityCurve,
-    evolve_state,
     exact_propagator_overlap,
     exact_purity_curve,
     linear_entropy,

@@ -4,8 +4,9 @@ HamiltonianModel holds the list, its classical function and the entries of
 the joint operator it sums to; build_operator_model is its one constructor.
 Both engines start from the list: the classical function from the closed-form
 symbols of the terms' factors (or a model's own closed form), the exact
-engine from the sectors of the entries. The dense joint matrix is assembled
-only for the test oracles.
+engine from the sectors of the entries, which come from the factors' bands
+(spin._factor_band). model.operator, the dense joint matrix, is those
+entries scattered into zeros on its first read; no run reads it.
 
 The phase-coupling system (J3 (x) J3 interaction) is the exactly solvable
 benchmark: every object along the pipeline -- classical trajectory,
@@ -24,7 +25,7 @@ from .quantum import Sectors, connected_sectors
 from .spin import (
     OperatorTerm,
     SpinSystem,
-    _term_factors,
+    _factor_band,
     binom_sqrt_weights,
     derivs_from_terms,
 )
@@ -42,42 +43,22 @@ class PhaseCouplingParams:
             raise ValueError("coupling rate must be finite")
 
 
-def phase_coupling_model(params):
-    """H = lam * hbar * J3 (x) J3 with closed-form classical function.
-
-    Htilde(u, v) = lam hbar j^2 * G(ux vx) G(uy vy) with G(w) = (1-w)/(1+w);
-    its value, gradient and Hessian are installed in closed form, sharing
-    G, G' and G'' in one derivs call, rather than through the generic
-    polynomial path.
-    """
-    sys = params.sys
-    term = OperatorTerm(params.lam * sys.hbar, ("J3", 1), ("J3", 1))
-    j = sys.j
-    amp = params.lam * sys.hbar * j * j
-
-    def gamma(w):
-        return (1.0 - w) / (1.0 + w)
-
-    def dgamma(w):
-        return -2.0 / (1.0 + w) ** 2
-
-    def d2gamma(w):
-        return 4.0 / (1.0 + w) ** 3
+def _pc_derivs(params):
+    """Closed-form derivs of Htilde(u, v) = lam hbar j^2 G(ux vx) G(uy vy),
+    G(w) = (1-w)/(1+w): value, gradient and Hessian share G, G' and G''
+    in one call, rather than going through the generic symbol path."""
+    j = params.sys.j
+    amp = params.lam * params.sys.hbar * j * j
 
     def derivs(u, v):
         # the series axis of (n, 2) arguments stays last until the return
         u, v = np.asarray(u).T, np.asarray(v).T
         ux, uy, vx, vy = u[0], u[1], v[0], v[1]
         wx, wy = ux * vx, uy * vy
-        gx, gy = gamma(wx), gamma(wy)
-        dx, dy = dgamma(wx), dgamma(wy)
-        d2x, d2y = d2gamma(wx), d2gamma(wy)
-        grad = np.array([
-            gy * dx * vx,
-            gx * dy * vy,
-            gy * dx * ux,
-            gx * dy * uy,
-        ])
+        gx, gy = (1.0 - wx) / (1.0 + wx), (1.0 - wy) / (1.0 + wy)  # G
+        dx, dy = -2.0 / (1.0 + wx) ** 2, -2.0 / (1.0 + wy) ** 2  # G'
+        d2x, d2y = 4.0 / (1.0 + wx) ** 3, 4.0 / (1.0 + wy) ** 3  # G''
+        grad = np.array([gy * dx * vx, gx * dy * vy, gy * dx * ux, gx * dy * uy])
         h = np.empty((4, 4) + wx.shape, dtype=complex)
         # ordering (ux, uy, vx, vy)
         h[0, 0] = gy * d2x * vx * vx
@@ -95,7 +76,14 @@ def phase_coupling_model(params):
         # reordering the 4x4 entries
         return amp * gx * gy, amp * grad.T, h.T
 
-    return build_operator_model(sys, [term], label="phase_coupling", derivs=derivs)
+    return derivs
+
+
+def phase_coupling_model(params):
+    """H = lam * hbar * J3 (x) J3, with the closed-form derivs (_pc_derivs)."""
+    sys = params.sys
+    term = OperatorTerm(params.lam * sys.hbar, ("J3", 1), ("J3", 1))
+    return build_operator_model(sys, [term], label="phase_coupling", derivs=_pc_derivs(params))
 
 
 def _pc_rates(params, u0, v0):
@@ -117,8 +105,7 @@ def pc_trajectory(params, s0, t_final, num_samples=129):
     ys[:, 1] = u0[1] * np.exp(lam_y * ts)
     ys[:, 2] = v0[0] * np.exp(-lam_x * ts)
     ys[:, 3] = v0[1] * np.exp(-lam_y * ts)
-    model = phase_coupling_model(params)
-    energy = np.full(ts.size, model.htilde(u0, v0))
+    energy = np.full(ts.size, _pc_derivs(params)(u0, v0)[0])
     return Trajectory(ts=ts, ys=ys, energy=energy)
 
 
@@ -215,7 +202,7 @@ class HamiltonianModel:
     sys is the SpinSystem and terms the frozen tuple of OperatorTerms.
     entries = (keys, values) lists the operator's entries (_term_entries):
     the sorted flat positions r * n + c (n = sys.joint_dim) that the terms
-    reach, and the entry summed there in term order. label names the model.
+    reach, and the entry summed there. label names the model.
 
     derivs(u, v) -> (h, grad, hess) is the one entry point of classical
     work. It continues the coherent-state expectation <s|H|s> to independent
@@ -228,9 +215,8 @@ class HamiltonianModel:
 
     sectors is the exact engine's one input: the operator split into the
     sectors it never connects (a quantum.Sectors), built from entries on
-    each read. operator is the dense joint-space matrix (assemble_operator,
-    from the factors, independent of entries), built on its first read; it
-    is for the test oracles only, so no run forms it.
+    each read. operator is the dense joint-space view of entries (_scatter),
+    built on its first read and kept; no run reads it.
     """
 
     def __init__(self, sys, terms, entries, derivs, label):
@@ -253,7 +239,7 @@ class HamiltonianModel:
     @property
     def operator(self):
         if self._operator is None:
-            self._operator = assemble_operator(self.sys, self.terms)
+            self._operator = _scatter(self.entries, self.sys.joint_dim)
         return self._operator
 
     @property
@@ -268,45 +254,50 @@ class HamiltonianModel:
                                     for idx in indices])
 
 
-def assemble_operator(sys, terms):
-    """Dense joint-space matrix for a list of OperatorTerms: the np.kron
-    products summed in place onto the first term's product, in term order
-    (so one term allocates one joint matrix). The oracle of the entries and
-    sectors of a model."""
-    products = (np.kron(c * mx, my) for c, mx, my in _term_factors(sys, terms))
-    total = next(products, None)
-    if total is None:
-        return np.zeros((sys.joint_dim, sys.joint_dim), dtype=complex)
-    for product in products:
-        total += product
-    return total
+def _band_entries(two_j, factor):
+    """(rows, cols, values) of a factor's band without its zero values, as
+    np.nonzero would list them (J3's m = 0 for integer j): a term reaches
+    no position through a zero factor entry."""
+    offset, values = _factor_band(two_j, *factor)
+    i = np.flatnonzero(values)
+    return i + max(offset, 0), i + max(-offset, 0), values[i]
 
 
 def _term_entries(sys, terms):
     """(keys, values): the sorted flat positions r * n + c of every joint
     entry a term reaches, and the entry there, summed over the terms that
-    reach it in term order.
+    reach it.
 
-    Term c Ax (x) Ay reaches ((nx, ny), (mx, my)) wherever Ax[nx, mx] and
-    Ay[ny, my] are both nonzero, so it gives nnz(Ax) nnz(Ay) entries (about
-    d^2, as each factor is one band). Each is the product np.kron forms,
-    (c Ax)[nx, mx] Ay[ny, my], so each value equals the assembled matrix's.
+    Term c Ax (x) Ay reaches ((nx, ny), (mx, my)) wherever the bands
+    (_band_entries) of Ax and Ay hold (nx, mx) and (ny, my), so it gives
+    about d^2 entries. Each is the product (c Ax)[nx, mx] Ay[ny, my], as
+    np.kron forms it.
     """
     n, d = sys.joint_dim, sys.dim
     keys, values = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=complex)]
-    for c, mx, my in _term_factors(sys, terms):
-        (rx, cx), (ry, cy) = np.nonzero(mx), np.nonzero(my)
+    for term in terms:
+        (rx, cx, vx), (ry, cy, vy) = (_band_entries(sys.two_j, factor)
+                                      for factor in (term.factor_x, term.factor_y))
         rows = (rx * d)[:, None] + ry
         cols = (cx * d)[:, None] + cy
         keys.append((rows * n + cols).ravel())
-        values.append(((c * mx)[rx, cx][:, None] * my[ry, cy]).ravel())
-    # a stable sort keeps each position's products in term order, and
-    # reduceat adds them onto the first one, as assemble_operator does
+        values.append(((complex(term.coefficient) * vx)[:, None] * vy).ravel())
+    # a stable sort keeps each position's products in term order; reduceat
+    # adds two of them as a term-by-term sum would, but a run of three or
+    # more as p1 + (p2 + p3 + ...), which can differ in the last bit
     keys = np.concatenate(keys)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
     return keys[starts], np.add.reduceat(np.concatenate(values)[order], starts)
+
+
+def _scatter(entries, n):
+    """The dense n x n matrix of entries, zero where no term reaches."""
+    keys, values = entries
+    out = np.zeros((n, n), dtype=complex)
+    out.flat[keys] = values
+    return out
 
 
 def _entries_at(entries, at):

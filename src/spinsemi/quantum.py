@@ -6,11 +6,10 @@ H never connects (connected components of the pairs it links) and each
 sector is diagonalized on its own. Long-time phases are exact, and a whole
 purity curve reuses one set of sector eigendecompositions.
 
-The engine's input is a Sectors description: index arrays and Hermitian
-block stacks per sector size. Every model derives it from its operator's
-entries (model.sectors), so no (2j+1)^2 x (2j+1)^2 joint matrix is formed
-outside the oracles; those pass a dense matrix, which is split through
-invariant_sectors.
+The engine's one input is a Sectors description: index arrays and
+Hermitian block stacks per sector size. Every model derives it from its
+operator's entries (model.sectors), so no (2j+1)^2 x (2j+1)^2 joint matrix
+is formed.
 """
 
 from dataclasses import dataclass
@@ -83,19 +82,6 @@ def connected_sectors(rows, cols, n):
             for s in np.flatnonzero(np.bincount(sizes))]
 
 
-def invariant_sectors(h):
-    """Basis indices of the sectors of h, grouped by sector size.
-
-    The sectors are the connected components (connected_sectors) of the
-    graph with an edge i - j wherever h[i, j] or h[j, i] is nonzero
-    (compared with exact zero), so h has no entry, in either triangle,
-    between two sectors.
-    """
-    n = h.shape[0]
-    rows, cols = divmod(np.flatnonzero(h != 0), n)
-    return connected_sectors(rows, cols, n)
-
-
 @dataclass(frozen=True)
 class Sectors:
     """An operator on a basis of dim states, split into invariant sectors.
@@ -111,30 +97,17 @@ class Sectors:
     blocks: list
 
 
-def dense_sectors(h):
-    """Sectors of a dense square matrix h: invariant_sectors(h) and its
-    blocks gathered from h."""
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.size == 0:
-        raise ValueError("expected a non-empty square matrix")
-    indices = invariant_sectors(h)
-    return Sectors(h.shape[0], indices,
-                   [h[idx[:, :, None], idx[:, None, :]] for idx in indices])
-
-
 class SpectralPropagator:
     """e^{-i H t / hbar} applied through the eigenbases of H's sectors.
 
-    H is a Sectors description, or a dense matrix that is split through
-    invariant_sectors. Sectors of equal size are stacked: one batched,
-    Hermiticity-checked eigendecomposition per size at construction, and
-    one batched rotation into and out of the eigenbases per size on each
-    apply. The basis is permuted so that each size's sectors are
-    contiguous, row by row.
+    H is given as its Sectors (model.sectors). Sectors of equal size are
+    stacked: one batched, Hermiticity-checked eigendecomposition per size
+    at construction, and one batched rotation into and out of the
+    eigenbases per size on each apply. The basis is permuted so that each
+    size's sectors are contiguous, row by row.
     """
 
-    def __init__(self, h, hbar=1.0):
-        sectors = h if isinstance(h, Sectors) else dense_sectors(h)
+    def __init__(self, sectors, hbar=1.0):
         self.dim = sectors.dim
         self.hbar = hbar
         self.perm = np.concatenate([idx.ravel() for idx in sectors.indices])
@@ -178,12 +151,6 @@ class SpectralPropagator:
         out = coeffs.reshape(n_t, self.dim)
         out[:, self.perm] = y.T
         return out[0] if t.ndim == 0 else out
-
-
-def evolve_state(h, psi0, t, hbar=1.0):
-    """Evolve psi0 under Hermitian h (a dense matrix or Sectors) for time t
-    (a negative t reverses time)."""
-    return SpectralPropagator(h, hbar).apply(np.asarray(psi0, dtype=complex), t)
 
 
 def reduced_density(psi, subsystem, dim):
@@ -244,5 +211,5 @@ def exact_propagator_overlap(sys, model, s_eta, s0, t, xi=+1):
     """<s_eta | e^{-i xi H t / hbar} | s_0> on the joint space, H the
     model's, evolved through model.sectors."""
     bra = product_coherent(sys, s_eta)
-    ket = evolve_state(model.sectors, product_coherent(sys, s0), xi * t, sys.hbar)
+    ket = SpectralPropagator(model.sectors, sys.hbar).apply(product_coherent(sys, s0), xi * t)
     return complex(np.vdot(bra, ket))

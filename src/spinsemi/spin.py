@@ -1,5 +1,10 @@
-"""Spin-j operators, spin coherent states, the operator-term format, and the
-classical Hamiltonian.
+"""Spin coherent states, the operator-term format, and the classical
+Hamiltonian.
+
+A one-spin factor kind^power of a term is one band (_factor_band); the
+joint operator's entries are built from the bands (models._term_entries),
+and the classical function from the factors' closed-form coherent-state
+symbols (derivs_from_terms). No d x d or joint matrix is formed here.
 
 Conventions (used everywhere downstream):
   * basis |{-j+n}> with n = 0..2j, so J3 is diagonal ascending;
@@ -14,8 +19,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, ScaleOverflow
-from .numerics import require_hermitian
+from .errors import ScaleOverflow
 
 # two_j * log(1 + |s|^2) beyond this makes (1+|s|^2)^j overflow doubles
 _LOG_RANGE_GUARD = 600.0
@@ -78,20 +82,6 @@ def binom_sqrt_weights(two_j):
     return w
 
 
-def build_spin_operators(sys):
-    """Ladder and J3 matrices for one spin-j subsystem.
-
-    Jplus[n+1, n] = sqrt((2j-n)(n+1)); J3 = diag(-j, ..., +j).
-    """
-    d = sys.dim
-    j = sys.j
-    j3 = np.diag(np.arange(d) - j).astype(complex)
-    jplus = np.zeros((d, d), dtype=complex)
-    for n in range(d - 1):
-        jplus[n + 1, n] = math.sqrt((sys.two_j - n) * (n + 1))
-    return jplus, jplus.conj().T, j3
-
-
 def _range_guard(sys, s):
     if sys.two_j * math.log1p(abs(s) ** 2) > _LOG_RANGE_GUARD:
         raise ScaleOverflow(
@@ -151,25 +141,27 @@ class OperatorTerm:
                 raise ValueError(f"{name} power must be a non-negative integer")
 
 
-def _factor_matrix(ops, kind, power):
-    """The d x d matrix of kind^power, from build_spin_operators' ops."""
-    jplus, _, j3 = ops
-    if kind == "J-":
-        # the adjoint of J+^power to the last bit, so that a term list closed
-        # under conjugation assembles to an exactly Hermitian matrix
-        return _factor_matrix(ops, "J+", power).conj().T
-    base = {"J+": jplus, "J3": j3, "I": np.eye(j3.shape[0], dtype=complex)}
-    return np.linalg.matrix_power(base[kind], power)
+def _factor_band(two_j, kind, power):
+    """The one band of A = kind^power on one spin, as (offset, values).
 
-
-def _term_factors(sys, terms):
-    """(coefficient, x factor, y factor) of each term, as d x d matrices."""
-    ops = build_spin_operators(sys)
-    return [
-        (complex(term.coefficient), _factor_matrix(ops, *term.factor_x),
-         _factor_matrix(ops, *term.factor_y))
-        for term in terms
-    ]
+    A[r, c] is nonzero only where r - c = offset, and values[i] is A at
+    row i + max(offset, 0), column i + max(-offset, 0). J+^p has offset p,
+    and at column n its value is the product of the p ladder coefficients
+    J+[n + k + 1, n + k] = sqrt((2j - n - k)(n + k + 1)), k < p (an empty
+    band for p > 2j); J-^p = (J+^p)^T has offset -p and the same values.
+    J3^p is (n - j)^p on the diagonal and I is ones. Zero values are kept.
+    """
+    n = np.arange(two_j + 1.0)
+    if kind == "J3":
+        return 0, (n - 0.5 * two_j) ** power
+    if kind == "I" or power == 0:
+        return 0, np.ones(two_j + 1)
+    ladder = np.sqrt((two_j - n[:-1]) * (n[:-1] + 1))
+    size = max(two_j + 1 - power, 0)
+    values = ladder[:size]
+    for k in range(1, power):
+        values = values * ladder[k:k + size]
+    return (power if kind == "J+" else -power), values
 
 
 def _factor_symbol(two_j, kind, power):
@@ -262,104 +254,5 @@ def derivs_from_terms(sys, terms):
         if point:
             return h[0], grad[0], hess[0]
         return h, grad, hess
-
-    return derivs
-
-
-def htilde_from_operator(sys, h_op):
-    """Classical derivs of a joint-space Hermitian operator, the dense oracle.
-
-    Returns derivs(u, v) -> (h, grad, hess), the kind of function
-    derivs_from_terms returns for a term list, of
-    htilde(u, v) = (v|H|u) / prod_k (1 + u_k v_k)^{2j}, where |u) is the
-    unnormalized polynomial ket and (v| the matching bra row built from the
-    v powers without conjugation. Gradients and Hessians are assembled from
-    explicit derivative component vectors, exactly. This dense path works
-    for any joint operator and is the oracle of derivs_from_terms near the
-    real submanifold; far from it, (v|H|u) is a sum of terms much larger
-    than itself and the path loses its accuracy as j grows.
-    """
-    h_op = np.asarray(h_op, dtype=complex)
-    if h_op.shape != (sys.joint_dim, sys.joint_dim):
-        raise DimensionMismatch(
-            f"operator shape {h_op.shape}, expected {(sys.joint_dim, sys.joint_dim)}"
-        )
-    require_hermitian(h_op)
-    two_j = sys.two_j
-    # row r of the polynomial ket's value and first two derivatives has
-    # component n = coef[r, n] a^powers[r, n]: sqrt(binomial(2j, n)) times
-    # 1, n and n(n-1), with the power clipped at 0 where coef vanishes
-    n = np.arange(two_j + 1)
-    w = binom_sqrt_weights(two_j)
-    coef = np.array([w, w * n, w * n * (n - 1)])
-    powers = np.maximum(n - np.arange(3)[:, None], 0)
-    orders = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
-
-    def pieces(u, v):
-        args = np.array([u[0], u[1], v[0], v[1]], dtype=complex)
-        for a in args:
-            _range_guard(sys, a)
-        kx, ky, bx, by = coef * args[:, None, None] ** powers
-        # bras by derivative order (cx, cy); H times kets by (ax, ay)
-        bras = {(a, b): np.kron(bx[a], by[b]) for a, b in orders}
-        hk = {(a, b): h_op @ np.kron(kx[a], ky[b]) for a, b in orders}
-        return bras, hk
-
-    def log_norm_derivs(u, v):
-        """First and second partials of ln prod (1+u_k v_k)^{2j}."""
-        ux, uy = u
-        vx, vy = v
-        px, py = 1.0 + ux * vx, 1.0 + uy * vy
-        l1 = np.array([two_j * vx / px, two_j * vy / py,
-                       two_j * ux / px, two_j * uy / py])
-        l2 = np.zeros((4, 4), dtype=complex)
-        l2[0, 0] = -two_j * vx ** 2 / px ** 2
-        l2[1, 1] = -two_j * vy ** 2 / py ** 2
-        l2[2, 2] = -two_j * ux ** 2 / px ** 2
-        l2[3, 3] = -two_j * uy ** 2 / py ** 2
-        l2[0, 2] = l2[2, 0] = two_j / px ** 2
-        l2[1, 3] = l2[3, 1] = two_j / py ** 2
-        return l1, l2
-
-    # variable index -> (bra order, ket order) increment
-    _BUMP = {0: ((0, 0), (1, 0)), 1: ((0, 0), (0, 1)),
-             2: ((1, 0), (0, 0)), 3: ((0, 1), (0, 0))}
-
-    def f_derivs(bras, hk):
-        def f(bra_key, ket_key):
-            return bras[bra_key] @ hk[ket_key]
-
-        f0 = f((0, 0), (0, 0))
-        f1 = np.array([f(*_BUMP[a]) for a in range(4)], dtype=complex)
-        f2 = np.empty((4, 4), dtype=complex)
-        for a in range(4):
-            for b in range(a, 4):
-                ba, ka = _BUMP[a]
-                bb, kb = _BUMP[b]
-                bra_key = (ba[0] + bb[0], ba[1] + bb[1])
-                ket_key = (ka[0] + kb[0], ka[1] + kb[1])
-                f2[a, b] = f2[b, a] = f(bra_key, ket_key)
-        return f0, f1, f2
-
-    def point_derivs(u, v):
-        f0, f1, f2 = f_derivs(*pieces(u, v))
-        l1, l2 = log_norm_derivs(u, v)
-        nrm = ((1.0 + u[0] * v[0]) * (1.0 + u[1] * v[1])) ** two_j
-        hess = (
-            f2
-            - np.outer(f1, l1)
-            - np.outer(l1, f1)
-            - f0 * l2
-            + f0 * np.outer(l1, l1)
-        )
-        return f0 / nrm, (f1 - f0 * l1) / nrm, hess / nrm
-
-    def derivs(u, v):
-        if np.ndim(u) == 1:
-            return point_derivs(u, v)
-        # a series of (n, 2) points, point by point: the oracle keeps the
-        # arithmetic of its single-point evaluation
-        h, g, hss = zip(*(point_derivs(a, b) for a, b in zip(u, v)))
-        return np.array(h), np.array(g), np.array(hss)
 
     return derivs

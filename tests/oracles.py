@@ -1,0 +1,212 @@
+"""Dense oracles: the one-spin matrices and the joint-space matrix that
+src/spinsemi never forms, and the paths built on them.
+
+Each function here is the independent check of what replaced it in the
+package: the factor matrices of the bands (spin._factor_band), the np.kron
+sum and np.nonzero entries of the term entries (models._term_entries), the
+dense-matrix derivative path of derivs_from_terms, and the sector split of
+a dense matrix of model.sectors. They use none of the code they check;
+tests/test_spin.py::test_oracles_import_nothing_they_check guards that.
+"""
+
+import math
+
+import numpy as np
+
+from spinsemi.errors import DimensionMismatch
+from spinsemi.numerics import require_hermitian
+from spinsemi.quantum import Sectors, SpectralPropagator, connected_sectors
+from spinsemi.spin import _range_guard, binom_sqrt_weights
+
+
+def build_spin_operators(sys):
+    """Ladder and J3 matrices for one spin-j subsystem.
+
+    Jplus[n+1, n] = sqrt((2j-n)(n+1)); J3 = diag(-j, ..., +j).
+    """
+    d = sys.dim
+    j = sys.j
+    j3 = np.diag(np.arange(d) - j).astype(complex)
+    jplus = np.zeros((d, d), dtype=complex)
+    for n in range(d - 1):
+        jplus[n + 1, n] = math.sqrt((sys.two_j - n) * (n + 1))
+    return jplus, jplus.conj().T, j3
+
+
+def factor_matrix(ops, kind, power):
+    """The d x d matrix of kind^power, from build_spin_operators' ops."""
+    jplus, _, j3 = ops
+    if kind == "J-":
+        # the adjoint of J+^power to the last bit, so that a term list closed
+        # under conjugation assembles to an exactly Hermitian matrix
+        return factor_matrix(ops, "J+", power).conj().T
+    base = {"J+": jplus, "J3": j3, "I": np.eye(j3.shape[0], dtype=complex)}
+    return np.linalg.matrix_power(base[kind], power)
+
+
+def term_factors(sys, terms):
+    """(coefficient, x factor, y factor) of each term, as d x d matrices."""
+    ops = build_spin_operators(sys)
+    return [
+        (complex(term.coefficient), factor_matrix(ops, *term.factor_x),
+         factor_matrix(ops, *term.factor_y))
+        for term in terms
+    ]
+
+
+def assemble_operator(sys, terms):
+    """Dense joint-space matrix for a list of OperatorTerms: the np.kron
+    products summed in place onto the first term's product, in term order."""
+    products = (np.kron(c * mx, my) for c, mx, my in term_factors(sys, terms))
+    total = next(products, None)
+    if total is None:
+        return np.zeros((sys.joint_dim, sys.joint_dim), dtype=complex)
+    for product in products:
+        total += product
+    return total
+
+
+def nonzero_entries(sys, terms):
+    """(keys, values): the sorted flat positions r * n + c that a term
+    reaches through np.nonzero of its factor matrices, and the np.kron
+    products (c Ax)[nx, mx] Ay[ny, my] there, summed in term order."""
+    n, d = sys.joint_dim, sys.dim
+    total = {}
+    for c, mx, my in term_factors(sys, terms):
+        (rx, cx), (ry, cy) = np.nonzero(mx), np.nonzero(my)
+        keys = ((rx * d)[:, None] + ry) * n + (cx * d)[:, None] + cy
+        values = (c * mx)[rx, cx][:, None] * my[ry, cy]
+        for key, value in zip(keys.ravel().tolist(), values.ravel().tolist()):
+            total[key] = total[key] + value if key in total else value
+    keys = sorted(total)
+    return (np.array(keys, dtype=np.intp),
+            np.array([total[key] for key in keys], dtype=complex))
+
+
+def htilde_from_operator(sys, h_op):
+    """Classical derivs of a joint-space Hermitian operator, the dense oracle.
+
+    Returns derivs(u, v) -> (h, grad, hess), the kind of function
+    derivs_from_terms returns for a term list, of
+    htilde(u, v) = (v|H|u) / prod_k (1 + u_k v_k)^{2j}, where |u) is the
+    unnormalized polynomial ket and (v| the matching bra row built from the
+    v powers without conjugation. Gradients and Hessians are assembled from
+    explicit derivative component vectors, exactly. This dense path works
+    for any joint operator and is the oracle of derivs_from_terms near the
+    real submanifold; far from it, (v|H|u) is a sum of terms much larger
+    than itself and the path loses its accuracy as j grows.
+    """
+    h_op = np.asarray(h_op, dtype=complex)
+    if h_op.shape != (sys.joint_dim, sys.joint_dim):
+        raise DimensionMismatch(
+            f"operator shape {h_op.shape}, expected {(sys.joint_dim, sys.joint_dim)}"
+        )
+    require_hermitian(h_op)
+    two_j = sys.two_j
+    # row r of the polynomial ket's value and first two derivatives has
+    # component n = coef[r, n] a^powers[r, n]: sqrt(binomial(2j, n)) times
+    # 1, n and n(n-1), with the power clipped at 0 where coef vanishes
+    n = np.arange(two_j + 1)
+    w = binom_sqrt_weights(two_j)
+    coef = np.array([w, w * n, w * n * (n - 1)])
+    powers = np.maximum(n - np.arange(3)[:, None], 0)
+    orders = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+    def pieces(u, v):
+        args = np.array([u[0], u[1], v[0], v[1]], dtype=complex)
+        for a in args:
+            _range_guard(sys, a)
+        kx, ky, bx, by = coef * args[:, None, None] ** powers
+        # bras by derivative order (cx, cy); H times kets by (ax, ay)
+        bras = {(a, b): np.kron(bx[a], by[b]) for a, b in orders}
+        hk = {(a, b): h_op @ np.kron(kx[a], ky[b]) for a, b in orders}
+        return bras, hk
+
+    def log_norm_derivs(u, v):
+        """First and second partials of ln prod (1+u_k v_k)^{2j}."""
+        ux, uy = u
+        vx, vy = v
+        px, py = 1.0 + ux * vx, 1.0 + uy * vy
+        l1 = np.array([two_j * vx / px, two_j * vy / py,
+                       two_j * ux / px, two_j * uy / py])
+        l2 = np.zeros((4, 4), dtype=complex)
+        l2[0, 0] = -two_j * vx ** 2 / px ** 2
+        l2[1, 1] = -two_j * vy ** 2 / py ** 2
+        l2[2, 2] = -two_j * ux ** 2 / px ** 2
+        l2[3, 3] = -two_j * uy ** 2 / py ** 2
+        l2[0, 2] = l2[2, 0] = two_j / px ** 2
+        l2[1, 3] = l2[3, 1] = two_j / py ** 2
+        return l1, l2
+
+    # variable index -> (bra order, ket order) increment
+    _BUMP = {0: ((0, 0), (1, 0)), 1: ((0, 0), (0, 1)),
+             2: ((1, 0), (0, 0)), 3: ((0, 1), (0, 0))}
+
+    def f_derivs(bras, hk):
+        def f(bra_key, ket_key):
+            return bras[bra_key] @ hk[ket_key]
+
+        f0 = f((0, 0), (0, 0))
+        f1 = np.array([f(*_BUMP[a]) for a in range(4)], dtype=complex)
+        f2 = np.empty((4, 4), dtype=complex)
+        for a in range(4):
+            for b in range(a, 4):
+                ba, ka = _BUMP[a]
+                bb, kb = _BUMP[b]
+                bra_key = (ba[0] + bb[0], ba[1] + bb[1])
+                ket_key = (ka[0] + kb[0], ka[1] + kb[1])
+                f2[a, b] = f2[b, a] = f(bra_key, ket_key)
+        return f0, f1, f2
+
+    def point_derivs(u, v):
+        f0, f1, f2 = f_derivs(*pieces(u, v))
+        l1, l2 = log_norm_derivs(u, v)
+        nrm = ((1.0 + u[0] * v[0]) * (1.0 + u[1] * v[1])) ** two_j
+        hess = (
+            f2
+            - np.outer(f1, l1)
+            - np.outer(l1, f1)
+            - f0 * l2
+            + f0 * np.outer(l1, l1)
+        )
+        return f0 / nrm, (f1 - f0 * l1) / nrm, hess / nrm
+
+    def derivs(u, v):
+        if np.ndim(u) == 1:
+            return point_derivs(u, v)
+        # a series of (n, 2) points, point by point: the oracle keeps the
+        # arithmetic of its single-point evaluation
+        h, g, hss = zip(*(point_derivs(a, b) for a, b in zip(u, v)))
+        return np.array(h), np.array(g), np.array(hss)
+
+    return derivs
+
+
+def invariant_sectors(h):
+    """Basis indices of the sectors of h, grouped by sector size.
+
+    The sectors are the connected components (connected_sectors) of the
+    graph with an edge i - j wherever h[i, j] or h[j, i] is nonzero
+    (compared with exact zero), so h has no entry, in either triangle,
+    between two sectors.
+    """
+    n = h.shape[0]
+    rows, cols = divmod(np.flatnonzero(h != 0), n)
+    return connected_sectors(rows, cols, n)
+
+
+def dense_sectors(h):
+    """Sectors of a dense square matrix h: invariant_sectors(h) and its
+    blocks gathered from h."""
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.size == 0:
+        raise ValueError("expected a non-empty square matrix")
+    indices = invariant_sectors(h)
+    return Sectors(h.shape[0], indices,
+                   [h[idx[:, :, None], idx[:, None, :]] for idx in indices])
+
+
+def evolve_state(h, psi0, t, hbar=1.0):
+    """Evolve psi0 under a dense Hermitian h for time t (a negative t
+    reverses time), through the sectors of h."""
+    return SpectralPropagator(dense_sectors(h), hbar).apply(np.asarray(psi0, dtype=complex), t)

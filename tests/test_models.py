@@ -5,13 +5,11 @@ import numpy as np
 import pytest
 
 import spinsemi as ss
+from oracles import assemble_operator, build_spin_operators, htilde_from_operator
+from spinsemi import models
 from spinsemi.config import build_model, parse_config
 from spinsemi.errors import NotHermitian, ValidationError
-from spinsemi.models import (
-    _binomial_probabilities,
-    assemble_operator,
-    pc_purity_sc_printed,
-)
+from spinsemi.models import _binomial_probabilities, pc_purity_sc_printed
 from spinsemi.numerics import require_hermitian
 
 CFG = ss.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
@@ -60,7 +58,7 @@ class TestPhaseCouplingModel:
     def test_closed_form_equals_generic_path(self):
         sys, params = _params(two_j=3, lam=1.4)
         closed = ss.phase_coupling_model(params)
-        generic = ss.htilde_from_operator(sys, closed.operator)
+        generic = htilde_from_operator(sys, assemble_operator(sys, closed.terms))
         rng = np.random.default_rng(0)
         for _ in range(10):
             u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -95,6 +93,20 @@ class TestPcTrajectory:
         traj = ss.pc_trajectory(params, ss.CoherentLabel(0.3 - 0.6j, 1.1), 1.5)
         prods = traj.ys[:, :2] * traj.ys[:, 2:]
         assert np.max(np.abs(prods - prods[0])) < 1e-13
+
+    @pytest.mark.parametrize("two_j", [1, 10, 1000])
+    def test_energy_is_the_closed_form_without_a_model_build(self, monkeypatch, two_j):
+        sys, params = _params(two_j=two_j, lam=0.7, hbar=0.6)
+        s0 = ss.CoherentLabel(0.3 - 0.6j, 1.1)
+        u0 = np.array([s0.sx, s0.sy])
+        want = ss.phase_coupling_model(params).htilde(u0, np.conj(u0))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("term entries built for a closed-form trajectory")
+        monkeypatch.setattr(models, "_term_entries", fail)
+        traj = ss.pc_trajectory(params, s0, 1.5)
+        assert traj.energy.shape == (129,)
+        assert all(e == want for e in traj.energy)
 
 
 class TestPcStability:
@@ -302,7 +314,7 @@ class TestOperatorModels:
     def test_exchange_conserves_total_j3(self):
         sys = ss.SpinSystem(two_j=4)
         model = ss.exchange_coupling_model(sys, 1.0)
-        jp, jm, j3 = ss.build_spin_operators(sys)
+        jp, jm, j3 = build_spin_operators(sys)
         ident = np.eye(sys.dim)
         total_j3 = np.kron(j3, ident) + np.kron(ident, j3)
         comm = model.operator @ total_j3 - total_j3 @ model.operator
@@ -434,7 +446,7 @@ class TestOperatorModels:
 
     def test_assemble_powers(self):
         sys = ss.SpinSystem(two_j=2)
-        jp, jm, j3 = ss.build_spin_operators(sys)
+        jp, jm, j3 = build_spin_operators(sys)
         op = assemble_operator(sys, [ss.OperatorTerm(1.0, ("J3", 2), ("I", 0))])
         assert np.max(np.abs(op - np.kron(j3 @ j3, np.eye(sys.dim)))) < 1e-12
 
@@ -443,6 +455,6 @@ class TestOperatorModels:
     def test_phase_coupling_operator_is_the_assembled_term(self, two_j, lam):
         # the kron of scaled J3 matrices the term list replaced, as oracle
         sys = ss.SpinSystem(two_j=two_j, hbar=0.7)
-        _, _, j3 = ss.build_spin_operators(sys)
+        _, _, j3 = build_spin_operators(sys)
         op = ss.phase_coupling_model(ss.PhaseCouplingParams(lam=lam, sys=sys)).operator
         assert np.array_equal(op, np.kron(lam * sys.hbar * j3, j3))

@@ -7,18 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinsemi as ss
-from spinsemi import models, quantum
+from oracles import assemble_operator, dense_sectors, evolve_state, invariant_sectors
+from spinsemi import models
 from spinsemi.config import build_model, parse_config
 from spinsemi.errors import DimensionMismatch, NotHermitian
-from spinsemi.quantum import (
-    CHUNK,
-    Sectors,
-    SpectralPropagator,
-    connected_sectors,
-    dense_sectors,
-    invariant_sectors,
-    time_chunks,
-)
+from spinsemi.quantum import CHUNK, Sectors, SpectralPropagator, connected_sectors, time_chunks
 from spinsemi.runner import compute_curve
 
 
@@ -32,12 +25,12 @@ class TestEvolveState:
         rng = np.random.default_rng(0)
         h = np.diag([1.0, 2.0, 3.0])
         psi = _random_state(rng, 3)
-        assert np.allclose(ss.evolve_state(h, psi, 0.0), psi)
+        assert np.allclose(evolve_state(h, psi, 0.0), psi)
 
     def test_diagonal_phases(self):
         h = np.diag([0.5, -1.5])
         psi = np.array([0.6, 0.8], dtype=complex)
-        out = ss.evolve_state(h, psi, 2.0, hbar=1.0)
+        out = evolve_state(h, psi, 2.0, hbar=1.0)
         expected = psi * np.exp(-1j * np.array([0.5, -1.5]) * 2.0)
         assert np.max(np.abs(out - expected)) < 1e-12
 
@@ -46,8 +39,8 @@ class TestEvolveState:
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         h = a + a.conj().T
         psi = _random_state(rng, 6)
-        fwd = ss.evolve_state(h, psi, 1.7)
-        back = ss.evolve_state(h, fwd, -1.7)
+        fwd = evolve_state(h, psi, 1.7)
+        back = evolve_state(h, fwd, -1.7)
         assert np.max(np.abs(back - psi)) < 1e-10
 
     def test_norm_preserved_long_time(self):
@@ -56,7 +49,7 @@ class TestEvolveState:
         h = a + a.conj().T
         t = 1e3 / np.linalg.norm(h, 2)
         psi = _random_state(rng, 8)
-        out = ss.evolve_state(h, psi, t)
+        out = evolve_state(h, psi, t)
         assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
 
@@ -213,10 +206,10 @@ class TestExactPropagatorOverlap:
 def test_spectral_propagator_reuses_decomposition():
     sys = ss.SpinSystem(two_j=2)
     model = ss.phase_coupling_model(ss.PhaseCouplingParams(lam=1.0, sys=sys))
-    prop = SpectralPropagator(model.operator, sys.hbar)
+    prop = SpectralPropagator(model.sectors, sys.hbar)
     psi = ss.product_coherent(sys, ss.CoherentLabel(0.5, 0.5))
     one = prop.apply(psi, 0.3)
-    two = ss.evolve_state(model.operator, psi, 0.3, sys.hbar)
+    two = evolve_state(assemble_operator(sys, model.terms), psi, 0.3, sys.hbar)
     assert np.max(np.abs(one - two)) < 1e-12
 
 
@@ -280,10 +273,10 @@ class TestSectorEngine:
     @pytest.mark.parametrize("name", list(SECTOR_MODELS))
     def test_matches_dense_oracle(self, name, two_j):
         sys = ss.SpinSystem(two_j=two_j, hbar=0.7)
-        h = SECTOR_MODELS[name](sys).operator
+        model = SECTOR_MODELS[name](sys)
         psi = ss.product_coherent(sys, ss.CoherentLabel(0.6 - 0.2j, -0.4 + 0.5j))
-        prop = SpectralPropagator(h, sys.hbar)
-        oracle = _dense_oracle(h, sys.hbar)
+        prop = SpectralPropagator(model.sectors, sys.hbar)
+        oracle = _dense_oracle(assemble_operator(sys, model.terms), sys.hbar)
         t = 1.3 / sys.j
         for xi in (+1, -1):
             assert np.max(np.abs(prop.apply(psi, xi * t) - oracle(psi, t, xi))) <= 1e-12
@@ -293,7 +286,7 @@ class TestSectorEngine:
         a = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
         h = a + a.conj().T
         assert _sector_sizes(h) == [30]
-        prop = SpectralPropagator(h, 1.0)
+        prop = SpectralPropagator(dense_sectors(h), 1.0)
         psi = _random_state(rng, 30)
         oracle = _dense_oracle(h, 1.0)
         for xi in (+1, -1):
@@ -302,12 +295,12 @@ class TestSectorEngine:
     @pytest.mark.parametrize("two_j", [1, 4, 40])
     def test_phase_coupling_sectors_are_single_states(self, two_j):
         sys = ss.SpinSystem(two_j=two_j)
-        h = SECTOR_MODELS["phase_coupling"](sys).operator
-        assert _sector_sizes(h) == [1] * sys.dim ** 2
+        model = SECTOR_MODELS["phase_coupling"](sys)
+        assert _sector_sizes(assemble_operator(sys, model.terms)) == [1] * sys.dim ** 2
 
     def test_exchange_sectors_follow_total_j3(self):
         sys = ss.SpinSystem(two_j=40)
-        sizes = _sector_sizes(SECTOR_MODELS["exchange_coupling"](sys).operator)
+        sizes = _sector_sizes(assemble_operator(sys, SECTOR_MODELS["exchange_coupling"](sys).terms))
         assert len(sizes) == 81
         assert max(sizes) == 41
         assert sum(sizes) == sys.dim ** 2
@@ -329,34 +322,34 @@ class TestSectorEngine:
         h = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
         h[0, 2] = 0.5
         with pytest.raises(NotHermitian):
-            SpectralPropagator(h)
+            SpectralPropagator(dense_sectors(h))
 
     def test_nan_entry_is_not_hermitian(self):
         h = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
         h[1, 3] = h[3, 1] = np.nan
         with pytest.raises(NotHermitian):
-            SpectralPropagator(h)
+            SpectralPropagator(dense_sectors(h))
         h = np.diag([1.0, np.nan, 3.0, 4.0]).astype(complex)
         with pytest.raises(NotHermitian):
-            SpectralPropagator(h)
+            SpectralPropagator(dense_sectors(h))
 
     def test_defect_inside_a_sector_is_not_hermitian(self):
         h = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
         h[1, 3] = 0.25
         h[3, 1] = 0.25 + 1e-9j
         with pytest.raises(NotHermitian):
-            SpectralPropagator(h)
+            SpectralPropagator(dense_sectors(h))
 
     def test_defect_below_tolerance_is_accepted(self):
         # the whole-matrix check's 1e-12 bound, not a stricter one
         h = np.diag([1.0, 2.0, 3.0]).astype(complex)
         h[0, 1] = 1e-13
         assert _sector_sizes(h) == [1, 2]
-        SpectralPropagator(h)
+        SpectralPropagator(dense_sectors(h))
 
     def test_wrong_state_length(self):
         with pytest.raises(DimensionMismatch):
-            SpectralPropagator(np.eye(4)).apply(np.ones(3), 0.1)
+            SpectralPropagator(dense_sectors(np.eye(4))).apply(np.ones(3), 0.1)
 
 
 def _per_time_apply(prop, psi, t):
@@ -412,7 +405,7 @@ class TestWholeCurve:
     @pytest.mark.parametrize("name", sorted(CURVE_MODELS))
     def test_chunked_curve_matches_per_time_loop(self, name, two_j):
         sys = ss.SpinSystem(two_j=two_j, hbar=0.7)
-        prop = SpectralPropagator(CURVE_MODELS[name](sys).operator, sys.hbar)
+        prop = SpectralPropagator(CURVE_MODELS[name](sys).sectors, sys.hbar)
         psi0 = ss.product_coherent(sys, ss.CoherentLabel(0.6 - 0.2j, -0.4 + 0.5j))
         # a prime number of times spanning three chunks, and two times
         n = _prime_above(2 * (CHUNK // sys.joint_dim) + 1)
@@ -431,7 +424,7 @@ class TestWholeCurve:
         model = ss.exchange_coupling_model(sys, 0.8)
         s0 = ss.CoherentLabel(0.5 + 0.1j, -0.3j)
         times = np.linspace(0.0, 0.6, 1201)
-        prop = SpectralPropagator(model.operator, sys.hbar)
+        prop = SpectralPropagator(model.sectors, sys.hbar)
         psi0 = ss.product_coherent(sys, s0)
         for sub in ("x", "y"):
             want = np.concatenate([
@@ -443,7 +436,7 @@ class TestWholeCurve:
     @pytest.mark.parametrize("name", sorted(CURVE_MODELS))
     def test_apply_on_a_grid_matches_per_time_apply(self, name):
         sys = ss.SpinSystem(two_j=6, hbar=0.7)
-        prop = SpectralPropagator(CURVE_MODELS[name](sys).operator, sys.hbar)
+        prop = SpectralPropagator(CURVE_MODELS[name](sys).sectors, sys.hbar)
         psi = ss.product_coherent(sys, ss.CoherentLabel(0.3 + 0.4j, -0.7))
         times = np.array([0.0, 0.2, 0.9, 2.5])
         for xi in (+1, -1):
@@ -554,7 +547,7 @@ def _assert_propagators_match(sys, sectors, h):
     psi = ss.product_coherent(sys, ss.CoherentLabel(0.6 - 0.2j, -0.4 + 0.5j))
     times = np.linspace(-1.3 / sys.j, 1.3 / sys.j, 7)
     got = SpectralPropagator(sectors, sys.hbar).apply(psi, times)
-    want = SpectralPropagator(h, sys.hbar).apply(psi, times)
+    want = SpectralPropagator(dense_sectors(h), sys.hbar).apply(psi, times)
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -564,7 +557,7 @@ class TestTermSectors:
     def test_built_in_models_match_dense_sectors(self, name, two_j):
         sys = ss.SpinSystem(two_j=two_j, hbar=0.7)
         model = BUILT_IN_MODELS[name](sys)
-        h = model.operator
+        h = assemble_operator(sys, model.terms)
         dense = dense_sectors(h)
         assert len(model.sectors.indices) == len(dense.indices)
         for got, want in zip(model.sectors.indices, dense.indices):
@@ -576,7 +569,7 @@ class TestTermSectors:
     def test_term_lists_refine_into_term_sectors(self, two_j):
         sys = ss.SpinSystem(two_j=two_j, hbar=0.7)
         for name, model in _term_list_models(sys).items():
-            h = model.operator
+            h = assemble_operator(sys, model.terms)
             term_rows = _rows(model.sectors.indices)
             assert sorted(i for row in term_rows for i in row) == list(range(sys.joint_dim))
             home = {i: k for k, row in enumerate(term_rows) for i in row}
@@ -591,7 +584,7 @@ class TestTermSectors:
     def test_cancelling_terms_give_coarser_sectors(self):
         sys = ss.SpinSystem(two_j=5)
         model = _term_list_models(sys)["cancelling"]
-        assert [idx.shape[1] for idx in invariant_sectors(model.operator)] == [1]
+        assert [idx.shape[1] for idx in invariant_sectors(assemble_operator(sys, model.terms))] == [1]
         assert [idx.shape[1] for idx in model.sectors.indices] == [sys.dim]
 
     def test_empty_list_is_all_single_states(self):
@@ -609,15 +602,19 @@ class TestTermSectors:
         # no edges: every state its own sector
         assert [idx.shape for idx in connected_sectors(np.array([], int), np.array([], int), 4)] == [(4, 1)]
 
-    def test_propagator_takes_sectors_or_a_dense_matrix(self):
+    def test_propagator_takes_sectors(self):
+        # a dense matrix goes through the oracle's sector split
         h = np.diag([1.0, 2.0, 3.0]).astype(complex)
         h[0, 2] = h[2, 0] = 0.5
         psi = np.array([0.6, 0.0, 0.8j])
-        from_dense = SpectralPropagator(h).apply(psi, 0.7)
-        from_sectors = SpectralPropagator(dense_sectors(h)).apply(psi, 0.7)
+        sectors = Sectors(3, [np.array([[1]]), np.array([[0, 2]])],
+                          [np.array([[[2.0]]], dtype=complex),
+                           np.array([[[1.0, 0.5], [0.5, 3.0]]], dtype=complex)])
+        from_dense = SpectralPropagator(dense_sectors(h)).apply(psi, 0.7)
+        from_sectors = SpectralPropagator(sectors).apply(psi, 0.7)
         assert np.array_equal(from_dense, from_sectors)
         with pytest.raises(ValueError):
-            SpectralPropagator(np.ones((2, 3)))
+            dense_sectors(np.ones((2, 3)))
         with pytest.raises(NotHermitian):
             bad = Sectors(2, [np.array([[0, 1]])], [np.array([[[1.0, 1.0], [0.0, 1.0]]])])
             SpectralPropagator(bad)
@@ -635,18 +632,16 @@ def test_exact_overlap_on_sectors_equals_dense_path(name, two_j):
     for xi in (+1, -1):
         t = 1.3 / sys.j
         dense = complex(np.vdot(ss.product_coherent(sys, s_eta),
-                                ss.evolve_state(model.operator, ss.product_coherent(sys, s0),
-                                                xi * t, sys.hbar)))
+                                evolve_state(assemble_operator(sys, model.terms),
+                                             ss.product_coherent(sys, s0), xi * t, sys.hbar)))
         assert ss.exact_propagator_overlap(sys, model, s_eta, s0, t, xi) == dense
 
 
 def _no_dense_operator(monkeypatch):
-    """Make every dense joint-space path raise: the term assembler and the
-    dense sector scan."""
+    """Make the dense joint-space matrix, model.operator, raise on read."""
     def fail(*args, **kwargs):
         raise AssertionError("dense joint-space matrix on the run path")
-    monkeypatch.setattr(models, "assemble_operator", fail)
-    monkeypatch.setattr(quantum, "invariant_sectors", fail)
+    monkeypatch.setattr(models.HamiltonianModel, "operator", property(fail))
 
 
 @pytest.mark.parametrize("name", ["phase_coupling", "exchange_coupling",

@@ -1,16 +1,28 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import spinsemi as ss
+from oracles import (
+    assemble_operator,
+    build_spin_operators,
+    factor_matrix,
+    htilde_from_operator,
+    nonzero_entries,
+    term_factors,
+)
 from spinsemi import models, spin
 from spinsemi.errors import NotHermitian, ScaleOverflow
-from spinsemi.spin import _term_factors, binom_sqrt_weights, derivs_from_terms
+from spinsemi.spin import _factor_band, binom_sqrt_weights, derivs_from_terms
 
 
 def _j1_j2(sys):
-    jp, jm, _ = ss.build_spin_operators(sys)
+    jp, jm, _ = build_spin_operators(sys)
     return (jp + jm) / 2.0, (jp - jm) / 2j
 
 
@@ -24,7 +36,7 @@ labels = st.builds(
 class TestSpinOperators:
     def test_spin_half_ladder(self):
         sys = ss.SpinSystem(two_j=1)
-        jp, jm, j3 = ss.build_spin_operators(sys)
+        jp, jm, j3 = build_spin_operators(sys)
         assert np.allclose(j3, np.diag([-0.5, 0.5]))
         assert np.allclose(jp, [[0.0, 0.0], [1.0, 0.0]])
         assert np.allclose(jm, jp.T)
@@ -32,7 +44,7 @@ class TestSpinOperators:
     @pytest.mark.parametrize("two_j", [1, 2, 3, 10, 40])
     def test_commutation_relations(self, two_j):
         sys = ss.SpinSystem(two_j=two_j)
-        jp, jm, j3 = ss.build_spin_operators(sys)
+        jp, jm, j3 = build_spin_operators(sys)
         j1, j2 = _j1_j2(sys)
         assert np.max(np.abs(j1 @ j2 - j2 @ j1 - 1j * j3)) < 1e-12
         assert np.max(np.abs(j2 @ j3 - j3 @ j2 - 1j * j1)) < 1e-12
@@ -41,12 +53,76 @@ class TestSpinOperators:
     def test_raising_coefficient(self):
         # J+ |-j> has coefficient sqrt(2j) on |-j+1>
         sys = ss.SpinSystem(two_j=4)
-        jp, _, _ = ss.build_spin_operators(sys)
+        jp, _, _ = build_spin_operators(sys)
         lowest = np.zeros(sys.dim)
         lowest[0] = 1.0
         out = jp @ lowest
         assert out[1] == pytest.approx(np.sqrt(4.0))
         assert np.allclose(np.delete(out, 1), 0.0)
+
+
+class TestFactorBands:
+    @pytest.mark.parametrize("two_j", [0, 1, 2, 5, 10, 40, 200])
+    def test_bands_match_dense_factor_matrices(self, two_j):
+        ops = build_spin_operators(ss.SpinSystem(two_j=two_j))
+        for kind in ("J+", "J-", "J3", "I"):
+            for power in range(5):
+                offset, values = _factor_band(two_j, kind, power)
+                dense = factor_matrix(ops, kind, power)
+                step = 0 if kind in ("J3", "I") or power == 0 else power
+                assert offset == (-step if kind == "J-" else step)
+                diagonal = np.diagonal(dense, -offset)
+                # the band holds every entry of the matrix, all real
+                assert values.dtype == float and not np.any(diagonal.imag)
+                assert np.count_nonzero(dense) == np.count_nonzero(diagonal)
+                if kind in ("J+", "J-") and power > two_j:
+                    assert values.size == 0 and not np.any(dense)
+                elif kind in ("J3", "I") or power <= 2:
+                    assert np.array_equal(values, diagonal.real), (kind, power)
+                else:
+                    # J+^p multiplies its ladder coefficients in another order
+                    rel = np.abs(values - diagonal.real) / np.abs(diagonal.real)
+                    assert np.max(rel) <= 1e-15, (kind, power)
+
+
+# a term that reaches J3's zero at m = 0 for integer j
+J3_CUBED_TERMS = [ss.OperatorTerm(0.3 + 0.7j, ("J3", 3), ("J+", 2)),
+                  ss.OperatorTerm(0.3 - 0.7j, ("J3", 3), ("J-", 2))]
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 5, 10, 40])
+def test_term_entries_match_nonzero_entries_of_factor_matrices(two_j):
+    sys = ss.SpinSystem(two_j=two_j, hbar=0.7)
+    built_in = [ss.phase_coupling_model(ss.PhaseCouplingParams(lam=0.9, sys=sys)),
+                ss.exchange_coupling_model(sys, -0.8), ss.free_precession_model(sys, 1.1)]
+    term_lists = [model.terms for model in built_in]
+    if two_j % 2 == 0:
+        term_lists.append(J3_CUBED_TERMS)
+    # no position is reached by more than two terms of a list here
+    for terms in term_lists:
+        keys, values = models._term_entries(sys, terms)
+        want_keys, want_values = nonzero_entries(sys, terms)
+        assert keys.dtype == want_keys.dtype and np.array_equal(keys, want_keys)
+        assert np.array_equal(values, want_values)
+    # J3's zero at m = 0 is dropped: no entry has the x index nx = j
+    if two_j % 2 == 0:
+        reached = ss.build_operator_model(sys, J3_CUBED_TERMS).entries[0]
+        assert not np.any(reached // sys.joint_dim // sys.dim == two_j // 2)
+
+
+def test_oracles_import_nothing_they_check():
+    # the oracles must not share the paths they check
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert names
+    assert not names & {"_term_entries", "_entries_at", "_factor_band", "derivs_from_terms"}
 
 
 class TestCoherentStates:
@@ -67,7 +143,7 @@ class TestCoherentStates:
         # exp(s J+)|-j>, normalized, via a truncated series (exact: nilpotent)
         sys = ss.SpinSystem(two_j=7)
         s = 0.6 - 1.1j
-        jp, _, _ = ss.build_spin_operators(sys)
+        jp, _, _ = build_spin_operators(sys)
         lowest = np.zeros(sys.dim, dtype=complex)
         lowest[0] = 1.0
         term = lowest.copy()
@@ -140,10 +216,10 @@ class TestCoherentStates:
 class TestHtildeFromOperator:
     def test_free_hamiltonian_real_point(self):
         sys = ss.SpinSystem(two_j=5)
-        jp, jm, j3 = ss.build_spin_operators(sys)
+        jp, jm, j3 = build_spin_operators(sys)
         ident = np.eye(sys.dim)
         h = np.kron(j3, ident) + np.kron(ident, j3)
-        derivs = ss.htilde_from_operator(sys, h)
+        derivs = htilde_from_operator(sys, h)
         sx, sy = 0.6 + 0.2j, -0.8 + 0.5j
         u = np.array([sx, sy])
         val = derivs(u, np.conj(u))[0]
@@ -157,7 +233,7 @@ class TestHtildeFromOperator:
         sys = ss.SpinSystem(two_j=4)
         params = ss.PhaseCouplingParams(lam=0.7, sys=sys)
         closed = ss.phase_coupling_model(params)
-        generic = ss.htilde_from_operator(sys, closed.operator)
+        generic = htilde_from_operator(sys, assemble_operator(sys, closed.terms))
         rng = np.random.default_rng(2)
         for _ in range(10):
             u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -212,12 +288,13 @@ class TestHtildeFromOperator:
         bad = np.zeros((sys.joint_dim, sys.joint_dim), dtype=complex)
         bad[0, 1] = 1.0
         with pytest.raises(NotHermitian):
-            ss.htilde_from_operator(sys, bad)
+            htilde_from_operator(sys, bad)
 
 
 def test_operator_is_built_once_on_first_read(monkeypatch):
     # a term model builds neither its dense operator nor its sectors at
-    # build time; the operator is built on its first read and kept
+    # build time; the operator is scattered from the entries on its first
+    # read and kept
     calls = []
 
     def counting(name, fn):
@@ -226,8 +303,7 @@ def test_operator_is_built_once_on_first_read(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(models, "assemble_operator",
-                        counting("operator", models.assemble_operator))
+    monkeypatch.setattr(models, "_scatter", counting("operator", models._scatter))
     monkeypatch.setattr(models, "connected_sectors",
                         counting("sectors", models.connected_sectors))
     sys = ss.SpinSystem(two_j=1)
@@ -240,6 +316,7 @@ def test_operator_is_built_once_on_first_read(monkeypatch):
         assert model.operator is first
         assert calls == ["operator"]
         assert first.dtype == complex and first.shape == (sys.joint_dim, sys.joint_dim)
+        assert np.array_equal(first, assemble_operator(sys, model.terms))
         model.sectors
         assert calls == ["operator", "sectors"]
 
@@ -248,7 +325,7 @@ def _dense_derivs_model(model):
     """model with its derivs replaced by the dense oracle of its operator."""
     return ss.build_operator_model(
         model.sys, model.terms, label=model.label,
-        derivs=ss.htilde_from_operator(model.sys, model.operator))
+        derivs=htilde_from_operator(model.sys, assemble_operator(model.sys, model.terms)))
 
 
 def test_binom_weights_match_exact():
@@ -305,7 +382,7 @@ class TestFactoredDerivs:
     def test_matches_dense_oracle(self, name, two_j):
         sys = ss.SpinSystem(two_j=two_j)
         model = FACTORED_MODELS[name](sys)
-        oracle = ss.htilde_from_operator(sys, model.operator)
+        oracle = htilde_from_operator(sys, assemble_operator(sys, model.terms))
         rng = np.random.default_rng(two_j)
         for u, v in _near_real_points(rng, 6):
             assert max(_rel_errors(model.derivs(u, v), oracle(u, v))) <= 1e-12
@@ -414,7 +491,7 @@ def _point_factored_derivs(sys, terms):
     extended precision: in doubles its own rounding grows with j, to 1e-10
     of the Hessian at two_j = 1000 near the real submanifold.
 
-    terms is a sequence of (c_t, A_t, B_t), as spin._term_factors gives.
+    terms is a sequence of (c_t, A_t, B_t), as oracles.term_factors gives.
     """
     d, two_j = sys.dim, sys.two_j
     coefficients = np.array([c for c, _, _ in terms], dtype=np.clongdouble)
@@ -483,7 +560,7 @@ class TestSeriesContract:
         closed = ss.phase_coupling_model(ss.PhaseCouplingParams(lam=0.8, sys=sys)).derivs
         point = _point_phase_coupling_derivs(0.8, sys)
         terms = ss.build_operator_model(sys, OPERATOR_TERMS).derivs
-        factored = _point_factored_derivs(sys, _term_factors(sys, OPERATOR_TERMS))
+        factored = _point_factored_derivs(sys, term_factors(sys, OPERATOR_TERMS))
         rng = np.random.default_rng(two_j)
         for u, v in _near_real_points(rng, 5):
             got, want = closed(u, v), point(u, v)
@@ -499,10 +576,9 @@ def _explicit_symbol(sys, kind, power, u, v):
     """(v|A|u) / (1 + uv)^{2j} for A = kind^power as a (2j+1)-term sum."""
     weights = binom_sqrt_weights(sys.two_j)
     n = np.arange(sys.dim)
-    jplus, jminus, j3 = ss.build_spin_operators(sys)
-    base = {"J+": jplus, "J-": jminus, "J3": j3, "I": np.eye(sys.dim)}[kind]
     bra, ket = weights * v ** n, weights * u ** n
-    return bra @ np.linalg.matrix_power(base, power) @ ket / (1.0 + u * v) ** sys.two_j
+    matrix = factor_matrix(build_spin_operators(sys), kind, power)
+    return bra @ matrix @ ket / (1.0 + u * v) ** sys.two_j
 
 
 class TestSymbols:
@@ -545,7 +621,7 @@ class TestSymbols:
         terms = [ss.OperatorTerm(c, ("J+", 1), ("J-", 1)),
                  ss.OperatorTerm(np.conj(c), ("J-", 1), ("J+", 1))]
         derivs = derivs_from_terms(sys, terms)
-        factored = _point_factored_derivs(sys, _term_factors(sys, terms))
+        factored = _point_factored_derivs(sys, term_factors(sys, terms))
         rng = np.random.default_rng(1000)
         for u, v in _near_real_points(rng, 3):
             assert max(_rel_errors(derivs(u, v), factored(u, v))) <= 1e-12
