@@ -26,7 +26,13 @@ from .errors import (
     ValidationError,
     ValidityBreakdown,
 )
-from .numerics import IntegratorConfig, adaptive_rk, hermitian_eig, small_inverse
+from .numerics import (
+    IntegratorConfig,
+    IntegratorRecord,
+    adaptive_rk,
+    hermitian_eig,
+    small_inverse,
+)
 from .spin import (
     CoherentLabel,
     OperatorTerm,

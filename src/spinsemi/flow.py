@@ -23,13 +23,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import ChartSingularity
-from .numerics import adaptive_rk
+from .numerics import IntegratorRecord, adaptive_rk
 
 CHART_TOL = 1e-12
 
-# floor on the number of samples per trajectory; the downstream action
-# quadratures and branch tracking need a grid denser than the ODE error
-# control alone would pick on nearly-linear stretches
+# floor on the number of samples of a natural-grid trajectory (one whose
+# samples are its accepted steps): the step is capped at t / 32, because the
+# downstream action quadratures and branch tracking need a grid denser than
+# the ODE error control alone would pick on nearly-linear stretches. With
+# requested sample times the output grid is those times, so the cap is off.
 _MIN_SAMPLES = 33
 
 
@@ -117,6 +119,7 @@ class Trajectory:
     ys: np.ndarray          # (n, 4) rows (ux, uy, vx, vy)
     energy: np.ndarray      # H~ along the samples
     ms: Optional[np.ndarray] = None  # (n, 4, 4) stability matrices, if integrated
+    integrator: Optional[IntegratorRecord] = None  # what the integration did, if any
 
     def __post_init__(self):
         if self.ts.size > 1 and np.any(np.diff(self.ts) <= 0):
@@ -201,7 +204,7 @@ def field_and_jacobian(sys, model, y):
 
 
 def _effective_cfg(cfg, t_total):
-    """Cap the step so a trajectory always carries enough samples."""
+    """Cap the step so a natural-grid trajectory carries enough samples."""
     if t_total <= 0:
         return cfg
     cap = t_total / (_MIN_SAMPLES - 1)
@@ -216,13 +219,15 @@ def integrate_trajectory(sys, model, s0, t_final, cfg, sample_times=None):
 
     One adaptive integration of (u, v) and M, with dM/dt = J(t) M and
     M(0) = I, so M sees exactly the flow it linearizes; the result's `ms`
-    holds M at every sample. With sample_times=None the samples are the
-    integrator's accepted steps (step-capped so at least ~30 samples exist);
-    otherwise exactly the requested times, read off the dense output of the
-    same steps, so the cost does not depend on how many are requested. The
-    t = 0 start point is always included, whether or not it was requested:
-    every downstream object (endpoint factor, stability window, action
-    boundary terms) is anchored there.
+    holds M at every sample, and its `integrator` the IntegratorRecord of
+    the call. With sample_times=None the samples are the integrator's
+    accepted steps, and only then is the step capped (at t_final / 32, so
+    at least 33 samples exist). Otherwise the samples are exactly the
+    requested times, read off the continuous extension of steps that the
+    error control alone picks; a step that holds samples costs the same
+    however many it holds. The t = 0 start point is always included,
+    whether or not it was requested: every downstream object (endpoint
+    factor, stability window, action boundary terms) is anchored there.
     """
     if t_final < 0:
         raise ValueError("t_final must be non-negative")
@@ -234,14 +239,17 @@ def integrate_trajectory(sys, model, s0, t_final, cfg, sample_times=None):
         sample_times = np.asarray(sample_times, dtype=float)
         if sample_times.size == 0 or sample_times[0] > 0.0:
             sample_times = np.concatenate([[0.0], sample_times])
+    else:
+        cfg = _effective_cfg(cfg, t_final)
     out = np.empty(20, dtype=complex)
-    ts, ys = adaptive_rk(
+    ts, ys, record = adaptive_rk(
         lambda t, y: _field_and_stability(sys, model, y, out),
-        y0, (0.0, t_final), _effective_cfg(cfg, t_final), samples=sample_times,
+        y0, (0.0, t_final), cfg, samples=sample_times,
     )
     states = np.ascontiguousarray(ys[:, :4])
     energy = model.htilde(states[:, :2], states[:, 2:])
-    return Trajectory(ts=ts, ys=states, energy=energy, ms=ys[:, 4:].reshape(-1, 4, 4))
+    return Trajectory(ts=ts, ys=states, energy=energy, ms=ys[:, 4:].reshape(-1, 4, 4),
+                      integrator=record)
 
 
 def integrate_stability(sys, model, traj, cfg):

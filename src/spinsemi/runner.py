@@ -9,14 +9,16 @@ One run produces a CSV with the fixed column set
 <path>.meta.json. Rows where the semiclassical formula left its validity
 window carry nan in the p_sc/slin_sc/residual_im_psc columns and are listed
 in the sidecar (flagged_rows) with the reason for each (flag_reasons); they
-are flagged, never fabricated.
+are flagged, never fabricated. The sidecar's integrator entry says what the
+trajectory integration did: its method, accepted and rejected steps, field
+evaluations, and smallest and largest step.
 """
 
 import json
 import platform
 import sys as _sys
 import time as _time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -41,8 +43,9 @@ class RunReport:
 
 
 def compute_curve(cfg, model=None):
-    """PurityCurve for one configuration (no file output), and the flagged
-    rows: row index -> why the semiclassical formula broke down there."""
+    """PurityCurve for one configuration (no file output), the flagged rows
+    (row index -> why the semiclassical formula broke down there) and the
+    IntegratorRecord of its one trajectory integration."""
     model = model or build_model(cfg)
     times = np.linspace(0.0, cfg.t_max, cfg.num_points)
     sys = cfg.system
@@ -68,7 +71,7 @@ def compute_curve(cfg, model=None):
         residual_energy=np.abs(traj.energy - traj.energy[0]),
         residual_im_psc=ev.im_residual,
     )
-    return curve, flags
+    return curve, flags, traj.integrator
 
 
 def write_csv(path, curve):
@@ -105,7 +108,7 @@ def run_experiment(cfg, output_dir=None, quiet=False):
     for override, rel_path in _sweep_entries(cfg):
         started = _time.perf_counter()
         model = build_model(cfg, override)
-        curve, flags = compute_curve(cfg, model)
+        curve, flags, integrator = compute_curve(cfg, model)
         flagged = list(flags)
         wall = _time.perf_counter() - started
         out_path = Path(output_dir) / rel_path if output_dir else Path(rel_path)
@@ -129,6 +132,7 @@ def run_experiment(cfg, output_dir=None, quiet=False):
             },
             "flagged_rows": flagged,
             "flag_reasons": list(flags.values()),
+            "integrator": asdict(integrator),
         }
         meta_path = Path(str(out_path) + ".meta.json")
         with open(meta_path, "w", newline="\n") as fh:

@@ -7,6 +7,10 @@ sum and np.nonzero entries of the term entries (models._term_entries), the
 dense-matrix derivative path of derivs_from_terms, and the sector split of
 a dense matrix of model.sectors. They use none of the code they check;
 tests/test_spin.py::test_oracles_import_nothing_they_check guards that.
+
+The Dormand-Prince 5(4) integrator that numerics.adaptive_rk replaced is
+here too, as the oracle of its states: reference_rk_dp5 on the accepted-step
+grid and landing_rk_dp5 on requested samples.
 """
 
 import math
@@ -14,7 +18,7 @@ import math
 import numpy as np
 
 from spinsemi.errors import DimensionMismatch
-from spinsemi.numerics import require_hermitian
+from spinsemi.numerics import FIRST_STEP, require_hermitian
 from spinsemi.quantum import Sectors, SpectralPropagator, connected_sectors
 from spinsemi.spin import _range_guard, binom_sqrt_weights
 
@@ -210,3 +214,90 @@ def evolve_state(h, psi0, t, hbar=1.0):
     """Evolve psi0 under a dense Hermitian h for time t (a negative t
     reverses time), through the sectors of h."""
     return SpectralPropagator(dense_sectors(h), hbar).apply(np.asarray(psi0, dtype=complex), t)
+
+
+# Dormand-Prince 5(4) tableau and its PI step control.
+DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+DP_A = [
+    np.array([]),
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+]
+DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+DP_B4 = np.array(
+    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+)
+DP_E = DP_B5 - DP_B4
+DP_MIN_FACTOR, DP_MAX_FACTOR, DP_SAFETY = 0.2, 5.0, 0.9
+DP_PI_ALPHA, DP_PI_BETA = 0.7 / 5.0, 0.4 / 5.0
+
+
+def _dp5_step(field, t, y, h, k, cfg):
+    """One Dormand-Prince 5(4) attempt from (t, y) with k[0] = field(t, y):
+    the fifth-order state and the RMS error ratio."""
+    for i in range(1, 7):
+        k[i] = field(t + DP_C[i] * h, y + h * (DP_A[i] @ k[:i]))
+    y_new = y + h * (DP_B5 @ k)
+    scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+    return y_new, np.sqrt(np.mean(np.abs(h * (DP_E @ k) / scale) ** 2))
+
+
+def _dp5_next_step(h, err, err_prev):
+    """The PI step after an accepted step with error ratio err."""
+    err = max(err, 1e-10)
+    factor = DP_SAFETY * err ** (-DP_PI_ALPHA) * err_prev ** DP_PI_BETA
+    return h * min(DP_MAX_FACTOR, max(DP_MIN_FACTOR, factor)), err
+
+
+def reference_rk_dp5(field, y0, t1, cfg):
+    """Dormand-Prince 5(4) with PI step control from t = 0 to t1; returns
+    the accepted-step grid, the states and the number of rejected steps."""
+    t, y = 0.0, np.array(y0, dtype=complex)
+    h = min(FIRST_STEP, cfg.max_step, t1)
+    err_prev = 1.0
+    rejected = 0
+    k = np.empty((7, y.size), dtype=complex)
+    k[0] = field(t, y)
+    ts, ys = [t], [y]
+    while t < t1 - 1e-14 * max(1.0, t1):
+        h_try = min(h, cfg.max_step, t1 - t)
+        y_new, err = _dp5_step(field, t, y, h_try, k, cfg)
+        if err > 1.0:
+            rejected += 1
+            h = h_try * max(DP_MIN_FACTOR, DP_SAFETY * err ** (-DP_PI_ALPHA))
+            continue
+        t, y = t + h_try, y_new
+        ts.append(t)
+        ys.append(y)
+        k[0] = k[6]
+        h, err_prev = _dp5_next_step(h_try, err, err_prev)
+    ts[-1] = t1
+    return np.asarray(ts), np.asarray(ys), rejected
+
+
+def landing_rk_dp5(field, y0, cfg, samples):
+    """Dormand-Prince 5(4) steps, each one shortened to land exactly on the
+    next sample; the states at samples, of which samples[0] is the start."""
+    t, y = samples[0], np.array(y0, dtype=complex)
+    h = min(FIRST_STEP, cfg.max_step, samples[-1] - samples[0])
+    err_prev = 1.0
+    k = np.empty((7, y.size), dtype=complex)
+    k[0] = field(t, y)
+    out = [y]
+    for target in samples[1:]:
+        while t < target - 1e-14 * max(1.0, abs(target)):
+            h_try = min(h, cfg.max_step, target - t)
+            y_new, err = _dp5_step(field, t, y, h_try, k, cfg)
+            if err <= 1.0:
+                t, y = t + h_try, y_new
+                k[0] = k[6]
+                h, err_prev = _dp5_next_step(h_try, err, err_prev)
+            else:
+                h = h_try * max(DP_MIN_FACTOR, DP_SAFETY * err ** (-DP_PI_ALPHA))
+        t = target
+        out.append(y)
+    return np.array(out)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -228,6 +229,18 @@ class TestRunExperiment:
         assert meta["flag_reasons"] == []
         assert reports[0].metadata["invariants"]["max_residual_detM"] >= 0.0
 
+    def test_sidecar_records_the_integrator(self, tmp_path):
+        cfg = parse_config(json.dumps(minimal_config()))
+        first = run_experiment(cfg, output_dir=str(tmp_path / "a"), quiet=True)
+        second = run_experiment(cfg, output_dir=str(tmp_path / "b"), quiet=True)
+        meta = json.loads((tmp_path / "a" / "out.csv.meta.json").read_text())
+        _, _, record = compute_curve(cfg)
+        assert meta["integrator"] == asdict(record) == first[0].metadata["integrator"]
+        assert meta["integrator"]["method"] == "DOP853"
+        assert meta["integrator"]["field_evals"] > 0
+        # counts and steps only, so a rerun writes the same record
+        assert second[0].metadata["integrator"] == first[0].metadata["integrator"]
+
     def test_validity_breakdown_rows_flagged_not_fabricated(self, tmp_path, monkeypatch):
         import spinsemi.runner as runner_mod
         from spinsemi.semiclassical import PurityEvaluation
@@ -273,7 +286,7 @@ class TestRunExperiment:
                 hamiltonian={"model": "exchange_coupling", "lambda": 0.7},
                 time={"t_max": 0.4, "num_points": 1201},
             )))
-            curve, _ = compute_curve(cfg)
+            curve, _, _ = compute_curve(cfg)
             model = build_model(cfg)
             assert np.array_equal(curve.p_exact, ss.exact_purity_curve(
                 cfg.system, model, cfg.initial_state, curve.times))

@@ -3,19 +3,14 @@ import pytest
 
 import spinsemi as ss
 from spinsemi.errors import ChartSingularity
-from spinsemi.flow import CHART_TOL, Trajectory, _field_and_stability, field_and_jacobian
-from spinsemi.numerics import (
-    FIRST_STEP,
-    _DP_A,
-    _DP_B5,
-    _DP_C,
-    _DP_E,
-    _MAX_FACTOR,
-    _MIN_FACTOR,
-    _PI_ALPHA,
-    _PI_BETA,
-    _SAFETY,
+from spinsemi.flow import (
+    _MIN_SAMPLES,
+    CHART_TOL,
+    Trajectory,
+    _field_and_stability,
+    field_and_jacobian,
 )
+from oracles import landing_rk_dp5
 
 CFG = ss.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
 
@@ -394,38 +389,6 @@ class TestIntegrateStability:
         assert np.max(np.abs(m_full.m - m2.m @ m1.m)) < 1e-7
 
 
-def _landing_rk(field, y0, cfg, samples):
-    """The integrator before dense output, kept as the oracle: the same
-    Dormand-Prince steps, but each one shortened to land exactly on the next
-    sample. samples[0] is the start time."""
-    t, y = samples[0], np.array(y0, dtype=complex)
-    h = min(FIRST_STEP, cfg.max_step, samples[-1] - samples[0])
-    err_prev = 1.0
-    k = np.empty((7, y.size), dtype=complex)
-    k[0] = field(t, y)
-    out = [y]
-    for target in samples[1:]:
-        while t < target - 1e-14 * max(1.0, abs(target)):
-            h_try = min(h, cfg.max_step, target - t)
-            for i in range(1, 7):
-                k[i] = field(t + _DP_C[i] * h_try, y + h_try * (_DP_A[i] @ k[:i]))
-            y_new = y + h_try * (_DP_B5 @ k)
-            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            err = np.sqrt(np.mean(np.abs(h_try * (_DP_E @ k) / scale) ** 2))
-            if err <= 1.0:
-                t, y = t + h_try, y_new
-                k[0] = k[6]
-                err = max(err, 1e-10)
-                factor = _SAFETY * err ** (-_PI_ALPHA) * err_prev ** _PI_BETA
-                err_prev = err
-                h = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-            else:
-                h = h_try * max(_MIN_FACTOR, _SAFETY * err ** (-_PI_ALPHA))
-        t = target
-        out.append(y)
-    return np.array(out)
-
-
 def _phase_coupling(sys):
     return ss.phase_coupling_model(ss.PhaseCouplingParams(lam=1.0, sys=sys))
 
@@ -453,22 +416,42 @@ class TestOneIntegration:
             return np.concatenate([dy, (jac @ y[4:].reshape(4, 4)).ravel()])
 
         y0 = np.concatenate([traj.ys[0], np.eye(4).ravel()])
-        ref = _landing_rk(rhs, y0, cfg, times)
+        ref = landing_rk_dp5(rhs, y0, cfg, times)
         ref_ys, ref_ms = ref[:, :4], ref[:, 4:].reshape(-1, 4, 4)
         assert np.max(np.abs(traj.ys - ref_ys)) <= 1e-9 * np.max(np.abs(ref_ys))
         assert np.max(np.abs(traj.ms - ref_ms)) <= 1e-9 * np.max(np.abs(ref_ms))
 
     def test_field_evaluations_do_not_depend_on_sample_count(self):
+        # with max_step at the sample floor's cap, the natural-grid and the
+        # sampled calls run one config and take the same accepted steps; a
+        # step with a sample before its end costs the extension's 3 stages
+        # more, however many samples it holds
         sys, _, model = _pc(two_j=10)
         counting = _CountingModel(model)
         s0 = ss.CoherentLabel(0.5 + 0.2j, -0.3 + 0.4j)
-        ss.integrate_trajectory(sys, counting, s0, 0.5, CFG)
-        natural = counting.calls
+        cfg = ss.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, max_step=0.5 / 32)
+        natural = ss.integrate_trajectory(sys, counting, s0, 0.5, cfg)
+        natural_calls = counting.calls
+        steps = natural.integrator
+        assert steps.field_evals == natural_calls
+        evals = {}
         for n in (63, 1000, 4000):
             counting.calls = 0
-            ss.integrate_trajectory(sys, counting, s0, 0.5, CFG,
-                                    sample_times=np.linspace(0.0, 0.5, n))
-            assert counting.calls == natural
+            times = np.linspace(0.0, 0.5, n)
+            traj = ss.integrate_trajectory(sys, counting, s0, 0.5, cfg, sample_times=times)
+            record = traj.integrator
+            assert (record.accepted_steps, record.rejected_steps, record.min_step,
+                    record.max_step) == (steps.accepted_steps, steps.rejected_steps,
+                                         steps.min_step, steps.max_step)
+            holding = np.count_nonzero(np.searchsorted(times, natural.ts[1:])
+                                       - np.searchsorted(times, natural.ts[:-1], side="right"))
+            assert counting.calls == record.field_evals == natural_calls + 3 * holding
+            evals[n] = counting.calls
+        # of 1000 or 4000 samples, every step holds one before its end but
+        # the first (1e-4 long) and the last (a sliver that ends on t1); 63
+        # samples, 0.008 apart, miss the next two steps of the ramp too
+        assert evals[1000] == evals[4000] == natural_calls + 3 * (steps.accepted_steps - 2)
+        assert evals[63] == evals[1000] - 3 * 2
 
     def test_closed_forms_at_4000_samples(self):
         sys, params, model = _pc()
@@ -512,9 +495,9 @@ _LABELS = [
 
 
 @pytest.mark.parametrize("model_of, two_j, t_max, num_points, counts", [
-    (lambda sys: ss.exchange_coupling_model(sys, 1.0), 10, 0.5, 100, [685, 739, 715]),
-    (_phase_coupling, 40, 0.05, 100, [385, 337, 361]),
-    (_phase_coupling, 10, 0.5, 4000, [943, 799, 871]),
+    (lambda sys: ss.exchange_coupling_model(sys, 1.0), 10, 0.5, 100, [247, 277, 314]),
+    (_phase_coupling, 40, 0.05, 100, [103, 103, 103]),
+    (_phase_coupling, 10, 0.5, 4000, [234, 208, 219]),
 ])
 def test_field_evaluation_counts_are_pinned(model_of, two_j, t_max, num_points, counts):
     # the benchmark workloads' curves at the default integrator settings
@@ -528,3 +511,43 @@ def test_field_evaluation_counts_are_pinned(model_of, two_j, t_max, num_points, 
                                 sample_times=times)
         got.append(counting.calls)
     assert got == counts
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+def test_record_counts_the_models_derivs_calls(sampled):
+    # each field evaluation is one derivs call of the model
+    sys = ss.SpinSystem(two_j=10)
+    counting = _CountingModel(ss.exchange_coupling_model(sys, 1.0))
+    times = np.linspace(0.0, 0.5, 100) if sampled else None
+    traj = ss.integrate_trajectory(sys, counting, _LABELS[2], 0.5, ss.IntegratorConfig(),
+                                   sample_times=times)
+    record = traj.integrator
+    assert record.method == "DOP853"
+    assert record.field_evals == counting.calls
+    if not sampled:
+        assert record.accepted_steps == len(traj) - 1
+    assert 0.0 < record.min_step <= record.max_step
+
+
+class TestStepCap:
+    """The sample floor caps the step only when the accepted steps are the
+    output grid; requested samples come off the continuous extension."""
+
+    def _large_spin(self):
+        # exact_large_spin's settings: phase coupling, two_j=40, t_max=0.05
+        sys = ss.SpinSystem(two_j=40)
+        return sys, _phase_coupling(sys), ss.IntegratorConfig()
+
+    def test_sampled_call_is_not_capped(self):
+        sys, model, cfg = self._large_spin()
+        times = np.linspace(0.0, 0.05, 100)
+        traj = ss.integrate_trajectory(sys, model, _LABELS[0], 0.05, cfg, sample_times=times)
+        assert traj.integrator.accepted_steps < _MIN_SAMPLES - 1
+        assert traj.integrator.max_step > 0.05 / (_MIN_SAMPLES - 1)
+        assert np.array_equal(traj.ts, times)
+
+    def test_natural_grid_keeps_the_floor(self):
+        sys, model, cfg = self._large_spin()
+        traj = ss.integrate_trajectory(sys, model, _LABELS[0], 0.05, cfg)
+        assert len(traj) >= _MIN_SAMPLES
+        assert traj.integrator.max_step <= 0.05 / (_MIN_SAMPLES - 1)

@@ -11,19 +11,19 @@ from spinsemi.errors import (
     StepSizeUnderflow,
 )
 from spinsemi.numerics import (
-    FIRST_STEP,
-    _DP_A,
-    _DP_B5,
-    _DP_C,
-    _DP_E,
+    _A,
+    _B,
+    _C,
+    _E3,
+    _E5,
     _MAX_FACTOR,
     _MIN_FACTOR,
-    _PI_ALPHA,
-    _PI_BETA,
     _SAFETY,
+    FIRST_STEP,
     cubic_quadrature,
     det2,
 )
+from oracles import reference_rk_dp5
 
 
 def _rand_complex(rng, shape):
@@ -105,37 +105,39 @@ class TestSmallInverse:
 
 
 def _reference_rk(field, y0, t1, cfg):
-    """adaptive_rk's accepted-step loop from t = 0 with real weights and the
-    error norm written out as np.sqrt(np.mean(np.abs(err / scale) ** 2))
-    (oracle); returns the step grid, the states and the number of rejected
-    steps."""
-    a_rows, b5, e = [a.real for a in _DP_A], _DP_B5.real, _DP_E.real
+    """adaptive_rk's accepted-step loop from t = 0 (oracle): the DOP853 steps
+    with real weights and the error norm written out, as
+    h * err5 / sqrt(n * (err5 + 0.01 * err3)) with err_q the sum of the
+    squared scaled order-q estimates; returns the step grid, the states and
+    the number of rejected steps."""
+    estimators = np.array([_E5, _E3])
     t, y = 0.0, np.array(y0, dtype=complex)
     h = min(FIRST_STEP, cfg.max_step, t1)
-    err_prev = 1.0
-    rejected = 0
-    k = np.empty((7, y.size), dtype=complex)
+    rejected, after_rejection = 0, False
+    k = np.empty((12, y.size), dtype=complex)
     k[0] = field(t, y)
     ts, ys = [t], [y]
     while t < t1 - 1e-14 * max(1.0, t1):
         h_try = min(h, cfg.max_step, t1 - t)
-        for i in range(1, 7):
-            k[i] = field(t + _DP_C[i] * h_try, y + h_try * (a_rows[i] @ k[:i]))
-        y_new = y + h_try * (b5 @ k)
+        for i in range(1, 12):
+            k[i] = field(t + _C[i] * h_try, y + h_try * (_A[i, :i] @ k[:i]))
+        y_new = y + h_try * (_B @ k)
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = np.sqrt(np.mean(np.abs(h_try * (e @ k) / scale) ** 2))
+        est = (estimators @ k) / scale
+        err5, err3 = np.sum(est.real ** 2 + est.imag ** 2, axis=1)
+        err = h_try * err5 / np.sqrt(y.size * (err5 + 0.01 * err3))
         if err > 1.0:
             rejected += 1
-            h = h_try * max(_MIN_FACTOR, _SAFETY * err ** (-_PI_ALPHA))
+            after_rejection = True
+            h = h_try * max(_MIN_FACTOR, _SAFETY * err ** (-1 / 8))
             continue
         t, y = t + h_try, y_new
         ts.append(t)
         ys.append(y)
-        k[0] = k[6]
-        err = max(err, 1e-10)
-        factor = _SAFETY * err ** (-_PI_ALPHA) * err_prev ** _PI_BETA
-        err_prev = err
-        h = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+        k[0] = field(t, y)
+        factor = _SAFETY * max(err, 1e-10) ** (-1 / 8)
+        h = h_try * max(_MIN_FACTOR, min(1.0 if after_rejection else _MAX_FACTOR, factor))
+        after_rejection = False
     ts[-1] = t1
     return np.asarray(ts), np.asarray(ys), rejected
 
@@ -143,19 +145,20 @@ def _reference_rk(field, y0, t1, cfg):
 class TestAdaptiveRk:
     def test_analytic_exponential(self):
         cfg = ss.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
-        ts, ys = ss.adaptive_rk(lambda t, y: 1j * y, [1.0 + 0j], (0.0, np.pi), cfg)
+        ts, ys, _ = ss.adaptive_rk(lambda t, y: 1j * y, [1.0 + 0j], (0.0, np.pi), cfg)
         assert abs(ys[-1, 0] - (-1.0)) < 1e-9
         assert ts[-1] == np.pi
 
     def test_constant_field(self):
         cfg = ss.IntegratorConfig()
-        _, ys = ss.adaptive_rk(lambda t, y: 0 * y, [0.3 + 0.4j, -1.0], (0.0, 2.0), cfg)
+        _, ys, _ = ss.adaptive_rk(lambda t, y: 0 * y, [0.3 + 0.4j, -1.0], (0.0, 2.0), cfg)
         assert np.allclose(ys[-1], [0.3 + 0.4j, -1.0])
 
     def test_lands_exactly_on_samples(self):
         cfg = ss.IntegratorConfig()
         samples = np.array([0.0, 0.1, 0.25, 0.8, 1.0])
-        ts, ys = ss.adaptive_rk(lambda t, y: 1j * y, [1.0 + 0j], (0.0, 1.0), cfg, samples=samples)
+        ts, ys, _ = ss.adaptive_rk(lambda t, y: 1j * y, [1.0 + 0j], (0.0, 1.0), cfg,
+                                   samples=samples)
         assert np.array_equal(ts, samples)
         assert np.max(np.abs(ys[:, 0] - np.exp(1j * samples))) < 1e-10
 
@@ -172,13 +175,14 @@ class TestAdaptiveRk:
         samples = np.sort(rng.uniform(0.0, 1.0, size=n_samples))
         assume(np.all(np.diff(samples) > 1e-6))
         cfg = ss.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
-        ts, ys = ss.adaptive_rk(lambda t, y: rates * y, y0, (0.0, 1.0), cfg, samples=samples)
+        ts, ys, _ = ss.adaptive_rk(lambda t, y: rates * y, y0, (0.0, 1.0), cfg, samples=samples)
         exact = y0[None, :] * np.exp(rates[None, :] * samples[:, None])
         assert np.max(np.abs(ys - exact)) < 1e-8
 
     def test_samples_do_not_change_the_steps(self):
-        # the same accepted steps, so the same field evaluations, with or
-        # without samples; a sample on a step end gets that step's value
+        # the same accepted steps with or without samples; a sample on a step
+        # end gets that step's value and costs nothing, and a step with a
+        # sample before its end costs the extension's 3 stages
         calls = []
 
         def field(t, y):
@@ -186,16 +190,28 @@ class TestAdaptiveRk:
             return (0.3 + 2j) * y
 
         cfg = ss.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
-        grid, states = ss.adaptive_rk(field, [1.0 + 0.5j], (0.0, 1.0), cfg)
+        grid, states, record = ss.adaptive_rk(field, [1.0 + 0.5j], (0.0, 1.0), cfg)
         natural = list(calls)
+        assert record.field_evals == len(natural)
         for samples, want in ((grid, states), (grid[1::3], states[1::3]),
                               (np.linspace(0.0, 1.0, 500), None)):
             calls.clear()
-            ts, ys = ss.adaptive_rk(field, [1.0 + 0.5j], (0.0, 1.0), cfg, samples=samples)
-            assert calls == natural
+            ts, ys, sampled = ss.adaptive_rk(field, [1.0 + 0.5j], (0.0, 1.0), cfg,
+                                             samples=samples)
             assert np.array_equal(ts, samples)
             if want is not None:
+                assert calls == natural and sampled == record
                 assert np.array_equal(ys, want)
+            else:
+                # steps with a sample strictly inside
+                holding = np.count_nonzero(np.searchsorted(samples, grid[1:])
+                                           - np.searchsorted(samples, grid[:-1], side="right"))
+                assert 0 < holding <= record.accepted_steps
+                assert [t for t in calls if t in set(natural)] == natural
+                assert len(calls) == len(natural) + 3 * holding
+                assert sampled.field_evals == len(calls)
+                assert sampled.accepted_steps == record.accepted_steps
+                assert sampled.rejected_steps == record.rejected_steps
 
     def test_phase_coupling_closed_form(self):
         # numerics-level oracle: the flow field integrated against the
@@ -208,8 +224,8 @@ class TestAdaptiveRk:
 
         cfg = ss.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, max_step=0.02)
         y0 = [s0.sx, s0.sy, np.conj(s0.sx), np.conj(s0.sy)]
-        _, ys = ss.adaptive_rk(lambda t, y: field_and_jacobian(sys, model, y)[0], y0,
-                               (0.0, 0.5), cfg)
+        _, ys, _ = ss.adaptive_rk(lambda t, y: field_and_jacobian(sys, model, y)[0], y0,
+                                  (0.0, 0.5), cfg)
         ref = ss.pc_trajectory(params, s0, 0.5, num_samples=2).ys[-1]
         assert np.max(np.abs(ys[-1] - ref)) < 1e-9
 
@@ -267,43 +283,65 @@ class TestAdaptiveRk:
         cfg = ss.IntegratorConfig()
         rate = 0.3 + 2j
         rates = np.array([rate, -rate])
-        ts, ys = ss.adaptive_rk(lambda t, y: (rates * y).tolist(), [1.0 + 0j, 0.5j],
-                                (0.0, 1.0), cfg)
-        ref_ts, ref_ys = ss.adaptive_rk(lambda t, y: rates * y, [1.0 + 0j, 0.5j],
-                                        (0.0, 1.0), cfg)
+        ts, ys, _ = ss.adaptive_rk(lambda t, y: (rates * y).tolist(), [1.0 + 0j, 0.5j],
+                                   (0.0, 1.0), cfg)
+        ref_ts, ref_ys, _ = ss.adaptive_rk(lambda t, y: rates * y, [1.0 + 0j, 0.5j],
+                                           (0.0, 1.0), cfg)
         assert np.array_equal(ts, ref_ts) and np.array_equal(ys, ref_ys)
 
     def test_huge_finite_values_are_accepted(self):
         # |dy|^2 overflows to inf although every entry is finite
         cfg = ss.IntegratorConfig()
-        _, ys = ss.adaptive_rk(lambda t, y: 0 * y + 1e200, [0j, 0j], (0.0, 1.0), cfg)
+        _, ys, _ = ss.adaptive_rk(lambda t, y: 0 * y + 1e200, [0j, 0j], (0.0, 1.0), cfg)
         assert np.allclose(ys[-1], 1e200, rtol=1e-12)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_accepted_steps_match_reference_loop(self, seed):
+    @staticmethod
+    def _bump_system(seed):
         # a linear system whose rates jump up near t = 0.5, so that the step
         # control rejects steps too
         rng = np.random.default_rng(seed)
         a = _rand_complex(rng, (8, 8))
         y0 = _rand_complex(rng, 8)
-        cfg = ss.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12)
         calls = []
 
         def field(t, y):
             calls.append(t)
             return (1.0 + 30.0 * np.exp(-((t - 0.5) / 0.02) ** 2)) * (a @ y)
+        return field, y0, calls
 
-        ts, ys = ss.adaptive_rk(field, y0, (0.0, 1.0), cfg)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_accepted_steps_match_reference_loop(self, seed):
+        field, y0, calls = self._bump_system(seed)
+        cfg = ss.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12)
+        ts, ys, record = ss.adaptive_rk(field, y0, (0.0, 1.0), cfg)
         natural = list(calls)
         calls.clear()
         ref_ts, ref_ys, rejected = _reference_rk(field, y0, 1.0, cfg)
         assert rejected > 0
         assert calls == natural
         assert np.array_equal(ts, ref_ts) and np.array_equal(ys, ref_ys)
+        steps = np.diff(ref_ts)
+        assert (record.method, record.accepted_steps, record.rejected_steps,
+                record.field_evals) == ("DOP853", steps.size, rejected, len(natural))
+        # the record's steps are the h taken, the grid's differences of sums
+        assert record.min_step == pytest.approx(steps.min(), rel=1e-12)
+        assert record.max_step == pytest.approx(steps.max(), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_agrees_with_the_dormand_prince_5_loop(self, seed):
+        # the replaced integrator, at the same tolerances: the two differ by
+        # truncation error, and DOP853 needs fewer evaluations
+        field, y0, calls = self._bump_system(seed)
+        cfg = ss.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12)
+        _, ys, record = ss.adaptive_rk(field, y0, (0.0, 1.0), cfg)
+        calls.clear()
+        _, ref_ys, _ = reference_rk_dp5(field, y0, 1.0, cfg)
+        assert np.max(np.abs(ys[-1] - ref_ys[-1])) <= 1e-7 * np.max(np.abs(ref_ys[-1]))
+        assert record.field_evals < len(calls)
 
     def test_zero_span(self):
         cfg = ss.IntegratorConfig()
-        ts, ys = ss.adaptive_rk(lambda t, y: y, [2.0 + 0j], (0.0, 0.0), cfg)
+        ts, ys, _ = ss.adaptive_rk(lambda t, y: y, [2.0 + 0j], (0.0, 0.0), cfg)
         assert ts.shape == (1,) and ys[0, 0] == 2.0 + 0j
 
     def test_config_validation(self):
@@ -315,8 +353,57 @@ class TestAdaptiveRk:
                 ss.IntegratorConfig(**bad)
         # any positive max_step is accepted: the first trial step follows it
         cfg = ss.IntegratorConfig(max_step=1e-6)
-        ts, _ = ss.adaptive_rk(lambda t, y: y, [1.0 + 0j], (0.0, 1e-5), cfg)
+        ts, _, _ = ss.adaptive_rk(lambda t, y: y, [1.0 + 0j], (0.0, 1e-5), cfg)
         assert np.max(np.diff(ts)) <= 1e-6 * (1 + 1e-12)
+
+
+class TestDop853Order:
+    """Order of the DOP853 tableau and of adaptive_rk's steps and continuous
+    extension, from the order conditions and the error's fitted slope."""
+
+    def test_rows_sum_to_their_nodes(self):
+        # stage 12, at c = 1, is the field at the step's end
+        for i in range(1, 16):
+            assert abs(_A[i, :i].sum() - _C[i]) < 1e-14, i
+        assert np.array_equal(_A[12, :12], _B)
+
+    def test_weights_integrate_powers_to_order_8(self):
+        for q in range(1, 9):
+            assert abs(_B @ _C[:12] ** (q - 1) - 1.0 / q) < 1e-14, q
+        # and no further: the pair is of order 8
+        assert abs(_B @ _C[:12] ** 8 - 1.0 / 9) > 1e-6
+
+    def test_error_estimators_vanish_on_constants(self):
+        # both estimators are differences of weights that sum to 1
+        assert abs(_E5.sum()) < 1e-14 and abs(_E3.sum()) < 1e-14
+
+    @staticmethod
+    def _one_step(rate, h, samples=None):
+        # one step of length h (below FIRST_STEP) at loose tolerances, so
+        # adaptive_rk takes it as its first and only step
+        cfg = ss.IntegratorConfig(rel_tol=1.0, abs_tol=1.0)
+        _, ys, record = ss.adaptive_rk(lambda t, y: rate * y, [1.0 + 0j], (0.0, h), cfg,
+                                       samples=samples)
+        assert record.accepted_steps == 1 and record.rejected_steps == 0
+        return ys
+
+    @staticmethod
+    def _slope(hs, errs):
+        return np.polyfit(np.log(hs), np.log(errs), 1)[0]
+
+    def test_one_step_error_is_ninth_order(self):
+        rate = (-0.6 + 2.0j) * 1e4
+        hs = FIRST_STEP * 0.5 ** np.arange(4)
+        errs = [abs(self._one_step(rate, h)[-1, 0] - np.exp(rate * h)) for h in hs]
+        assert self._slope(hs, errs) >= 8.5, errs
+
+    def test_continuous_extension_is_seventh_order(self):
+        # the local error at theta = 0.5 shrinks like h^8
+        rate = (-0.6 + 2.0j) * 1e4
+        hs = FIRST_STEP * 0.5 ** np.arange(4)
+        errs = [abs(self._one_step(rate, h, samples=[0.0, h / 2, h])[1, 0]
+                    - np.exp(rate * h / 2)) for h in hs]
+        assert self._slope(hs, errs) >= 7.5, errs
 
 
 def _quadrature_by_solves(ts, fs):

@@ -666,7 +666,7 @@ def test_run_path_reads_no_dense_operator(monkeypatch, name):
         "outputs": {"path": "out.csv"},
     }
     cfg = parse_config(json.dumps(doc))
-    curve, _ = compute_curve(cfg)
+    curve, _, _ = compute_curve(cfg)
     assert curve.p_exact[0] == pytest.approx(1.0, abs=1e-12)
     model = build_model(cfg)
     s0 = cfg.initial_state
