@@ -17,7 +17,7 @@ Jacobian are formed, by the same arithmetic at one point (the ODE's
 right-hand side) and along a series (the action integrands).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,12 +27,8 @@ from .numerics import IntegratorRecord, adaptive_rk
 
 CHART_TOL = 1e-12
 
-# floor on the number of samples of a natural-grid trajectory (one whose
-# samples are its accepted steps): the step is capped at t / 32, because the
-# downstream action quadratures and branch tracking need a grid denser than
-# the ODE error control alone would pick on nearly-linear stretches. With
-# requested sample times the output grid is those times, so the cap is off.
-_MIN_SAMPLES = 33
+# uniform samples of a trajectory on [0, t_final] when none are requested
+DEFAULT_SAMPLES = 129
 
 
 @dataclass(frozen=True)
@@ -203,16 +199,6 @@ def field_and_jacobian(sys, model, y):
     return np.array(field, dtype=complex), np.array(jac, dtype=complex).reshape(4, 4)
 
 
-def _effective_cfg(cfg, t_total):
-    """Cap the step so a natural-grid trajectory carries enough samples."""
-    if t_total <= 0:
-        return cfg
-    cap = t_total / (_MIN_SAMPLES - 1)
-    if cfg.max_step <= cap:
-        return cfg
-    return replace(cfg, max_step=cap)
-
-
 def integrate_trajectory(sys, model, s0, t_final, cfg, sample_times=None):
     """Real critical trajectory from (u, v) = (s0, s0*) over [0, t_final],
     with its stability matrices.
@@ -220,12 +206,11 @@ def integrate_trajectory(sys, model, s0, t_final, cfg, sample_times=None):
     One adaptive integration of (u, v) and M, with dM/dt = J(t) M and
     M(0) = I, so M sees exactly the flow it linearizes; the result's `ms`
     holds M at every sample, and its `integrator` the IntegratorRecord of
-    the call. With sample_times=None the samples are the integrator's
-    accepted steps, and only then is the step capped (at t_final / 32, so
-    at least 33 samples exist). Otherwise the samples are exactly the
-    requested times, read off the continuous extension of steps that the
-    error control alone picks; a step that holds samples costs the same
-    however many it holds. The t = 0 start point is always included,
+    the call. The samples are the requested times, or DEFAULT_SAMPLES
+    uniform times on [0, t_final] when sample_times is None (just t = 0
+    when t_final is 0). They are read off the continuous extension of steps
+    that the error control alone picks; a step that holds samples costs the
+    same however many it holds. The t = 0 start point is always included,
     whether or not it was requested: every downstream object (endpoint
     factor, stability window, action boundary terms) is anchored there.
     """
@@ -235,12 +220,11 @@ def integrate_trajectory(sys, model, s0, t_final, cfg, sample_times=None):
         [s0.sx, s0.sy, np.conj(s0.sx), np.conj(s0.sy)],
         np.eye(4, dtype=complex).ravel(),
     ])
-    if sample_times is not None:
-        sample_times = np.asarray(sample_times, dtype=float)
-        if sample_times.size == 0 or sample_times[0] > 0.0:
-            sample_times = np.concatenate([[0.0], sample_times])
-    else:
-        cfg = _effective_cfg(cfg, t_final)
+    if sample_times is None:
+        sample_times = np.linspace(0.0, t_final, DEFAULT_SAMPLES if t_final > 0 else 1)
+    sample_times = np.asarray(sample_times, dtype=float)
+    if sample_times.size == 0 or sample_times[0] > 0.0:
+        sample_times = np.concatenate([[0.0], sample_times])
     out = np.empty(20, dtype=complex)
     ts, ys, record = adaptive_rk(
         lambda t, y: _field_and_stability(sys, model, y, out),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import StabilityMatrix, Trajectory
+from .flow import DEFAULT_SAMPLES, StabilityMatrix, Trajectory
 from .numerics import require_hermitian
 from .quantum import Sectors, connected_sectors
 from .spin import (
@@ -94,7 +94,7 @@ def _pc_rates(params, u0, v0):
     return lam_x, lam_y
 
 
-def pc_trajectory(params, s0, t_final, num_samples=129):
+def pc_trajectory(params, s0, t_final, num_samples=DEFAULT_SAMPLES):
     """Closed-form phase-coupling trajectory: u_k(t) = u'_k e^{lam_k t}."""
     u0 = np.array([s0.sx, s0.sy], dtype=complex)
     v0 = np.conj(u0)

@@ -266,8 +266,9 @@ def _continuous_extension(theta, y, y_new, h, k):
     return y + th * acc
 
 
-def adaptive_rk(field, y0, t_span, cfg, samples=None):
-    """Integrate y' = field(t, y) for a complex state vector.
+def adaptive_rk(field, y0, t_span, cfg, samples):
+    """Integrate y' = field(t, y) for a complex state vector, sampled at
+    the requested times.
 
     Dormand-Prince 8(5,3) (DOP853): eighth-order steps whose local error,
     from the combined fifth- and third-order estimate, is kept below
@@ -280,39 +281,33 @@ def adaptive_rk(field, y0, t_span, cfg, samples=None):
     y0 : complex array-like
     t_span : (t0, t1) with t1 >= t0
     cfg : IntegratorConfig
-    samples : optional ascending array of times in [t0, t1]. When given,
-        the output contains exactly those times, read off the seventh-order
-        continuous extension of the accepted step that holds each one. The
-        steps taken are the same as without samples; a step with a sample
-        before its end costs 3 more field evaluations (the extension's own
-        stages), however many samples it holds. A sample at a step end gets
-        that step's value, and a sample at t1 the final value. Otherwise the
-        output is the accepted-step grid.
+    samples : ascending array of times in [t0, t1], the output grid. Each
+        is read off the seventh-order continuous extension of the accepted
+        step that holds it. The steps are the ones error control alone
+        picks, whatever the samples; a step with a sample before its end
+        costs 3 more field evaluations (the extension's own stages), however
+        many samples it holds. A sample at a step end gets that step's
+        value, and a sample at t1 the final value.
 
     Returns
     -------
-    (ts, ys, record) : times (n,), states (n, len(y0)) and the
-        IntegratorRecord of the call.
+    (ts, ys, record) : the samples (n,), the states there (n, len(y0)) and
+        the IntegratorRecord of the call.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 < t0:
         raise ValueError("t_span must be increasing")
     y = np.array(y0, dtype=complex).ravel()
-
-    if samples is None:
-        ts_out = [t0]
-        ys_out = [y.copy()]
-    else:
-        samples = np.asarray(samples, dtype=float)
-        if samples.size == 0:
-            raise ValueError("samples must be non-empty")
-        if np.any(np.diff(samples) <= 0):
-            raise ValueError("samples must be strictly increasing")
-        if samples[0] < t0 - 1e-14 or samples[-1] > t1 + 1e-12 * max(1.0, abs(t1)):
-            raise ValueError("samples must lie within t_span")
-        out = np.empty((samples.size, y.size), dtype=complex)
-        filled = int(np.searchsorted(samples, t0, side="right"))
-        out[:filled] = y
+    samples = np.asarray(samples, dtype=float)
+    if samples.size == 0:
+        raise ValueError("samples must be non-empty")
+    if np.any(np.diff(samples) <= 0):
+        raise ValueError("samples must be strictly increasing")
+    if samples[0] < t0 - 1e-14 or samples[-1] > t1 + 1e-12 * max(1.0, abs(t1)):
+        raise ValueError("samples must lie within t_span")
+    out = np.empty((samples.size, y.size), dtype=complex)
+    filled = int(np.searchsorted(samples, t0, side="right"))
+    out[:filled] = y
 
     span = t1 - t0
     t = t0
@@ -350,23 +345,19 @@ def adaptive_rk(field, y0, t_span, cfg, samples=None):
         k[12] = _eval_field(field, t_new, y_new)
         evals += 1
         steps.append(h_try)
-        if samples is None:
-            ts_out.append(t_new)
-            ys_out.append(y_new)
-        else:
-            # samples this step holds; on the last step, all that remain
-            stop = samples.size if last else int(np.searchsorted(samples, t_new, side="right"))
-            if stop > filled:
-                inside = samples[filled:stop]
-                at_end = inside >= (t1 - end_tol if last else t_new)
-                rows = out[filled:stop]
-                if not at_end[0]:
-                    for i in range(13, 16):
-                        _stage(field, k, i, t, y, h_try)
-                    evals += 3
-                    rows[:] = _continuous_extension((inside - t) / h_try, y, y_new, h_try, k)
-                rows[at_end] = y_new
-                filled = stop
+        # samples this step holds; on the last step, all that remain
+        stop = samples.size if last else int(np.searchsorted(samples, t_new, side="right"))
+        if stop > filled:
+            inside = samples[filled:stop]
+            at_end = inside >= (t1 - end_tol if last else t_new)
+            rows = out[filled:stop]
+            if not at_end[0]:
+                for i in range(13, 16):
+                    _stage(field, k, i, t, y, h_try)
+                evals += 3
+                rows[:] = _continuous_extension((inside - t) / h_try, y, y_new, h_try, k)
+            rows[at_end] = y_new
+            filled = stop
         t, y, abs_y = t_new, y_new, abs_new
         k[0] = k[12]  # FSAL
         factor = _SAFETY * max(err, 1e-10) ** -_EXPONENT
@@ -379,9 +370,6 @@ def adaptive_rk(field, y0, t_span, cfg, samples=None):
         field_evals=evals, min_step=float(min(steps)) if steps else None,
         max_step=float(max(steps)) if steps else None,
     )
-    if samples is None:
-        ts_out[-1] = t1  # snap the final accepted step onto t1 exactly
-        return np.asarray(ts_out), np.asarray(ys_out), record
     out[filled:] = y  # samples at t1 when the span is below the end tolerance
     return samples.copy(), out, record
 

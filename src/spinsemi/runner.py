@@ -112,8 +112,7 @@ def run_experiment(cfg, output_dir=None, quiet=False):
         flagged = list(flags)
         wall = _time.perf_counter() - started
         out_path = Path(output_dir) / rel_path if output_dir else Path(rel_path)
-        if out_path.parent and not out_path.parent.exists():
-            out_path.parent.mkdir(parents=True, exist_ok=True)
+        out_path.parent.mkdir(parents=True, exist_ok=True)
         write_csv(out_path, curve)
         finite = lambda a: a[np.isfinite(a)]
         metadata = {

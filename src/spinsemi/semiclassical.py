@@ -116,8 +116,9 @@ def action_integrals(sys, model, traj, xi):
     """Action and quantum-correction integrals along a sampled trajectory.
 
     Quadratures reuse the trajectory's own sample grid (fourth order local
-    cubics); the precondition is that the grid was produced by the adaptive
-    integrator, so it resolves the integrands. Both come from one series
+    cubics); the precondition is that the grid resolves the integrands, as
+    integrate_trajectory's default of DEFAULT_SAMPLES uniform samples does
+    on the short times the formulas hold at. Both come from one series
     model.derivs call through flow.hamilton_equations: the field, and the
     split trace sum_k [d(udot_k)/du_k - d(vdot_k)/dv_k] of its Jacobian.
 
@@ -188,10 +189,10 @@ def semiclassical_propagator_real(sys, model, s0, t_final, cfg=None):
     satisfies the boundary conditions exactly. Returns (value, s_eta), with
     s_eta that bra label, u(T) (s0 at t_final = 0).
     """
-    cfg = cfg or IntegratorConfig()
-    traj = integrate_trajectory(sys, model, s0, t_final, cfg)
     if t_final == 0:
         return 1.0 + 0.0j, s0
+    cfg = cfg or IntegratorConfig()
+    traj = integrate_trajectory(sys, model, s0, t_final, cfg)
     m_series = integrate_stability(sys, model, traj, cfg)
     bundle = action_integrals(sys, model, traj, +1)
     root_pref = prefactor(traj, m_series, +1)

@@ -10,7 +10,9 @@ tests/test_spin.py::test_oracles_import_nothing_they_check guards that.
 
 The Dormand-Prince 5(4) integrator that numerics.adaptive_rk replaced is
 here too, as the oracle of its states: reference_rk_dp5 on the accepted-step
-grid and landing_rk_dp5 on requested samples.
+grid and landing_rk_dp5 on requested samples. reference_rk_dop853 is
+adaptive_rk's own step loop written out over the same DOP853 tableau: its
+accepted-step grid is the one adaptive_rk takes whatever it samples.
 """
 
 import math
@@ -18,7 +20,18 @@ import math
 import numpy as np
 
 from spinsemi.errors import DimensionMismatch
-from spinsemi.numerics import FIRST_STEP, require_hermitian
+from spinsemi.numerics import (
+    _A,
+    _B,
+    _C,
+    _E3,
+    _E5,
+    _MAX_FACTOR,
+    _MIN_FACTOR,
+    _SAFETY,
+    FIRST_STEP,
+    require_hermitian,
+)
 from spinsemi.quantum import Sectors, SpectralPropagator, connected_sectors
 from spinsemi.spin import _range_guard, binom_sqrt_weights
 
@@ -301,3 +314,41 @@ def landing_rk_dp5(field, y0, cfg, samples):
         t = target
         out.append(y)
     return np.array(out)
+
+
+def reference_rk_dop853(field, y0, t1, cfg):
+    """adaptive_rk's accepted-step loop from t = 0 (oracle): the DOP853 steps
+    with real weights and the error norm written out, as
+    h * err5 / sqrt(n * (err5 + 0.01 * err3)) with err_q the sum of the
+    squared scaled order-q estimates; returns the step grid, the states and
+    the number of rejected steps."""
+    estimators = np.array([_E5, _E3])
+    t, y = 0.0, np.array(y0, dtype=complex)
+    h = min(FIRST_STEP, cfg.max_step, t1)
+    rejected, after_rejection = 0, False
+    k = np.empty((12, y.size), dtype=complex)
+    k[0] = field(t, y)
+    ts, ys = [t], [y]
+    while t < t1 - 1e-14 * max(1.0, t1):
+        h_try = min(h, cfg.max_step, t1 - t)
+        for i in range(1, 12):
+            k[i] = field(t + _C[i] * h_try, y + h_try * (_A[i, :i] @ k[:i]))
+        y_new = y + h_try * (_B @ k)
+        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        est = (estimators @ k) / scale
+        err5, err3 = np.sum(est.real ** 2 + est.imag ** 2, axis=1)
+        err = h_try * err5 / np.sqrt(y.size * (err5 + 0.01 * err3))
+        if err > 1.0:
+            rejected += 1
+            after_rejection = True
+            h = h_try * max(_MIN_FACTOR, _SAFETY * err ** (-1 / 8))
+            continue
+        t, y = t + h_try, y_new
+        ts.append(t)
+        ys.append(y)
+        k[0] = field(t, y)
+        factor = _SAFETY * max(err, 1e-10) ** (-1 / 8)
+        h = h_try * max(_MIN_FACTOR, min(1.0 if after_rejection else _MAX_FACTOR, factor))
+        after_rejection = False
+    ts[-1] = t1
+    return np.asarray(ts), np.asarray(ys), rejected

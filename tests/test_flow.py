@@ -4,13 +4,13 @@ import pytest
 import spinsemi as ss
 from spinsemi.errors import ChartSingularity
 from spinsemi.flow import (
-    _MIN_SAMPLES,
     CHART_TOL,
+    DEFAULT_SAMPLES,
     Trajectory,
     _field_and_stability,
     field_and_jacobian,
 )
-from oracles import landing_rk_dp5
+from oracles import landing_rk_dp5, reference_rk_dop853
 
 CFG = ss.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
 
@@ -407,7 +407,7 @@ class TestOneIntegration:
         s0 = ss.CoherentLabel(0.5 + 0.2j, -0.3 + 0.4j)
         t_final = 0.5
         times = np.linspace(0.0, t_final, 400)
-        # max_step at the sample floor's cap, so both integrators see one config
+        # one max_step for both integrators, so that they see one config
         cfg = ss.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, max_step=t_final / 32)
         traj = ss.integrate_trajectory(sys, model, s0, t_final, cfg, sample_times=times)
 
@@ -422,35 +422,38 @@ class TestOneIntegration:
         assert np.max(np.abs(traj.ms - ref_ms)) <= 1e-9 * np.max(np.abs(ref_ms))
 
     def test_field_evaluations_do_not_depend_on_sample_count(self):
-        # with max_step at the sample floor's cap, the natural-grid and the
-        # sampled calls run one config and take the same accepted steps; a
-        # step with a sample before its end costs the extension's 3 stages
-        # more, however many samples it holds
+        # the accepted steps are the reference loop's, whatever the samples;
+        # a step with a sample before its end costs the extension's 3 stages
+        # more, however many samples it holds. max_step = 0.5 / 32 makes the
+        # steps many and short
         sys, _, model = _pc(two_j=10)
         counting = _CountingModel(model)
         s0 = ss.CoherentLabel(0.5 + 0.2j, -0.3 + 0.4j)
         cfg = ss.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, max_step=0.5 / 32)
-        natural = ss.integrate_trajectory(sys, counting, s0, 0.5, cfg)
-        natural_calls = counting.calls
-        steps = natural.integrator
-        assert steps.field_evals == natural_calls
+        y0 = np.concatenate([[s0.sx, s0.sy, np.conj(s0.sx), np.conj(s0.sy)],
+                             np.eye(4).ravel()])
+        grid, _, rejected = reference_rk_dop853(
+            lambda t, y: _field_and_stability(sys, counting, y, np.empty(20, dtype=complex)),
+            y0, 0.5, cfg)
+        grid_calls = counting.calls
+        steps = np.diff(grid)
         evals = {}
         for n in (63, 1000, 4000):
             counting.calls = 0
             times = np.linspace(0.0, 0.5, n)
             traj = ss.integrate_trajectory(sys, counting, s0, 0.5, cfg, sample_times=times)
             record = traj.integrator
-            assert (record.accepted_steps, record.rejected_steps, record.min_step,
-                    record.max_step) == (steps.accepted_steps, steps.rejected_steps,
-                                         steps.min_step, steps.max_step)
-            holding = np.count_nonzero(np.searchsorted(times, natural.ts[1:])
-                                       - np.searchsorted(times, natural.ts[:-1], side="right"))
-            assert counting.calls == record.field_evals == natural_calls + 3 * holding
+            assert (record.accepted_steps, record.rejected_steps) == (steps.size, rejected)
+            assert record.min_step == pytest.approx(steps.min(), rel=1e-12)
+            assert record.max_step == pytest.approx(steps.max(), rel=1e-12)
+            holding = np.count_nonzero(np.searchsorted(times, grid[1:])
+                                       - np.searchsorted(times, grid[:-1], side="right"))
+            assert counting.calls == record.field_evals == grid_calls + 3 * holding
             evals[n] = counting.calls
         # of 1000 or 4000 samples, every step holds one before its end but
         # the first (1e-4 long) and the last (a sliver that ends on t1); 63
         # samples, 0.008 apart, miss the next two steps of the ramp too
-        assert evals[1000] == evals[4000] == natural_calls + 3 * (steps.accepted_steps - 2)
+        assert evals[1000] == evals[4000] == grid_calls + 3 * (steps.size - 2)
         assert evals[63] == evals[1000] - 3 * 2
 
     def test_closed_forms_at_4000_samples(self):
@@ -525,13 +528,22 @@ def test_record_counts_the_models_derivs_calls(sampled):
     assert record.method == "DOP853"
     assert record.field_evals == counting.calls
     if not sampled:
-        assert record.accepted_steps == len(traj) - 1
+        # the default grid is DEFAULT_SAMPLES uniform times, integrated as
+        # if they were requested
+        uniform = np.linspace(0.0, 0.5, DEFAULT_SAMPLES)
+        assert np.array_equal(traj.ts, uniform)
+        calls, counting.calls = counting.calls, 0
+        requested = ss.integrate_trajectory(sys, counting, _LABELS[2], 0.5,
+                                            ss.IntegratorConfig(), sample_times=uniform)
+        assert requested.integrator == record and counting.calls == calls
+        assert np.array_equal(requested.ys, traj.ys) and np.array_equal(requested.ms, traj.ms)
     assert 0.0 < record.min_step <= record.max_step
 
 
 class TestStepCap:
-    """The sample floor caps the step only when the accepted steps are the
-    output grid; requested samples come off the continuous extension."""
+    """No call caps the step: the output grid is the requested samples, or
+    DEFAULT_SAMPLES uniform ones, read off the continuous extension of the
+    steps that error control alone picks."""
 
     def _large_spin(self):
         # exact_large_spin's settings: phase coupling, two_j=40, t_max=0.05
@@ -542,12 +554,33 @@ class TestStepCap:
         sys, model, cfg = self._large_spin()
         times = np.linspace(0.0, 0.05, 100)
         traj = ss.integrate_trajectory(sys, model, _LABELS[0], 0.05, cfg, sample_times=times)
-        assert traj.integrator.accepted_steps < _MIN_SAMPLES - 1
-        assert traj.integrator.max_step > 0.05 / (_MIN_SAMPLES - 1)
+        assert traj.integrator.accepted_steps < 32
+        assert traj.integrator.max_step > 0.05 / 32
         assert np.array_equal(traj.ts, times)
 
-    def test_natural_grid_keeps_the_floor(self):
+    def test_default_grid_keeps_the_floor(self):
+        # the grid, not the step, keeps at least 33 samples
         sys, model, cfg = self._large_spin()
         traj = ss.integrate_trajectory(sys, model, _LABELS[0], 0.05, cfg)
-        assert len(traj) >= _MIN_SAMPLES
-        assert traj.integrator.max_step <= 0.05 / (_MIN_SAMPLES - 1)
+        assert len(traj) == DEFAULT_SAMPLES >= 33
+        assert np.array_equal(traj.ts, np.linspace(0.0, 0.05, DEFAULT_SAMPLES))
+
+    def test_default_grid_is_not_capped(self):
+        sys, model, cfg = self._large_spin()
+        default = ss.integrate_trajectory(sys, model, _LABELS[0], 0.05, cfg).integrator
+        times = np.linspace(0.0, 0.05, 100)
+        sampled = ss.integrate_trajectory(sys, model, _LABELS[0], 0.05, cfg,
+                                          sample_times=times).integrator
+        assert (default.accepted_steps, default.rejected_steps, default.min_step,
+                default.max_step) == (sampled.accepted_steps, sampled.rejected_steps,
+                                      sampled.min_step, sampled.max_step)
+        assert default.max_step > 0.05 / 32
+
+    def test_endpoint_call_costs_less_than_the_old_cap(self):
+        # criterion 2's calls (exchange, two_j=6, t = 1/j) read only the
+        # endpoint; 32 capped steps cost at least 12 evaluations each
+        sys = ss.SpinSystem(two_j=6)
+        counting = _CountingModel(ss.exchange_coupling_model(sys, 1.0))
+        traj = ss.integrate_trajectory(sys, counting, ss.CoherentLabel(0.4 - 0.2j, 0.3 + 0.5j),
+                                       1.0 / sys.j, CFG)
+        assert traj.integrator.field_evals == counting.calls < 12 * 32

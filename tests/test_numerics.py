@@ -16,14 +16,11 @@ from spinsemi.numerics import (
     _C,
     _E3,
     _E5,
-    _MAX_FACTOR,
-    _MIN_FACTOR,
-    _SAFETY,
     FIRST_STEP,
     cubic_quadrature,
     det2,
 )
-from oracles import reference_rk_dp5
+from oracles import reference_rk_dop853, reference_rk_dp5
 
 
 def _rand_complex(rng, shape):
@@ -104,54 +101,18 @@ class TestSmallInverse:
             ss.small_inverse(np.eye(3))
 
 
-def _reference_rk(field, y0, t1, cfg):
-    """adaptive_rk's accepted-step loop from t = 0 (oracle): the DOP853 steps
-    with real weights and the error norm written out, as
-    h * err5 / sqrt(n * (err5 + 0.01 * err3)) with err_q the sum of the
-    squared scaled order-q estimates; returns the step grid, the states and
-    the number of rejected steps."""
-    estimators = np.array([_E5, _E3])
-    t, y = 0.0, np.array(y0, dtype=complex)
-    h = min(FIRST_STEP, cfg.max_step, t1)
-    rejected, after_rejection = 0, False
-    k = np.empty((12, y.size), dtype=complex)
-    k[0] = field(t, y)
-    ts, ys = [t], [y]
-    while t < t1 - 1e-14 * max(1.0, t1):
-        h_try = min(h, cfg.max_step, t1 - t)
-        for i in range(1, 12):
-            k[i] = field(t + _C[i] * h_try, y + h_try * (_A[i, :i] @ k[:i]))
-        y_new = y + h_try * (_B @ k)
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        est = (estimators @ k) / scale
-        err5, err3 = np.sum(est.real ** 2 + est.imag ** 2, axis=1)
-        err = h_try * err5 / np.sqrt(y.size * (err5 + 0.01 * err3))
-        if err > 1.0:
-            rejected += 1
-            after_rejection = True
-            h = h_try * max(_MIN_FACTOR, _SAFETY * err ** (-1 / 8))
-            continue
-        t, y = t + h_try, y_new
-        ts.append(t)
-        ys.append(y)
-        k[0] = field(t, y)
-        factor = _SAFETY * max(err, 1e-10) ** (-1 / 8)
-        h = h_try * max(_MIN_FACTOR, min(1.0 if after_rejection else _MAX_FACTOR, factor))
-        after_rejection = False
-    ts[-1] = t1
-    return np.asarray(ts), np.asarray(ys), rejected
-
-
 class TestAdaptiveRk:
     def test_analytic_exponential(self):
         cfg = ss.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
-        ts, ys, _ = ss.adaptive_rk(lambda t, y: 1j * y, [1.0 + 0j], (0.0, np.pi), cfg)
+        ts, ys, _ = ss.adaptive_rk(lambda t, y: 1j * y, [1.0 + 0j], (0.0, np.pi), cfg,
+                                   samples=[np.pi])
         assert abs(ys[-1, 0] - (-1.0)) < 1e-9
         assert ts[-1] == np.pi
 
     def test_constant_field(self):
         cfg = ss.IntegratorConfig()
-        _, ys, _ = ss.adaptive_rk(lambda t, y: 0 * y, [0.3 + 0.4j, -1.0], (0.0, 2.0), cfg)
+        _, ys, _ = ss.adaptive_rk(lambda t, y: 0 * y, [0.3 + 0.4j, -1.0], (0.0, 2.0), cfg,
+                                  samples=[2.0])
         assert np.allclose(ys[-1], [0.3 + 0.4j, -1.0])
 
     def test_lands_exactly_on_samples(self):
@@ -180,9 +141,10 @@ class TestAdaptiveRk:
         assert np.max(np.abs(ys - exact)) < 1e-8
 
     def test_samples_do_not_change_the_steps(self):
-        # the same accepted steps with or without samples; a sample on a step
-        # end gets that step's value and costs nothing, and a step with a
-        # sample before its end costs the extension's 3 stages
+        # the same accepted steps whatever the samples: the reference loop's
+        # grid; a sample on a step end gets that step's value and costs
+        # nothing, and a step with a sample before its end costs the
+        # extension's 3 stages
         calls = []
 
         def field(t, y):
@@ -190,25 +152,27 @@ class TestAdaptiveRk:
             return (0.3 + 2j) * y
 
         cfg = ss.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
-        grid, states, record = ss.adaptive_rk(field, [1.0 + 0.5j], (0.0, 1.0), cfg)
-        natural = list(calls)
-        assert record.field_evals == len(natural)
-        for samples, want in ((grid, states), (grid[1::3], states[1::3]),
-                              (np.linspace(0.0, 1.0, 500), None)):
+        grid, states, _ = reference_rk_dop853(field, [1.0 + 0.5j], 1.0, cfg)
+        grid_calls = list(calls)
+        calls.clear()
+        ts, ys, record = ss.adaptive_rk(field, [1.0 + 0.5j], (0.0, 1.0), cfg, samples=grid)
+        assert calls == grid_calls and record.field_evals == len(grid_calls)
+        assert np.array_equal(ts, grid) and np.array_equal(ys, states)
+        for samples, want in ((grid[1::3], states[1::3]), (np.linspace(0.0, 1.0, 500), None)):
             calls.clear()
             ts, ys, sampled = ss.adaptive_rk(field, [1.0 + 0.5j], (0.0, 1.0), cfg,
                                              samples=samples)
             assert np.array_equal(ts, samples)
             if want is not None:
-                assert calls == natural and sampled == record
+                assert calls == grid_calls and sampled == record
                 assert np.array_equal(ys, want)
             else:
                 # steps with a sample strictly inside
                 holding = np.count_nonzero(np.searchsorted(samples, grid[1:])
                                            - np.searchsorted(samples, grid[:-1], side="right"))
                 assert 0 < holding <= record.accepted_steps
-                assert [t for t in calls if t in set(natural)] == natural
-                assert len(calls) == len(natural) + 3 * holding
+                assert [t for t in calls if t in set(grid_calls)] == grid_calls
+                assert len(calls) == len(grid_calls) + 3 * holding
                 assert sampled.field_evals == len(calls)
                 assert sampled.accepted_steps == record.accepted_steps
                 assert sampled.rejected_steps == record.rejected_steps
@@ -225,7 +189,7 @@ class TestAdaptiveRk:
         cfg = ss.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, max_step=0.02)
         y0 = [s0.sx, s0.sy, np.conj(s0.sx), np.conj(s0.sy)]
         _, ys, _ = ss.adaptive_rk(lambda t, y: field_and_jacobian(sys, model, y)[0], y0,
-                                  (0.0, 0.5), cfg)
+                                  (0.0, 0.5), cfg, samples=[0.5])
         ref = ss.pc_trajectory(params, s0, 0.5, num_samples=2).ys[-1]
         assert np.max(np.abs(ys[-1] - ref)) < 1e-9
 
@@ -248,12 +212,12 @@ class TestAdaptiveRk:
         cfg = ss.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
         with pytest.raises(StepSizeUnderflow):
             # finite-time blowup at t = 1
-            ss.adaptive_rk(lambda t, y: y ** 2, [1.0 + 0j], (0.0, 1.5), cfg)
+            ss.adaptive_rk(lambda t, y: y ** 2, [1.0 + 0j], (0.0, 1.5), cfg, samples=[1.5])
 
     def test_field_error_propagates(self):
         cfg = ss.IntegratorConfig()
         with pytest.raises(FieldEvaluationError):
-            ss.adaptive_rk(lambda t, y: y * np.nan, [1.0 + 0j], (0.0, 1.0), cfg)
+            ss.adaptive_rk(lambda t, y: y * np.nan, [1.0 + 0j], (0.0, 1.0), cfg, samples=[1.0])
 
     @pytest.mark.parametrize("bad", [complex(0.0, np.inf), complex(0.0, np.nan)])
     def test_one_non_finite_imaginary_part_at_a_later_stage(self, bad):
@@ -270,29 +234,31 @@ class TestAdaptiveRk:
 
         cfg = ss.IntegratorConfig()
         with pytest.raises(FieldEvaluationError, match="non-finite") as raised:
-            ss.adaptive_rk(field, np.ones(6, dtype=complex), (0.0, 1.0), cfg)
+            ss.adaptive_rk(field, np.ones(6, dtype=complex), (0.0, 1.0), cfg, samples=[1.0])
         assert len(calls) == 5 and f"t={calls[-1]}" in str(raised.value)
 
     def test_wrong_shape_raises(self):
         cfg = ss.IntegratorConfig()
         for wrong in (lambda t, y: y[:-1], lambda t, y: y[:1], lambda t, y: y[None, :]):
             with pytest.raises(FieldEvaluationError, match="shape"):
-                ss.adaptive_rk(wrong, [1.0 + 0j, 2.0], (0.0, 1.0), cfg)
+                ss.adaptive_rk(wrong, [1.0 + 0j, 2.0], (0.0, 1.0), cfg, samples=[1.0])
 
     def test_list_return_is_accepted(self):
         cfg = ss.IntegratorConfig()
         rate = 0.3 + 2j
         rates = np.array([rate, -rate])
+        samples = np.linspace(0.0, 1.0, 11)
         ts, ys, _ = ss.adaptive_rk(lambda t, y: (rates * y).tolist(), [1.0 + 0j, 0.5j],
-                                   (0.0, 1.0), cfg)
+                                   (0.0, 1.0), cfg, samples=samples)
         ref_ts, ref_ys, _ = ss.adaptive_rk(lambda t, y: rates * y, [1.0 + 0j, 0.5j],
-                                           (0.0, 1.0), cfg)
+                                           (0.0, 1.0), cfg, samples=samples)
         assert np.array_equal(ts, ref_ts) and np.array_equal(ys, ref_ys)
 
     def test_huge_finite_values_are_accepted(self):
         # |dy|^2 overflows to inf although every entry is finite
         cfg = ss.IntegratorConfig()
-        _, ys, _ = ss.adaptive_rk(lambda t, y: 0 * y + 1e200, [0j, 0j], (0.0, 1.0), cfg)
+        _, ys, _ = ss.adaptive_rk(lambda t, y: 0 * y + 1e200, [0j, 0j], (0.0, 1.0), cfg,
+                                  samples=[1.0])
         assert np.allclose(ys[-1], 1e200, rtol=1e-12)
 
     @staticmethod
@@ -313,16 +279,17 @@ class TestAdaptiveRk:
     def test_accepted_steps_match_reference_loop(self, seed):
         field, y0, calls = self._bump_system(seed)
         cfg = ss.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12)
-        ts, ys, record = ss.adaptive_rk(field, y0, (0.0, 1.0), cfg)
-        natural = list(calls)
+        ref_ts, ref_ys, rejected = reference_rk_dop853(field, y0, 1.0, cfg)
+        grid_calls = list(calls)
         calls.clear()
-        ref_ts, ref_ys, rejected = _reference_rk(field, y0, 1.0, cfg)
+        # sampled on the reference grid, every sample is a step end
+        ts, ys, record = ss.adaptive_rk(field, y0, (0.0, 1.0), cfg, samples=ref_ts)
         assert rejected > 0
-        assert calls == natural
+        assert calls == grid_calls
         assert np.array_equal(ts, ref_ts) and np.array_equal(ys, ref_ys)
         steps = np.diff(ref_ts)
         assert (record.method, record.accepted_steps, record.rejected_steps,
-                record.field_evals) == ("DOP853", steps.size, rejected, len(natural))
+                record.field_evals) == ("DOP853", steps.size, rejected, len(grid_calls))
         # the record's steps are the h taken, the grid's differences of sums
         assert record.min_step == pytest.approx(steps.min(), rel=1e-12)
         assert record.max_step == pytest.approx(steps.max(), rel=1e-12)
@@ -333,7 +300,7 @@ class TestAdaptiveRk:
         # truncation error, and DOP853 needs fewer evaluations
         field, y0, calls = self._bump_system(seed)
         cfg = ss.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12)
-        _, ys, record = ss.adaptive_rk(field, y0, (0.0, 1.0), cfg)
+        _, ys, record = ss.adaptive_rk(field, y0, (0.0, 1.0), cfg, samples=[1.0])
         calls.clear()
         _, ref_ys, _ = reference_rk_dp5(field, y0, 1.0, cfg)
         assert np.max(np.abs(ys[-1] - ref_ys[-1])) <= 1e-7 * np.max(np.abs(ref_ys[-1]))
@@ -341,7 +308,7 @@ class TestAdaptiveRk:
 
     def test_zero_span(self):
         cfg = ss.IntegratorConfig()
-        ts, ys, _ = ss.adaptive_rk(lambda t, y: y, [2.0 + 0j], (0.0, 0.0), cfg)
+        ts, ys, _ = ss.adaptive_rk(lambda t, y: y, [2.0 + 0j], (0.0, 0.0), cfg, samples=[0.0])
         assert ts.shape == (1,) and ys[0, 0] == 2.0 + 0j
 
     def test_config_validation(self):
@@ -353,8 +320,11 @@ class TestAdaptiveRk:
                 ss.IntegratorConfig(**bad)
         # any positive max_step is accepted: the first trial step follows it
         cfg = ss.IntegratorConfig(max_step=1e-6)
-        ts, _, _ = ss.adaptive_rk(lambda t, y: y, [1.0 + 0j], (0.0, 1e-5), cfg)
+        grid = reference_rk_dop853(lambda t, y: y, [1.0 + 0j], 1e-5, cfg)[0]
+        ts, _, record = ss.adaptive_rk(lambda t, y: y, [1.0 + 0j], (0.0, 1e-5), cfg,
+                                       samples=grid)
         assert np.max(np.diff(ts)) <= 1e-6 * (1 + 1e-12)
+        assert record.accepted_steps == ts.size - 1 and record.max_step <= 1e-6
 
 
 class TestDop853Order:
@@ -378,7 +348,7 @@ class TestDop853Order:
         assert abs(_E5.sum()) < 1e-14 and abs(_E3.sum()) < 1e-14
 
     @staticmethod
-    def _one_step(rate, h, samples=None):
+    def _one_step(rate, h, samples):
         # one step of length h (below FIRST_STEP) at loose tolerances, so
         # adaptive_rk takes it as its first and only step
         cfg = ss.IntegratorConfig(rel_tol=1.0, abs_tol=1.0)
@@ -394,14 +364,14 @@ class TestDop853Order:
     def test_one_step_error_is_ninth_order(self):
         rate = (-0.6 + 2.0j) * 1e4
         hs = FIRST_STEP * 0.5 ** np.arange(4)
-        errs = [abs(self._one_step(rate, h)[-1, 0] - np.exp(rate * h)) for h in hs]
+        errs = [abs(self._one_step(rate, h, [h])[-1, 0] - np.exp(rate * h)) for h in hs]
         assert self._slope(hs, errs) >= 8.5, errs
 
     def test_continuous_extension_is_seventh_order(self):
         # the local error at theta = 0.5 shrinks like h^8
         rate = (-0.6 + 2.0j) * 1e4
         hs = FIRST_STEP * 0.5 ** np.arange(4)
-        errs = [abs(self._one_step(rate, h, samples=[0.0, h / 2, h])[1, 0]
+        errs = [abs(self._one_step(rate, h, [0.0, h / 2, h])[1, 0]
                     - np.exp(rate * h / 2)) for h in hs]
         assert self._slope(hs, errs) >= 7.5, errs
 

@@ -294,6 +294,8 @@ class TestSemiclassicalPropagator:
         val, s_eta = ss.semiclassical_propagator_real(sys, model, s0, 0.0, CFG)
         assert abs(val - 1.0) < 1e-9
         assert s_eta == s0
+        # nothing is integrated: a model without derivs or htilde is never called
+        assert ss.semiclassical_propagator_real(sys, object(), s0, 0.0, CFG) == (val, s0)
 
     def test_noninteracting_unit_modulus(self):
         sys = ss.SpinSystem(two_j=10)
@@ -317,6 +319,27 @@ class TestSemiclassicalPropagator:
             errors.append(abs(k_sc - k_ex) / abs(k_ex))
         assert errors[-1] <= 5e-2
         assert errors[0] > errors[1] > errors[2]
+
+    @pytest.mark.parametrize("two_j", [10, 40])
+    @pytest.mark.parametrize("model_of", [
+        lambda sys: ss.exchange_coupling_model(sys, 1.0),
+        lambda sys: ss.phase_coupling_model(ss.PhaseCouplingParams(lam=1.0, sys=sys)),
+    ], ids=["exchange", "phase"])
+    def test_default_grid_converges(self, model_of, two_j):
+        # the action quadratures and the branch tracking on the default grid
+        # agree with a 1025-sample run at tau = lambda j t up to 3
+        sys = ss.SpinSystem(two_j=two_j)
+        model = model_of(sys)
+        s0 = ss.CoherentLabel(0.5 + 0.2j, -0.3 + 0.4j)
+        for tau in (0.1, 1.0, 3.0):
+            t_final = tau / sys.j
+            values = []
+            for times in (None, np.linspace(0.0, t_final, 1025)):
+                traj = ss.integrate_trajectory(sys, model, s0, t_final, CFG, sample_times=times)
+                m_series = ss.integrate_stability(sys, model, traj, CFG)
+                bundle = ss.action_integrals(sys, model, traj, +1)
+                values.append(ss.prefactor(traj, m_series, +1) * cmath.exp(bundle.exponent))
+            assert abs(values[0] - values[1]) <= 1e-8 * abs(values[1]), tau
 
 
 class TestAuxDeterminants:
