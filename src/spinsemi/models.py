@@ -142,22 +142,6 @@ def pc_purity_sc(params, s0, t_final):
     return (1.0 + coeff) ** -0.5
 
 
-def pc_purity_sc_printed(params, s0, t_final):
-    """The raw printed purity expression, singular at |u'v'| = 1.
-
-    Kept alongside the regular form so tests can confirm the two agree away
-    from the equator.
-    """
-    u0 = np.array([s0.sx, s0.sy], dtype=complex)
-    v0 = np.conj(u0)
-    lam_x, lam_y = _pc_rates(params, u0, v0)
-    wx, wy = u0[0] * v0[0], u0[1] * v0[1]
-    val = 1.0 - 16.0 * wx * wy * lam_x * lam_y * t_final ** 2 / (
-        (1.0 - wx ** 2) * (1.0 - wy ** 2)
-    )
-    return complex(val) ** -0.5
-
-
 def pc_exact_purity(params, s0, t_final):
     """Exact reduced-state purity of the phase-coupling model (finite sum).
 

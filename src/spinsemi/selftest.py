@@ -22,7 +22,7 @@ from .spin import CoherentLabel, SpinSystem
 
 
 def _pipeline_purity(sys, model, s0, t_final, cfg):
-    traj = integrate_trajectory(sys, model, s0, t_final, cfg)
+    traj = integrate_trajectory(sys, model, s0, t_final, cfg, sample_times=[t_final])
     stab = integrate_stability(sys, model, traj, cfg)[-1]
     return purity_sc(stab, traj), traj, stab
 
@@ -127,7 +127,7 @@ def check_det_identity(rng):
         for _ in range(3):
             s0 = CoherentLabel(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
                                complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
-            traj = integrate_trajectory(sys, model, s0, 0.3, cfg)
+            traj = integrate_trajectory(sys, model, s0, 0.3, cfg, sample_times=[0.3])
             stab = integrate_stability(sys, model, traj, cfg)[-1]
             tcal = endpoint_factor(traj.initial, traj.final)
             worst = max(worst, abs(stab.det() - tcal) / abs(tcal))

@@ -333,31 +333,6 @@ def action_hessians_from_stability(sys, stab, start, end, xi=+1):
     return s_uu, s_uv, s_vu, s_vv
 
 
-def stability_from_action_hessians(sys, hessians, start, end, xi=+1):
-    """Inverse of action_hessians_from_stability (round-trip oracle)."""
-    s_uu, s_uv, s_vu, s_vv = hessians
-    a, b, c, d = _endpoint_weights(sys, start, end, xi)
-    if xi == +1:
-        at = s_uu + a
-        ct = s_vv + c
-        s_uv_inv = small_inverse(s_uv)
-        d_inv = small_inverse(d)
-        m_uu = d_inv @ (s_vu - ct @ s_uv_inv @ at)
-        m_uv = d_inv @ ct @ s_uv_inv @ b
-        m_vu = -s_uv_inv @ at
-        m_vv = s_uv_inv @ b
-    else:
-        at = s_uu + a
-        ct = s_vv + c
-        s_vu_inv = small_inverse(s_vu)
-        b_inv = small_inverse(b)
-        m_uu = s_vu_inv @ d
-        m_uv = -s_vu_inv @ ct
-        m_vu = b_inv @ at @ s_vu_inv @ d
-        m_vv = b_inv @ (s_uv - at @ s_vu_inv @ ct)
-    return StabilityMatrix(np.block([[m_uu, m_uv], [m_vu, m_vv]]))
-
-
 def block_identity_defect(stab):
     """Residual of the permuted-determinant block identity of one stability
     matrix (must be ~0)."""
@@ -447,7 +422,7 @@ def contraction_checks(systems, z0, lam=1.0, lam_t=0.02, cfg=None):
         s0 = CoherentLabel(z_eta * scale, z_mu * scale)
         model = phase_coupling_model(PhaseCouplingParams(lam=lam, sys=sys))
         t_final = lam_t / lam
-        traj = integrate_trajectory(sys, model, s0, t_final, cfg)
+        traj = integrate_trajectory(sys, model, s0, t_final, cfg, sample_times=[t_final])
         stab = integrate_stability(sys, model, traj, cfg)[-1]
         p = purity_sc(stab, traj)
         rows.append(ContractionRow(

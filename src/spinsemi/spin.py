@@ -112,15 +112,6 @@ def product_coherent(sys, label):
     return np.kron(coherent_vector(sys, label.sx), coherent_vector(sys, label.sy))
 
 
-# Variable (ux, uy, vx, vy) -> the derivative order it raises, as a flat
-# offset into the 9 x 9 table g[(cx, ax), (cy, ay)] of bra orders c and
-# ket orders a: ux raises ax, uy raises ay, vx raises cx, vy raises cy.
-_ROW_STEP = np.array([1, 0, 3, 0])
-_COL_STEP = np.array([0, 1, 0, 3])
-_HESS_ROWS = _ROW_STEP[:, None] + _ROW_STEP[None, :]
-_HESS_COLS = _COL_STEP[:, None] + _COL_STEP[None, :]
-
-
 @dataclass(frozen=True)
 class OperatorTerm:
     """One product term coefficient * Ox^px (x) Oy^py of a joint operator."""
@@ -164,14 +155,15 @@ def _factor_band(two_j, kind, power):
     return (power if kind == "J+" else -power), values
 
 
-def _factor_symbol(two_j, kind, power):
-    """Symbol (v|A|u) / (v|u) of A = kind^power on one spin, in closed form.
 
-    Returned as {(a, b, c, e): coefficient} over the monomials
-    u^a v^b r^c z^e, with r = 1 / (1 + uv) and z = (uv - 1) / (uv + 1).
-    J+^p gives (2j)_p v^p r^p and J-^p gives (2j)_p u^p r^p, with (2j)_p the
-    falling factorial (zero for p > 2j). J3^p gives the p-th moment s_p of
-    n - j for n binomial(2j, (1 + z) / 2), by the recursion
+
+def _factor_polynomial(two_j, kind, power):
+    """Symbol (v|A|u) / (v|u) of A = kind^power on one spin, in closed form:
+    (kind, coefficients) of the polynomial sum_e coefficients[e] xi^e in the
+    chart variable xi of that kind (_side_partials), or (None, [value]) for a
+    constant. J+^p gives (2j)_p q^p, with (2j)_p the falling factorial (zero
+    for p > 2j), and so does J-^p in its q. J3^p gives the p-th moment s_p
+    of n - j for n binomial(2j, (1 + z) / 2), by the recursion
     s_{p+1} = j z s_p + (1 - z^2) / 2 ds_p/dz from s_0 = 1. I gives 1.
     (Arecchi, Courtens, Gilmore & Thomas, Phys. Rev. A 6, 2211 (1972).)
     """
@@ -180,79 +172,126 @@ def _factor_symbol(two_j, kind, power):
         for _ in range(power):
             ds = np.arange(1, len(s)) * s[1:]
             s = np.pad(0.5 * two_j * s, (1, 0)) + 0.5 * (np.pad(ds, (0, 2)) - np.pad(ds, (2, 0)))
-        return {(0, 0, 0, e): c for e, c in enumerate(s) if c}
-    if kind == "I":
-        return {(0, 0, 0, 0): 1.0}
-    scale = float(math.prod(range(two_j, two_j - power, -1)))
-    return {(0, power, power, 0) if kind == "J+" else (power, 0, power, 0): scale}
+        coefficients = s.tolist()
+    elif kind == "I" or power == 0:
+        coefficients = [1.0]
+    else:
+        coefficients = [0.0] * power + [float(math.prod(range(two_j, two_j - power, -1)))]
+    while len(coefficients) > 1 and not coefficients[-1]:
+        coefficients.pop()
+    return (kind if len(coefficients) > 1 else None), coefficients
 
 
-def _partial(poly, var):
-    """d/du (var 0) or d/dv (var 1) of a symbol polynomial. r and z depend
-    on uv alone: dr/d(uv) = -r^2 and dz/d(uv) = 2 r^2."""
-    out = {}
-    for (a, b, c, e), k in poly.items():
-        own = (a - 1 + var, b - var)  # the explicit power, lowered
-        via = (a + var, b + 1 - var)  # times d(uv)/du = v or d(uv)/dv = u
-        for weight, mono in (((a, b)[var], own + (c, e)),
-                             (-c, via + (c + 1, e)),
-                             (2 * e, via + (c + 2, e - 1))):
-            if weight:
-                out[mono] = out.get(mono, 0.0) + weight * k
-    return out
+def _polynomial_partials(coefficients, xi):
+    """(P, P_u, P_v, P_uu, P_uv, P_vv) of P(xi) = sum_e coefficients[e] xi^e
+    from xi's partials, by the chain rule: P' xi_a and P'' xi_a xi_b +
+    P' xi_ab, with P, P' and P''/2 from one Horner pass."""
+    x, xu, xv, xuu, xuv, xvv = xi
+    p, d1, d2 = coefficients[-1], 0.0, 0.0
+    for c in coefficients[-2::-1]:
+        d2 = d2 * x + d1
+        d1 = d1 * x + p
+        p = p * x + c
+    d2 = 2.0 * d2
+    return (p, d1 * xu, d1 * xv, d2 * xu * xu + d1 * xuu, d2 * xu * xv + d1 * xuv,
+            d2 * xv * xv + d1 * xvv)
 
 
-def _symbol_partials(poly):
-    """The 9 partials d^c/dv^c d^a/du^a (c, a <= 2) of a symbol, at flat
-    index 3 c + a."""
-    out = [poly, _partial(poly, 0)]
-    out.append(_partial(out[1], 0))
-    for i in range(6):  # d/dv of the entry one bra order lower
-        out.append(_partial(out[i], 1))
-    return out
+# the partials of a constant factor's chart: its value is in the coefficient
+_CONSTANT = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def _side_partials(u, v, kinds, slots):
+    """Partials (P, P_u, P_v, P_uu, P_uv, P_vv) of each slot's symbol at one
+    spin's (u, v), from the partials of the charts in kinds, formed once.
+
+    With r = 1 / (1 + uv): q = v r (J+) has q_u = -q^2, q_v = r^2,
+    q_uu = 2 q^3, q_uv = -2 q r^2 and q_vv = -2 u r^3; q = u r (J-) is the
+    same with u and v swapped; z = (uv - 1) r (J3) has z_u = 2 v r^2,
+    z_v = 2 u r^2, z_uu = -4 v^2 r^3, z_uv = -2 z r^2 and z_vv = -4 u^2 r^3.
+    A slot is (kind, coefficients) of its polynomial in that chart, with
+    coefficients None for the chart variable itself (kind None for 1).
+    """
+    w = u * v
+    r = 1.0 / (1.0 + w)
+    r2 = r * r
+    xi = {None: _CONSTANT}
+    if "J+" in kinds:
+        q = v * r
+        xi["J+"] = (q, -q * q, r2, 2.0 * q * q * q, -2.0 * q * r2, -2.0 * u * r * r2)
+    if "J-" in kinds:
+        q = u * r
+        xi["J-"] = (q, r2, -q * q, -2.0 * v * r * r2, -2.0 * q * r2, 2.0 * q * q * q)
+    if "J3" in kinds:
+        z = (w - 1.0) * r
+        zu, zv = 2.0 * v * r2, 2.0 * u * r2
+        xi["J3"] = (z, zu, zv, -2.0 * v * r * zu, -2.0 * z * r2, -2.0 * u * r * zv)
+    return [xi[kind] if coefficients is None else _polynomial_partials(coefficients, xi[kind])
+            for kind, coefficients in slots]
 
 
 def derivs_from_terms(sys, terms):
     """Classical derivs of H = sum_t c_t A_t (x) B_t from closed-form symbols.
 
-    terms is a sequence of OperatorTerms c_t A_t (x) B_t. htilde is sum_t c_t phi_t^x phi_t^y, with
-    phi_t^k the symbol of the term's factor on subsystem k (_factor_symbol).
-    Each symbol's 9 partials in (u_k, v_k) are differentiated once, here,
-    into one coefficient table over shared monomials; a call evaluates the
-    monomials at each point and contracts them with that table, so its cost
-    does not depend on j and no (2j+1)-dimensional vector is formed.
+    htilde is sum_t c_t phi_t^x phi_t^y, with phi_t^k the symbol of the
+    term's factor on spin k, a polynomial in one chart variable of that spin
+    (_factor_polynomial). A call forms each side's chart partials once, each
+    distinct factor's six partials of order <= 2 by the chain rule
+    (_side_partials), and sums the terms' products, in the same arithmetic
+    on Python complex scalars (one point) and on numpy rows (a series); its
+    cost does not depend on j. A constant factor and the scale of a linear
+    symbol (power 1) move into the term's coefficient here, so neither costs
+    arithmetic to form per call, and terms that vanish are dropped.
     """
-    # partials[k][9 t + 3 c + a]: d^c/dv_k^c d^a/du_k^a of phi_t^k
-    partials = [[p for factor in factors
-                 for p in _symbol_partials(_factor_symbol(sys.two_j, *factor))]
-                for factors in ([t.factor_x for t in terms], [t.factor_y for t in terms])]
-    monomials = sorted({mono for side in partials for p in side for mono in p})
-    index = {mono: i for i, mono in enumerate(monomials)}
-    # powers[q, 0, 0, i]: exponent of variable q = u, v, r, z in monomial i
-    powers = np.array(monomials, dtype=int).reshape(-1, 4).T.reshape(4, 1, 1, -1)
-    # coefficients[k, i, col]: monomial i in partials[k][col], times c_t on x
-    coefficients = np.zeros((2, len(monomials), 9 * len(terms)), dtype=complex)
-    for k, side in enumerate(partials):
-        for col, partial in enumerate(side):
-            for mono, coef in partial.items():
-                coefficients[k, index[mono], col] = coef
-    coefficients[0] *= np.repeat([complex(t.coefficient) for t in terms], 9)
+    slots = ({}, {})  # per side: (kind, coefficients) -> slot index
+    pairs = []
+    for term in terms:
+        c, at = complex(term.coefficient), []
+        for side, factor in zip(slots, (term.factor_x, term.factor_y)):
+            kind, coefficients = _factor_polynomial(sys.two_j, *factor)
+            if kind is None or len(coefficients) == 2 and not coefficients[0]:
+                c *= coefficients[-1]
+                coefficients = None
+            at.append(side.setdefault((kind, coefficients and tuple(coefficients)), len(side)))
+        if c:
+            pairs.append((c, *at))
+    sides = [({kind for kind, _ in side}, list(side)) for side in slots]
 
     def derivs(u, v):
-        # m points, m = 1 for a single one
-        point = np.ndim(u) == 1
-        u = np.asarray(u, dtype=complex).reshape(-1, 2)
-        v = np.asarray(v, dtype=complex).reshape(-1, 2)
-        w = u * v
-        r = 1.0 / (1.0 + w)
-        # values[i, k, l]: monomial l at (u_k, v_k) of point i
-        values = (np.array([u, v, r, (w - 1.0) * r])[..., None] ** powers).prod(axis=0)
-        # tables[i, k, t, 3 c + a]: d^c/dv_k^c d^a/du_k^a of c_t phi_t^k
-        tables = (values[:, :, None] @ coefficients).reshape(len(u), 2, -1, 9)
-        g = tables[:, 0].transpose(0, 2, 1) @ tables[:, 1]
-        h, grad, hess = g[:, 0, 0], g[:, _ROW_STEP, _COL_STEP], g[:, _HESS_ROWS, _HESS_COLS]
+        u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+        point = u.ndim == 1
+        (ux, uy), (vx, vy) = (u.tolist(), v.tolist()) if point else (u.T, v.T)
+        xs = _side_partials(ux, vx, *sides[0])
+        ys = _side_partials(uy, vy, *sides[1])
+        # h, then the gradient and the Hessian's upper triangle in the
+        # order (ux, uy, vx, vy)
+        h = gux = guy = gvx = gvy = 0.0
+        h00 = h01 = h02 = h03 = h11 = h12 = h13 = h22 = h23 = h33 = 0.0
+        for c, ix, iy in pairs:
+            x0, x1, x2, x3, x4, x5 = xs[ix]
+            y0, y1, y2, y3, y4, y5 = ys[iy]
+            cx0, cx1, cx2, cy0 = c * x0, c * x1, c * x2, c * y0
+            h += cx0 * y0
+            gux += x1 * cy0
+            guy += cx0 * y1
+            gvx += x2 * cy0
+            gvy += cx0 * y2
+            h00 += x3 * cy0
+            h01 += cx1 * y1
+            h02 += x4 * cy0
+            h03 += cx1 * y2
+            h11 += cx0 * y3
+            h12 += cx2 * y1
+            h13 += cx0 * y4
+            h22 += x5 * cy0
+            h23 += cx2 * y2
+            h33 += cx0 * y5
+        entries = (h, gux, guy, gvx, gvy, h00, h01, h02, h03, h01, h11, h12, h13,
+                   h02, h12, h22, h23, h03, h13, h23, h33)
         if point:
-            return h[0], grad[0], hess[0]
-        return h, grad, hess
+            out = np.array(entries, dtype=complex)
+            return out[0], out[1:5], out[5:].reshape(4, 4)
+        rows = np.array(np.broadcast_arrays(ux, *entries)[1:], dtype=complex)
+        return rows[0], rows[1:5].T, rows[5:].T.reshape(-1, 4, 4)
 
     return derivs

@@ -4,9 +4,14 @@ src/spinsemi never forms, and the paths built on them.
 Each function here is the independent check of what replaced it in the
 package: the factor matrices of the bands (spin._factor_band), the np.kron
 sum and np.nonzero entries of the term entries (models._term_entries), the
-dense-matrix derivative path of derivs_from_terms, and the sector split of
-a dense matrix of model.sectors. They use none of the code they check;
-tests/test_spin.py::test_oracles_import_nothing_they_check guards that.
+dense-matrix and monomial-table derivative paths of derivs_from_terms, and
+the sector split of a dense matrix of model.sectors. They use none of the
+code they check; tests/test_spin.py::test_oracles_import_nothing_they_check
+guards that.
+
+Two closed forms that only check others live here too: the inverse of
+semiclassical.action_hessians_from_stability and the printed
+phase-coupling purity, singular where models.pc_purity_sc is regular.
 
 The Dormand-Prince 5(4) integrator that numerics.adaptive_rk replaced is
 here too, as the oracle of its states: reference_rk_dp5 on the accepted-step
@@ -20,6 +25,8 @@ import math
 import numpy as np
 
 from spinsemi.errors import DimensionMismatch
+from spinsemi.flow import StabilityMatrix
+from spinsemi.models import _pc_rates
 from spinsemi.numerics import (
     _A,
     _B,
@@ -31,8 +38,10 @@ from spinsemi.numerics import (
     _SAFETY,
     FIRST_STEP,
     require_hermitian,
+    small_inverse,
 )
 from spinsemi.quantum import Sectors, SpectralPropagator, connected_sectors
+from spinsemi.semiclassical import _endpoint_weights
 from spinsemi.spin import _range_guard, binom_sqrt_weights
 
 
@@ -199,6 +208,109 @@ def htilde_from_operator(sys, h_op):
     return derivs
 
 
+# Variable (ux, uy, vx, vy) -> the derivative order it raises, as a flat
+# offset into the 9 x 9 table g[(cx, ax), (cy, ay)] of bra orders c and
+# ket orders a: ux raises ax, uy raises ay, vx raises cx, vy raises cy.
+_ROW_STEP = np.array([1, 0, 3, 0])
+_COL_STEP = np.array([0, 1, 0, 3])
+_HESS_ROWS = _ROW_STEP[:, None] + _ROW_STEP[None, :]
+_HESS_COLS = _COL_STEP[:, None] + _COL_STEP[None, :]
+
+
+def _factor_symbol(two_j, kind, power):
+    """Symbol (v|A|u) / (v|u) of A = kind^power on one spin, in closed form.
+
+    Returned as {(a, b, c, e): coefficient} over the monomials
+    u^a v^b r^c z^e, with r = 1 / (1 + uv) and z = (uv - 1) / (uv + 1).
+    J+^p gives (2j)_p v^p r^p and J-^p gives (2j)_p u^p r^p, with (2j)_p the
+    falling factorial (zero for p > 2j). J3^p gives the p-th moment s_p of
+    n - j for n binomial(2j, (1 + z) / 2), by the recursion
+    s_{p+1} = j z s_p + (1 - z^2) / 2 ds_p/dz from s_0 = 1. I gives 1.
+    """
+    if kind == "J3":
+        s = np.ones(1)  # coefficients of z^0, z^1, ...
+        for _ in range(power):
+            ds = np.arange(1, len(s)) * s[1:]
+            s = np.pad(0.5 * two_j * s, (1, 0)) + 0.5 * (np.pad(ds, (0, 2)) - np.pad(ds, (2, 0)))
+        return {(0, 0, 0, e): c for e, c in enumerate(s) if c}
+    if kind == "I":
+        return {(0, 0, 0, 0): 1.0}
+    scale = float(math.prod(range(two_j, two_j - power, -1)))
+    return {(0, power, power, 0) if kind == "J+" else (power, 0, power, 0): scale}
+
+
+def _partial(poly, var):
+    """d/du (var 0) or d/dv (var 1) of a symbol polynomial. r and z depend
+    on uv alone: dr/d(uv) = -r^2 and dz/d(uv) = 2 r^2."""
+    out = {}
+    for (a, b, c, e), k in poly.items():
+        own = (a - 1 + var, b - var)  # the explicit power, lowered
+        via = (a + var, b + 1 - var)  # times d(uv)/du = v or d(uv)/dv = u
+        for weight, mono in (((a, b)[var], own + (c, e)),
+                             (-c, via + (c + 1, e)),
+                             (2 * e, via + (c + 2, e - 1))):
+            if weight:
+                out[mono] = out.get(mono, 0.0) + weight * k
+    return out
+
+
+def _symbol_partials(poly):
+    """The 9 partials d^c/dv^c d^a/du^a (c, a <= 2) of a symbol, at flat
+    index 3 c + a."""
+    out = [poly, _partial(poly, 0)]
+    out.append(_partial(out[1], 0))
+    for i in range(6):  # d/dv of the entry one bra order lower
+        out.append(_partial(out[i], 1))
+    return out
+
+
+def monomial_derivs(sys, terms):
+    """Classical derivs of sum_t c_t A_t (x) B_t from a monomial table, the
+    oracle of spin.derivs_from_terms.
+
+    Each factor's symbol (_factor_symbol) is a polynomial in the monomials
+    u^a v^b r^c z^e of its spin; its 9 partials in (u_k, v_k) are
+    differentiated once, here, into one coefficient table over shared
+    monomials. A call raises each point's (u, v, r, z) to the table's powers
+    and contracts the monomials with that table into the 9 x 9 table of
+    products of x and y partials, so its cost does not depend on j either.
+    """
+    # partials[k][9 t + 3 c + a]: d^c/dv_k^c d^a/du_k^a of phi_t^k
+    partials = [[p for factor in factors
+                 for p in _symbol_partials(_factor_symbol(sys.two_j, *factor))]
+                for factors in ([t.factor_x for t in terms], [t.factor_y for t in terms])]
+    monomials = sorted({mono for side in partials for p in side for mono in p})
+    index = {mono: i for i, mono in enumerate(monomials)}
+    # powers[q, 0, 0, i]: exponent of variable q = u, v, r, z in monomial i
+    powers = np.array(monomials, dtype=int).reshape(-1, 4).T.reshape(4, 1, 1, -1)
+    # coefficients[k, i, col]: monomial i in partials[k][col], times c_t on x
+    coefficients = np.zeros((2, len(monomials), 9 * len(terms)), dtype=complex)
+    for k, side in enumerate(partials):
+        for col, partial in enumerate(side):
+            for mono, coef in partial.items():
+                coefficients[k, index[mono], col] = coef
+    coefficients[0] *= np.repeat([complex(t.coefficient) for t in terms], 9)
+
+    def derivs(u, v):
+        # m points, m = 1 for a single one
+        point = np.ndim(u) == 1
+        u = np.asarray(u, dtype=complex).reshape(-1, 2)
+        v = np.asarray(v, dtype=complex).reshape(-1, 2)
+        w = u * v
+        r = 1.0 / (1.0 + w)
+        # values[i, k, l]: monomial l at (u_k, v_k) of point i
+        values = (np.array([u, v, r, (w - 1.0) * r])[..., None] ** powers).prod(axis=0)
+        # tables[i, k, t, 3 c + a]: d^c/dv_k^c d^a/du_k^a of c_t phi_t^k
+        tables = (values[:, :, None] @ coefficients).reshape(len(u), 2, -1, 9)
+        g = tables[:, 0].transpose(0, 2, 1) @ tables[:, 1]
+        h, grad, hess = g[:, 0, 0], g[:, _ROW_STEP, _COL_STEP], g[:, _HESS_ROWS, _HESS_COLS]
+        if point:
+            return h[0], grad[0], hess[0]
+        return h, grad, hess
+
+    return derivs
+
+
 def invariant_sectors(h):
     """Basis indices of the sectors of h, grouped by sector size.
 
@@ -227,6 +339,48 @@ def evolve_state(h, psi0, t, hbar=1.0):
     """Evolve psi0 under a dense Hermitian h for time t (a negative t
     reverses time), through the sectors of h."""
     return SpectralPropagator(dense_sectors(h), hbar).apply(np.asarray(psi0, dtype=complex), t)
+
+
+def stability_from_action_hessians(sys, hessians, start, end, xi=+1):
+    """Inverse of semiclassical.action_hessians_from_stability: the
+    stability matrix rebuilt from the action's second derivatives, the
+    round trip's other half."""
+    s_uu, s_uv, s_vu, s_vv = hessians
+    a, b, c, d = _endpoint_weights(sys, start, end, xi)
+    if xi == +1:
+        at = s_uu + a
+        ct = s_vv + c
+        s_uv_inv = small_inverse(s_uv)
+        d_inv = small_inverse(d)
+        m_uu = d_inv @ (s_vu - ct @ s_uv_inv @ at)
+        m_uv = d_inv @ ct @ s_uv_inv @ b
+        m_vu = -s_uv_inv @ at
+        m_vv = s_uv_inv @ b
+    else:
+        at = s_uu + a
+        ct = s_vv + c
+        s_vu_inv = small_inverse(s_vu)
+        b_inv = small_inverse(b)
+        m_uu = s_vu_inv @ d
+        m_uv = -s_vu_inv @ ct
+        m_vu = b_inv @ at @ s_vu_inv @ d
+        m_vv = b_inv @ (s_uv - at @ s_vu_inv @ ct)
+    return StabilityMatrix(np.block([[m_uu, m_uv], [m_vu, m_vv]]))
+
+
+def pc_purity_sc_printed(params, s0, t_final):
+    """The raw printed phase-coupling purity expression, singular at
+    |u'v'| = 1: the check of the regular form models.pc_purity_sc away from
+    the equator.
+    """
+    u0 = np.array([s0.sx, s0.sy], dtype=complex)
+    v0 = np.conj(u0)
+    lam_x, lam_y = _pc_rates(params, u0, v0)
+    wx, wy = u0[0] * v0[0], u0[1] * v0[1]
+    val = 1.0 - 16.0 * wx * wy * lam_x * lam_y * t_final ** 2 / (
+        (1.0 - wx ** 2) * (1.0 - wy ** 2)
+    )
+    return complex(val) ** -0.5
 
 
 # Dormand-Prince 5(4) tableau and its PI step control.

@@ -87,7 +87,8 @@ def test_criterion_2_stability_determinant():
         t_final = 1.0 / (lam * sys.j)
         for _ in range(20):
             s0 = _random_real_label(rng)
-            traj = ss.integrate_trajectory(sys, model, s0, t_final, CFG)
+            traj = ss.integrate_trajectory(sys, model, s0, t_final, CFG,
+                                           sample_times=[t_final])
             stab = ss.integrate_stability(sys, model, traj, CFG)[-1]
             tcal = endpoint_factor(traj.initial, traj.final)
             worst = max(worst, abs(stab.det() - tcal) / abs(tcal))

@@ -5,11 +5,16 @@ import numpy as np
 import pytest
 
 import spinsemi as ss
-from oracles import assemble_operator, build_spin_operators, htilde_from_operator
+from oracles import (
+    assemble_operator,
+    build_spin_operators,
+    htilde_from_operator,
+    pc_purity_sc_printed,
+)
 from spinsemi import models
 from spinsemi.config import build_model, parse_config
 from spinsemi.errors import NotHermitian, ValidationError
-from spinsemi.models import _binomial_probabilities, pc_purity_sc_printed
+from spinsemi.models import _binomial_probabilities
 from spinsemi.numerics import require_hermitian
 
 CFG = ss.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)

@@ -6,13 +6,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import spinsemi as ss
+from oracles import stability_from_action_hessians
 from spinsemi.errors import ValidityBreakdown
 from spinsemi.flow import PhaseSpaceState, Trajectory, field_and_jacobian
 from spinsemi.numerics import cubic_quadrature, det2
 from spinsemi.semiclassical import (
     endpoint_factor,
     purity_sc_evaluate,
-    stability_from_action_hessians,
 )
 
 CFG = ss.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)

@@ -13,10 +13,11 @@ from oracles import (
     build_spin_operators,
     factor_matrix,
     htilde_from_operator,
+    monomial_derivs,
     nonzero_entries,
     term_factors,
 )
-from spinsemi import models, spin
+from spinsemi import models
 from spinsemi.errors import NotHermitian, ScaleOverflow
 from spinsemi.spin import _factor_band, binom_sqrt_weights, derivs_from_terms
 
@@ -123,6 +124,7 @@ def test_oracles_import_nothing_they_check():
             names.add(node.attr)
     assert names
     assert not names & {"_term_entries", "_entries_at", "_factor_band", "derivs_from_terms",
+                        "_factor_polynomial", "_polynomial_partials", "_side_partials",
                         "adaptive_rk", "_stage", "_continuous_extension"}
 
 
@@ -515,8 +517,8 @@ def _point_factored_derivs(sys, terms):
         tables[:, :, 1, 1] -= mixed[:, None] * tables[:, :, 0, 0]
         tx, ty = tables.reshape(2, -1, 9)
         g = ((coefficients[:, None] * tx).T @ ty).astype(complex)
-        return (g[0, 0], g[spin._ROW_STEP, spin._COL_STEP],
-                g[spin._HESS_ROWS, spin._HESS_COLS])
+        return (g[0, 0], g[oracles._ROW_STEP, oracles._COL_STEP],
+                g[oracles._HESS_ROWS, oracles._HESS_COLS])
 
     return derivs
 
@@ -548,12 +550,12 @@ class TestSeriesContract:
             assert [x.shape for x in series] == [(n,), (n, 4), (n, 4, 4)]
             for i in range(n):
                 point = model.derivs(u[i], v[i])
-                if name == "phase_coupling":
-                    # numpy rounds complex products of arrays (fused
-                    # multiply-add) and of scalars differently
-                    assert max(_rel_errors([x[i] for x in series], point)) <= 1e-12
-                else:
+                if name == "dense_oracle":
                     assert all(np.array_equal(x[i], p) for x, p in zip(series, point))
+                else:
+                    # numpy's complex products of arrays (fused
+                    # multiply-add) and Python's of scalars round differently
+                    assert max(_rel_errors([x[i] for x in series], point)) <= 1e-12
 
     @pytest.mark.parametrize("two_j", [1, 4, 40])
     def test_single_point_keeps_the_point_arithmetic(self, two_j):
@@ -626,3 +628,86 @@ class TestSymbols:
         rng = np.random.default_rng(1000)
         for u, v in _near_real_points(rng, 3):
             assert max(_rel_errors(derivs(u, v), factored(u, v))) <= 1e-12
+
+
+def _points(rng, n, on_submanifold):
+    """(n, 2) arrays u and v with |u|, |v| <= 0.6: v = conj(u) on the real
+    submanifold, an independent draw off it."""
+    u = 0.6 * rng.uniform(0.05, 1.0, (n, 2)) * np.exp(2j * np.pi * rng.random((n, 2)))
+    if on_submanifold:
+        return u, np.conj(u)
+    return u, 0.6 * rng.uniform(0.05, 1.0, (n, 2)) * np.exp(2j * np.pi * rng.random((n, 2)))
+
+
+class TestChainRuleKernel:
+    """derivs_from_terms against the monomial-table oracle it replaced."""
+
+    FACTORS = [(kind, power) for kind in ("J+", "J-", "J3", "I") for power in range(6)]
+
+    @staticmethod
+    def _terms(factor):
+        # the factor on each side, beside a chart factor and beside I, after
+        # a term that does not vanish
+        return [ss.OperatorTerm(0.5, ("J-", 1), ("J3", 1)),
+                ss.OperatorTerm(0.7 - 0.2j, factor, ("J+", 1)),
+                ss.OperatorTerm(-0.4 + 0.1j, ("J3", 2), factor),
+                ss.OperatorTerm(0.3, factor, ("I", 0)),
+                ss.OperatorTerm(-1.2j, ("I", 0), factor)]
+
+    @pytest.mark.parametrize("two_j", [1, 2, 6, 11, 40, 1000])
+    @pytest.mark.parametrize("on_submanifold", [True, False])
+    def test_every_factor_matches_the_monomial_oracle(self, two_j, on_submanifold):
+        sys = ss.SpinSystem(two_j=two_j, hbar=0.7)
+        rng = np.random.default_rng(two_j)
+        for factor in self.FACTORS:
+            terms = self._terms(factor)
+            derivs, oracle = derivs_from_terms(sys, terms), monomial_derivs(sys, terms)
+            u, v = _points(rng, 7, on_submanifold)
+            assert max(_rel_errors(derivs(u, v), oracle(u, v))) <= 1e-12, factor
+            for a, b in zip(u[:3], v[:3]):
+                got, want = derivs(a, b), oracle(a, b)
+                assert type(got[0]) is np.complex128
+                assert max(_rel_errors(got, want)) <= 1e-12, factor
+
+    @pytest.mark.parametrize("n", [1, 7, 4000])
+    @pytest.mark.parametrize("two_j", [6, 1000])
+    def test_series_match_the_monomial_oracle(self, n, two_j):
+        sys = ss.SpinSystem(two_j=two_j)
+        derivs = derivs_from_terms(sys, OPERATOR_TERMS)
+        oracle = monomial_derivs(sys, OPERATOR_TERMS)
+        rng = np.random.default_rng(n)
+        for on_submanifold in (True, False):
+            u, v = _points(rng, n, on_submanifold)
+            got = derivs(u, v)
+            assert [x.shape for x in got] == [(n,), (n, 4), (n, 4, 4)]
+            assert all(x.dtype == complex for x in got)
+            # each row against its own largest entry of h, grad and hess
+            got, want = (np.hstack([x.reshape(n, -1) for x in xs]) for xs in (got, oracle(u, v)))
+            scale = np.max(np.abs(want), axis=1)
+            assert np.max(np.max(np.abs(got - want), axis=1) / scale) <= 1e-12
+
+    @pytest.mark.parametrize("two_j", [1, 2, 6])
+    def test_vanishing_terms_give_exact_zeros(self, two_j):
+        sys = ss.SpinSystem(two_j=two_j)
+        above = [ss.OperatorTerm(1.0, ("J+", two_j + 1), ("J3", 1)),
+                 ss.OperatorTerm(0.5j, ("J3", 2), ("J-", two_j + 2)),
+                 ss.OperatorTerm(2.0, ("J-", two_j + 1), ("I", 0))]
+        rng = np.random.default_rng(two_j)
+        for terms in ([], above):
+            derivs = derivs_from_terms(sys, terms)
+            u, v = _points(rng, 5, False)
+            for got, shapes in ((derivs(u, v), [(5,), (5, 4), (5, 4, 4)]),
+                                (derivs(u[0], v[0]), [(), (4,), (4, 4)])):
+                assert [x.shape for x in got] == shapes
+                assert all(x.dtype == complex and not np.any(x) for x in got)
+
+    def test_point_types_give_identical_results(self):
+        sys = ss.SpinSystem(two_j=5)
+        derivs = derivs_from_terms(sys, OPERATOR_TERMS)
+        u, v = np.array([0.3 + 0.1j, -0.2]), np.array([0.3 - 0.1j, -0.2 + 0.05j])
+        want = derivs(u, v)
+        assert type(want[0]) is np.complex128
+        for convert in (list, tuple, lambda a: [complex(x) for x in a]):
+            got = derivs(convert(u), convert(v))
+            assert type(got[0]) is np.complex128
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
