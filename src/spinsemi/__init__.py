@@ -15,12 +15,10 @@ from .errors import (
     DimensionMismatch,
     FieldEvaluationError,
     LogBranch,
-    NegativeRadicand,
     NoConvergence,
     NotHermitian,
     ParseError,
     ScaleOverflow,
-    SingularMatrix,
     SpinsemiError,
     StepSizeUnderflow,
     ValidationError,
@@ -31,7 +29,6 @@ from .numerics import (
     IntegratorRecord,
     adaptive_rk,
     hermitian_eig,
-    small_inverse,
 )
 from .spin import (
     CoherentLabel,
@@ -45,7 +42,6 @@ from .quantum import (
     PurityCurve,
     exact_propagator_overlap,
     exact_purity_curve,
-    linear_entropy,
     purity,
     reduced_density,
 )
@@ -59,13 +55,9 @@ from .flow import (
 from .semiclassical import (
     ActionBundle,
     AuxDeterminants,
-    action_hessians_from_stability,
     action_integrals,
     aux_determinants,
-    block_identity_defect,
-    canonical_purity,
     contraction_checks,
-    gaussian_a1a2,
     prefactor,
     purity_sc,
     semiclassical_propagator_real,
@@ -78,8 +70,5 @@ from .models import (
     free_precession_model,
     pc_exact_purity,
     pc_purity_sc,
-    pc_slin_short_time,
-    pc_stability,
-    pc_trajectory,
     phase_coupling_model,
 )

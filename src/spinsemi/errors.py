@@ -13,14 +13,6 @@ class NoConvergence(SpinsemiError):
     """Eigensolver failed to converge."""
 
 
-class SingularMatrix(SpinsemiError):
-    """Matrix inversion blocked by a (near-)zero determinant."""
-
-    def __init__(self, message, determinant=None):
-        super().__init__(message)
-        self.determinant = determinant
-
-
 class StepSizeUnderflow(SpinsemiError):
     """Adaptive integrator drove the step below machine resolution."""
 
@@ -51,10 +43,6 @@ class LogBranch(SpinsemiError):
 
 class ValidityBreakdown(SpinsemiError):
     """Semiclassical purity left its domain of validity (short-time regime)."""
-
-
-class NegativeRadicand(SpinsemiError):
-    """Canonical purity radicand has no admissible principal square root."""
 
 
 class ConfigError(SpinsemiError):

@@ -192,13 +192,6 @@ def _field_and_stability(sys, model, y, out):
     return out
 
 
-def field_and_jacobian(sys, model, y):
-    """Field and its exact 4x4 Jacobian at the packed state y (u_x, u_y,
-    v_x, v_y), from one model.derivs call."""
-    field, jac = _hamilton_at(sys, model, np.asarray(y, dtype=complex))
-    return np.array(field, dtype=complex), np.array(jac, dtype=complex).reshape(4, 4)
-
-
 def integrate_trajectory(sys, model, s0, t_final, cfg, sample_times=None):
     """Real critical trajectory from (u, v) = (s0, s0*) over [0, t_final],
     with its stability matrices.
@@ -242,7 +235,7 @@ def integrate_stability(sys, model, traj, cfg):
     integrate_trajectory already co-integrates M with (u, v), so this wraps
     traj.ms in one StabilityMatrix series and evaluates no field; sys, model
     and cfg are not used. Raises ValueError for a trajectory built without
-    stability matrices (such as the closed-form models.pc_trajectory).
+    stability matrices, such as one made directly from its samples.
     """
     if traj.ms is None:
         raise ValueError("trajectory carries no stability matrices; "

@@ -9,17 +9,16 @@ engine from the sectors of the entries, which come from the factors' bands
 entries scattered into zeros on its first read; no run reads it.
 
 The phase-coupling system (J3 (x) J3 interaction) is the exactly solvable
-benchmark: every object along the pipeline -- classical trajectory,
-stability matrix, semiclassical purity, exact purity -- has a closed form
-here, so the numerical machinery can be checked end to end against it.
+benchmark. Its classical function, semiclassical purity and exact purity
+have closed forms here (_pc_derivs, pc_purity_sc, pc_exact_purity); its
+closed-form trajectory and stability matrix, which only check the
+integration, live with the test oracles.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import DEFAULT_SAMPLES, StabilityMatrix, Trajectory
 from .numerics import require_hermitian
 from .quantum import Sectors, connected_sectors
 from .spin import (
@@ -86,53 +85,6 @@ def phase_coupling_model(params):
     return build_operator_model(sys, [term], label="phase_coupling", derivs=_pc_derivs(params))
 
 
-def _pc_rates(params, u0, v0):
-    """Exponential rates lam_x, lam_y fixed by the conserved products."""
-    j = params.sys.j
-    lam_x = 1j * params.lam * j * (1.0 - u0[1] * v0[1]) / (1.0 + u0[1] * v0[1])
-    lam_y = 1j * params.lam * j * (1.0 - u0[0] * v0[0]) / (1.0 + u0[0] * v0[0])
-    return lam_x, lam_y
-
-
-def pc_trajectory(params, s0, t_final, num_samples=DEFAULT_SAMPLES):
-    """Closed-form phase-coupling trajectory: u_k(t) = u'_k e^{lam_k t}."""
-    u0 = np.array([s0.sx, s0.sy], dtype=complex)
-    v0 = np.conj(u0)
-    lam_x, lam_y = _pc_rates(params, u0, v0)
-    ts = np.linspace(0.0, t_final, num_samples if t_final > 0 else 1)
-    ys = np.empty((ts.size, 4), dtype=complex)
-    ys[:, 0] = u0[0] * np.exp(lam_x * ts)
-    ys[:, 1] = u0[1] * np.exp(lam_y * ts)
-    ys[:, 2] = v0[0] * np.exp(-lam_x * ts)
-    ys[:, 3] = v0[1] * np.exp(-lam_y * ts)
-    energy = np.full(ts.size, _pc_derivs(params)(u0, v0)[0])
-    return Trajectory(ts=ts, ys=ys, energy=energy)
-
-
-def pc_stability(params, s0, t_final):
-    """Closed-form stability matrix M1 M2, written in regularized form.
-
-    The printed factored entries are 0/0 at |u'v'| = 1; the product only
-    involves 2 lam_k t / (1 - (u'v')^2) = 2 i lam j t / (1 + u'v')^2, which
-    is regular there, so the equator is an ordinary point.
-    """
-    u0 = np.array([s0.sx, s0.sy], dtype=complex)
-    v0 = np.conj(u0)
-    lam_x, lam_y = _pc_rates(params, u0, v0)
-    j = params.sys.j
-    t = t_final
-    gx = 2j * params.lam * j * t / (1.0 + u0[1] * v0[1]) ** 2
-    gy = 2j * params.lam * j * t / (1.0 + u0[0] * v0[0]) ** 2
-    ex, ey = np.exp(lam_x * t), np.exp(lam_y * t)
-    m = np.array([
-        [ex, -gx * ex * u0[0] * v0[1], 0.0, -gx * ex * u0[0] * u0[1]],
-        [-gy * ey * u0[1] * v0[0], ey, -gy * ey * u0[1] * u0[0], 0.0],
-        [0.0, gx / ex * v0[0] * v0[1], 1.0 / ex, gx / ex * v0[0] * u0[1]],
-        [gy / ey * v0[1] * v0[0], 0.0, gy / ey * v0[1] * u0[0], 1.0 / ey],
-    ])
-    return StabilityMatrix(m)
-
-
 def pc_purity_sc(params, s0, t_final):
     """Closed-form semiclassical purity for real initial data (regular form)."""
     j = params.sys.j
@@ -169,15 +121,6 @@ def _binomial_probabilities(two_j, mod_sq):
     n = np.arange(two_j + 1)
     vals = w2 * mod_sq ** n / (1.0 + mod_sq) ** two_j
     return vals
-
-
-def pc_slin_short_time(params, s0, t_final):
-    """Leading short-time linear entropy of the phase coupling."""
-    j = params.sys.j
-    ax, ay = abs(s0.sx), abs(s0.sy)
-    val = math.sqrt(8.0) * ax * ay * j * params.lam * t_final
-    val /= (1.0 + ax ** 2) * (1.0 + ay ** 2)
-    return val ** 2
 
 
 class HamiltonianModel:
@@ -249,8 +192,8 @@ def _band_entries(two_j, factor):
 
 def _term_entries(sys, terms):
     """(keys, values): the sorted flat positions r * n + c of every joint
-    entry a term reaches, and the entry there, summed over the terms that
-    reach it.
+    entry a term reaches, and the entry there, summed in term order over
+    the terms that reach it.
 
     Term c Ax (x) Ay reaches ((nx, ny), (mx, my)) wherever the bands
     (_band_entries) of Ax and Ay hold (nx, mx) and (ny, my), so it gives
@@ -266,14 +209,18 @@ def _term_entries(sys, terms):
         cols = (cx * d)[:, None] + cy
         keys.append((rows * n + cols).ravel())
         values.append(((complex(term.coefficient) * vx)[:, None] * vy).ravel())
-    # a stable sort keeps each position's products in term order; reduceat
-    # adds two of them as a term-by-term sum would, but a run of three or
-    # more as p1 + (p2 + p3 + ...), which can differ in the last bit
+    # a stable sort keeps each position's products in term order: the first
+    # is the entry's start value and add.at adds the rest onto it one by one,
+    # ((p1 + p2) + p3) + ..., as a term-by-term sum does (starting from the
+    # first product, not 0.0, keeps the sign of a -0.0 part)
     keys = np.concatenate(keys)
     order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    return keys[starts], np.add.reduceat(np.concatenate(values)[order], starts)
+    keys, values = keys[order], np.concatenate(values)[order]
+    first = np.diff(keys, prepend=-1) != 0
+    total = values[first]
+    rest = ~first
+    np.add.at(total, np.cumsum(first)[rest] - 1, values[rest])
+    return keys[first], total
 
 
 def _scatter(entries, n):

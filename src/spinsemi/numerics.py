@@ -16,12 +16,10 @@ from .errors import (
     FieldEvaluationError,
     NoConvergence,
     NotHermitian,
-    SingularMatrix,
     StepSizeUnderflow,
 )
 
 HERMITICITY_TOL = 1e-12
-SINGULARITY_FACTOR = 1e-13
 # first trial step of adaptive_rk, lowered to max_step and the span
 FIRST_STEP = 1e-4
 
@@ -78,24 +76,6 @@ def require_hermitian(h, adjoint=None):
     # written as not (defect <= tol) so that nan is rejected too
     if not defect <= HERMITICITY_TOL:
         raise NotHermitian(f"max |h - h^dagger| = {defect:.3e} > {HERMITICITY_TOL}")
-
-
-def small_inverse(m):
-    """Inverse of a 2x2 or 4x4 matrix with an explicit degeneracy guard.
-
-    Raises SingularMatrix (carrying the offending determinant) when
-    |det m| <= 1e-13 * ||m||_F^2.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.shape not in ((2, 2), (4, 4)):
-        raise ValueError(f"small_inverse handles 2x2 or 4x4, got {m.shape}")
-    det = np.linalg.det(m)
-    threshold = SINGULARITY_FACTOR * np.sum(np.abs(m) ** 2)
-    if abs(det) <= threshold:
-        raise SingularMatrix(
-            f"determinant {det:.3e} below degeneracy threshold {threshold:.3e}", det
-        )
-    return np.linalg.inv(m)
 
 
 def det2(m):

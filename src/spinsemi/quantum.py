@@ -182,10 +182,6 @@ def purity(rho):
     return float(p) if p.ndim == 0 else p
 
 
-def linear_entropy(rho):
-    return 1.0 - purity(rho)
-
-
 def time_chunks(n_times, dim):
     """Slices of a grid of n_times times, CHUNK // dim rows each (at least
     one), so each chunk's states of dimension dim span about CHUNK elements."""

@@ -1,6 +1,6 @@
 """Everything downstream of the trajectory: actions, prefactor, propagator,
-auxiliary determinants, the stability-matrix purity, and the canonical-limit
-machinery.
+auxiliary determinants, the stability-matrix purity, and the measured
+contraction of spin overlaps and purity onto their large-spin limits.
 
 The purity formula evaluated here is
 
@@ -19,15 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    CausticEncountered,
-    LogBranch,
-    NegativeRadicand,
-    ValidityBreakdown,
-)
+from .errors import CausticEncountered, LogBranch, ValidityBreakdown
 from .flow import (StabilityMatrix, hamilton_equations, integrate_stability,
                    integrate_trajectory, require_chart)
-from .numerics import IntegratorConfig, cubic_quadrature, det2, small_inverse
+from .numerics import IntegratorConfig, cubic_quadrature, det2
 from .spin import CoherentLabel, coherent_overlap
 
 CAUSTIC_TOL = 1e-12
@@ -268,105 +263,6 @@ def purity_sc(stab, traj, sample=-1):
     if reason is not None:
         raise ValidityBreakdown(reason)
     return ev.p_sc
-
-
-def gaussian_a1a2(stab):
-    """Coefficients of the saddle-point Gaussian integral, from block ratios.
-
-    The integral evaluates to (a1^2 - a2^2)^(-1/2); the pair also satisfies
-    a1 * det M_uu * det M_vv = d - d' and a2 * det M_uu * det M_vv = d''.
-    """
-    m_uu, m_vv = stab.m_uu, stab.m_vv
-    m_uv, m_vu = stab.m_uv, stab.m_vu
-    x = m_vu @ small_inverse(m_uu)
-    y = m_uv @ small_inverse(m_vv)
-    a1 = (
-        1.0
-        + det2(m_vu) / det2(m_uu) * det2(m_uv) / det2(m_vv)
-        - x[0, 0] * y[0, 0]
-        - x[1, 1] * y[1, 1]
-    )
-    a2 = x[0, 1] * y[1, 0] + x[1, 0] * y[0, 1]
-    return complex(a1), complex(a2)
-
-
-def _endpoint_weights(sys, start, end, xi):
-    """Diagonal endpoint matrices entering the action-Hessian relations."""
-    scale = -2j * sys.hbar_j
-    pp = (1.0 + start.u * start.v) ** 2
-    pq = (1.0 + end.u * end.v) ** 2
-    if xi == +1:
-        a = np.diag(scale * start.v ** 2 / pp)
-        b = np.diag(scale / pp)
-        c = np.diag(scale * end.u ** 2 / pq)
-        d = np.diag(scale / pq)
-    else:
-        a = np.diag(scale * end.v ** 2 / pq)
-        b = np.diag(scale / pq)
-        c = np.diag(scale * start.u ** 2 / pp)
-        d = np.diag(scale / pp)
-    return a, b, c, d
-
-
-def action_hessians_from_stability(sys, stab, start, end, xi=+1):
-    """Second derivatives of the action expressed through stability blocks.
-
-    For xi=+1 returns (S_u'u', S_u'v'', S_v''u', S_v''v''); for xi=-1 the
-    (S_u''u'', S_u''v', S_v'u'', S_v'v') set. Inverting the returned blocks
-    through the companion relations reconstructs the stability matrix.
-    """
-    a, b, c, d = _endpoint_weights(sys, start, end, xi)
-    if xi == +1:
-        m_vv_inv = small_inverse(stab.m_vv)
-        s_uu = -b @ m_vv_inv @ stab.m_vu - a
-        s_uv = b @ m_vv_inv
-        s_vu = d @ (stab.m_uu - stab.m_uv @ m_vv_inv @ stab.m_vu)
-        s_vv = d @ stab.m_uv @ m_vv_inv - c
-    elif xi == -1:
-        m_uu_inv = small_inverse(stab.m_uu)
-        s_uu = b @ stab.m_vu @ m_uu_inv - a
-        s_uv = b @ (stab.m_vv - stab.m_vu @ m_uu_inv @ stab.m_uv)
-        s_vu = d @ m_uu_inv
-        s_vv = -d @ m_uu_inv @ stab.m_uv - c
-    else:
-        raise ValueError("xi must be +1 or -1")
-    return s_uu, s_uv, s_vu, s_vv
-
-
-def block_identity_defect(stab):
-    """Residual of the permuted-determinant block identity of one stability
-    matrix (must be ~0)."""
-    aux = aux_determinants(stab)
-    lhs = stab.m_uv @ small_inverse(stab.m_vv)
-    rhs = np.array([[aux.det_d, -aux.det_dp], [aux.det_bp, aux.det_b]]) / det2(stab.m_vv)
-    lhs2 = stab.m_vu @ small_inverse(stab.m_uu)
-    rhs2 = np.array([[aux.det_c, aux.det_ap], [-aux.det_cp, aux.det_a]]) / det2(stab.m_uu)
-    return float(max(np.max(np.abs(lhs - rhs)), np.max(np.abs(lhs2 - rhs2))))
-
-
-def canonical_purity(stab):
-    """Harmonic-limit purity of one stability matrix.
-
-    Valid when the endpoint factor has contracted to 1 (large-spin scaled
-    labels); then it coincides with the stability-matrix purity.
-    """
-    aux = aux_determinants(stab)
-    mm = det2(stab.m_uu) * det2(stab.m_vv)
-    e_prime = -4.0 * (mm * aux.det_ap * aux.det_bp) ** 2
-    e_dprime = (
-        aux.det_ap ** 2 * aux.det_b * aux.det_d
-        - (aux.det_ap * aux.det_bp) ** 2
-        + aux.det_bp ** 2 * aux.det_a * aux.det_c
-    )
-    e_full = e_prime + (
-        (mm - aux.det_a * aux.det_b) * (mm - aux.det_c * aux.det_d) - e_dprime
-    ) ** 2
-    p = e_full ** -0.5 * mm
-    if not np.isfinite(p) or abs(p.imag) > 1e-6 or p.real <= 0.0 or p.real > 1.0 + 1e-6:
-        raise NegativeRadicand(
-            f"canonical purity {p} inconsistent with a value in (0, 1]"
-        )
-    return float(p.real)
 
 
 @dataclass(frozen=True)

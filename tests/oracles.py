@@ -1,17 +1,21 @@
-"""Dense oracles: the one-spin matrices and the joint-space matrix that
-src/spinsemi never forms, and the paths built on them.
+"""Test oracles: the dense joint-space layer that src/spinsemi never forms,
+closed forms that only check the package, and the integrators it replaced.
 
-Each function here is the independent check of what replaced it in the
-package: the factor matrices of the bands (spin._factor_band), the np.kron
-sum and np.nonzero entries of the term entries (models._term_entries), the
-dense-matrix and monomial-table derivative paths of derivs_from_terms, and
-the sector split of a dense matrix of model.sectors. They use none of the
-code they check; tests/test_spin.py::test_oracles_import_nothing_they_check
-guards that.
+Each function here is the independent check of a package path: the factor
+matrices of the bands (spin._factor_band), the np.kron sum and np.nonzero
+entries of the term entries (models._term_entries), the dense-matrix and
+monomial-table derivative paths of derivs_from_terms, and the sector split
+of a dense matrix of model.sectors. They use none of the code they check;
+tests/test_spin.py::test_oracles_import_nothing_they_check guards that.
 
-Two closed forms that only check others live here too: the inverse of
-semiclassical.action_hessians_from_stability and the printed
-phase-coupling purity, singular where models.pc_purity_sc is regular.
+The closed forms are steps of the purity's derivation that no run needs:
+the phase-coupling trajectory, stability matrix and short-time linear
+entropy (pc_trajectory, pc_stability, pc_slin_short_time) and the printed
+phase-coupling purity, singular where models.pc_purity_sc is regular; the
+permuted-block identity, the harmonic-limit purity and the saddle-point
+Gaussian coefficients of a stability matrix, from its own row-permuted
+2x2 determinants (permuted_dets); the action Hessians of a stability
+matrix and their inverse.
 
 The Dormand-Prince 5(4) integrator that numerics.adaptive_rk replaced is
 here too, as the oracle of its states: reference_rk_dp5 on the accepted-step
@@ -25,8 +29,8 @@ import math
 import numpy as np
 
 from spinsemi.errors import DimensionMismatch
-from spinsemi.flow import StabilityMatrix
-from spinsemi.models import _pc_rates
+from spinsemi.flow import DEFAULT_SAMPLES, StabilityMatrix, Trajectory
+from spinsemi.models import _pc_derivs
 from spinsemi.numerics import (
     _A,
     _B,
@@ -37,11 +41,10 @@ from spinsemi.numerics import (
     _MIN_FACTOR,
     _SAFETY,
     FIRST_STEP,
+    det2,
     require_hermitian,
-    small_inverse,
 )
 from spinsemi.quantum import Sectors, SpectralPropagator, connected_sectors
-from spinsemi.semiclassical import _endpoint_weights
 from spinsemi.spin import _range_guard, binom_sqrt_weights
 
 
@@ -341,31 +344,193 @@ def evolve_state(h, psi0, t, hbar=1.0):
     return SpectralPropagator(dense_sectors(h), hbar).apply(np.asarray(psi0, dtype=complex), t)
 
 
-def stability_from_action_hessians(sys, hessians, start, end, xi=+1):
-    """Inverse of semiclassical.action_hessians_from_stability: the
-    stability matrix rebuilt from the action's second derivatives, the
-    round trip's other half."""
-    s_uu, s_uv, s_vu, s_vv = hessians
+def _endpoint_weights(sys, start, end, xi):
+    """Diagonal endpoint matrices entering the action-Hessian relations."""
+    scale = -2j * sys.hbar_j
+    pp = (1.0 + start.u * start.v) ** 2
+    pq = (1.0 + end.u * end.v) ** 2
+    if xi == +1:
+        a = np.diag(scale * start.v ** 2 / pp)
+        b = np.diag(scale / pp)
+        c = np.diag(scale * end.u ** 2 / pq)
+        d = np.diag(scale / pq)
+    else:
+        a = np.diag(scale * end.v ** 2 / pq)
+        b = np.diag(scale / pq)
+        c = np.diag(scale * start.u ** 2 / pp)
+        d = np.diag(scale / pp)
+    return a, b, c, d
+
+
+def action_hessians_from_stability(sys, stab, start, end, xi=+1):
+    """Second derivatives of the action expressed through stability blocks.
+
+    For xi=+1 returns (S_u'u', S_u'v'', S_v''u', S_v''v''); for xi=-1 the
+    (S_u''u'', S_u''v', S_v'u'', S_v'v') set. Inverting the returned blocks
+    through the companion relations reconstructs the stability matrix.
+    """
     a, b, c, d = _endpoint_weights(sys, start, end, xi)
     if xi == +1:
-        at = s_uu + a
-        ct = s_vv + c
-        s_uv_inv = small_inverse(s_uv)
-        d_inv = small_inverse(d)
+        m_vv_inv = np.linalg.inv(stab.m_vv)
+        s_uu = -b @ m_vv_inv @ stab.m_vu - a
+        s_uv = b @ m_vv_inv
+        s_vu = d @ (stab.m_uu - stab.m_uv @ m_vv_inv @ stab.m_vu)
+        s_vv = d @ stab.m_uv @ m_vv_inv - c
+    elif xi == -1:
+        m_uu_inv = np.linalg.inv(stab.m_uu)
+        s_uu = b @ stab.m_vu @ m_uu_inv - a
+        s_uv = b @ (stab.m_vv - stab.m_vu @ m_uu_inv @ stab.m_uv)
+        s_vu = d @ m_uu_inv
+        s_vv = -d @ m_uu_inv @ stab.m_uv - c
+    else:
+        raise ValueError("xi must be +1 or -1")
+    return s_uu, s_uv, s_vu, s_vv
+
+
+def stability_from_action_hessians(sys, hessians, start, end, xi=+1):
+    """Inverse of action_hessians_from_stability: the stability matrix
+    rebuilt from the action's second derivatives, the round trip's other
+    half."""
+    s_uu, s_uv, s_vu, s_vv = hessians
+    a, b, c, d = _endpoint_weights(sys, start, end, xi)
+    at = s_uu + a
+    ct = s_vv + c
+    if xi == +1:
+        s_uv_inv = np.linalg.inv(s_uv)
+        d_inv = np.linalg.inv(d)
         m_uu = d_inv @ (s_vu - ct @ s_uv_inv @ at)
         m_uv = d_inv @ ct @ s_uv_inv @ b
         m_vu = -s_uv_inv @ at
         m_vv = s_uv_inv @ b
     else:
-        at = s_uu + a
-        ct = s_vv + c
-        s_vu_inv = small_inverse(s_vu)
-        b_inv = small_inverse(b)
+        s_vu_inv = np.linalg.inv(s_vu)
+        b_inv = np.linalg.inv(b)
         m_uu = s_vu_inv @ d
         m_uv = -s_vu_inv @ ct
         m_vu = b_inv @ at @ s_vu_inv @ d
         m_vv = b_inv @ (s_uv - at @ s_vu_inv @ ct)
     return StabilityMatrix(np.block([[m_uu, m_uv], [m_vu, m_vv]]))
+
+
+def permuted_dets(m, perm):
+    """det A, det B, det C, det D of the 4x4 matrix m with its rows
+    permuted by perm: the top-left, bottom-right, bottom-left and top-right
+    2x2 blocks. The row order (0, 3, 2, 1) gives the plain determinants
+    det_a ... det_d, (0, 2, 1, 3) the primed ones det_ap ... det_dp."""
+    q = np.asarray(m)[list(perm)]
+    return det2(q[:2, :2]), det2(q[2:, 2:]), det2(q[2:, :2]), det2(q[:2, 2:])
+
+
+def block_identity_defect(m, aux):
+    """Defect of the permuted-determinant block identities
+    M_uv M_vv^-1 = [[D, -D'], [B', B]] / det M_vv and
+    M_vu M_uu^-1 = [[C, A'], [-C', A]] / det M_uu of the 4x4 matrix m, with
+    the determinants taken from aux (the package's AuxDeterminants of m):
+    the larger of the two blocks' largest entry differences, each relative
+    to the larger of 1 and its left side's largest entry."""
+    m = np.asarray(m)
+    d_vv, d_uu = det2(m[2:, 2:]), det2(m[:2, :2])
+    pairs = ((m[:2, 2:] @ np.linalg.inv(m[2:, 2:]),
+              np.array([[aux.det_d, -aux.det_dp], [aux.det_bp, aux.det_b]]) / d_vv),
+             (m[2:, :2] @ np.linalg.inv(m[:2, :2]),
+              np.array([[aux.det_c, aux.det_ap], [-aux.det_cp, aux.det_a]]) / d_uu))
+    return max(float(np.max(np.abs(lhs - rhs)) / max(1.0, np.max(np.abs(lhs))))
+               for lhs, rhs in pairs)
+
+
+def canonical_purity(stab):
+    """Harmonic-limit purity of one stability matrix, from its own permuted
+    determinants; complex, so that the tests can assert that it lies in
+    (0, 1].
+
+    Valid when the endpoint factor has contracted to 1 (large-spin scaled
+    labels); then it coincides with the stability-matrix purity.
+    """
+    det_a, det_b, det_c, det_d = permuted_dets(stab.m, (0, 3, 2, 1))
+    det_ap, det_bp, _, _ = permuted_dets(stab.m, (0, 2, 1, 3))
+    mm = det2(stab.m_uu) * det2(stab.m_vv)
+    e_prime = -4.0 * (mm * det_ap * det_bp) ** 2
+    e_dprime = (det_ap ** 2 * det_b * det_d - (det_ap * det_bp) ** 2
+                + det_bp ** 2 * det_a * det_c)
+    e_full = e_prime + ((mm - det_a * det_b) * (mm - det_c * det_d) - e_dprime) ** 2
+    return complex(e_full ** -0.5 * mm)
+
+
+def gaussian_a1a2(stab):
+    """Coefficients of the saddle-point Gaussian integral, from block ratios.
+
+    The integral evaluates to (a1^2 - a2^2)^(-1/2); the pair also satisfies
+    a1 * det M_uu * det M_vv = d - d' and a2 * det M_uu * det M_vv = d''.
+    """
+    m_uu, m_vv = stab.m_uu, stab.m_vv
+    m_uv, m_vu = stab.m_uv, stab.m_vu
+    x = m_vu @ np.linalg.inv(m_uu)
+    y = m_uv @ np.linalg.inv(m_vv)
+    a1 = (
+        1.0
+        + det2(m_vu) / det2(m_uu) * det2(m_uv) / det2(m_vv)
+        - x[0, 0] * y[0, 0]
+        - x[1, 1] * y[1, 1]
+    )
+    a2 = x[0, 1] * y[1, 0] + x[1, 0] * y[0, 1]
+    return complex(a1), complex(a2)
+
+
+def _pc_rates(params, u0, v0):
+    """Exponential rates lam_x, lam_y fixed by the conserved products."""
+    j = params.sys.j
+    lam_x = 1j * params.lam * j * (1.0 - u0[1] * v0[1]) / (1.0 + u0[1] * v0[1])
+    lam_y = 1j * params.lam * j * (1.0 - u0[0] * v0[0]) / (1.0 + u0[0] * v0[0])
+    return lam_x, lam_y
+
+
+def pc_trajectory(params, s0, t_final, num_samples=DEFAULT_SAMPLES):
+    """Closed-form phase-coupling trajectory: u_k(t) = u'_k e^{lam_k t}."""
+    u0 = np.array([s0.sx, s0.sy], dtype=complex)
+    v0 = np.conj(u0)
+    lam_x, lam_y = _pc_rates(params, u0, v0)
+    ts = np.linspace(0.0, t_final, num_samples if t_final > 0 else 1)
+    ys = np.empty((ts.size, 4), dtype=complex)
+    ys[:, 0] = u0[0] * np.exp(lam_x * ts)
+    ys[:, 1] = u0[1] * np.exp(lam_y * ts)
+    ys[:, 2] = v0[0] * np.exp(-lam_x * ts)
+    ys[:, 3] = v0[1] * np.exp(-lam_y * ts)
+    energy = np.full(ts.size, _pc_derivs(params)(u0, v0)[0])
+    return Trajectory(ts=ts, ys=ys, energy=energy)
+
+
+def pc_stability(params, s0, t_final):
+    """Closed-form phase-coupling stability matrix M1 M2, written in
+    regularized form.
+
+    The printed factored entries are 0/0 at |u'v'| = 1; the product only
+    involves 2 lam_k t / (1 - (u'v')^2) = 2 i lam j t / (1 + u'v')^2, which
+    is regular there, so the equator is an ordinary point.
+    """
+    u0 = np.array([s0.sx, s0.sy], dtype=complex)
+    v0 = np.conj(u0)
+    lam_x, lam_y = _pc_rates(params, u0, v0)
+    j = params.sys.j
+    t = t_final
+    gx = 2j * params.lam * j * t / (1.0 + u0[1] * v0[1]) ** 2
+    gy = 2j * params.lam * j * t / (1.0 + u0[0] * v0[0]) ** 2
+    ex, ey = np.exp(lam_x * t), np.exp(lam_y * t)
+    m = np.array([
+        [ex, -gx * ex * u0[0] * v0[1], 0.0, -gx * ex * u0[0] * u0[1]],
+        [-gy * ey * u0[1] * v0[0], ey, -gy * ey * u0[1] * u0[0], 0.0],
+        [0.0, gx / ex * v0[0] * v0[1], 1.0 / ex, gx / ex * v0[0] * u0[1]],
+        [gy / ey * v0[1] * v0[0], 0.0, gy / ey * v0[1] * u0[0], 1.0 / ey],
+    ])
+    return StabilityMatrix(m)
+
+
+def pc_slin_short_time(params, s0, t_final):
+    """Leading short-time linear entropy of the phase coupling."""
+    j = params.sys.j
+    ax, ay = abs(s0.sx), abs(s0.sy)
+    val = math.sqrt(8.0) * ax * ay * j * params.lam * t_final
+    val /= (1.0 + ax ** 2) * (1.0 + ay ** 2)
+    return val ** 2
 
 
 def pc_purity_sc_printed(params, s0, t_final):

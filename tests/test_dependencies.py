@@ -1,5 +1,7 @@
-"""numpy is the one runtime dependency: no module of the package or of its
-tests imports scipy, and pyproject.toml declares numpy alone."""
+"""What the package depends on and what depends on it: numpy is the one
+runtime dependency (no module of the package or of its tests imports scipy,
+and pyproject.toml declares numpy alone), and every name the package
+exports is used by the program: its own modules, scripts/ or perfbench/."""
 
 import ast
 import re
@@ -45,3 +47,51 @@ def test_runtime_dependencies_are_numpy_alone():
     else:
         deps = tomllib.loads(text)["project"]["dependencies"]
     assert deps == ["numpy>=1.24"]
+
+
+def _exported_names():
+    tree = ast.parse((ROOT / "src" / "spinsemi" / "__init__.py").read_text())
+    return {alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def _code_references(tree):
+    """The names a module reads as code (Name and Attribute loads), except
+    inside the def or class of the same name: imports, docstrings and a
+    definition's own body do not count."""
+    found = set()
+
+    def visit(node, own):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own = own | {node.name}
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if name is not None and isinstance(node.ctx, ast.Load) and name not in own:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_every_export_is_used_by_the_program():
+    package = ROOT / "src" / "spinsemi"
+    files = [p for p in sorted(package.rglob("*.py")) if p.name != "__init__.py"]
+    files += sorted((ROOT / "scripts").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    used = set().union(*(_code_references(ast.parse(p.read_text(), filename=str(p)))
+                         for p in files))
+    exported = _exported_names()
+    assert len(exported) > 40
+    assert sorted(exported - used) == []
+
+
+def test_reference_walk_skips_imports_docstrings_and_own_bodies():
+    # the check above would pass vacuously if these counted as uses
+    tree = ast.parse('from m import a\n'
+                     '"""b"""\n'
+                     'def c(x):\n'
+                     '    """d"""\n'
+                     '    return c(x) + e.f\n'
+                     'g = h\n')
+    assert _code_references(tree) == {"x", "e", "f", "h"}

@@ -8,9 +8,9 @@ from spinsemi.flow import (
     DEFAULT_SAMPLES,
     Trajectory,
     _field_and_stability,
-    field_and_jacobian,
 )
-from oracles import landing_rk_dp5, reference_rk_dop853
+from helpers import field_and_jacobian
+from oracles import landing_rk_dp5, pc_stability, pc_trajectory, reference_rk_dop853
 
 CFG = ss.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
 
@@ -22,7 +22,7 @@ def _pc(two_j=6, lam=1.0):
 
 
 def _field(sys, model, y):
-    return field_and_jacobian(sys, model, np.asarray(y, dtype=complex))[0]
+    return field_and_jacobian(sys, model, y)[0]
 
 
 # Row r of the Jacobian differentiates udot_0, udot_1, vdot_0, vdot_1: the
@@ -265,7 +265,7 @@ class TestIntegrateTrajectory:
         sys, params, model = _pc()
         s0 = ss.CoherentLabel(0.7 + 0.3j, -0.4 + 0.9j)
         traj = ss.integrate_trajectory(sys, model, s0, 0.5, CFG)
-        ref = ss.pc_trajectory(params, s0, 0.5, num_samples=2)
+        ref = pc_trajectory(params, s0, 0.5, num_samples=2)
         assert np.max(np.abs(traj.ys[-1] - ref.ys[-1])) < 1e-9
 
     def test_conserved_products(self):
@@ -337,7 +337,7 @@ class TestIntegrateStability:
         s0 = ss.CoherentLabel(0.7 + 0.3j, -0.4 + 0.9j)
         traj = ss.integrate_trajectory(sys, model, s0, 0.35, CFG)
         m = ss.integrate_stability(sys, model, traj, CFG)[-1]
-        ref = ss.pc_stability(params, s0, 0.35)
+        ref = pc_stability(params, s0, 0.35)
         assert np.max(np.abs(m.m - ref.m)) < 1e-8
 
     def test_determinant_identity(self):
@@ -462,10 +462,10 @@ class TestOneIntegration:
         t_final = 0.35
         times = np.linspace(0.0, t_final, 4000)
         traj = ss.integrate_trajectory(sys, model, s0, t_final, CFG, sample_times=times)
-        ref = ss.pc_trajectory(params, s0, t_final, num_samples=4000)
+        ref = pc_trajectory(params, s0, t_final, num_samples=4000)
         assert np.array_equal(traj.ts, ref.ts)
         assert np.max(np.abs(traj.ys - ref.ys)) < 1e-9
-        assert np.max(np.abs(traj.ms[-1] - ss.pc_stability(params, s0, t_final).m)) < 1e-8
+        assert np.max(np.abs(traj.ms[-1] - pc_stability(params, s0, t_final).m)) < 1e-8
 
     def test_integrate_stability_reads_the_trajectory(self):
         sys, params, model = _pc()
@@ -480,7 +480,7 @@ class TestOneIntegration:
 
     def test_integrate_stability_needs_matrices(self):
         sys, params, model = _pc()
-        traj = ss.pc_trajectory(params, ss.CoherentLabel(0.4, 0.2j), 0.3)
+        traj = pc_trajectory(params, ss.CoherentLabel(0.4, 0.2j), 0.3)
         assert traj.ms is None
         with pytest.raises(ValueError):
             ss.integrate_stability(sys, model, traj, CFG)

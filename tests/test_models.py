@@ -10,6 +10,9 @@ from oracles import (
     build_spin_operators,
     htilde_from_operator,
     pc_purity_sc_printed,
+    pc_slin_short_time,
+    pc_stability,
+    pc_trajectory,
 )
 from spinsemi import models
 from spinsemi.config import build_model, parse_config
@@ -84,18 +87,18 @@ class TestPhaseCouplingModel:
 class TestPcTrajectory:
     def test_static_when_uncoupled(self):
         sys, params = _params(lam=0.0)
-        traj = ss.pc_trajectory(params, ss.CoherentLabel(0.4, 0.8j), 1.0)
+        traj = pc_trajectory(params, ss.CoherentLabel(0.4, 0.8j), 1.0)
         assert np.max(np.abs(traj.ys - traj.ys[0])) < 1e-14
 
     def test_real_data_preserves_moduli(self):
         sys, params = _params()
-        traj = ss.pc_trajectory(params, ss.CoherentLabel(0.7 + 0.2j, -0.5), 2.0)
+        traj = pc_trajectory(params, ss.CoherentLabel(0.7 + 0.2j, -0.5), 2.0)
         mods = np.abs(traj.ys[:, :2])
         assert np.max(np.abs(mods - mods[0])) < 1e-12
 
     def test_products_exactly_conserved(self):
         sys, params = _params()
-        traj = ss.pc_trajectory(params, ss.CoherentLabel(0.3 - 0.6j, 1.1), 1.5)
+        traj = pc_trajectory(params, ss.CoherentLabel(0.3 - 0.6j, 1.1), 1.5)
         prods = traj.ys[:, :2] * traj.ys[:, 2:]
         assert np.max(np.abs(prods - prods[0])) < 1e-13
 
@@ -109,7 +112,7 @@ class TestPcTrajectory:
         def fail(*args, **kwargs):
             raise AssertionError("term entries built for a closed-form trajectory")
         monkeypatch.setattr(models, "_term_entries", fail)
-        traj = ss.pc_trajectory(params, s0, 1.5)
+        traj = pc_trajectory(params, s0, 1.5)
         assert traj.energy.shape == (129,)
         assert all(e == want for e in traj.energy)
 
@@ -117,7 +120,7 @@ class TestPcTrajectory:
 class TestPcStability:
     def test_zero_time_is_identity(self):
         sys, params = _params()
-        m = ss.pc_stability(params, ss.CoherentLabel(0.4, 0.9j), 0.0)
+        m = pc_stability(params, ss.CoherentLabel(0.4, 0.9j), 0.0)
         assert np.allclose(m.m, np.eye(4))
 
     def test_unit_determinant_for_real_data(self):
@@ -128,7 +131,7 @@ class TestPcStability:
                 complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)),
                 complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)),
             )
-            m = ss.pc_stability(params, s0, float(rng.uniform(0.0, 1.0)))
+            m = pc_stability(params, s0, float(rng.uniform(0.0, 1.0)))
             assert abs(m.det() - 1.0) < 1e-9
 
     def test_matches_variational_integration(self):
@@ -138,7 +141,7 @@ class TestPcStability:
         t_final = 0.3
         traj = ss.integrate_trajectory(sys, model, s0, t_final, CFG)
         m_num = ss.integrate_stability(sys, model, traj, CFG)[-1]
-        m_ref = ss.pc_stability(params, s0, t_final)
+        m_ref = pc_stability(params, s0, t_final)
         assert np.max(np.abs(m_num.m - m_ref.m)) < 1e-8
 
     def test_regular_at_equator(self):
@@ -148,7 +151,7 @@ class TestPcStability:
         model = ss.phase_coupling_model(params)
         s0 = ss.CoherentLabel(1.0, 1.0)
         t_final = 0.2
-        m_ref = ss.pc_stability(params, s0, t_final)
+        m_ref = pc_stability(params, s0, t_final)
         assert np.all(np.isfinite(m_ref.m.view(float)))
         traj = ss.integrate_trajectory(sys, model, s0, t_final, CFG)
         m_num = ss.integrate_stability(sys, model, traj, CFG)[-1]
@@ -255,12 +258,12 @@ def test_pc_exact_purity_matches_phase_matrix_sum(two_j):
 class TestShortTimeLaw:
     def test_pole_state_never_entangles(self):
         sys, params = _params()
-        assert ss.pc_slin_short_time(params, ss.CoherentLabel(0.0, 0.7), 1.0) == 0.0
+        assert pc_slin_short_time(params, ss.CoherentLabel(0.0, 0.7), 1.0) == 0.0
 
     def test_spin_half_coefficient(self):
         sys, params = _params(two_j=1, lam=1.0)
         t = 0.37
-        assert ss.pc_slin_short_time(params, ss.CoherentLabel(1.0, 1.0), t) == pytest.approx(
+        assert pc_slin_short_time(params, ss.CoherentLabel(1.0, 1.0), t) == pytest.approx(
             t ** 2 / 8
         )
 
@@ -272,7 +275,7 @@ class TestShortTimeLaw:
         for two_j in (16, 64, 256):
             sys, params = _params(two_j=two_j, lam=1.0)
             s0 = ss.CoherentLabel(zx / np.sqrt(two_j), zy / np.sqrt(two_j))
-            vals.append(ss.pc_slin_short_time(params, s0, lam_t))
+            vals.append(pc_slin_short_time(params, s0, lam_t))
         errs = [abs(v - target) for v in vals]
         # first-order contraction: error falls ~4x per 4x in j
         assert errs[0] / errs[1] > 3.0 and errs[1] / errs[2] > 3.0

@@ -7,7 +7,6 @@ import spinsemi as ss
 from spinsemi.errors import (
     FieldEvaluationError,
     NotHermitian,
-    SingularMatrix,
     StepSizeUnderflow,
 )
 from spinsemi.numerics import (
@@ -20,7 +19,8 @@ from spinsemi.numerics import (
     cubic_quadrature,
     det2,
 )
-from oracles import reference_rk_dop853, reference_rk_dp5
+from helpers import field_and_jacobian
+from oracles import pc_trajectory, reference_rk_dop853, reference_rk_dp5
 
 
 def _rand_complex(rng, shape):
@@ -75,30 +75,6 @@ class TestHermitianEig:
         stack = np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]], np.eye(2)])
         with pytest.raises(NotHermitian):
             ss.hermitian_eig(stack)
-
-
-class TestSmallInverse:
-    def test_identity(self):
-        assert np.allclose(ss.small_inverse(np.eye(2)), np.eye(2))
-
-    def test_diagonal(self):
-        out = ss.small_inverse(np.diag([2.0, 4.0]))
-        assert np.allclose(out, np.diag([0.5, 0.25]))
-
-    def test_residual_4x4(self):
-        rng = np.random.default_rng(5)
-        m = _rand_complex(rng, (4, 4)) + 3.0 * np.eye(4)
-        assert np.max(np.abs(m @ ss.small_inverse(m) - np.eye(4))) < 1e-10
-
-    def test_singular_raises_with_determinant(self):
-        m = np.array([[1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(SingularMatrix) as excinfo:
-            ss.small_inverse(m)
-        assert excinfo.value.determinant is not None
-
-    def test_wrong_shape(self):
-        with pytest.raises(ValueError):
-            ss.small_inverse(np.eye(3))
 
 
 class TestAdaptiveRk:
@@ -184,13 +160,11 @@ class TestAdaptiveRk:
         params = ss.PhaseCouplingParams(lam=1.0, sys=sys)
         model = ss.phase_coupling_model(params)
         s0 = ss.CoherentLabel(0.7 + 0.3j, -0.4 + 0.9j)
-        from spinsemi.flow import field_and_jacobian
-
         cfg = ss.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, max_step=0.02)
         y0 = [s0.sx, s0.sy, np.conj(s0.sx), np.conj(s0.sy)]
         _, ys, _ = ss.adaptive_rk(lambda t, y: field_and_jacobian(sys, model, y)[0], y0,
                                   (0.0, 0.5), cfg, samples=[0.5])
-        ref = ss.pc_trajectory(params, s0, 0.5, num_samples=2).ys[-1]
+        ref = pc_trajectory(params, s0, 0.5, num_samples=2).ys[-1]
         assert np.max(np.abs(ys[-1] - ref)) < 1e-9
 
     def test_halving_rel_tol_never_increases_error(self):
@@ -198,7 +172,7 @@ class TestAdaptiveRk:
         params = ss.PhaseCouplingParams(lam=2.0, sys=sys)
         model = ss.phase_coupling_model(params)
         s0 = ss.CoherentLabel(0.7 + 0.3j, -0.4 + 0.9j)
-        ref = ss.pc_trajectory(params, s0, 2.0, num_samples=2).ys[-1]
+        ref = pc_trajectory(params, s0, 2.0, num_samples=2).ys[-1]
         errs = []
         tol = 1e-6
         for _ in range(8):

@@ -100,8 +100,13 @@ class TestReducedDensity:
     def test_linear_entropy(self):
         bell = np.zeros(4, dtype=complex)
         bell[0] = bell[3] = 1 / np.sqrt(2)
-        rho = ss.reduced_density(bell, "x", 2)
-        assert ss.linear_entropy(rho) == pytest.approx(0.5)
+        # the linear entropy 1 - P, as a purity curve forms it
+        p = np.array([ss.purity(ss.reduced_density(bell, "x", 2))])
+        zero = np.zeros(1)
+        curve = ss.PurityCurve(times=zero, p_exact=p, p_sc=p, residual_detM=zero,
+                               residual_energy=zero, residual_im_psc=zero)
+        assert curve.slin_exact[0] == pytest.approx(0.5)
+        assert curve.slin_sc[0] == pytest.approx(0.5)
 
 
 class TestPurityCurve:

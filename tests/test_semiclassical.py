@@ -6,9 +6,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import spinsemi as ss
-from oracles import stability_from_action_hessians
+from helpers import field_and_jacobian
+from oracles import (
+    action_hessians_from_stability,
+    block_identity_defect,
+    canonical_purity,
+    gaussian_a1a2,
+    pc_slin_short_time,
+    permuted_dets,
+    stability_from_action_hessians,
+)
 from spinsemi.errors import ValidityBreakdown
-from spinsemi.flow import PhaseSpaceState, Trajectory, field_and_jacobian
+from spinsemi.flow import PhaseSpaceState, Trajectory
 from spinsemi.numerics import cubic_quadrature, det2
 from spinsemi.semiclassical import (
     endpoint_factor,
@@ -139,8 +148,6 @@ class TestActionIntegrals:
         deriv = (vals[1] - vals[0]) / (2 * delta)
         traj = ss.integrate_trajectory(sys, model, s0, t0, CFG)
         end = traj.final
-        from spinsemi.flow import field_and_jacobian
-
         dy, _ = field_and_jacobian(sys, model, traj.ys[-1])
         correction = -2j * sys.hbar_j * np.sum(end.u * dy[2:4] / (1 + end.u * end.v))
         expected = -traj.energy[-1] + correction
@@ -363,13 +370,7 @@ class TestAuxDeterminants:
     def test_block_identity(self, m):
         assume(abs(det2(m[2:, 2:])) > 1e-3)
         assume(abs(det2(m[:2, :2])) > 1e-3)
-        aux = ss.aux_determinants(m)
-        lhs = m[:2, 2:] @ np.linalg.inv(m[2:, 2:])
-        rhs = np.array([[aux.det_d, -aux.det_dp], [aux.det_bp, aux.det_b]]) / det2(m[2:, 2:])
-        assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(lhs)))
-        lhs2 = m[2:, :2] @ np.linalg.inv(m[:2, :2])
-        rhs2 = np.array([[aux.det_c, aux.det_ap], [-aux.det_cp, aux.det_a]]) / det2(m[:2, :2])
-        assert np.max(np.abs(lhs2 - rhs2)) < 1e-10 * max(1.0, np.max(np.abs(lhs2)))
+        assert block_identity_defect(m, ss.aux_determinants(m)) < 1e-10
 
     def test_endpoint_factor(self):
         start = PhaseSpaceState([0.3, 0.5], [0.3, 0.5])
@@ -445,7 +446,7 @@ class TestPuritySc:
         # S_lin_sc(T)/T^2 converges onto the short-time coefficient
         sys, params, model = _pc(two_j=10, lam=1.0)
         s0 = ss.CoherentLabel(0.5, 0.8j)
-        coeff = ss.pc_slin_short_time(params, s0, 1.0)  # coefficient of T^2
+        coeff = pc_slin_short_time(params, s0, 1.0)  # coefficient of T^2
         ts = np.linspace(0.002, 0.01, 5) / (params.lam * sys.j)
         slins = []
         for t_final in ts:
@@ -482,12 +483,8 @@ def _per_row_evaluate(m, start, end):
     """The evaluation of one 4x4 stability matrix at one endpoint pair, as
     it was before the series path, kept as its oracle: it raises
     ValidityBreakdown where the series path flags the sample."""
-    def permuted_dets(perm):
-        q = m[list(perm), :]
-        return det2(q[:2, :2]), det2(q[2:, 2:]), det2(q[2:, :2]), det2(q[:2, 2:])
-
-    det_a, det_b, det_c, det_d = permuted_dets((0, 3, 2, 1))
-    det_ap, det_bp, det_cp, det_dp = permuted_dets((0, 2, 1, 3))
+    det_a, det_b, det_c, det_d = permuted_dets(m, (0, 3, 2, 1))
+    det_ap, det_bp, det_cp, det_dp = permuted_dets(m, (0, 2, 1, 3))
     d = det2(m[:2, :2]) * det2(m[2:, 2:]) + det2(m[:2, 2:]) * det2(m[2:, :2])
     d_prime = det_a * det_b + det_c * det_d
     d_dprime = det_ap * det_bp + det_cp * det_dp
@@ -577,7 +574,7 @@ class TestSeriesEvaluation:
 
 class TestGaussianCoefficients:
     def test_identity(self):
-        a1, a2 = ss.gaussian_a1a2(ss.StabilityMatrix(np.eye(4)))
+        a1, a2 = gaussian_a1a2(ss.StabilityMatrix(np.eye(4)))
         assert a1 == pytest.approx(1.0)
         assert a2 == pytest.approx(0.0)
         assert (a1 ** 2 - a2 ** 2) ** -0.5 == pytest.approx(1.0)
@@ -586,7 +583,7 @@ class TestGaussianCoefficients:
         m = np.zeros((4, 4), dtype=complex)
         m[:2, :2] = [[1.2, 0.3], [0.1, 0.9]]
         m[2:, 2:] = [[0.8, -0.2], [0.4, 1.1]]
-        a1, a2 = ss.gaussian_a1a2(ss.StabilityMatrix(m))
+        a1, a2 = gaussian_a1a2(ss.StabilityMatrix(m))
         assert a1 == pytest.approx(1.0)
         assert a2 == pytest.approx(0.0)
 
@@ -595,7 +592,7 @@ class TestGaussianCoefficients:
     def test_consistency_with_determinant_form(self, m):
         assume(abs(det2(m[:2, :2])) > 1e-2 and abs(det2(m[2:, 2:])) > 1e-2)
         stab = ss.StabilityMatrix(m)
-        a1, a2 = ss.gaussian_a1a2(stab)
+        a1, a2 = gaussian_a1a2(stab)
         aux = ss.aux_determinants(m)
         lhs = (aux.d - aux.d_prime) ** 2 - aux.d_dprime ** 2
         mm = det2(stab.m_uu) * det2(stab.m_vv)
@@ -607,7 +604,7 @@ class TestGaussianCoefficients:
         model = ss.exchange_coupling_model(sys, 0.7)
         traj, m_series = _pipeline(sys, model, ss.CoherentLabel(0.4, 0.6 - 0.2j), 0.4)
         stab = m_series[-1]
-        a1, a2 = ss.gaussian_a1a2(stab)
+        a1, a2 = gaussian_a1a2(stab)
         aux = ss.aux_determinants(stab)
         lhs = (aux.d - aux.d_prime) ** 2 - aux.d_dprime ** 2
         mm = det2(stab.m_uu) * det2(stab.m_vv)
@@ -624,7 +621,7 @@ class TestActionHessians:
     @pytest.mark.parametrize("xi", [+1, -1])
     def test_roundtrip(self, xi):
         sys, traj, stab = self._computed()
-        hs = ss.action_hessians_from_stability(sys, stab, traj.initial, traj.final, xi)
+        hs = action_hessians_from_stability(sys, stab, traj.initial, traj.final, xi)
         back = stability_from_action_hessians(sys, hs, traj.initial, traj.final, xi)
         assert np.max(np.abs(back.m - stab.m)) < 1e-8
 
@@ -632,7 +629,7 @@ class TestActionHessians:
         # det((i/hbar) S_u'v'') times the endpoint product over 2j equals
         # the block form of the prefactor
         sys, traj, stab = self._computed()
-        _, s_uv, _, _ = ss.action_hessians_from_stability(
+        _, s_uv, _, _ = action_hessians_from_stability(
             sys, stab, traj.initial, traj.final, +1
         )
         start, end = traj.initial, traj.final
@@ -647,11 +644,11 @@ class TestActionHessians:
         # S_v''v'' is a Hessian: its off-diagonal entries coincide, which is
         # what forces det A' det B' = det C' det D'
         sys, traj, stab = self._computed()
-        _, _, _, s_vv = ss.action_hessians_from_stability(
+        _, _, _, s_vv = action_hessians_from_stability(
             sys, stab, traj.initial, traj.final, +1
         )
         assert abs(s_vv[0, 1] - s_vv[1, 0]) < 1e-8 * max(1.0, abs(s_vv[0, 1]))
-        s_uu, _, _, _ = ss.action_hessians_from_stability(
+        s_uu, _, _, _ = action_hessians_from_stability(
             sys, stab, traj.initial, traj.final, -1
         )
         assert abs(s_uu[0, 1] - s_uu[1, 0]) < 1e-8 * max(1.0, abs(s_uu[0, 1]))
@@ -659,7 +656,7 @@ class TestActionHessians:
 
 class TestCanonicalPurity:
     def test_identity(self):
-        assert ss.canonical_purity(ss.StabilityMatrix(np.eye(4))) == pytest.approx(1.0)
+        assert canonical_purity(ss.StabilityMatrix(np.eye(4))) == pytest.approx(1.0)
 
     def test_matches_stability_purity_for_scaled_labels(self):
         z = (1.0, 0.5 + 0.5j)
@@ -670,13 +667,15 @@ class TestCanonicalPurity:
             s0 = ss.CoherentLabel(z[0] / np.sqrt(two_j), z[1] / np.sqrt(two_j))
             traj, m_series = _pipeline(sys, model, s0, lam_t / lam)
             p_stab = ss.purity_sc(m_series[-1], traj)
-            p_can = ss.canonical_purity(m_series[-1])
+            p_can = canonical_purity(m_series[-1])
+            assert 0.0 < p_can.real <= 1.0 and abs(p_can.imag) < 1e-6
             assert abs(p_can - p_stab) < 1e-6
 
     def test_block_identity_defect_is_small(self):
         sys, params, model = _pc()
         traj, m_series = _pipeline(sys, model, ss.CoherentLabel(0.4, 0.2j), 0.2)
-        assert ss.block_identity_defect(m_series[-1]) < 1e-8
+        stab = m_series[-1]
+        assert block_identity_defect(stab.m, ss.aux_determinants(stab)) < 1e-8
 
     def test_two_oscillator_short_time_limit(self):
         z = (1.0, 0.5 + 0.5j)
@@ -686,7 +685,8 @@ class TestCanonicalPurity:
         model = ss.phase_coupling_model(ss.PhaseCouplingParams(lam=1.0, sys=sys))
         s0 = ss.CoherentLabel(z[0] / np.sqrt(128), z[1] / np.sqrt(128))
         traj, m_series = _pipeline(sys, model, s0, lam_t)
-        p_can = ss.canonical_purity(m_series[-1])
+        p_can = canonical_purity(m_series[-1])
+        assert 0.0 < p_can.real <= 1.0 and abs(p_can.imag) < 1e-6
         assert abs(p_can - target) < 2e-5
 
 

@@ -111,6 +111,20 @@ def test_term_entries_match_nonzero_entries_of_factor_matrices(two_j):
         assert not np.any(reached // sys.joint_dim // sys.dim == two_j // 2)
 
 
+def test_term_entries_sum_in_term_order():
+    # three or seven products on each reached position, of magnitudes 1e-8
+    # to 1e8: every entry is their term-by-term sum, to the bit
+    sys = ss.SpinSystem(two_j=4)
+    rng = np.random.default_rng(0)
+    for n in [3] * 200 + [7] * 200:
+        coefficients = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+        terms = [ss.OperatorTerm(float(c), ("J3", 1), ("I", 0)) for c in coefficients]
+        keys, values = models._term_entries(sys, terms)
+        want_keys, want_values = nonzero_entries(sys, terms)
+        assert keys.tobytes() == want_keys.tobytes()
+        assert values.tobytes() == want_values.tobytes()
+
+
 def test_oracles_import_nothing_they_check():
     # the oracles must not share the paths they check
     tree = ast.parse(Path(oracles.__file__).read_text())
@@ -125,7 +139,9 @@ def test_oracles_import_nothing_they_check():
     assert names
     assert not names & {"_term_entries", "_entries_at", "_factor_band", "derivs_from_terms",
                         "_factor_polynomial", "_polynomial_partials", "_side_partials",
-                        "adaptive_rk", "_stage", "_continuous_extension"}
+                        "adaptive_rk", "_stage", "_continuous_extension",
+                        "aux_determinants", "_permuted_dets", "purity_sc_evaluate",
+                        "integrate_trajectory", "_hamilton_at", "hamilton_equations"}
 
 
 class TestCoherentStates:
