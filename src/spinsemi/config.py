@@ -121,8 +121,9 @@ def parse_config(document):
     sec = data["system"]
     _require_keys("system", sec, allowed=("two_j", "hbar"), required=("two_j",))
     two_j = sec["two_j"]
-    if isinstance(two_j, bool) or not isinstance(two_j, int) or two_j < 0:
-        raise ValidationError("'system.two_j' must be a non-negative integer",
+    # two_j = 0 has no dynamics and divides by 2j in Hamilton's equations
+    if isinstance(two_j, bool) or not isinstance(two_j, int) or two_j < 1:
+        raise ValidationError("'system.two_j' must be a positive integer",
                               key="system.two_j")
     hbar = _number("system", "hbar", sec.get("hbar", 1.0), positive=True)
     system = SpinSystem(two_j=two_j, hbar=hbar)

@@ -3,16 +3,17 @@
 HamiltonianModel holds the list, its classical function and the entries of
 the joint operator it sums to; build_operator_model is its one constructor.
 Both engines start from the list: the classical function from the closed-form
-symbols of the terms' factors (or a model's own closed form), the exact
-engine from the sectors of the entries, which come from the factors' bands
+symbols of the terms' factors (spin.derivs_from_terms), the exact engine from
+the sectors of the entries, which come from the factors' bands
 (spin._factor_band). model.operator, the dense joint matrix, is those
 entries scattered into zeros on its first read; no run reads it.
 
 The phase-coupling system (J3 (x) J3 interaction) is the exactly solvable
-benchmark. Its classical function, semiclassical purity and exact purity
-have closed forms here (_pc_derivs, pc_purity_sc, pc_exact_purity); its
-closed-form trajectory and stability matrix, which only check the
-integration, live with the test oracles.
+benchmark. It is a one-term list like every other model. Its semiclassical
+and exact purities have closed forms here (pc_purity_sc, pc_exact_purity),
+for the benchmark's gate and the scripts; its closed-form classical
+function, trajectory and stability matrix, which only check the package,
+live with the test oracles.
 """
 
 from dataclasses import dataclass
@@ -42,47 +43,11 @@ class PhaseCouplingParams:
             raise ValueError("coupling rate must be finite")
 
 
-def _pc_derivs(params):
-    """Closed-form derivs of Htilde(u, v) = lam hbar j^2 G(ux vx) G(uy vy),
-    G(w) = (1-w)/(1+w): value, gradient and Hessian share G, G' and G''
-    in one call, rather than going through the generic symbol path."""
-    j = params.sys.j
-    amp = params.lam * params.sys.hbar * j * j
-
-    def derivs(u, v):
-        # the series axis of (n, 2) arguments stays last until the return
-        u, v = np.asarray(u).T, np.asarray(v).T
-        ux, uy, vx, vy = u[0], u[1], v[0], v[1]
-        wx, wy = ux * vx, uy * vy
-        gx, gy = (1.0 - wx) / (1.0 + wx), (1.0 - wy) / (1.0 + wy)  # G
-        dx, dy = -2.0 / (1.0 + wx) ** 2, -2.0 / (1.0 + wy) ** 2  # G'
-        d2x, d2y = 4.0 / (1.0 + wx) ** 3, 4.0 / (1.0 + wy) ** 3  # G''
-        grad = np.array([gy * dx * vx, gx * dy * vy, gy * dx * ux, gx * dy * uy])
-        h = np.empty((4, 4) + wx.shape, dtype=complex)
-        # ordering (ux, uy, vx, vy)
-        h[0, 0] = gy * d2x * vx * vx
-        h[1, 1] = gx * d2y * vy * vy
-        h[2, 2] = gy * d2x * ux * ux
-        h[3, 3] = gx * d2y * uy * uy
-        h[0, 1] = h[1, 0] = dx * vx * dy * vy
-        h[0, 2] = h[2, 0] = gy * (d2x * ux * vx + dx)
-        h[0, 3] = h[3, 0] = dx * vx * dy * uy
-        h[1, 2] = h[2, 1] = dy * vy * dx * ux
-        h[1, 3] = h[3, 1] = gx * (d2y * uy * vy + dy)
-        h[2, 3] = h[3, 2] = dx * ux * dy * uy
-        h *= amp
-        # h is symmetric, so h.T puts the series axis first without
-        # reordering the 4x4 entries
-        return amp * gx * gy, amp * grad.T, h.T
-
-    return derivs
-
-
 def phase_coupling_model(params):
-    """H = lam * hbar * J3 (x) J3, with the closed-form derivs (_pc_derivs)."""
+    """H = lam * hbar * J3 (x) J3, a one-term list like every other model."""
     sys = params.sys
     term = OperatorTerm(params.lam * sys.hbar, ("J3", 1), ("J3", 1))
-    return build_operator_model(sys, [term], label="phase_coupling", derivs=_pc_derivs(params))
+    return build_operator_model(sys, [term], label="phase_coupling")
 
 
 def pc_purity_sc(params, s0, t_final):
@@ -241,16 +206,15 @@ def _entries_at(entries, at):
     return np.where(keys[pos] == at, values[pos], 0.0)
 
 
-def build_operator_model(sys, terms, label="operator_terms", derivs=None):
+def build_operator_model(sys, terms, label="operator_terms"):
     """The HamiltonianModel of a list of OperatorTerms; every model is
     built here.
 
     The term list must assemble to a Hermitian operator (i.e. be closed
     under conjugation). That is checked here, on the entries, against their
     mirrored lookup (the whole-matrix check, 1e-12, without the matrix), and
-    raises NotHermitian. derivs, when given, is a closed form of the terms'
-    classical function; otherwise it comes from the closed-form symbols of
-    the terms' factors (derivs_from_terms), never from a matrix.
+    raises NotHermitian. The classical function comes from the closed-form
+    symbols of the terms' factors (derivs_from_terms), never from a matrix.
     """
     terms = tuple(terms)
     entries = _term_entries(sys, terms)
@@ -258,7 +222,7 @@ def build_operator_model(sys, terms, label="operator_terms", derivs=None):
     n = sys.joint_dim
     # H^dagger at (r, c) is conj(H[c, r])
     require_hermitian(values, _entries_at(entries, (keys % n) * n + keys // n).conj())
-    return HamiltonianModel(sys, terms, entries, derivs or derivs_from_terms(sys, terms), label)
+    return HamiltonianModel(sys, terms, entries, derivs_from_terms(sys, terms), label)
 
 
 def free_precession_model(sys, b3):

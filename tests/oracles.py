@@ -9,13 +9,15 @@ of a dense matrix of model.sectors. They use none of the code they check;
 tests/test_spin.py::test_oracles_import_nothing_they_check guards that.
 
 The closed forms are steps of the purity's derivation that no run needs:
-the phase-coupling trajectory, stability matrix and short-time linear
-entropy (pc_trajectory, pc_stability, pc_slin_short_time) and the printed
-phase-coupling purity, singular where models.pc_purity_sc is regular; the
-permuted-block identity, the harmonic-limit purity and the saddle-point
-Gaussian coefficients of a stability matrix, from its own row-permuted
-2x2 determinants (permuted_dets); the action Hessians of a stability
-matrix and their inverse.
+the phase-coupling classical function (pc_derivs, the oracle of the
+one-term J3 (x) J3 list that spin.derivs_from_terms runs), trajectory,
+stability matrix and short-time linear entropy (pc_trajectory,
+pc_stability, pc_slin_short_time) and the printed phase-coupling purity,
+singular where models.pc_purity_sc is regular; the permuted-block
+identity, the harmonic-limit purity and the saddle-point Gaussian
+coefficients of a stability matrix, from its own row-permuted 2x2
+determinants (permuted_dets); the action Hessians of a stability matrix
+and their inverse.
 
 The Dormand-Prince 5(4) integrator that numerics.adaptive_rk replaced is
 here too, as the oracle of its states: reference_rk_dp5 on the accepted-step
@@ -30,7 +32,6 @@ import numpy as np
 
 from spinsemi.errors import DimensionMismatch
 from spinsemi.flow import DEFAULT_SAMPLES, StabilityMatrix, Trajectory
-from spinsemi.models import _pc_derivs
 from spinsemi.numerics import (
     _A,
     _B,
@@ -476,6 +477,43 @@ def gaussian_a1a2(stab):
     return complex(a1), complex(a2)
 
 
+def pc_derivs(params):
+    """Closed-form derivs of Htilde(u, v) = lam hbar j^2 G(ux vx) G(uy vy),
+    G(w) = (1-w)/(1+w), the oracle of the one-term J3 (x) J3 list: value,
+    gradient and Hessian share G, G' and G'' in one call. It takes a point
+    ((2,) arguments) or a series ((n, 2)), as model.derivs does."""
+    j = params.sys.j
+    amp = params.lam * params.sys.hbar * j * j
+
+    def derivs(u, v):
+        # the series axis of (n, 2) arguments stays last until the return
+        u, v = np.asarray(u).T, np.asarray(v).T
+        ux, uy, vx, vy = u[0], u[1], v[0], v[1]
+        wx, wy = ux * vx, uy * vy
+        gx, gy = (1.0 - wx) / (1.0 + wx), (1.0 - wy) / (1.0 + wy)  # G
+        dx, dy = -2.0 / (1.0 + wx) ** 2, -2.0 / (1.0 + wy) ** 2  # G'
+        d2x, d2y = 4.0 / (1.0 + wx) ** 3, 4.0 / (1.0 + wy) ** 3  # G''
+        grad = np.array([gy * dx * vx, gx * dy * vy, gy * dx * ux, gx * dy * uy])
+        h = np.empty((4, 4) + wx.shape, dtype=complex)
+        # ordering (ux, uy, vx, vy)
+        h[0, 0] = gy * d2x * vx * vx
+        h[1, 1] = gx * d2y * vy * vy
+        h[2, 2] = gy * d2x * ux * ux
+        h[3, 3] = gx * d2y * uy * uy
+        h[0, 1] = h[1, 0] = dx * vx * dy * vy
+        h[0, 2] = h[2, 0] = gy * (d2x * ux * vx + dx)
+        h[0, 3] = h[3, 0] = dx * vx * dy * uy
+        h[1, 2] = h[2, 1] = dy * vy * dx * ux
+        h[1, 3] = h[3, 1] = gx * (d2y * uy * vy + dy)
+        h[2, 3] = h[3, 2] = dx * ux * dy * uy
+        h *= amp
+        # h is symmetric, so h.T puts the series axis first without
+        # reordering the 4x4 entries
+        return amp * gx * gy, amp * grad.T, h.T
+
+    return derivs
+
+
 def _pc_rates(params, u0, v0):
     """Exponential rates lam_x, lam_y fixed by the conserved products."""
     j = params.sys.j
@@ -495,7 +533,7 @@ def pc_trajectory(params, s0, t_final, num_samples=DEFAULT_SAMPLES):
     ys[:, 1] = u0[1] * np.exp(lam_y * ts)
     ys[:, 2] = v0[0] * np.exp(-lam_x * ts)
     ys[:, 3] = v0[1] * np.exp(-lam_y * ts)
-    energy = np.full(ts.size, _pc_derivs(params)(u0, v0)[0])
+    energy = np.full(ts.size, pc_derivs(params)(u0, v0)[0])
     return Trajectory(ts=ts, ys=ys, energy=energy)
 
 

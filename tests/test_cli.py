@@ -146,6 +146,21 @@ class TestParseConfig:
         assert key in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("two_j", [0, -1, 1.0, True])
+    def test_two_j_must_be_a_positive_integer(self, tmp_path, capsys, two_j):
+        # two_j = 0 would divide by 2j in Hamilton's equations
+        doc = minimal_config(system={"two_j": two_j})
+        with pytest.raises(ValidationError) as excinfo:
+            parse_config(json.dumps(doc))
+        assert excinfo.value.key == "system.two_j"
+        assert "must be a positive integer" in str(excinfo.value)
+        path = write_config(tmp_path, doc)
+        assert main(["validate", path]) == 2
+        out_dir = tmp_path / "out"
+        assert main(["run", path, "--output-dir", str(out_dir), "--quiet"]) == 2
+        assert capsys.readouterr().err.count("system.two_j") == 2
+        assert not out_dir.exists()
+
     def test_non_hermitian_terms_fail_validation(self, tmp_path):
         doc = minimal_config(
             hamiltonian={

@@ -9,16 +9,18 @@ from oracles import (
     assemble_operator,
     build_spin_operators,
     htilde_from_operator,
+    pc_derivs,
     pc_purity_sc_printed,
     pc_slin_short_time,
     pc_stability,
     pc_trajectory,
 )
 from spinsemi import models
-from spinsemi.config import build_model, parse_config
+from spinsemi.config import MODELS, build_model, parse_config
 from spinsemi.errors import NotHermitian, ValidationError
 from spinsemi.models import _binomial_probabilities
 from spinsemi.numerics import require_hermitian
+from spinsemi.spin import derivs_from_terms
 
 CFG = ss.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
 
@@ -65,16 +67,18 @@ class TestPhaseCouplingModel:
 
     def test_closed_form_equals_generic_path(self):
         sys, params = _params(two_j=3, lam=1.4)
-        closed = ss.phase_coupling_model(params)
-        generic = htilde_from_operator(sys, assemble_operator(sys, closed.terms))
+        closed = pc_derivs(params)
+        generic = htilde_from_operator(
+            sys, assemble_operator(sys, ss.phase_coupling_model(params).terms))
         rng = np.random.default_rng(0)
         for _ in range(10):
             u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             h, grad, hess = generic(u, v)
-            assert abs(closed.htilde(u, v) - h) < 1e-10
-            assert np.max(np.abs(closed.grad(u, v) - grad)) < 1e-10
-            assert np.max(np.abs(closed.hess(u, v) - hess)) < 1e-10
+            closed_h, closed_grad, closed_hess = closed(u, v)
+            assert abs(closed_h - h) < 1e-10
+            assert np.max(np.abs(closed_grad - grad)) < 1e-10
+            assert np.max(np.abs(closed_hess - hess)) < 1e-10
 
     def test_large_spin_builds_no_joint_matrix(self):
         # the (2j+1)^2 joint matrix at two_j=1000 would take 16 TB
@@ -107,7 +111,7 @@ class TestPcTrajectory:
         sys, params = _params(two_j=two_j, lam=0.7, hbar=0.6)
         s0 = ss.CoherentLabel(0.3 - 0.6j, 1.1)
         u0 = np.array([s0.sx, s0.sy])
-        want = ss.phase_coupling_model(params).htilde(u0, np.conj(u0))
+        want = pc_derivs(params)(u0, np.conj(u0))[0]
 
         def fail(*args, **kwargs):
             raise AssertionError("term entries built for a closed-form trajectory")
@@ -298,18 +302,45 @@ class TestShortTimeLaw:
                 assert abs(slin_sc - slin_ex) / slin_ex < 0.02
 
 
+# one parameter set per built-in model: a model added to config.MODELS
+# without one here fails test_every_model_runs_the_term_path
+MODEL_PARAMS = {
+    "phase_coupling": {"lambda": 0.9},
+    "free_precession": {"b3": 1.1},
+    "exchange_coupling": {"lambda": -0.8},
+    "operator_terms": {"terms": [ss.OperatorTerm(0.4 - 0.2j, ("J3", 2), ("J+", 1)),
+                                 ss.OperatorTerm(0.4 + 0.2j, ("J3", 2), ("J-", 1)),
+                                 ss.OperatorTerm(0.6, ("J3", 1), ("J3", 1))]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_every_model_runs_the_term_path(name):
+    # every model's classical function is derivs_from_terms of its term
+    # list, to the bit, at one point and on a series
+    sys = ss.SpinSystem(two_j=5, hbar=0.7)
+    model = MODELS[name][2](sys, MODEL_PARAMS[name])
+    terms_path = derivs_from_terms(sys, model.terms)
+    rng = np.random.default_rng(7)
+    u = 0.5 * (rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2)))
+    v = np.conj(u) + 0.05 * (rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2)))
+    for args in ((u[0], v[0]), (u, v)):
+        for got, want in zip(model.derivs(*args), terms_path(*args)):
+            assert type(got) is type(want) and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
 class TestOperatorModels:
     def test_single_term_reproduces_phase_coupling(self):
         sys, params = _params(two_j=3, lam=1.3)
-        closed = ss.phase_coupling_model(params)
         built = ss.build_operator_model(
             sys, [ss.OperatorTerm(1.3 * sys.hbar, ("J3", 1), ("J3", 1))]
         )
-        assert np.max(np.abs(built.operator - closed.operator)) < 1e-12
+        assert np.max(np.abs(built.operator - ss.phase_coupling_model(params).operator)) < 1e-12
         rng = np.random.default_rng(6)
         u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        assert abs(built.htilde(u, v) - closed.htilde(u, v)) < 1e-10
+        assert abs(built.htilde(u, v) - pc_derivs(params)(u, v)[0]) < 1e-10
 
     def test_empty_term_list_is_free(self):
         sys = ss.SpinSystem(two_j=2)
@@ -394,8 +425,8 @@ class TestOperatorModels:
         finally:
             tracemalloc.stop()
         assert peak < 256 * 2 ** 20
-        closed = ss.phase_coupling_model(ss.PhaseCouplingParams(lam=0.9, sys=sys))
-        for got, want in zip((h, grad, hess), closed.derivs(u, np.conj(u))):
+        closed = pc_derivs(ss.PhaseCouplingParams(lam=0.9, sys=sys))
+        for got, want in zip((h, grad, hess), closed(u, np.conj(u))):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_term_list_is_read_once(self):

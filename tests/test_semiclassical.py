@@ -12,6 +12,7 @@ from oracles import (
     block_identity_defect,
     canonical_purity,
     gaussian_a1a2,
+    pc_derivs,
     pc_slin_short_time,
     permuted_dets,
     stability_from_action_hessians,
@@ -168,7 +169,7 @@ class TestActionIntegrals:
         lam_x = 1j * params.lam * j * (1 - w[1]) / (1 + w[1])
         lam_y = 1j * params.lam * j * (1 - w[0]) / (1 + w[0])
         rates = np.array([lam_x, lam_y])
-        htilde = model.htilde(u0, v0)
+        htilde = pc_derivs(params)(u0, v0)[0]
         integrand = j * np.sum(-2 * rates * w / (1 + w)) - 1j * htilde / sys.hbar
         lam_tilde = 2 * j * np.sum(np.log(1 + np.abs(u0) ** 2))
         expected = integrand * t_final + lam_tilde

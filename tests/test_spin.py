@@ -15,6 +15,7 @@ from oracles import (
     htilde_from_operator,
     monomial_derivs,
     nonzero_entries,
+    pc_derivs,
     term_factors,
 )
 from spinsemi import models
@@ -141,7 +142,8 @@ def test_oracles_import_nothing_they_check():
                         "_factor_polynomial", "_polynomial_partials", "_side_partials",
                         "adaptive_rk", "_stage", "_continuous_extension",
                         "aux_determinants", "_permuted_dets", "purity_sc_evaluate",
-                        "integrate_trajectory", "_hamilton_at", "hamilton_equations"}
+                        "integrate_trajectory", "_hamilton_at", "hamilton_equations",
+                        "build_operator_model", "phase_coupling_model"}
 
 
 class TestCoherentStates:
@@ -342,9 +344,8 @@ def test_operator_is_built_once_on_first_read(monkeypatch):
 
 def _dense_derivs_model(model):
     """model with its derivs replaced by the dense oracle of its operator."""
-    return ss.build_operator_model(
-        model.sys, model.terms, label=model.label,
-        derivs=htilde_from_operator(model.sys, assemble_operator(model.sys, model.terms)))
+    model.derivs = htilde_from_operator(model.sys, assemble_operator(model.sys, model.terms))
+    return model
 
 
 def test_binom_weights_match_exact():
@@ -432,7 +433,7 @@ class TestFactoredDerivs:
         # unnormalized, (v|J3 (x) J3|u) is about (1 + |s|^2)^{4j} ~ 1e430 here
         sys = ss.SpinSystem(two_j=1000)
         derivs = derivs_from_terms(sys, [ss.OperatorTerm(1.0, ("J3", 1), ("J3", 1))])
-        closed = ss.phase_coupling_model(ss.PhaseCouplingParams(lam=1.0, sys=sys))
+        closed = pc_derivs(ss.PhaseCouplingParams(lam=1.0, sys=sys))
         rng = np.random.default_rng(1000)
         for _ in range(4):
             u = 0.8 * np.exp(2j * np.pi * rng.random(2))
@@ -440,36 +441,7 @@ class TestFactoredDerivs:
                                             + 1j * rng.standard_normal(2)))
             got = derivs(u, v)
             assert all(np.all(np.isfinite(x)) for x in got)
-            assert max(_rel_errors(got, closed.derivs(u, v))) <= 1e-12
-
-
-def _point_phase_coupling_derivs(lam, sys):
-    """The phase-coupling closed forms as written for one point only,
-    unpacking u and v entry by entry (numpy scalar arithmetic)."""
-    j = sys.j
-    amp = lam * sys.hbar * j * j
-
-    def derivs(u, v):
-        ux, uy, vx, vy = u[0], u[1], v[0], v[1]
-        wx, wy = ux * vx, uy * vy
-        gx, gy = (1.0 - wx) / (1.0 + wx), (1.0 - wy) / (1.0 + wy)
-        dx, dy = -2.0 / (1.0 + wx) ** 2, -2.0 / (1.0 + wy) ** 2
-        d2x, d2y = 4.0 / (1.0 + wx) ** 3, 4.0 / (1.0 + wy) ** 3
-        grad = np.array([gy * dx * vx, gx * dy * vy, gy * dx * ux, gx * dy * uy])
-        h = np.empty((4, 4), dtype=complex)
-        h[0, 0] = gy * d2x * vx * vx
-        h[1, 1] = gx * d2y * vy * vy
-        h[2, 2] = gy * d2x * ux * ux
-        h[3, 3] = gx * d2y * uy * uy
-        h[0, 1] = h[1, 0] = dx * vx * dy * vy
-        h[0, 2] = h[2, 0] = gy * (d2x * ux * vx + dx)
-        h[0, 3] = h[3, 0] = dx * vx * dy * uy
-        h[1, 2] = h[2, 1] = dy * vy * dx * ux
-        h[1, 3] = h[3, 1] = gx * (d2y * uy * vy + dy)
-        h[2, 3] = h[3, 2] = dx * ux * dy * uy
-        return amp * gx * gy, amp * grad, amp * h
-
-    return derivs
+            assert max(_rel_errors(got, closed(u, v))) <= 1e-12
 
 
 def _centered_rows(spec, a, b, two_j):
@@ -576,15 +548,10 @@ class TestSeriesContract:
     @pytest.mark.parametrize("two_j", [1, 4, 40])
     def test_single_point_keeps_the_point_arithmetic(self, two_j):
         sys = ss.SpinSystem(two_j=two_j, hbar=0.7)
-        closed = ss.phase_coupling_model(ss.PhaseCouplingParams(lam=0.8, sys=sys)).derivs
-        point = _point_phase_coupling_derivs(0.8, sys)
         terms = ss.build_operator_model(sys, OPERATOR_TERMS).derivs
         factored = _point_factored_derivs(sys, term_factors(sys, OPERATOR_TERMS))
         rng = np.random.default_rng(two_j)
         for u, v in _near_real_points(rng, 5):
-            got, want = closed(u, v), point(u, v)
-            assert type(got[0]) is type(want[0])
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
             # the symbols' arithmetic differs from the factored path's
             got, want = terms(u, v), factored(u, v)
             assert type(got[0]) is type(want[0])
@@ -621,17 +588,24 @@ class TestSymbols:
                 else:
                     assert abs(h - want) <= 1e-12 * abs(want), (kind, power)
 
-    @pytest.mark.parametrize("two_j", [40, 1000])
+    @pytest.mark.parametrize("two_j", [1, 10, 40, 1000])
     def test_j3_j3_matches_phase_coupling_off_the_submanifold(self, two_j):
         # the factored and dense paths lose all accuracy at such points
         sys = ss.SpinSystem(two_j=two_j, hbar=0.7)
         derivs = derivs_from_terms(sys, [ss.OperatorTerm(1.3 * sys.hbar, ("J3", 1), ("J3", 1))])
-        closed = ss.phase_coupling_model(ss.PhaseCouplingParams(lam=1.3, sys=sys))
+        closed = pc_derivs(ss.PhaseCouplingParams(lam=1.3, sys=sys))
         rng = np.random.default_rng(two_j)
         for _ in range(10):
             u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            assert max(_rel_errors(derivs(u, v), closed.derivs(u, v))) <= 1e-12
+            assert max(_rel_errors(derivs(u, v), closed(u, v))) <= 1e-12
+        # a series as long as dense_sampling's energy samples, each row
+        # against its own largest entry of h, grad and hess
+        n = 4000
+        u, v = rng.standard_normal((2, n, 2)) + 1j * rng.standard_normal((2, n, 2))
+        got, want = (np.hstack([x.reshape(n, -1) for x in xs]) for xs in (derivs(u, v), closed(u, v)))
+        scale = np.max(np.abs(want), axis=1)
+        assert np.max(np.max(np.abs(got - want), axis=1) / scale) <= 1e-12
 
     def test_exchange_at_large_spin_matches_factored_oracle(self):
         # a joint matrix of this spin would take 16 TB
