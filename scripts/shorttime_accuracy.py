@@ -32,11 +32,10 @@ def main():
         t_max = 1.0 / (args.coupling * sys.j)
         times = np.linspace(0.0, t_max, args.points)
         traj = ss.integrate_trajectory(sys, model, s0, t_max, cfg, sample_times=times)
-        m_series = ss.integrate_stability(sys, model, traj, cfg)
         print(f"\ntwo_j = {two_j}  (lam*j*T up to 1.0)")
         print(f"{'lam*j*T':>9} {'P_exact':>12} {'P_sc':>12} {'closed':>12} {'|sc-exact|':>12}")
         for i, t in enumerate(traj.ts):
-            p_sc = ss.purity_sc(m_series[i], traj, i)
+            p_sc = ss.purity_sc(traj, i)
             p_ex = ss.pc_exact_purity(params, s0, t)
             p_cf = ss.pc_purity_sc(params, s0, t)
             print(f"{args.coupling * sys.j * t:9.3f} {p_ex:12.8f} {p_sc:12.8f} "

@@ -12,9 +12,11 @@ doubles as an integrator diagnostic. The stability matrix is co-integrated
 with the trajectory in one ODE system (20 complex components), which keeps
 its determinant identity accurate to integrator tolerance; one integration
 per trajectory gives both, at any sample times, from the integrator's
-dense output. hamilton_equations is the one place the field and its
-Jacobian are formed, by the same arithmetic at one point (the ODE's
-right-hand side) and along a series (the action integrands).
+dense output, and the Trajectory carries the matrices (ms) that every
+consumer reads through integrate_stability. hamilton_equations is the one
+place the field and its Jacobian are formed, by the same arithmetic at one
+point (the ODE's right-hand side) and along a series (the action
+integrands).
 """
 
 from dataclasses import dataclass
@@ -209,6 +211,8 @@ def integrate_trajectory(sys, model, s0, t_final, cfg, sample_times=None):
     """
     if t_final < 0:
         raise ValueError("t_final must be non-negative")
+    if sys.two_j < 1:
+        raise ValueError("two_j must be at least 1: spin 0 has no classical phase space")
     y0 = np.concatenate([
         [s0.sx, s0.sy, np.conj(s0.sx), np.conj(s0.sy)],
         np.eye(4, dtype=complex).ravel(),
@@ -229,13 +233,12 @@ def integrate_trajectory(sys, model, s0, t_final, cfg, sample_times=None):
                       integrator=record)
 
 
-def integrate_stability(sys, model, traj, cfg):
-    """Stability matrices along traj, one per sample time.
-
-    integrate_trajectory already co-integrates M with (u, v), so this wraps
-    traj.ms in one StabilityMatrix series and evaluates no field; sys, model
-    and cfg are not used. Raises ValueError for a trajectory built without
-    stability matrices, such as one made directly from its samples.
+def integrate_stability(traj):
+    """Stability matrices along traj, one StabilityMatrix series with one
+    matrix per sample: traj.ms, which integrate_trajectory co-integrates
+    with (u, v). Evaluates no field. Raises ValueError for a trajectory
+    built without stability matrices, such as one made directly from its
+    samples.
     """
     if traj.ms is None:
         raise ValueError("trajectory carries no stability matrices; "

@@ -58,7 +58,7 @@ def compute_curve(cfg, model=None):
 
     traj = integrate_trajectory(sys, model, cfg.initial_state, cfg.t_max,
                                 cfg.integrator, sample_times=times)
-    m_series = integrate_stability(sys, model, traj, cfg.integrator)
+    m_series = integrate_stability(traj)
     ev = purity_sc_evaluate(m_series, traj.initial, traj.state(slice(None)))
     flags = {i: reason for i, reason in enumerate(ev.reason) if reason is not None}
     res_detm = np.abs(m_series.det() - ev.tcal)

@@ -23,8 +23,7 @@ from .spin import CoherentLabel, SpinSystem
 
 def _pipeline_purity(sys, model, s0, t_final, cfg):
     traj = integrate_trajectory(sys, model, s0, t_final, cfg, sample_times=[t_final])
-    stab = integrate_stability(sys, model, traj, cfg)[-1]
-    return purity_sc(stab, traj), traj, stab
+    return purity_sc(traj), traj
 
 
 def check_purity_symmetry(rng):
@@ -51,8 +50,8 @@ def check_sc_symmetry(rng):
         sy = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         t = 0.3 / max(lam * sys.j, 1.0)
         model = phase_coupling_model(PhaseCouplingParams(lam=lam, sys=sys))
-        p1, _, _ = _pipeline_purity(sys, model, CoherentLabel(sx, sy), t, cfg)
-        p2, _, _ = _pipeline_purity(sys, model, CoherentLabel(sy, sx), t, cfg)
+        p1, _ = _pipeline_purity(sys, model, CoherentLabel(sx, sy), t, cfg)
+        p2, _ = _pipeline_purity(sys, model, CoherentLabel(sy, sx), t, cfg)
         worst = max(worst, abs(p1 - p2))
     return worst <= 1e-10, f"max x<->y asymmetry = {worst:.2e} (tol 1e-10)"
 
@@ -66,7 +65,7 @@ def check_noninteracting(rng):
     for _ in range(3):
         s0 = CoherentLabel(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
                            complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
-        p, _, _ = _pipeline_purity(sys, model, s0, 0.8, cfg)
+        p, _ = _pipeline_purity(sys, model, s0, 0.8, cfg)
         worst = max(worst, abs(p - 1.0))
     return worst <= 1e-9, f"max |P_sc - 1| = {worst:.2e} non-interacting (tol 1e-9)"
 
@@ -88,8 +87,8 @@ def check_hbar_j_scaling(rng):
         model_a = phase_coupling_model(PhaseCouplingParams(lam=lam, sys=sys_a))
         model_b = phase_coupling_model(PhaseCouplingParams(lam=lam / 2.0, sys=sys_b))
         t = 0.2 / lam
-        pa, _, _ = _pipeline_purity(sys_a, model_a, s0, t, cfg)
-        pb, _, _ = _pipeline_purity(sys_b, model_b, s0, t, cfg)
+        pa, _ = _pipeline_purity(sys_a, model_a, s0, t, cfg)
+        pb, _ = _pipeline_purity(sys_b, model_b, s0, t, cfg)
         worst = max(worst, abs(pa - pb))
     return worst <= 1e-9, f"max purity shift under hbar*j rescaling = {worst:.2e} (tol 1e-9)"
 
@@ -128,7 +127,7 @@ def check_det_identity(rng):
             s0 = CoherentLabel(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
                                complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
             traj = integrate_trajectory(sys, model, s0, 0.3, cfg, sample_times=[0.3])
-            stab = integrate_stability(sys, model, traj, cfg)[-1]
+            stab = integrate_stability(traj)[-1]
             tcal = endpoint_factor(traj.initial, traj.final)
             worst = max(worst, abs(stab.det() - tcal) / abs(tcal))
     return worst <= 1e-8, f"max |det M - T|/|T| = {worst:.2e} (tol 1e-8)"

@@ -11,6 +11,8 @@ stability matrix and T the endpoint chart-factor ratio (equal to det M
 along the critical trajectory). The equivalent determinant form
 T / sqrt((d - d')^2 - d''^2) is evaluated alongside and the two must agree,
 which is a sharp end-to-end check on the integrated stability matrix.
+prefactor and purity_sc take a trajectory alone and read its own stability
+matrices, so each matrix meets the endpoint of its own sample.
 """
 
 import cmath
@@ -34,13 +36,13 @@ _PERM_TWO = (0, 2, 1, 3)
 
 @dataclass(frozen=True)
 class ActionBundle:
-    """Action, quantum correction, and normalization terms of one propagator."""
+    """Action, quantum correction, and normalization terms of one propagator;
+    the direction xi is already folded into s_action and g_corr."""
 
     s_action: complex
     g_corr: complex
     lambda_tilde: complex
     lambda_norm: float
-    xi: int
     hbar: float
 
     @property
@@ -147,21 +149,19 @@ def action_integrals(sys, model, traj, xi):
         g_corr=-1j * hb * log_g,
         lambda_tilde=lam_tilde,
         lambda_norm=lam_norm,
-        xi=xi,
         hbar=hb,
     )
 
 
-def prefactor(traj, m_series, xi=+1):
+def prefactor(traj, xi=+1):
     """Square root of the propagator prefactor with continuous branch tracking.
 
-    The prefactor series P(t) is evaluated at every sample of the
-    StabilityMatrix series m_series; its argument is unwound along the
-    series so the square root picks up -pi per completed turn, mirroring a
+    The prefactor series P(t) is evaluated at every sample of traj, from
+    its own stability matrices; its argument is unwound along the series so
+    the square root picks up -pi per completed turn, mirroring a
     Maslov-type index.
     """
-    if len(m_series) != len(traj):
-        raise ValueError("stability series not aligned with trajectory samples")
+    m_series = integrate_stability(traj)
     det_block = det2(m_series.m_vv if xi == +1 else m_series.m_uu)
     caustic = np.flatnonzero(np.abs(det_block) < CAUSTIC_TOL)
     if caustic.size:
@@ -188,9 +188,8 @@ def semiclassical_propagator_real(sys, model, s0, t_final, cfg=None):
         return 1.0 + 0.0j, s0
     cfg = cfg or IntegratorConfig()
     traj = integrate_trajectory(sys, model, s0, t_final, cfg)
-    m_series = integrate_stability(sys, model, traj, cfg)
     bundle = action_integrals(sys, model, traj, +1)
-    root_pref = prefactor(traj, m_series, +1)
+    root_pref = prefactor(traj, +1)
     return root_pref * cmath.exp(bundle.exponent), CoherentLabel(*traj.final.u)
 
 
@@ -253,12 +252,14 @@ def purity_sc_evaluate(stab, start, end):
     )
 
 
-def purity_sc(stab, traj, sample=-1):
-    """Semiclassical purity from a stability matrix and its trajectory.
+def purity_sc(traj, sample=-1):
+    """Semiclassical purity at one sample of a trajectory, from the
+    stability matrix and the endpoint of that same sample.
 
     Raises ValidityBreakdown where purity_sc_evaluate flags the sample.
     """
-    ev = purity_sc_evaluate(stab, traj.initial, traj.state(sample))
+    ev = purity_sc_evaluate(integrate_stability(traj)[sample], traj.initial,
+                            traj.state(sample))
     reason = next((r for r in np.ravel(ev.reason) if r is not None), None)
     if reason is not None:
         raise ValidityBreakdown(reason)
@@ -319,8 +320,7 @@ def contraction_checks(systems, z0, lam=1.0, lam_t=0.02, cfg=None):
         model = phase_coupling_model(PhaseCouplingParams(lam=lam, sys=sys))
         t_final = lam_t / lam
         traj = integrate_trajectory(sys, model, s0, t_final, cfg, sample_times=[t_final])
-        stab = integrate_stability(sys, model, traj, cfg)[-1]
-        p = purity_sc(stab, traj)
+        p = purity_sc(traj)
         rows.append(ContractionRow(
             two_j=sys.two_j,
             overlap_error=float(ov_err),

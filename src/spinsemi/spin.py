@@ -69,9 +69,6 @@ class CoherentLabel:
             if not np.isfinite(complex(s)):
                 raise ValueError(f"{name} must be finite (the |+j> pole is excluded)")
 
-    def conj(self):
-        return CoherentLabel(np.conj(self.sx), np.conj(self.sy))
-
 
 def binom_sqrt_weights(two_j):
     """sqrt(binomial(2j, n)) for n = 0..2j, by cumulative ratio products."""

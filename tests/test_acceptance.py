@@ -81,7 +81,7 @@ def test_criterion_2_stability_determinant():
             s0 = _random_real_label(rng)
             traj = ss.integrate_trajectory(sys, model, s0, t_final, CFG,
                                            sample_times=[t_final])
-            stab = ss.integrate_stability(sys, model, traj, CFG)[-1]
+            stab = ss.integrate_stability(traj)[-1]
             tcal = endpoint_factor(traj.initial, traj.final)
             worst = max(worst, abs(stab.det() - tcal) / abs(tcal))
     elapsed = time.perf_counter() - started
@@ -135,11 +135,8 @@ def test_criterion_4_short_time_semiclassics():
             # pipeline: one stability run sampled at all fit times (the
             # trajectory always carries the t = 0 anchor in front)
             traj = ss.integrate_trajectory(sys, model, s0, ts[-1], CFG, sample_times=ts)
-            m_series = ss.integrate_stability(sys, model, traj, CFG)
             index = {t: i for i, t in enumerate(traj.ts)}
-            slin_sc = np.array([
-                1.0 - ss.purity_sc(m_series[index[t]], traj, index[t]) for t in ts
-            ])
+            slin_sc = np.array([1.0 - ss.purity_sc(traj, index[t]) for t in ts])
             basis = np.vstack([ts ** 2, ts ** 4]).T
             c_exact = np.linalg.lstsq(basis, slin_exact, rcond=None)[0][0]
             c_sc = np.linalg.lstsq(basis, slin_sc, rcond=None)[0][0]
@@ -162,7 +159,7 @@ def test_criterion_5_pipeline_vs_closed_form():
     for _ in range(20):
         s0 = _random_real_label(rng)
         t_final = float(rng.uniform(0.05, 0.3))
-        p_pipe, _, _ = _pipeline_purity(sys, model, s0, t_final, CFG)
+        p_pipe, _ = _pipeline_purity(sys, model, s0, t_final, CFG)
         p_closed = ss.pc_purity_sc(params, s0, t_final)
         worst = max(worst, abs(p_pipe - p_closed))
     elapsed = time.perf_counter() - started
@@ -183,9 +180,9 @@ def test_criterion_6_canonical_limit():
         sys = ss.SpinSystem(two_j=two_j)
         model = ss.phase_coupling_model(ss.PhaseCouplingParams(lam=lam, sys=sys))
         s0 = ss.CoherentLabel(z[0] / np.sqrt(two_j), z[1] / np.sqrt(two_j))
-        p_sc, traj, stab = _pipeline_purity(sys, model, s0, lam_t / lam, CFG)
+        p_sc, traj = _pipeline_purity(sys, model, s0, lam_t / lam, CFG)
         errs.append(abs(p_sc - target))
-        p_can = canonical_purity(stab)
+        p_can = canonical_purity(ss.integrate_stability(traj)[-1])
         assert 0.0 < p_can.real <= 1.0 and abs(p_can.imag) < 1e-6
         worst_can = max(worst_can, abs(p_can - p_sc))
     order = np.polyfit(np.log([2.0 / tj for tj in two_js]), np.log(errs), 1)[0]

@@ -5,7 +5,14 @@ The tracer replaces the runner's names below, flow.adaptive_rk and
 config.parse_config, and wraps the derivative callables of each model the
 runner builds. It times the first read of `operator` through a subclass of
 the model's class that replaces the property. The correctness gate imports
-the phase-coupling closed forms and exact_purity_curve.
+the phase-coupling closed forms and exact_purity_curve. The benchmark's own
+checks stand flow's two integration functions in for the runner's names,
+so the runner must import those very objects.
+
+The model's `operator` property and its `htilde`/`grad`/`hess` attributes
+cannot go without a change to the benchmark, even where a run needs none of
+them: its check of a traced run requires every per-layer metric, among
+them `models.operator_s` and the `spin.*_calls` counts of those attributes.
 """
 
 import importlib
@@ -42,6 +49,12 @@ def test_runner_names_exist(name):
 def test_wrapped_module_names_exist():
     assert callable(flow.adaptive_rk)
     assert callable(config.parse_config)
+
+
+@pytest.mark.parametrize("name", ("integrate_trajectory", "integrate_stability"))
+def test_runner_imports_the_flow_functions(name):
+    assert callable(getattr(flow, name))
+    assert getattr(runner, name) is getattr(flow, name)
 
 
 @pytest.mark.parametrize("module", sorted(GATE_IMPORTS))

@@ -297,6 +297,17 @@ class TestIntegrateTrajectory:
         traj = ss.integrate_trajectory(sys, model, s0, 0.8, CFG)
         assert traj.reality_drift() <= 1e-8
 
+    @pytest.mark.parametrize("model_of", [
+        lambda sys: ss.exchange_coupling_model(sys, 1.0),
+        lambda sys: ss.phase_coupling_model(ss.PhaseCouplingParams(lam=1.0, sys=sys)),
+    ], ids=["exchange", "phase"])
+    def test_spin_zero_is_rejected(self, model_of):
+        # spin 0 has coherent states but no classical phase space: the flow
+        # would divide by hbar j = 0
+        sys = ss.SpinSystem(two_j=0)
+        with pytest.raises(ValueError, match="two_j must be at least 1"):
+            ss.integrate_trajectory(sys, model_of(sys), ss.CoherentLabel(0.5, 0.3), 0.5, CFG)
+
     def test_requested_sample_times(self):
         sys, _, model = _pc()
         s0 = ss.CoherentLabel(0.3, 0.4)
@@ -309,13 +320,13 @@ class TestIntegrateStability:
     def test_zero_time_identity(self):
         sys, _, model = _pc()
         traj = ss.integrate_trajectory(sys, model, ss.CoherentLabel(0.3, 0.1), 0.0, CFG)
-        series = ss.integrate_stability(sys, model, traj, CFG)
+        series = ss.integrate_stability(traj)
         assert np.allclose(series[0].m, np.eye(4))
 
     def test_series_is_one_stability_matrix(self):
         sys, _, model = _pc()
         traj = ss.integrate_trajectory(sys, model, ss.CoherentLabel(0.3, 0.1), 0.2, CFG)
-        series = ss.integrate_stability(sys, model, traj, CFG)
+        series = ss.integrate_stability(traj)
         assert isinstance(series, ss.StabilityMatrix)
         assert series.m.shape == (len(traj), 4, 4) and len(series) == len(traj)
         dets = np.array([stab.det() for stab in series])
@@ -328,7 +339,7 @@ class TestIntegrateStability:
         sys = ss.SpinSystem(two_j=4)
         model = ss.free_precession_model(sys, 1.2)
         traj = ss.integrate_trajectory(sys, model, ss.CoherentLabel(0.7, -0.3j), 0.9, CFG)
-        m = ss.integrate_stability(sys, model, traj, CFG)[-1]
+        m = ss.integrate_stability(traj)[-1]
         assert np.max(np.abs(m.m_uv)) < 1e-10
         assert np.max(np.abs(m.m_vu)) < 1e-10
 
@@ -336,7 +347,7 @@ class TestIntegrateStability:
         sys, params, model = _pc()
         s0 = ss.CoherentLabel(0.7 + 0.3j, -0.4 + 0.9j)
         traj = ss.integrate_trajectory(sys, model, s0, 0.35, CFG)
-        m = ss.integrate_stability(sys, model, traj, CFG)[-1]
+        m = ss.integrate_stability(traj)[-1]
         ref = pc_stability(params, s0, 0.35)
         assert np.max(np.abs(m.m - ref.m)) < 1e-8
 
@@ -355,7 +366,7 @@ class TestIntegrateStability:
                     complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
                 )
                 traj = ss.integrate_trajectory(sys, model, s0, 0.4, CFG)
-                m = ss.integrate_stability(sys, model, traj, CFG)[-1]
+                m = ss.integrate_stability(traj)[-1]
                 tcal = endpoint_factor(traj.initial, traj.final)
                 assert abs(m.det() - tcal) / abs(tcal) < 1e-8
 
@@ -365,7 +376,7 @@ class TestIntegrateStability:
         model = ss.exchange_coupling_model(sys, 1.1)
         s0 = ss.CoherentLabel(0.5 + 0.2j, -0.6 + 0.1j)
         traj = ss.integrate_trajectory(sys, model, s0, 0.5, CFG)
-        for m in ss.integrate_stability(sys, model, traj, CFG)[1:]:
+        for m in ss.integrate_stability(traj)[1:]:
             aux = ss.aux_determinants(m)
             lhs = aux.det_ap * aux.det_bp
             rhs = aux.det_cp * aux.det_dp
@@ -377,15 +388,15 @@ class TestIntegrateStability:
         s0 = ss.CoherentLabel(0.4 + 0.3j, 0.7 - 0.2j)
         t1, t2 = 0.22, 0.17
         traj1 = ss.integrate_trajectory(sys, model, s0, t1, CFG)
-        m1 = ss.integrate_stability(sys, model, traj1, CFG)[-1]
+        m1 = ss.integrate_stability(traj1)[-1]
 
         end = traj1.final
         mid_label = ss.CoherentLabel(end.u[0], end.u[1])
         traj2 = ss.integrate_trajectory(sys, model, mid_label, t2, CFG)
-        m2 = ss.integrate_stability(sys, model, traj2, CFG)[-1]
+        m2 = ss.integrate_stability(traj2)[-1]
 
         traj_full = ss.integrate_trajectory(sys, model, s0, t1 + t2, CFG)
-        m_full = ss.integrate_stability(sys, model, traj_full, CFG)[-1]
+        m_full = ss.integrate_stability(traj_full)[-1]
         assert np.max(np.abs(m_full.m - m2.m @ m1.m)) < 1e-7
 
 
@@ -469,21 +480,18 @@ class TestOneIntegration:
 
     def test_integrate_stability_reads_the_trajectory(self):
         sys, params, model = _pc()
-        counting = _CountingModel(model)
         s0 = ss.CoherentLabel(0.4 + 0.3j, 0.7 - 0.2j)
-        traj = ss.integrate_trajectory(sys, counting, s0, 0.3, CFG)
-        counting.calls = 0
-        series = ss.integrate_stability(sys, counting, traj, CFG)
-        assert counting.calls == 0
+        traj = ss.integrate_trajectory(sys, model, s0, 0.3, CFG)
+        series = ss.integrate_stability(traj)
+        assert series.m is traj.ms
         assert len(series) == len(traj)
-        assert all(np.array_equal(stab.m, m) for stab, m in zip(series, traj.ms))
 
     def test_integrate_stability_needs_matrices(self):
         sys, params, model = _pc()
         traj = pc_trajectory(params, ss.CoherentLabel(0.4, 0.2j), 0.3)
         assert traj.ms is None
-        with pytest.raises(ValueError):
-            ss.integrate_stability(sys, model, traj, CFG)
+        with pytest.raises(ValueError, match="carries no stability matrices"):
+            ss.integrate_stability(traj)
 
 
 # seed-0 labels 0-2 of the benchmark's label draw

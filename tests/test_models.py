@@ -144,7 +144,7 @@ class TestPcStability:
         s0 = ss.CoherentLabel(0.7 + 0.3j, -0.4 + 0.9j)
         t_final = 0.3
         traj = ss.integrate_trajectory(sys, model, s0, t_final, CFG)
-        m_num = ss.integrate_stability(sys, model, traj, CFG)[-1]
+        m_num = ss.integrate_stability(traj)[-1]
         m_ref = pc_stability(params, s0, t_final)
         assert np.max(np.abs(m_num.m - m_ref.m)) < 1e-8
 
@@ -158,7 +158,7 @@ class TestPcStability:
         m_ref = pc_stability(params, s0, t_final)
         assert np.all(np.isfinite(m_ref.m.view(float)))
         traj = ss.integrate_trajectory(sys, model, s0, t_final, CFG)
-        m_num = ss.integrate_stability(sys, model, traj, CFG)[-1]
+        m_num = ss.integrate_stability(traj)[-1]
         assert np.max(np.abs(m_num.m - m_ref.m)) < 1e-8
 
 
@@ -189,8 +189,7 @@ class TestPcPurity:
         s0 = ss.CoherentLabel(0.6 - 0.1j, 0.4 + 0.7j)
         t_final = 0.25
         traj = ss.integrate_trajectory(sys, model, s0, t_final, CFG)
-        m = ss.integrate_stability(sys, model, traj, CFG)[-1]
-        assert abs(ss.purity_sc(m, traj) - ss.pc_purity_sc(params, s0, t_final)) < 1e-9
+        assert abs(ss.purity_sc(traj) - ss.pc_purity_sc(params, s0, t_final)) < 1e-9
 
 
 class TestPcExactPurity:
@@ -347,8 +346,7 @@ class TestOperatorModels:
         model = ss.build_operator_model(sys, [])
         assert np.max(np.abs(model.operator)) == 0.0
         traj = ss.integrate_trajectory(sys, model, ss.CoherentLabel(0.5, 0.2j), 0.7, CFG)
-        m = ss.integrate_stability(sys, model, traj, CFG)[-1]
-        assert ss.purity_sc(m, traj) == pytest.approx(1.0)
+        assert ss.purity_sc(traj) == pytest.approx(1.0)
 
     def test_exchange_conserves_total_j3(self):
         sys = ss.SpinSystem(two_j=4)

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from oracles import (
     gaussian_a1a2,
     pc_derivs,
     pc_slin_short_time,
+    pc_trajectory,
     permuted_dets,
     stability_from_action_hessians,
 )
@@ -35,9 +37,7 @@ def _pc(two_j=6, lam=1.0):
 
 
 def _pipeline(sys, model, s0, t_final, cfg=CFG):
-    traj = ss.integrate_trajectory(sys, model, s0, t_final, cfg)
-    m_series = ss.integrate_stability(sys, model, traj, cfg)
-    return traj, m_series
+    return ss.integrate_trajectory(sys, model, s0, t_final, cfg)
 
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -208,15 +208,14 @@ class TestPrefactor:
     def test_zero_time(self):
         sys, _, model = _pc()
         traj = ss.integrate_trajectory(sys, model, ss.CoherentLabel(0.2, 0.4), 0.0, CFG)
-        m_series = ss.integrate_stability(sys, model, traj, CFG)
-        assert ss.prefactor(traj, m_series, +1) == pytest.approx(1.0)
+        assert ss.prefactor(traj, +1) == pytest.approx(1.0)
 
     def test_equator_precession_modulus(self):
         sys = ss.SpinSystem(two_j=4)
         model = ss.free_precession_model(sys, 1.0)
         s0 = ss.CoherentLabel(1.0, 1.0)  # equator
-        traj, m_series = _pipeline(sys, model, s0, 1.2)
-        root = ss.prefactor(traj, m_series, +1)
+        traj = _pipeline(sys, model, s0, 1.2)
+        root = ss.prefactor(traj, +1)
         assert abs(abs(root) - 1.0) < 1e-9
 
     def test_branch_stable_under_refinement(self):
@@ -225,8 +224,8 @@ class TestPrefactor:
         vals = []
         for max_step in (0.02, 0.01):
             cfg = ss.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, max_step=max_step)
-            traj, m_series = _pipeline(sys, model, s0, 0.6, cfg)
-            vals.append(ss.prefactor(traj, m_series, +1))
+            traj = _pipeline(sys, model, s0, 0.6, cfg)
+            vals.append(ss.prefactor(traj, +1))
         assert abs(cmath.phase(vals[0]) - cmath.phase(vals[1])) < 1e-6
 
     def test_caustic_detection(self):
@@ -237,16 +236,16 @@ class TestPrefactor:
         ms = np.tile(np.eye(4, dtype=complex), (len(traj), 1, 1))
         ms[-1, 2:, 2:] = 0.0  # det M_vv = 0 at the last sample
         with pytest.raises(CausticEncountered, match=f"at t = {traj.ts[-1]:.6e}"):
-            ss.prefactor(traj, ss.StabilityMatrix(ms), +1)
+            ss.prefactor(dataclasses.replace(traj, ms=ms), +1)
 
     def test_phase_continuity_between_samples(self):
         sys, params, model = _pc(two_j=8, lam=1.5)
         s0 = ss.CoherentLabel(0.8 + 0.1j, 0.5 - 0.6j)
-        traj, m_series = _pipeline(sys, model, s0, 0.8)
+        traj = _pipeline(sys, model, s0, 0.8)
         start = traj.initial
         den0 = (1 + start.u[0] * start.v[0]) * (1 + start.u[1] * start.v[1])
         vals = []
-        for i, stab in enumerate(m_series):
+        for i, stab in enumerate(ss.integrate_stability(traj)):
             stt = traj.state(i)
             ratio = (1 + stt.u[0] * stt.v[0]) * (1 + stt.u[1] * stt.v[1]) / den0
             vals.append(ratio / det2(stab.m_vv))
@@ -262,17 +261,16 @@ class TestBackwardBranch:
         sys = ss.SpinSystem(two_j=6)
         model = ss.exchange_coupling_model(sys, 0.8)
         s0 = ss.CoherentLabel(0.6 + 0.1j, -0.4 + 0.3j)
-        traj, m_series = _pipeline(sys, model, s0, 0.3)
-        return sys, model, traj, m_series
+        return sys, model, _pipeline(sys, model, s0, 0.3)
 
     def test_prefactor_conjugation(self):
-        _, _, traj, m_series = self._setup()
-        fwd = ss.prefactor(traj, m_series, +1)
-        back = ss.prefactor(traj, m_series, -1)
+        _, _, traj = self._setup()
+        fwd = ss.prefactor(traj, +1)
+        back = ss.prefactor(traj, -1)
         assert abs(back - np.conj(fwd)) < 1e-10
 
     def test_action_conjugation(self):
-        sys, model, traj, _ = self._setup()
+        sys, model, traj = self._setup()
         fwd = ss.action_integrals(sys, model, traj, +1)
         back = ss.action_integrals(sys, model, traj, -1)
         hb = sys.hbar
@@ -285,9 +283,9 @@ class TestBackwardBranch:
     def test_backward_propagator_matches_exact(self):
         # assembled K_- approximates the reversed exact overlap, i.e. the
         # conjugate of the forward one at the diagonal endpoint
-        sys, model, traj, m_series = self._setup()
+        sys, model, traj = self._setup()
         bundle = ss.action_integrals(sys, model, traj, -1)
-        k_back = ss.prefactor(traj, m_series, -1) * np.exp(bundle.exponent)
+        k_back = ss.prefactor(traj, -1) * np.exp(bundle.exponent)
         s_eta = ss.CoherentLabel(traj.final.u[0], traj.final.u[1])
         k_ex = ss.exact_propagator_overlap(
             sys, model, s_eta, ss.CoherentLabel(*traj.initial.u), traj.ts[-1]
@@ -344,9 +342,8 @@ class TestSemiclassicalPropagator:
             values = []
             for times in (None, np.linspace(0.0, t_final, 1025)):
                 traj = ss.integrate_trajectory(sys, model, s0, t_final, CFG, sample_times=times)
-                m_series = ss.integrate_stability(sys, model, traj, CFG)
                 bundle = ss.action_integrals(sys, model, traj, +1)
-                values.append(ss.prefactor(traj, m_series, +1) * cmath.exp(bundle.exponent))
+                values.append(ss.prefactor(traj, +1) * cmath.exp(bundle.exponent))
             assert abs(values[0] - values[1]) <= 1e-8 * abs(values[1]), tau
 
 
@@ -386,15 +383,14 @@ class TestPuritySc:
     def test_noninteracting_is_one(self):
         sys = ss.SpinSystem(two_j=5)
         model = ss.free_precession_model(sys, 1.3)
-        traj, m_series = _pipeline(sys, model, ss.CoherentLabel(0.7, -0.2 + 0.4j), 1.0)
-        assert ss.purity_sc(m_series[-1], traj) == pytest.approx(1.0, abs=1e-10)
+        traj = _pipeline(sys, model, ss.CoherentLabel(0.7, -0.2 + 0.4j), 1.0)
+        assert ss.purity_sc(traj) == pytest.approx(1.0, abs=1e-10)
 
     def test_phase_coupling_closed_form(self):
         sys, params, model = _pc(two_j=8)
         s0 = ss.CoherentLabel(0.5 + 0.5j, -0.3 + 0.7j)
         t_final = 0.2
-        traj, m_series = _pipeline(sys, model, s0, t_final)
-        got = ss.purity_sc(m_series[-1], traj)
+        got = ss.purity_sc(_pipeline(sys, model, s0, t_final))
         assert got == pytest.approx(ss.pc_purity_sc(params, s0, t_final), abs=1e-9)
 
     def test_spin_half_series_vs_exact(self):
@@ -411,11 +407,30 @@ class TestPuritySc:
         sys, params, model = _pc(two_j=6, lam=0.9)
         sx, sy = 0.8 + 0.1j, -0.4 + 0.6j
         t_final = 0.15
-        traj1, m1 = _pipeline(sys, model, ss.CoherentLabel(sx, sy), t_final)
-        traj2, m2 = _pipeline(sys, model, ss.CoherentLabel(sy, sx), t_final)
-        p1 = ss.purity_sc(m1[-1], traj1)
-        p2 = ss.purity_sc(m2[-1], traj2)
+        p1 = ss.purity_sc(_pipeline(sys, model, ss.CoherentLabel(sx, sy), t_final))
+        p2 = ss.purity_sc(_pipeline(sys, model, ss.CoherentLabel(sy, sx), t_final))
         assert abs(p1 - p2) < 1e-10
+
+    def test_each_sample_pairs_its_matrix_with_its_endpoint(self):
+        # T moves by 15% along this trajectory, so a matrix evaluated against
+        # another sample's endpoint factor would be flagged or off
+        sys = ss.SpinSystem(two_j=4)
+        model = ss.exchange_coupling_model(sys, 1.0)
+        traj = _pipeline(sys, model, ss.CoherentLabel(0.5 + 0.2j, -0.3 + 0.4j), 1.0)
+        ev = purity_sc_evaluate(ss.integrate_stability(traj), traj.initial,
+                                traj.state(slice(None)))
+        assert np.ptp(np.abs(ev.tcal)) > 0.1
+        assert all(reason is None for reason in ev.reason)
+        for i in range(len(traj)):
+            assert abs(ss.purity_sc(traj, i) - ev.p_sc[i]) <= 1e-12 * abs(ev.p_sc[i]), i
+        assert ss.purity_sc(traj) == ss.purity_sc(traj, len(traj) - 1)
+
+    def test_trajectory_without_matrices_is_refused(self):
+        _, params, _ = _pc()
+        traj = pc_trajectory(params, ss.CoherentLabel(0.4, 0.2j), 0.3)
+        for consumer in (ss.purity_sc, ss.prefactor):
+            with pytest.raises(ValueError, match="carries no stability matrices"):
+                consumer(traj)
 
     def test_validity_breakdown_raises(self):
         m = np.eye(4, dtype=complex)
@@ -426,7 +441,7 @@ class TestPuritySc:
         assert ev.reason.startswith("Re(1 + 2 d''/T) = ")
         assert np.isnan(ev.p_sc) and np.isnan(ev.im_residual)
         with pytest.raises(ValidityBreakdown, match="outside the validity window"):
-            ss.purity_sc(stab, _static_trajectory())
+            ss.purity_sc(_static_trajectory(m))
 
     def test_inconsistent_matrix_rejected(self):
         # det M = 16 but the endpoint factor says 1: the two purity forms
@@ -436,7 +451,7 @@ class TestPuritySc:
         assert ev.reason.startswith("purity forms disagree by ")
         assert np.isnan(ev.p_sc) and np.isnan(ev.im_residual)
         with pytest.raises(ValidityBreakdown, match="inconsistent with det M = T"):
-            ss.purity_sc(stab, _static_trajectory())
+            ss.purity_sc(_static_trajectory(stab.m))
 
     def test_valid_sample_has_no_reason(self):
         ev = purity_sc_evaluate(ss.StabilityMatrix(np.eye(4)), _ORIGIN, _ORIGIN)
@@ -451,8 +466,7 @@ class TestPuritySc:
         ts = np.linspace(0.002, 0.01, 5) / (params.lam * sys.j)
         slins = []
         for t_final in ts:
-            traj, m_series = _pipeline(sys, model, s0, t_final)
-            slins.append(1.0 - ss.purity_sc(m_series[-1], traj))
+            slins.append(1.0 - ss.purity_sc(_pipeline(sys, model, s0, t_final)))
         fit = np.polyfit(ts ** 2, slins, 1)
         assert abs(fit[0] - coeff) / coeff < 1e-3
 
@@ -464,20 +478,19 @@ class TestPuritySc:
         model_a = ss.phase_coupling_model(ss.PhaseCouplingParams(lam=lam, sys=sys_a))
         model_b = ss.phase_coupling_model(ss.PhaseCouplingParams(lam=lam / 2, sys=sys_b))
         t_final = 0.25
-        traj_a, m_a = _pipeline(sys_a, model_a, s0, t_final)
-        traj_b, m_b = _pipeline(sys_b, model_b, s0, t_final)
-        pa = ss.purity_sc(m_a[-1], traj_a)
-        pb = ss.purity_sc(m_b[-1], traj_b)
+        pa = ss.purity_sc(_pipeline(sys_a, model_a, s0, t_final))
+        pb = ss.purity_sc(_pipeline(sys_b, model_b, s0, t_final))
         assert abs(pa - pb) < 1e-9
 
 
 _ORIGIN = PhaseSpaceState([0.0, 0.0], [0.0, 0.0])
 
 
-def _static_trajectory():
-    """One-sample trajectory resting at the origin."""
+def _static_trajectory(m):
+    """One-sample trajectory resting at the origin, carrying the stability
+    matrix m."""
     return Trajectory(ts=np.array([0.0]), ys=np.zeros((1, 4), dtype=complex),
-                      energy=np.zeros(1))
+                      energy=np.zeros(1), ms=np.asarray(m, dtype=complex)[None])
 
 
 def _per_row_evaluate(m, start, end):
@@ -549,7 +562,7 @@ class TestSeriesEvaluation:
         s0 = ss.CoherentLabel(0.5 + 0.2j, -0.3 + 0.4j)
         times = np.linspace(0.0, 0.5, 400)
         traj = ss.integrate_trajectory(sys, model, s0, times[-1], CFG, sample_times=times)
-        m_series = ss.integrate_stability(sys, model, traj, CFG)
+        m_series = ss.integrate_stability(traj)
         assert _series_vs_per_row(m_series, traj.initial, traj.state(slice(None))) <= 1e-12
 
     def test_one_bad_row_is_flagged_alone(self):
@@ -603,8 +616,8 @@ class TestGaussianCoefficients:
     def test_on_computed_stability_matrix(self):
         sys = ss.SpinSystem(two_j=5)
         model = ss.exchange_coupling_model(sys, 0.7)
-        traj, m_series = _pipeline(sys, model, ss.CoherentLabel(0.4, 0.6 - 0.2j), 0.4)
-        stab = m_series[-1]
+        traj = _pipeline(sys, model, ss.CoherentLabel(0.4, 0.6 - 0.2j), 0.4)
+        stab = ss.integrate_stability(traj)[-1]
         a1, a2 = gaussian_a1a2(stab)
         aux = ss.aux_determinants(stab)
         lhs = (aux.d - aux.d_prime) ** 2 - aux.d_dprime ** 2
@@ -616,8 +629,8 @@ class TestActionHessians:
     def _computed(self):
         sys = ss.SpinSystem(two_j=6)
         model = ss.exchange_coupling_model(sys, 0.9)
-        traj, m_series = _pipeline(sys, model, ss.CoherentLabel(0.5 + 0.2j, -0.3 + 0.4j), 0.3)
-        return sys, traj, m_series[-1]
+        traj = _pipeline(sys, model, ss.CoherentLabel(0.5 + 0.2j, -0.3 + 0.4j), 0.3)
+        return sys, traj, ss.integrate_stability(traj)[-1]
 
     @pytest.mark.parametrize("xi", [+1, -1])
     def test_roundtrip(self, xi):
@@ -666,16 +679,16 @@ class TestCanonicalPurity:
             sys = ss.SpinSystem(two_j=two_j)
             model = ss.phase_coupling_model(ss.PhaseCouplingParams(lam=lam, sys=sys))
             s0 = ss.CoherentLabel(z[0] / np.sqrt(two_j), z[1] / np.sqrt(two_j))
-            traj, m_series = _pipeline(sys, model, s0, lam_t / lam)
-            p_stab = ss.purity_sc(m_series[-1], traj)
-            p_can = canonical_purity(m_series[-1])
+            traj = _pipeline(sys, model, s0, lam_t / lam)
+            p_stab = ss.purity_sc(traj)
+            p_can = canonical_purity(ss.integrate_stability(traj)[-1])
             assert 0.0 < p_can.real <= 1.0 and abs(p_can.imag) < 1e-6
             assert abs(p_can - p_stab) < 1e-6
 
     def test_block_identity_defect_is_small(self):
         sys, params, model = _pc()
-        traj, m_series = _pipeline(sys, model, ss.CoherentLabel(0.4, 0.2j), 0.2)
-        stab = m_series[-1]
+        traj = _pipeline(sys, model, ss.CoherentLabel(0.4, 0.2j), 0.2)
+        stab = ss.integrate_stability(traj)[-1]
         assert block_identity_defect(stab.m, ss.aux_determinants(stab)) < 1e-8
 
     def test_two_oscillator_short_time_limit(self):
@@ -685,8 +698,7 @@ class TestCanonicalPurity:
         sys = ss.SpinSystem(two_j=128)
         model = ss.phase_coupling_model(ss.PhaseCouplingParams(lam=1.0, sys=sys))
         s0 = ss.CoherentLabel(z[0] / np.sqrt(128), z[1] / np.sqrt(128))
-        traj, m_series = _pipeline(sys, model, s0, lam_t)
-        p_can = canonical_purity(m_series[-1])
+        p_can = canonical_purity(ss.integrate_stability(_pipeline(sys, model, s0, lam_t))[-1])
         assert 0.0 < p_can.real <= 1.0 and abs(p_can.imag) < 1e-6
         assert abs(p_can - target) < 2e-5
 
