@@ -31,7 +31,7 @@ def main():
         model = ss.phase_coupling_model(params)
         t_max = 1.0 / (args.coupling * sys.j)
         times = np.linspace(0.0, t_max, args.points)
-        traj = ss.integrate_trajectory(sys, model, s0, t_max, cfg, sample_times=times)
+        traj = ss.integrate_trajectory(model, s0, t_max, cfg, sample_times=times)
         print(f"\ntwo_j = {two_j}  (lam*j*T up to 1.0)")
         print(f"{'lam*j*T':>9} {'P_exact':>12} {'P_sc':>12} {'closed':>12} {'|sc-exact|':>12}")
         for i, t in enumerate(traj.ts):

@@ -5,7 +5,8 @@ Hamilton's equations here are
     du_k/dt = +(1 + u_k v_k)^2 / (2 i j hbar) * dH/dv_k,
     dv_k/dt = -(1 + u_k v_k)^2 / (2 i j hbar) * dH/du_k,
 
-for k = x, y, with H the analytically continued classical Hamiltonian.
+for k = x, y, with H the model's analytically continued classical
+Hamiltonian and j and hbar those of its SpinSystem, model.sys.
 Trajectories start from the real point (u, v) = (s0, s0*) and, for Hermitian
 models, stay real; the reality drift is measured, never enforced, so it
 doubles as an integrator diagnostic. The stability matrix is co-integrated
@@ -176,27 +177,27 @@ def hamilton_equations(sys, y, g, hss):
     return (ax * gvx, ay * gvy, -ax * gux, -ay * guy), jac
 
 
-def _hamilton_at(sys, model, y):
+def _hamilton_at(model, y):
     """hamilton_equations at y[:4] in Python scalars, from one derivs call."""
     ux, uy, vx, vy = point = y[:4].tolist()
     require_chart(min(abs(1.0 + ux * vx), abs(1.0 + uy * vy)))
     _, g, hss = model.derivs(y[:2], y[2:4])
-    return hamilton_equations(sys, point, g.tolist(), hss.tolist())
+    return hamilton_equations(model.sys, point, g.tolist(), hss.tolist())
 
 
-def _field_and_stability(sys, model, y, out):
+def _field_and_stability(model, y, out):
     """Right-hand side of the (u, v, M) system into out: the field, then
     dM/dt = J M with M = y[4:] row-major."""
-    field, jac = _hamilton_at(sys, model, y)
+    field, jac = _hamilton_at(model, y)
     out[:4] = field
     np.matmul(np.array(jac, dtype=complex).reshape(4, 4), y[4:].reshape(4, 4),
               out=out[4:].reshape(4, 4))
     return out
 
 
-def integrate_trajectory(sys, model, s0, t_final, cfg, sample_times=None):
-    """Real critical trajectory from (u, v) = (s0, s0*) over [0, t_final],
-    with its stability matrices.
+def integrate_trajectory(model, s0, t_final, cfg, sample_times=None):
+    """Real critical trajectory of model, on its model.sys, from
+    (u, v) = (s0, s0*) over [0, t_final], with its stability matrices.
 
     One adaptive integration of (u, v) and M, with dM/dt = J(t) M and
     M(0) = I, so M sees exactly the flow it linearizes; the result's `ms`
@@ -211,7 +212,7 @@ def integrate_trajectory(sys, model, s0, t_final, cfg, sample_times=None):
     """
     if t_final < 0:
         raise ValueError("t_final must be non-negative")
-    if sys.two_j < 1:
+    if model.sys.two_j < 1:
         raise ValueError("two_j must be at least 1: spin 0 has no classical phase space")
     y0 = np.concatenate([
         [s0.sx, s0.sy, np.conj(s0.sx), np.conj(s0.sy)],
@@ -224,7 +225,7 @@ def integrate_trajectory(sys, model, s0, t_final, cfg, sample_times=None):
         sample_times = np.concatenate([[0.0], sample_times])
     out = np.empty(20, dtype=complex)
     ts, ys, record = adaptive_rk(
-        lambda t, y: _field_and_stability(sys, model, y, out),
+        lambda t, y: _field_and_stability(model, y, out),
         y0, (0.0, t_final), cfg, samples=sample_times,
     )
     states = np.ascontiguousarray(ys[:, :4])

@@ -9,7 +9,7 @@ purity curve reuses one set of sector eigendecompositions.
 The engine's one input is a Sectors description: index arrays and
 Hermitian block stacks per sector size. Every model derives it from its
 operator's entries (model.sectors), so no (2j+1)^2 x (2j+1)^2 joint matrix
-is formed.
+is formed. hbar and the states' dimension come from model.sys too.
 """
 
 from dataclasses import dataclass
@@ -191,7 +191,9 @@ def time_chunks(n_times, dim):
 
 def exact_purity_curve(sys, model, s0, times, subsystem="x"):
     """Reduced-state purity of the evolved product coherent state, per time,
-    evaluated a chunk of times at a time."""
+    evaluated a chunk of times at a time; sys must be model.sys."""
+    if sys != model.sys:
+        raise ValueError(f"sys {sys} is not the model's {model.sys}")
     times = np.asarray(times, dtype=float)
     if times.size and (np.any(np.diff(times) <= 0) or times[0] < 0):
         raise ValueError("times must be ascending and non-negative")
@@ -203,9 +205,9 @@ def exact_purity_curve(sys, model, s0, times, subsystem="x"):
     return out
 
 
-def exact_propagator_overlap(sys, model, s_eta, s0, t, xi=+1):
+def exact_propagator_overlap(model, s_eta, s0, t, xi=+1):
     """<s_eta | e^{-i xi H t / hbar} | s_0> on the joint space, H the
-    model's, evolved through model.sectors."""
-    bra = product_coherent(sys, s_eta)
-    ket = SpectralPropagator(model.sectors, sys.hbar).apply(product_coherent(sys, s0), xi * t)
-    return complex(np.vdot(bra, ket))
+    model's, evolved through model.sectors on model.sys."""
+    prop = SpectralPropagator(model.sectors, model.sys.hbar)
+    ket = prop.apply(product_coherent(model.sys, s0), xi * t)
+    return complex(np.vdot(product_coherent(model.sys, s_eta), ket))

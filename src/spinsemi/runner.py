@@ -48,7 +48,7 @@ def compute_curve(cfg, model=None):
     IntegratorRecord of its one trajectory integration."""
     model = model or build_model(cfg)
     times = np.linspace(0.0, cfg.t_max, cfg.num_points)
-    sys = cfg.system
+    sys = model.sys
 
     psi0 = product_coherent(sys, cfg.initial_state)
     prop = SpectralPropagator(model.sectors, sys.hbar)
@@ -56,8 +56,8 @@ def compute_curve(cfg, model=None):
     for rows in time_chunks(times.size, prop.dim):
         p_exact[rows] = purity(reduced_density(prop.apply(psi0, times[rows]), "x", sys.dim))
 
-    traj = integrate_trajectory(sys, model, cfg.initial_state, cfg.t_max,
-                                cfg.integrator, sample_times=times)
+    traj = integrate_trajectory(model, cfg.initial_state, cfg.t_max, cfg.integrator,
+                                sample_times=times)
     m_series = integrate_stability(traj)
     ev = purity_sc_evaluate(m_series, traj.initial, traj.state(slice(None)))
     flags = {i: reason for i, reason in enumerate(ev.reason) if reason is not None}

@@ -21,8 +21,8 @@ from .semiclassical import aux_determinants, endpoint_factor, purity_sc
 from .spin import CoherentLabel, SpinSystem
 
 
-def _pipeline_purity(sys, model, s0, t_final, cfg):
-    traj = integrate_trajectory(sys, model, s0, t_final, cfg, sample_times=[t_final])
+def _pipeline_purity(model, s0, t_final, cfg):
+    traj = integrate_trajectory(model, s0, t_final, cfg, sample_times=[t_final])
     return purity_sc(traj), traj
 
 
@@ -44,14 +44,14 @@ def check_sc_symmetry(rng):
     cfg = IntegratorConfig()
     worst = 0.0
     for _ in range(5):
-        sys = SpinSystem(two_j=int(rng.integers(1, 9)))
+        sys = SpinSystem(two_j=rng.integers(1, 9))
         lam = float(rng.uniform(0.5, 1.5))
         sx = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         sy = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         t = 0.3 / max(lam * sys.j, 1.0)
         model = phase_coupling_model(PhaseCouplingParams(lam=lam, sys=sys))
-        p1, _ = _pipeline_purity(sys, model, CoherentLabel(sx, sy), t, cfg)
-        p2, _ = _pipeline_purity(sys, model, CoherentLabel(sy, sx), t, cfg)
+        p1, _ = _pipeline_purity(model, CoherentLabel(sx, sy), t, cfg)
+        p2, _ = _pipeline_purity(model, CoherentLabel(sy, sx), t, cfg)
         worst = max(worst, abs(p1 - p2))
     return worst <= 1e-10, f"max x<->y asymmetry = {worst:.2e} (tol 1e-10)"
 
@@ -59,13 +59,12 @@ def check_sc_symmetry(rng):
 def check_noninteracting(rng):
     """P_sc stays exactly 1 when the model has no coupling."""
     cfg = IntegratorConfig()
-    sys = SpinSystem(two_j=4)
-    model = free_precession_model(sys, 0.9)
+    model = free_precession_model(SpinSystem(two_j=4), 0.9)
     worst = 0.0
     for _ in range(3):
         s0 = CoherentLabel(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
                            complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
-        p, _ = _pipeline_purity(sys, model, s0, 0.8, cfg)
+        p, _ = _pipeline_purity(model, s0, 0.8, cfg)
         worst = max(worst, abs(p - 1.0))
     return worst <= 1e-9, f"max |P_sc - 1| = {worst:.2e} non-interacting (tol 1e-9)"
 
@@ -82,13 +81,11 @@ def check_hbar_j_scaling(rng):
         s0 = CoherentLabel(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
                            complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
         lam = float(rng.uniform(0.5, 1.5))
-        sys_a = SpinSystem(two_j=4, hbar=1.0)
-        sys_b = SpinSystem(two_j=8, hbar=0.5)
-        model_a = phase_coupling_model(PhaseCouplingParams(lam=lam, sys=sys_a))
-        model_b = phase_coupling_model(PhaseCouplingParams(lam=lam / 2.0, sys=sys_b))
+        model_a = phase_coupling_model(PhaseCouplingParams(lam=lam, sys=SpinSystem(4, 1.0)))
+        model_b = phase_coupling_model(PhaseCouplingParams(lam=lam / 2.0, sys=SpinSystem(8, 0.5)))
         t = 0.2 / lam
-        pa, _ = _pipeline_purity(sys_a, model_a, s0, t, cfg)
-        pb, _ = _pipeline_purity(sys_b, model_b, s0, t, cfg)
+        pa, _ = _pipeline_purity(model_a, s0, t, cfg)
+        pb, _ = _pipeline_purity(model_b, s0, t, cfg)
         worst = max(worst, abs(pa - pb))
     return worst <= 1e-9, f"max purity shift under hbar*j rescaling = {worst:.2e} (tol 1e-9)"
 
@@ -104,7 +101,7 @@ def check_drifts(rng):
         exchange_coupling_model(sys, 0.7),
     ):
         s0 = CoherentLabel(0.6 + 0.2j, -0.3 + 0.5j)
-        traj = integrate_trajectory(sys, model, s0, 0.3, cfg)
+        traj = integrate_trajectory(model, s0, 0.3, cfg)
         budget = 10.0 * cfg.rel_tol * (1.0 + abs(traj.energy[0]))
         e_drift = traj.energy_drift()
         r_drift = traj.reality_drift()
@@ -126,7 +123,7 @@ def check_det_identity(rng):
         for _ in range(3):
             s0 = CoherentLabel(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
                                complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
-            traj = integrate_trajectory(sys, model, s0, 0.3, cfg, sample_times=[0.3])
+            traj = integrate_trajectory(model, s0, 0.3, cfg, sample_times=[0.3])
             stab = integrate_stability(traj)[-1]
             tcal = endpoint_factor(traj.initial, traj.final)
             worst = max(worst, abs(stab.det() - tcal) / abs(tcal))

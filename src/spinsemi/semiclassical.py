@@ -12,7 +12,8 @@ along the critical trajectory). The equivalent determinant form
 T / sqrt((d - d')^2 - d''^2) is evaluated alongside and the two must agree,
 which is a sharp end-to-end check on the integrated stability matrix.
 prefactor and purity_sc take a trajectory alone and read its own stability
-matrices, so each matrix meets the endpoint of its own sample.
+matrices, so each matrix meets the endpoint of its own sample. Calls that
+take a model read hbar and j from model.sys.
 """
 
 import cmath
@@ -109,7 +110,7 @@ def _principal_log(z):
     return cmath.log(z)
 
 
-def action_integrals(sys, model, traj, xi):
+def action_integrals(model, traj, xi):
     """Action and quantum-correction integrals along a sampled trajectory.
 
     Quadratures reuse the trajectory's own sample grid (fourth order local
@@ -122,15 +123,15 @@ def action_integrals(sys, model, traj, xi):
     The boundary term lambda_norm is evaluated for the diagonal endpoint
     choice: bra label fixed at u(T), ket label at the start label.
     """
-    j = sys.two_j / 2.0
+    j, hb = model.sys.j, model.sys.hbar
     n = len(traj)
     u, v = traj.ys[:, :2], traj.ys[:, 2:4]
     p = 1.0 + u * v
     require_chart(np.abs(p).min())
     _, g, hss = model.derivs(u, v)
-    field, jac = hamilton_equations(sys, traj.ys.T, g.T, hss.transpose(1, 2, 0))
+    field, jac = hamilton_equations(model.sys, traj.ys.T, g.T, hss.transpose(1, 2, 0))
     du, dv = np.transpose(field[:2]), np.transpose(field[2:])
-    f_s = j * np.sum((u * dv - v * du) / p, axis=1) - 1j * traj.energy / sys.hbar
+    f_s = j * np.sum((u * dv - v * du) / p, axis=1) - 1j * traj.energy / hb
     f_g = jac[0] + jac[5] - jac[10] - jac[15]
     i_s = cubic_quadrature(traj.ts, f_s) if n > 1 else 0.0
     i_g = cubic_quadrature(traj.ts, f_g) if n > 1 else 0.0
@@ -143,7 +144,6 @@ def action_integrals(sys, model, traj, xi):
 
     log_s = xi * i_s + lam_tilde          # this is (i/hbar) * S_xi
     log_g = -(xi / 4.0) * i_g             # this is (i/hbar) * G_xi
-    hb = sys.hbar
     return ActionBundle(
         s_action=-1j * hb * log_s,
         g_corr=-1j * hb * log_g,
@@ -176,7 +176,7 @@ def prefactor(traj, xi=+1):
     return np.sqrt(np.abs(vals[-1])) * np.exp(0.5j * theta[-1])
 
 
-def semiclassical_propagator_real(sys, model, s0, t_final, cfg=None):
+def semiclassical_propagator_real(model, s0, t_final, cfg=None):
     """Diagonal-endpoint semiclassical propagator on the real critical trajectory.
 
     Evaluates sqrt(P) * exp[(i/hbar)(S + G) - Lambda] with the bra label
@@ -186,9 +186,8 @@ def semiclassical_propagator_real(sys, model, s0, t_final, cfg=None):
     """
     if t_final == 0:
         return 1.0 + 0.0j, s0
-    cfg = cfg or IntegratorConfig()
-    traj = integrate_trajectory(sys, model, s0, t_final, cfg)
-    bundle = action_integrals(sys, model, traj, +1)
+    traj = integrate_trajectory(model, s0, t_final, cfg or IntegratorConfig())
+    bundle = action_integrals(model, traj, +1)
     root_pref = prefactor(traj, +1)
     return root_pref * cmath.exp(bundle.exponent), CoherentLabel(*traj.final.u)
 
@@ -319,8 +318,7 @@ def contraction_checks(systems, z0, lam=1.0, lam_t=0.02, cfg=None):
         s0 = CoherentLabel(z_eta * scale, z_mu * scale)
         model = phase_coupling_model(PhaseCouplingParams(lam=lam, sys=sys))
         t_final = lam_t / lam
-        traj = integrate_trajectory(sys, model, s0, t_final, cfg, sample_times=[t_final])
-        p = purity_sc(traj)
+        p = purity_sc(integrate_trajectory(model, s0, t_final, cfg, sample_times=[t_final]))
         rows.append(ContractionRow(
             two_j=sys.two_j,
             overlap_error=float(ov_err),

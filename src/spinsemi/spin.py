@@ -14,6 +14,7 @@ Conventions (used everywhere downstream):
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -27,14 +28,16 @@ _LOG_RANGE_GUARD = 600.0
 
 @dataclass(frozen=True)
 class SpinSystem:
-    """Two identical spin-j subsystems; j is stored exactly as two_j."""
+    """Two identical spin-j subsystems; j is stored exactly as two_j, an int."""
 
     two_j: int
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.two_j < 0 or int(self.two_j) != self.two_j:
+        two_j = operator.index(self.two_j) if hasattr(self.two_j, "__index__") else -1
+        if two_j < 0 or isinstance(self.two_j, bool):
             raise ValueError("two_j must be a non-negative integer")
+        object.__setattr__(self, "two_j", two_j)
         if self.hbar <= 0:
             raise ValueError("hbar must be positive")
 
@@ -150,8 +153,6 @@ def _factor_band(two_j, kind, power):
     for k in range(1, power):
         values = values * ladder[k:k + size]
     return (power if kind == "J+" else -power), values
-
-
 
 
 def _factor_polynomial(two_j, kind, power):

@@ -79,7 +79,7 @@ def test_criterion_2_stability_determinant():
         t_final = 1.0 / (lam * sys.j)
         for _ in range(20):
             s0 = _random_real_label(rng)
-            traj = ss.integrate_trajectory(sys, model, s0, t_final, CFG,
+            traj = ss.integrate_trajectory(model, s0, t_final, CFG,
                                            sample_times=[t_final])
             stab = ss.integrate_stability(traj)[-1]
             tcal = endpoint_factor(traj.initial, traj.final)
@@ -134,7 +134,7 @@ def test_criterion_4_short_time_semiclassics():
             slin_exact = 1.0 - ss.exact_purity_curve(sys, model, s0, ts)
             # pipeline: one stability run sampled at all fit times (the
             # trajectory always carries the t = 0 anchor in front)
-            traj = ss.integrate_trajectory(sys, model, s0, ts[-1], CFG, sample_times=ts)
+            traj = ss.integrate_trajectory(model, s0, ts[-1], CFG, sample_times=ts)
             index = {t: i for i, t in enumerate(traj.ts)}
             slin_sc = np.array([1.0 - ss.purity_sc(traj, index[t]) for t in ts])
             basis = np.vstack([ts ** 2, ts ** 4]).T
@@ -159,7 +159,7 @@ def test_criterion_5_pipeline_vs_closed_form():
     for _ in range(20):
         s0 = _random_real_label(rng)
         t_final = float(rng.uniform(0.05, 0.3))
-        p_pipe, _ = _pipeline_purity(sys, model, s0, t_final, CFG)
+        p_pipe, _ = _pipeline_purity(model, s0, t_final, CFG)
         p_closed = ss.pc_purity_sc(params, s0, t_final)
         worst = max(worst, abs(p_pipe - p_closed))
     elapsed = time.perf_counter() - started
@@ -180,7 +180,7 @@ def test_criterion_6_canonical_limit():
         sys = ss.SpinSystem(two_j=two_j)
         model = ss.phase_coupling_model(ss.PhaseCouplingParams(lam=lam, sys=sys))
         s0 = ss.CoherentLabel(z[0] / np.sqrt(two_j), z[1] / np.sqrt(two_j))
-        p_sc, traj = _pipeline_purity(sys, model, s0, lam_t / lam, CFG)
+        p_sc, traj = _pipeline_purity(model, s0, lam_t / lam, CFG)
         errs.append(abs(p_sc - target))
         p_can = canonical_purity(ss.integrate_stability(traj)[-1])
         assert 0.0 < p_can.real <= 1.0 and abs(p_can.imag) < 1e-6
@@ -201,8 +201,8 @@ def test_criterion_7_propagator_accuracy():
         sys = ss.SpinSystem(two_j=two_j)
         model = ss.phase_coupling_model(ss.PhaseCouplingParams(lam=lam, sys=sys))
         t_final = 0.1 / (lam * sys.j)
-        k_sc, s_eta = ss.semiclassical_propagator_real(sys, model, s0, t_final, CFG)
-        k_ex = ss.exact_propagator_overlap(sys, model, s_eta, s0, t_final)
+        k_sc, s_eta = ss.semiclassical_propagator_real(model, s0, t_final, CFG)
+        k_ex = ss.exact_propagator_overlap(model, s_eta, s0, t_final)
         errors.append(abs(k_sc - k_ex) / abs(k_ex))
     monotone = all(b < a for a, b in zip(errors, errors[1:]))
     elapsed = time.perf_counter() - started

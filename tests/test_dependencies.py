@@ -1,9 +1,13 @@
 """What the package depends on and what depends on it: numpy is the one
 runtime dependency (no module of the package or of its tests imports scipy,
-and pyproject.toml declares numpy alone), and every name the package
-exports is used by the program: its own modules, scripts/ or perfbench/."""
+and pyproject.toml declares numpy alone), every name the package exports
+is used by the program: its own modules, scripts/ or perfbench/, and a
+function that takes a model takes no spin system beside it."""
 
 import ast
+import importlib
+import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -84,6 +88,41 @@ def test_every_export_is_used_by_the_program():
     exported = _exported_names()
     assert len(exported) > 40
     assert sorted(exported - used) == []
+
+
+def _package_functions():
+    """Every function and method defined in a spinsemi module, public and
+    private, by qualified name."""
+    import spinsemi
+
+    found = {}
+    modules = [spinsemi] + [importlib.import_module(f"spinsemi.{info.name}")
+                            for info in pkgutil.iter_modules(spinsemi.__path__)]
+    for module in modules:
+        for _, obj in inspect.getmembers(module):
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                members = [obj]
+            elif inspect.isclass(obj):
+                members = [m for _, m in inspect.getmembers(obj, inspect.isfunction)]
+            else:
+                continue
+            for fn in members:
+                found[f"{module.__name__}.{fn.__qualname__}"] = fn
+    return found
+
+
+def test_no_function_takes_a_model_and_a_system():
+    # a model carries its SpinSystem (model.sys); a separate sys argument
+    # could only repeat it or contradict it. exact_purity_curve keeps its
+    # sys because the benchmark's gate passes it positionally, and checks it
+    functions = _package_functions()
+    assert {"spinsemi.flow._hamilton_at", "spinsemi.quantum.SpectralPropagator.apply",
+            "spinsemi.models.HamiltonianModel.__init__"} <= set(functions)
+    both = sorted(name for name, fn in functions.items()
+                  if {"sys", "model"} <= set(inspect.signature(fn).parameters))
+    assert both == ["spinsemi.quantum.exact_purity_curve"]
 
 
 def test_reference_walk_skips_imports_docstrings_and_own_bodies():

@@ -22,7 +22,7 @@ def _pc(two_j=6, lam=1.0):
 
 
 def _field(sys, model, y):
-    return field_and_jacobian(sys, model, y)[0]
+    return field_and_jacobian(model, y)[0]
 
 
 # Row r of the Jacobian differentiates udot_0, udot_1, vdot_0, vdot_1: the
@@ -90,7 +90,7 @@ class TestHamiltonianField:
         model = ss.exchange_coupling_model(sys, 1.1)
         rng = np.random.default_rng(7)
         y = 0.5 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        _, jac = field_and_jacobian(sys, model, y)
+        _, jac = field_and_jacobian(model, y)
         step = 1e-6
         for col in range(4):
             dy = np.zeros(4, dtype=complex)
@@ -132,6 +132,7 @@ class _CountingModel:
 
     def __init__(self, model):
         self.model = model
+        self.sys = model.sys
         self.calls = 0
         self.htilde_shapes = []
 
@@ -161,19 +162,19 @@ class TestFusedDerivatives:
             u = 0.6 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
             y = np.concatenate([u, np.conj(u) + 0.05 * rng.standard_normal(2)])
             oracle = _loop_jacobian(sys, model, y)
-            _, jac = field_and_jacobian(sys, model, y)
+            _, jac = field_and_jacobian(model, y)
             assert np.max(np.abs(jac - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
     def test_one_derivs_call_per_point(self):
         sys = ss.SpinSystem(two_j=4)
         counting = _CountingModel(ss.exchange_coupling_model(sys, 0.9))
         y = np.array([0.3 + 0.2j, -0.5j, 0.3 - 0.2j, 0.5j])
-        field_and_jacobian(sys, counting, y)
+        field_and_jacobian(counting, y)
         assert counting.calls == 1
-        traj = ss.integrate_trajectory(sys, counting.model, ss.CoherentLabel(0.3, 0.5j),
+        traj = ss.integrate_trajectory(counting.model, ss.CoherentLabel(0.3, 0.5j),
                                        0.2, CFG)
         counting.calls = 0
-        ss.action_integrals(sys, counting, traj, +1)
+        ss.action_integrals(counting, traj, +1)
         assert counting.calls == 1
 
 
@@ -185,7 +186,7 @@ class TestFusedDerivatives:
         sys = ss.SpinSystem(two_j=4)
         counting = _CountingModel(model_of(sys))
         times = np.linspace(0.0, 0.3, 57)
-        traj = ss.integrate_trajectory(sys, counting, ss.CoherentLabel(0.3, 0.5j), 0.3,
+        traj = ss.integrate_trajectory(counting, ss.CoherentLabel(0.3, 0.5j), 0.3,
                                        CFG, sample_times=times)
         assert counting.htilde_shapes == [(57, 2)]
         per_point = np.array([counting.model.htilde(y[:2], y[2:]) for y in traj.ys])
@@ -225,11 +226,11 @@ class TestKernel:
         out = np.empty(20, dtype=complex)
         for y in _kernel_points(rng):
             field, jac = _scatter_field_and_jacobian(sys, model, y)
-            got_field, got_jac = field_and_jacobian(sys, model, y)
+            got_field, got_jac = field_and_jacobian(model, y)
             assert np.max(np.abs(got_field - field)) <= 1e-14 * np.max(np.abs(field))
             assert np.max(np.abs(got_jac - jac)) <= 1e-14 * np.max(np.abs(jac))
             m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            rhs = _field_and_stability(sys, model, np.concatenate([y, m.ravel()]), out)
+            rhs = _field_and_stability(model, np.concatenate([y, m.ravel()]), out)
             assert rhs is out
             dm = jac @ m
             assert np.max(np.abs(rhs[:4] - field)) <= 1e-14 * np.max(np.abs(field))
@@ -240,38 +241,38 @@ class TestKernel:
         y = np.array([1j, 0.3, 1j, 0.3])  # 1 + (1j)(1j) = 0
         message = r"\|1 \+ u_k v_k\| = 0\.000e\+00 below 1e-12"
         with pytest.raises(ChartSingularity, match=message):
-            field_and_jacobian(sys, model, y)
+            field_and_jacobian(model, y)
         with pytest.raises(ChartSingularity, match=message):
-            _field_and_stability(sys, model, np.concatenate([y, np.eye(4).ravel()]),
+            _field_and_stability(model, np.concatenate([y, np.eye(4).ravel()]),
                                  np.empty(20, dtype=complex))
         traj = Trajectory(ts=np.array([0.0, 0.1]), ys=np.array([[0.3, 0.3, 0.3, 0.3], y]),
                           energy=np.zeros(2, dtype=complex))
         with pytest.raises(ChartSingularity, match=message):
-            ss.action_integrals(sys, model, traj, +1)
+            ss.action_integrals(model, traj, +1)
 
 
 class TestIntegrateTrajectory:
     def test_zero_time(self):
         sys, _, model = _pc()
         s0 = ss.CoherentLabel(0.3, 0.5j)
-        traj = ss.integrate_trajectory(sys, model, s0, 0.0, CFG)
+        traj = ss.integrate_trajectory(model, s0, 0.0, CFG)
         assert len(traj) == 1
         assert np.allclose(traj.ys[0], [0.3, 0.5j, 0.3, -0.5j])
         # a zero span takes the same path as any other: samples past it fail
         with pytest.raises(ValueError, match="samples must lie within t_span"):
-            ss.integrate_trajectory(sys, model, s0, 0.0, CFG, sample_times=[0.0, 0.5])
+            ss.integrate_trajectory(model, s0, 0.0, CFG, sample_times=[0.0, 0.5])
 
     def test_phase_coupling_closed_form(self):
         sys, params, model = _pc()
         s0 = ss.CoherentLabel(0.7 + 0.3j, -0.4 + 0.9j)
-        traj = ss.integrate_trajectory(sys, model, s0, 0.5, CFG)
+        traj = ss.integrate_trajectory(model, s0, 0.5, CFG)
         ref = pc_trajectory(params, s0, 0.5, num_samples=2)
         assert np.max(np.abs(traj.ys[-1] - ref.ys[-1])) < 1e-9
 
     def test_conserved_products(self):
         sys, params, model = _pc()
         s0 = ss.CoherentLabel(0.6, 0.2 - 0.8j)
-        traj = ss.integrate_trajectory(sys, model, s0, 0.4, CFG)
+        traj = ss.integrate_trajectory(model, s0, 0.4, CFG)
         prods = traj.ys[:, :2] * traj.ys[:, 2:]
         assert np.max(np.abs(prods - prods[0])) < 1e-10
 
@@ -279,7 +280,7 @@ class TestIntegrateTrajectory:
         sys = ss.SpinSystem(two_j=5)
         model = ss.free_precession_model(sys, 0.8)
         s0 = ss.CoherentLabel(0.9 + 0.1j, -0.5 + 0.6j)
-        traj = ss.integrate_trajectory(sys, model, s0, 1.5, CFG)
+        traj = ss.integrate_trajectory(model, s0, 1.5, CFG)
         mods = np.abs(traj.ys[:, :2])
         assert np.max(np.abs(mods - mods[0])) < 1e-9
 
@@ -287,14 +288,14 @@ class TestIntegrateTrajectory:
         sys = ss.SpinSystem(two_j=6)
         model = ss.exchange_coupling_model(sys, 1.0)
         s0 = ss.CoherentLabel(0.7, 0.2 + 0.5j)
-        traj = ss.integrate_trajectory(sys, model, s0, 0.6, CFG)
+        traj = ss.integrate_trajectory(model, s0, 0.6, CFG)
         assert traj.energy_drift() <= 10 * CFG.rel_tol * (1 + abs(traj.energy[0]))
 
     def test_reality_preserved(self):
         sys = ss.SpinSystem(two_j=5)
         model = ss.exchange_coupling_model(sys, 0.9)
         s0 = ss.CoherentLabel(0.4 - 0.2j, 0.8 + 0.3j)
-        traj = ss.integrate_trajectory(sys, model, s0, 0.8, CFG)
+        traj = ss.integrate_trajectory(model, s0, 0.8, CFG)
         assert traj.reality_drift() <= 1e-8
 
     @pytest.mark.parametrize("model_of", [
@@ -306,26 +307,26 @@ class TestIntegrateTrajectory:
         # would divide by hbar j = 0
         sys = ss.SpinSystem(two_j=0)
         with pytest.raises(ValueError, match="two_j must be at least 1"):
-            ss.integrate_trajectory(sys, model_of(sys), ss.CoherentLabel(0.5, 0.3), 0.5, CFG)
+            ss.integrate_trajectory(model_of(sys), ss.CoherentLabel(0.5, 0.3), 0.5, CFG)
 
     def test_requested_sample_times(self):
         sys, _, model = _pc()
         s0 = ss.CoherentLabel(0.3, 0.4)
         wanted = np.linspace(0.0, 0.3, 7)
-        traj = ss.integrate_trajectory(sys, model, s0, 0.3, CFG, sample_times=wanted)
+        traj = ss.integrate_trajectory(model, s0, 0.3, CFG, sample_times=wanted)
         assert np.array_equal(traj.ts, wanted)
 
 
 class TestIntegrateStability:
     def test_zero_time_identity(self):
         sys, _, model = _pc()
-        traj = ss.integrate_trajectory(sys, model, ss.CoherentLabel(0.3, 0.1), 0.0, CFG)
+        traj = ss.integrate_trajectory(model, ss.CoherentLabel(0.3, 0.1), 0.0, CFG)
         series = ss.integrate_stability(traj)
         assert np.allclose(series[0].m, np.eye(4))
 
     def test_series_is_one_stability_matrix(self):
         sys, _, model = _pc()
-        traj = ss.integrate_trajectory(sys, model, ss.CoherentLabel(0.3, 0.1), 0.2, CFG)
+        traj = ss.integrate_trajectory(model, ss.CoherentLabel(0.3, 0.1), 0.2, CFG)
         series = ss.integrate_stability(traj)
         assert isinstance(series, ss.StabilityMatrix)
         assert series.m.shape == (len(traj), 4, 4) and len(series) == len(traj)
@@ -338,7 +339,7 @@ class TestIntegrateStability:
     def test_noninteracting_is_block_diagonal(self):
         sys = ss.SpinSystem(two_j=4)
         model = ss.free_precession_model(sys, 1.2)
-        traj = ss.integrate_trajectory(sys, model, ss.CoherentLabel(0.7, -0.3j), 0.9, CFG)
+        traj = ss.integrate_trajectory(model, ss.CoherentLabel(0.7, -0.3j), 0.9, CFG)
         m = ss.integrate_stability(traj)[-1]
         assert np.max(np.abs(m.m_uv)) < 1e-10
         assert np.max(np.abs(m.m_vu)) < 1e-10
@@ -346,7 +347,7 @@ class TestIntegrateStability:
     def test_phase_coupling_closed_form(self):
         sys, params, model = _pc()
         s0 = ss.CoherentLabel(0.7 + 0.3j, -0.4 + 0.9j)
-        traj = ss.integrate_trajectory(sys, model, s0, 0.35, CFG)
+        traj = ss.integrate_trajectory(model, s0, 0.35, CFG)
         m = ss.integrate_stability(traj)[-1]
         ref = pc_stability(params, s0, 0.35)
         assert np.max(np.abs(m.m - ref.m)) < 1e-8
@@ -365,7 +366,7 @@ class TestIntegrateStability:
                     complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
                     complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
                 )
-                traj = ss.integrate_trajectory(sys, model, s0, 0.4, CFG)
+                traj = ss.integrate_trajectory(model, s0, 0.4, CFG)
                 m = ss.integrate_stability(traj)[-1]
                 tcal = endpoint_factor(traj.initial, traj.final)
                 assert abs(m.det() - tcal) / abs(tcal) < 1e-8
@@ -375,7 +376,7 @@ class TestIntegrateStability:
         sys = ss.SpinSystem(two_j=4)
         model = ss.exchange_coupling_model(sys, 1.1)
         s0 = ss.CoherentLabel(0.5 + 0.2j, -0.6 + 0.1j)
-        traj = ss.integrate_trajectory(sys, model, s0, 0.5, CFG)
+        traj = ss.integrate_trajectory(model, s0, 0.5, CFG)
         for m in ss.integrate_stability(traj)[1:]:
             aux = ss.aux_determinants(m)
             lhs = aux.det_ap * aux.det_bp
@@ -387,15 +388,15 @@ class TestIntegrateStability:
         sys, params, model = _pc()
         s0 = ss.CoherentLabel(0.4 + 0.3j, 0.7 - 0.2j)
         t1, t2 = 0.22, 0.17
-        traj1 = ss.integrate_trajectory(sys, model, s0, t1, CFG)
+        traj1 = ss.integrate_trajectory(model, s0, t1, CFG)
         m1 = ss.integrate_stability(traj1)[-1]
 
         end = traj1.final
         mid_label = ss.CoherentLabel(end.u[0], end.u[1])
-        traj2 = ss.integrate_trajectory(sys, model, mid_label, t2, CFG)
+        traj2 = ss.integrate_trajectory(model, mid_label, t2, CFG)
         m2 = ss.integrate_stability(traj2)[-1]
 
-        traj_full = ss.integrate_trajectory(sys, model, s0, t1 + t2, CFG)
+        traj_full = ss.integrate_trajectory(model, s0, t1 + t2, CFG)
         m_full = ss.integrate_stability(traj_full)[-1]
         assert np.max(np.abs(m_full.m - m2.m @ m1.m)) < 1e-7
 
@@ -420,7 +421,7 @@ class TestOneIntegration:
         times = np.linspace(0.0, t_final, 400)
         # one max_step for both integrators, so that they see one config
         cfg = ss.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, max_step=t_final / 32)
-        traj = ss.integrate_trajectory(sys, model, s0, t_final, cfg, sample_times=times)
+        traj = ss.integrate_trajectory(model, s0, t_final, cfg, sample_times=times)
 
         def rhs(t, y):
             dy, jac = _scatter_field_and_jacobian(sys, model, y[:4])
@@ -444,7 +445,7 @@ class TestOneIntegration:
         y0 = np.concatenate([[s0.sx, s0.sy, np.conj(s0.sx), np.conj(s0.sy)],
                              np.eye(4).ravel()])
         grid, _, rejected = reference_rk_dop853(
-            lambda t, y: _field_and_stability(sys, counting, y, np.empty(20, dtype=complex)),
+            lambda t, y: _field_and_stability(counting, y, np.empty(20, dtype=complex)),
             y0, 0.5, cfg)
         grid_calls = counting.calls
         steps = np.diff(grid)
@@ -452,7 +453,7 @@ class TestOneIntegration:
         for n in (63, 1000, 4000):
             counting.calls = 0
             times = np.linspace(0.0, 0.5, n)
-            traj = ss.integrate_trajectory(sys, counting, s0, 0.5, cfg, sample_times=times)
+            traj = ss.integrate_trajectory(counting, s0, 0.5, cfg, sample_times=times)
             record = traj.integrator
             assert (record.accepted_steps, record.rejected_steps) == (steps.size, rejected)
             assert record.min_step == pytest.approx(steps.min(), rel=1e-12)
@@ -472,7 +473,7 @@ class TestOneIntegration:
         s0 = ss.CoherentLabel(0.7 + 0.3j, -0.4 + 0.9j)
         t_final = 0.35
         times = np.linspace(0.0, t_final, 4000)
-        traj = ss.integrate_trajectory(sys, model, s0, t_final, CFG, sample_times=times)
+        traj = ss.integrate_trajectory(model, s0, t_final, CFG, sample_times=times)
         ref = pc_trajectory(params, s0, t_final, num_samples=4000)
         assert np.array_equal(traj.ts, ref.ts)
         assert np.max(np.abs(traj.ys - ref.ys)) < 1e-9
@@ -481,7 +482,7 @@ class TestOneIntegration:
     def test_integrate_stability_reads_the_trajectory(self):
         sys, params, model = _pc()
         s0 = ss.CoherentLabel(0.4 + 0.3j, 0.7 - 0.2j)
-        traj = ss.integrate_trajectory(sys, model, s0, 0.3, CFG)
+        traj = ss.integrate_trajectory(model, s0, 0.3, CFG)
         series = ss.integrate_stability(traj)
         assert series.m is traj.ms
         assert len(series) == len(traj)
@@ -518,7 +519,7 @@ def test_field_evaluation_counts_are_pinned(model_of, two_j, t_max, num_points, 
     got = []
     for label in _LABELS:
         counting.calls = 0
-        ss.integrate_trajectory(sys, counting, label, t_max, ss.IntegratorConfig(),
+        ss.integrate_trajectory(counting, label, t_max, ss.IntegratorConfig(),
                                 sample_times=times)
         got.append(counting.calls)
     assert got == counts
@@ -530,7 +531,7 @@ def test_record_counts_the_models_derivs_calls(sampled):
     sys = ss.SpinSystem(two_j=10)
     counting = _CountingModel(ss.exchange_coupling_model(sys, 1.0))
     times = np.linspace(0.0, 0.5, 100) if sampled else None
-    traj = ss.integrate_trajectory(sys, counting, _LABELS[2], 0.5, ss.IntegratorConfig(),
+    traj = ss.integrate_trajectory(counting, _LABELS[2], 0.5, ss.IntegratorConfig(),
                                    sample_times=times)
     record = traj.integrator
     assert record.method == "DOP853"
@@ -541,7 +542,7 @@ def test_record_counts_the_models_derivs_calls(sampled):
         uniform = np.linspace(0.0, 0.5, DEFAULT_SAMPLES)
         assert np.array_equal(traj.ts, uniform)
         calls, counting.calls = counting.calls, 0
-        requested = ss.integrate_trajectory(sys, counting, _LABELS[2], 0.5,
+        requested = ss.integrate_trajectory(counting, _LABELS[2], 0.5,
                                             ss.IntegratorConfig(), sample_times=uniform)
         assert requested.integrator == record and counting.calls == calls
         assert np.array_equal(requested.ys, traj.ys) and np.array_equal(requested.ms, traj.ms)
@@ -561,7 +562,7 @@ class TestStepCap:
     def test_sampled_call_is_not_capped(self):
         sys, model, cfg = self._large_spin()
         times = np.linspace(0.0, 0.05, 100)
-        traj = ss.integrate_trajectory(sys, model, _LABELS[0], 0.05, cfg, sample_times=times)
+        traj = ss.integrate_trajectory(model, _LABELS[0], 0.05, cfg, sample_times=times)
         assert traj.integrator.accepted_steps < 32
         assert traj.integrator.max_step > 0.05 / 32
         assert np.array_equal(traj.ts, times)
@@ -569,15 +570,15 @@ class TestStepCap:
     def test_default_grid_keeps_the_floor(self):
         # the grid, not the step, keeps at least 33 samples
         sys, model, cfg = self._large_spin()
-        traj = ss.integrate_trajectory(sys, model, _LABELS[0], 0.05, cfg)
+        traj = ss.integrate_trajectory(model, _LABELS[0], 0.05, cfg)
         assert len(traj) == DEFAULT_SAMPLES >= 33
         assert np.array_equal(traj.ts, np.linspace(0.0, 0.05, DEFAULT_SAMPLES))
 
     def test_default_grid_is_not_capped(self):
         sys, model, cfg = self._large_spin()
-        default = ss.integrate_trajectory(sys, model, _LABELS[0], 0.05, cfg).integrator
+        default = ss.integrate_trajectory(model, _LABELS[0], 0.05, cfg).integrator
         times = np.linspace(0.0, 0.05, 100)
-        sampled = ss.integrate_trajectory(sys, model, _LABELS[0], 0.05, cfg,
+        sampled = ss.integrate_trajectory(model, _LABELS[0], 0.05, cfg,
                                           sample_times=times).integrator
         assert (default.accepted_steps, default.rejected_steps, default.min_step,
                 default.max_step) == (sampled.accepted_steps, sampled.rejected_steps,
@@ -589,6 +590,6 @@ class TestStepCap:
         # endpoint; 32 capped steps cost at least 12 evaluations each
         sys = ss.SpinSystem(two_j=6)
         counting = _CountingModel(ss.exchange_coupling_model(sys, 1.0))
-        traj = ss.integrate_trajectory(sys, counting, ss.CoherentLabel(0.4 - 0.2j, 0.3 + 0.5j),
+        traj = ss.integrate_trajectory(counting, ss.CoherentLabel(0.4 - 0.2j, 0.3 + 0.5j),
                                        1.0 / sys.j, CFG)
         assert traj.integrator.field_evals == counting.calls < 12 * 32

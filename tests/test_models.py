@@ -143,7 +143,7 @@ class TestPcStability:
         model = ss.phase_coupling_model(params)
         s0 = ss.CoherentLabel(0.7 + 0.3j, -0.4 + 0.9j)
         t_final = 0.3
-        traj = ss.integrate_trajectory(sys, model, s0, t_final, CFG)
+        traj = ss.integrate_trajectory(model, s0, t_final, CFG)
         m_num = ss.integrate_stability(traj)[-1]
         m_ref = pc_stability(params, s0, t_final)
         assert np.max(np.abs(m_num.m - m_ref.m)) < 1e-8
@@ -157,7 +157,7 @@ class TestPcStability:
         t_final = 0.2
         m_ref = pc_stability(params, s0, t_final)
         assert np.all(np.isfinite(m_ref.m.view(float)))
-        traj = ss.integrate_trajectory(sys, model, s0, t_final, CFG)
+        traj = ss.integrate_trajectory(model, s0, t_final, CFG)
         m_num = ss.integrate_stability(traj)[-1]
         assert np.max(np.abs(m_num.m - m_ref.m)) < 1e-8
 
@@ -188,7 +188,7 @@ class TestPcPurity:
         model = ss.phase_coupling_model(params)
         s0 = ss.CoherentLabel(0.6 - 0.1j, 0.4 + 0.7j)
         t_final = 0.25
-        traj = ss.integrate_trajectory(sys, model, s0, t_final, CFG)
+        traj = ss.integrate_trajectory(model, s0, t_final, CFG)
         assert abs(ss.purity_sc(traj) - ss.pc_purity_sc(params, s0, t_final)) < 1e-9
 
 
@@ -345,7 +345,7 @@ class TestOperatorModels:
         sys = ss.SpinSystem(two_j=2)
         model = ss.build_operator_model(sys, [])
         assert np.max(np.abs(model.operator)) == 0.0
-        traj = ss.integrate_trajectory(sys, model, ss.CoherentLabel(0.5, 0.2j), 0.7, CFG)
+        traj = ss.integrate_trajectory(model, ss.CoherentLabel(0.5, 0.2j), 0.7, CFG)
         assert ss.purity_sc(traj) == pytest.approx(1.0)
 
     def test_exchange_conserves_total_j3(self):

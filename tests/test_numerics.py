@@ -162,7 +162,7 @@ class TestAdaptiveRk:
         s0 = ss.CoherentLabel(0.7 + 0.3j, -0.4 + 0.9j)
         cfg = ss.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, max_step=0.02)
         y0 = [s0.sx, s0.sy, np.conj(s0.sx), np.conj(s0.sy)]
-        _, ys, _ = ss.adaptive_rk(lambda t, y: field_and_jacobian(sys, model, y)[0], y0,
+        _, ys, _ = ss.adaptive_rk(lambda t, y: field_and_jacobian(model, y)[0], y0,
                                   (0.0, 0.5), cfg, samples=[0.5])
         ref = pc_trajectory(params, s0, 0.5, num_samples=2).ys[-1]
         assert np.max(np.abs(ys[-1] - ref)) < 1e-9
@@ -177,7 +177,7 @@ class TestAdaptiveRk:
         tol = 1e-6
         for _ in range(8):
             cfg = ss.IntegratorConfig(rel_tol=tol, abs_tol=tol * 1e-2)
-            traj = ss.integrate_trajectory(sys, model, s0, 2.0, cfg)
+            traj = ss.integrate_trajectory(model, s0, 2.0, cfg)
             errs.append(np.max(np.abs(traj.ys[-1] - ref)))
             tol /= 2
         assert all(b <= a for a, b in zip(errs, errs[1:])), errs

@@ -175,13 +175,24 @@ class TestExactPurityCurve:
         assert np.max(np.abs(curve - analytic) / analytic) < 1e-9
 
 
+    @pytest.mark.parametrize("other", [ss.SpinSystem(two_j=10, hbar=0.5),
+                                       ss.SpinSystem(two_j=20)])
+    def test_system_other_than_the_models_is_rejected(self, other):
+        # the scale hbar*j and the dimension are the model's: a curve for
+        # another system would be silently wrong (hbar) or fail late (dim)
+        model = ss.exchange_coupling_model(ss.SpinSystem(two_j=10), 1.0)
+        with pytest.raises(ValueError, match="not the model's"):
+            ss.exact_purity_curve(other, model, ss.CoherentLabel(0.5 + 0.2j, -0.3 + 0.4j),
+                                  [0.5])
+
+
 class TestExactPropagatorOverlap:
     def test_zero_time_factorizes(self):
         sys = ss.SpinSystem(two_j=3)
         model = ss.phase_coupling_model(ss.PhaseCouplingParams(lam=1.0, sys=sys))
         se = ss.CoherentLabel(0.4, -0.2 + 0.6j)
         s0 = ss.CoherentLabel(-0.1 + 0.3j, 0.9)
-        val = ss.exact_propagator_overlap(sys, model, se, s0, 0.0)
+        val = ss.exact_propagator_overlap(model, se, s0, 0.0)
         expected = ss.coherent_overlap(sys, se.sx, s0.sx) * ss.coherent_overlap(
             sys, se.sy, s0.sy
         )
@@ -194,7 +205,7 @@ class TestExactPropagatorOverlap:
         for _ in range(5):
             se = ss.CoherentLabel(*(rng.standard_normal(2) + 1j * rng.standard_normal(2)))
             s0 = ss.CoherentLabel(*(rng.standard_normal(2) + 1j * rng.standard_normal(2)))
-            val = ss.exact_propagator_overlap(sys, model, se, s0, 0.7)
+            val = ss.exact_propagator_overlap(model, se, s0, 0.7)
             assert abs(val) <= 1.0 + 1e-12
 
     def test_unitarity_reversal(self):
@@ -203,8 +214,8 @@ class TestExactPropagatorOverlap:
         model = ss.phase_coupling_model(ss.PhaseCouplingParams(lam=0.8, sys=sys))
         se = ss.CoherentLabel(0.4 + 0.1j, -0.2)
         s0 = ss.CoherentLabel(0.7, 0.3j)
-        fwd = ss.exact_propagator_overlap(sys, model, se, s0, 1.1, xi=+1)
-        rev = ss.exact_propagator_overlap(sys, model, s0, se, 1.1, xi=-1)
+        fwd = ss.exact_propagator_overlap(model, se, s0, 1.1, xi=+1)
+        rev = ss.exact_propagator_overlap(model, s0, se, 1.1, xi=-1)
         assert abs(fwd - np.conj(rev)) < 1e-10
 
 
@@ -639,7 +650,7 @@ def test_exact_overlap_on_sectors_equals_dense_path(name, two_j):
         dense = complex(np.vdot(ss.product_coherent(sys, s_eta),
                                 evolve_state(assemble_operator(sys, model.terms),
                                              ss.product_coherent(sys, s0), xi * t, sys.hbar)))
-        assert ss.exact_propagator_overlap(sys, model, s_eta, s0, t, xi) == dense
+        assert ss.exact_propagator_overlap(model, s_eta, s0, t, xi) == dense
 
 
 def _no_dense_operator(monkeypatch):
@@ -675,8 +686,8 @@ def test_run_path_reads_no_dense_operator(monkeypatch, name):
     assert curve.p_exact[0] == pytest.approx(1.0, abs=1e-12)
     model = build_model(cfg)
     s0 = cfg.initial_state
-    assert ss.exact_propagator_overlap(cfg.system, model, s0, s0, 0.0) == pytest.approx(1.0, abs=1e-12)
-    assert abs(ss.exact_propagator_overlap(cfg.system, model, s0, s0, 0.2)) <= 1.0 + 1e-12
+    assert ss.exact_propagator_overlap(model, s0, s0, 0.0) == pytest.approx(1.0, abs=1e-12)
+    assert abs(ss.exact_propagator_overlap(model, s0, s0, 0.2)) <= 1.0 + 1e-12
 
 
 def test_exchange_curve_at_large_spin_stays_small(monkeypatch):

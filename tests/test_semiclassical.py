@@ -37,7 +37,7 @@ def _pc(two_j=6, lam=1.0):
 
 
 def _pipeline(sys, model, s0, t_final, cfg=CFG):
-    return ss.integrate_trajectory(sys, model, s0, t_final, cfg)
+    return ss.integrate_trajectory(model, s0, t_final, cfg)
 
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -74,7 +74,7 @@ def _loop_action_integrands(sys, model, traj):
     f_g = np.empty(n, dtype=complex)
     for i in range(n):
         y = traj.ys[i]
-        dy, jac = field_and_jacobian(sys, model, y)
+        dy, jac = field_and_jacobian(model, y)
         u, v = y[:2], y[2:4]
         du, dv = dy[:2], dy[2:4]
         f_s[i] = j * np.sum((u * dv - v * du) / (1.0 + u * v)) - 1j * traj.energy[i] / sys.hbar
@@ -95,10 +95,10 @@ class TestActionIntegrals:
         sys = ss.SpinSystem(two_j=5, hbar=0.7)
         model = model_of(sys)
         for s0 in (ss.CoherentLabel(0.5 - 0.4j, 0.9), ss.CoherentLabel(-0.3 + 0.6j, 0.2j)):
-            traj = ss.integrate_trajectory(sys, model, s0, 0.5, CFG)
+            traj = ss.integrate_trajectory(model, s0, 0.5, CFG)
             i_s, i_g = _loop_action_integrands(sys, model, traj)
             for xi in (+1, -1):
-                bundle = ss.action_integrals(sys, model, traj, xi)
+                bundle = ss.action_integrals(model, traj, xi)
                 s_action = -1j * sys.hbar * (xi * i_s + bundle.lambda_tilde)
                 g_corr = -1j * sys.hbar * (-(xi / 4.0) * i_g)
                 assert abs(bundle.s_action - s_action) <= 1e-12 * abs(s_action)
@@ -111,8 +111,8 @@ class TestActionIntegrals:
         model = ss.build_operator_model(sys, [ss.OperatorTerm(energy, ("I", 0), ("I", 0))])
         s0 = ss.CoherentLabel(0.4 + 0.1j, -0.7)
         t_final = 0.8
-        traj = ss.integrate_trajectory(sys, model, s0, t_final, CFG)
-        bundle = ss.action_integrals(sys, model, traj, +1)
+        traj = ss.integrate_trajectory(model, s0, t_final, CFG)
+        bundle = ss.action_integrals(model, traj, +1)
         j = sys.j
         lam_tilde = 2 * j * (
             np.log(1 + abs(s0.sx) ** 2) + np.log(1 + abs(s0.sy) ** 2)
@@ -131,8 +131,8 @@ class TestActionIntegrals:
         for xi in (+1, -1):
             vals = []
             for t in (0.5 - delta, 0.5 + delta):
-                traj = ss.integrate_trajectory(sys, model, s0, t, CFG)
-                vals.append(ss.action_integrals(sys, model, traj, xi).s_action)
+                traj = ss.integrate_trajectory(model, s0, t, CFG)
+                vals.append(ss.action_integrals(model, traj, xi).s_action)
             deriv = (vals[1] - vals[0]) / (2 * delta)
             assert abs(deriv - (-xi * 1.7)) < 1e-6
 
@@ -144,12 +144,12 @@ class TestActionIntegrals:
         t0, delta = 0.3, 1e-5
         vals = []
         for t in (t0 - delta, t0 + delta):
-            traj = ss.integrate_trajectory(sys, model, s0, t, CFG)
-            vals.append(ss.action_integrals(sys, model, traj, +1).s_action)
+            traj = ss.integrate_trajectory(model, s0, t, CFG)
+            vals.append(ss.action_integrals(model, traj, +1).s_action)
         deriv = (vals[1] - vals[0]) / (2 * delta)
-        traj = ss.integrate_trajectory(sys, model, s0, t0, CFG)
+        traj = ss.integrate_trajectory(model, s0, t0, CFG)
         end = traj.final
-        dy, _ = field_and_jacobian(sys, model, traj.ys[-1])
+        dy, _ = field_and_jacobian(model, traj.ys[-1])
         correction = -2j * sys.hbar_j * np.sum(end.u * dy[2:4] / (1 + end.u * end.v))
         expected = -traj.energy[-1] + correction
         assert abs(deriv - expected) < 1e-5 * max(1.0, abs(expected))
@@ -160,8 +160,8 @@ class TestActionIntegrals:
         sys, params, model = _pc()
         s0 = ss.CoherentLabel(0.6 + 0.3j, -0.2 + 0.5j)
         t_final = 0.4
-        traj = ss.integrate_trajectory(sys, model, s0, t_final, CFG)
-        bundle = ss.action_integrals(sys, model, traj, +1)
+        traj = ss.integrate_trajectory(model, s0, t_final, CFG)
+        bundle = ss.action_integrals(model, traj, +1)
         j = sys.j
         u0 = np.array([s0.sx, s0.sy])
         v0 = np.conj(u0)
@@ -183,8 +183,8 @@ class TestActionIntegrals:
         sys = ss.SpinSystem(two_j=5)
         model = ss.exchange_coupling_model(sys, 0.8)
         s0 = ss.CoherentLabel(0.5 - 0.4j, 0.9)
-        traj = ss.integrate_trajectory(sys, model, s0, 0.5, CFG)
-        bundle = ss.action_integrals(sys, model, traj, +1)
+        traj = ss.integrate_trajectory(model, s0, 0.5, CFG)
+        bundle = ss.action_integrals(model, traj, +1)
         assert abs(bundle.exponent.real) <= 1e-6
 
     def test_log_branch_raises_on_cut(self):
@@ -201,13 +201,13 @@ class TestActionIntegrals:
             energy=np.zeros(2, dtype=complex),
         )
         with pytest.raises(LogBranch):
-            ss.action_integrals(sys, model, traj, +1)
+            ss.action_integrals(model, traj, +1)
 
 
 class TestPrefactor:
     def test_zero_time(self):
         sys, _, model = _pc()
-        traj = ss.integrate_trajectory(sys, model, ss.CoherentLabel(0.2, 0.4), 0.0, CFG)
+        traj = ss.integrate_trajectory(model, ss.CoherentLabel(0.2, 0.4), 0.0, CFG)
         assert ss.prefactor(traj, +1) == pytest.approx(1.0)
 
     def test_equator_precession_modulus(self):
@@ -232,7 +232,7 @@ class TestPrefactor:
         from spinsemi.errors import CausticEncountered
 
         sys, _, model = _pc()
-        traj = ss.integrate_trajectory(sys, model, ss.CoherentLabel(0.3, 0.2), 0.1, CFG)
+        traj = ss.integrate_trajectory(model, ss.CoherentLabel(0.3, 0.2), 0.1, CFG)
         ms = np.tile(np.eye(4, dtype=complex), (len(traj), 1, 1))
         ms[-1, 2:, 2:] = 0.0  # det M_vv = 0 at the last sample
         with pytest.raises(CausticEncountered, match=f"at t = {traj.ts[-1]:.6e}"):
@@ -271,8 +271,8 @@ class TestBackwardBranch:
 
     def test_action_conjugation(self):
         sys, model, traj = self._setup()
-        fwd = ss.action_integrals(sys, model, traj, +1)
-        back = ss.action_integrals(sys, model, traj, -1)
+        fwd = ss.action_integrals(model, traj, +1)
+        back = ss.action_integrals(model, traj, -1)
         hb = sys.hbar
         lhs = 1j * back.s_action / hb
         rhs = np.conj(1j * fwd.s_action / hb)
@@ -284,11 +284,11 @@ class TestBackwardBranch:
         # assembled K_- approximates the reversed exact overlap, i.e. the
         # conjugate of the forward one at the diagonal endpoint
         sys, model, traj = self._setup()
-        bundle = ss.action_integrals(sys, model, traj, -1)
+        bundle = ss.action_integrals(model, traj, -1)
         k_back = ss.prefactor(traj, -1) * np.exp(bundle.exponent)
         s_eta = ss.CoherentLabel(traj.final.u[0], traj.final.u[1])
         k_ex = ss.exact_propagator_overlap(
-            sys, model, s_eta, ss.CoherentLabel(*traj.initial.u), traj.ts[-1]
+            model, s_eta, ss.CoherentLabel(*traj.initial.u), traj.ts[-1]
         )
         assert abs(k_back - np.conj(k_ex)) / abs(k_ex) < 2e-2
 
@@ -297,17 +297,17 @@ class TestSemiclassicalPropagator:
     def test_zero_time_is_self_overlap(self):
         sys, _, model = _pc()
         s0 = ss.CoherentLabel(0.4, 0.7j)
-        val, s_eta = ss.semiclassical_propagator_real(sys, model, s0, 0.0, CFG)
+        val, s_eta = ss.semiclassical_propagator_real(model, s0, 0.0, CFG)
         assert abs(val - 1.0) < 1e-9
         assert s_eta == s0
         # nothing is integrated: a model without derivs or htilde is never called
-        assert ss.semiclassical_propagator_real(sys, object(), s0, 0.0, CFG) == (val, s0)
+        assert ss.semiclassical_propagator_real(object(), s0, 0.0, CFG) == (val, s0)
 
     def test_noninteracting_unit_modulus(self):
         sys = ss.SpinSystem(two_j=10)
         model = ss.free_precession_model(sys, 0.9)
         val, _ = ss.semiclassical_propagator_real(
-            sys, model, ss.CoherentLabel(0.8, -0.5 + 0.3j), 1.0, CFG
+            model, ss.CoherentLabel(0.8, -0.5 + 0.3j), 1.0, CFG
         )
         assert abs(abs(val) - 1.0) < 1e-6
 
@@ -320,8 +320,8 @@ class TestSemiclassicalPropagator:
             model = ss.phase_coupling_model(ss.PhaseCouplingParams(lam=lam, sys=sys))
             label = ss.CoherentLabel(*s0)
             t_final = 0.2 / (lam * sys.j)
-            k_sc, s_eta = ss.semiclassical_propagator_real(sys, model, label, t_final, CFG)
-            k_ex = ss.exact_propagator_overlap(sys, model, s_eta, label, t_final)
+            k_sc, s_eta = ss.semiclassical_propagator_real(model, label, t_final, CFG)
+            k_ex = ss.exact_propagator_overlap(model, s_eta, label, t_final)
             errors.append(abs(k_sc - k_ex) / abs(k_ex))
         assert errors[-1] <= 5e-2
         assert errors[0] > errors[1] > errors[2]
@@ -341,8 +341,8 @@ class TestSemiclassicalPropagator:
             t_final = tau / sys.j
             values = []
             for times in (None, np.linspace(0.0, t_final, 1025)):
-                traj = ss.integrate_trajectory(sys, model, s0, t_final, CFG, sample_times=times)
-                bundle = ss.action_integrals(sys, model, traj, +1)
+                traj = ss.integrate_trajectory(model, s0, t_final, CFG, sample_times=times)
+                bundle = ss.action_integrals(model, traj, +1)
                 values.append(ss.prefactor(traj, +1) * cmath.exp(bundle.exponent))
             assert abs(values[0] - values[1]) <= 1e-8 * abs(values[1]), tau
 
@@ -561,14 +561,14 @@ class TestSeriesEvaluation:
         model = model_of(sys)
         s0 = ss.CoherentLabel(0.5 + 0.2j, -0.3 + 0.4j)
         times = np.linspace(0.0, 0.5, 400)
-        traj = ss.integrate_trajectory(sys, model, s0, times[-1], CFG, sample_times=times)
+        traj = ss.integrate_trajectory(model, s0, times[-1], CFG, sample_times=times)
         m_series = ss.integrate_stability(traj)
         assert _series_vs_per_row(m_series, traj.initial, traj.state(slice(None))) <= 1e-12
 
     def test_one_bad_row_is_flagged_alone(self):
         sys, params, model = _pc(two_j=10)
         times = np.linspace(0.0, 0.3, 50)
-        traj = ss.integrate_trajectory(sys, model, ss.CoherentLabel(0.6, 0.4j), times[-1],
+        traj = ss.integrate_trajectory(model, ss.CoherentLabel(0.6, 0.4j), times[-1],
                                        CFG, sample_times=times)
         ms = traj.ms.copy()
         ms[17] = 2.0 * np.eye(4)  # inconsistent with its endpoint factor

@@ -35,6 +35,17 @@ labels = st.builds(
 )
 
 
+@pytest.mark.parametrize("two_j", [10.0, True, 2.5, -1])
+def test_spin_system_rejects_non_integer_two_j(two_j):
+    with pytest.raises(ValueError):
+        ss.SpinSystem(two_j=two_j)
+
+
+def test_spin_system_stores_numpy_integer_as_int():
+    sys = ss.SpinSystem(two_j=np.int64(4))
+    assert type(sys.two_j) is int and sys.two_j == 4 and sys.dim == 5
+
+
 class TestSpinOperators:
     def test_spin_half_ladder(self):
         sys = ss.SpinSystem(two_j=1)
