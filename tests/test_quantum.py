@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import spinsemi as ss
 from oracles import assemble_operator, dense_sectors, evolve_state, invariant_sectors
-from spinsemi import models
+from spinsemi import models, quantum
 from spinsemi.config import build_model, parse_config
 from spinsemi.errors import DimensionMismatch, NotHermitian
 from spinsemi.quantum import CHUNK, Sectors, SpectralPropagator, connected_sectors, time_chunks
@@ -375,9 +376,9 @@ def _per_time_apply(prop, psi, t):
     x = psi[prop.perm]
     y = np.empty_like(x)
     phases = np.exp((-1j * t / prop.hbar) * prop.w)
-    for span, v, vh in prop.blocks:
+    for span, v in prop.blocks:
         shape = v.shape[:2] + (1,)
-        coeffs = vh @ x[span].reshape(shape)
+        coeffs = np.conj(v.swapaxes(1, 2) @ x[span].conj().reshape(shape))
         coeffs *= phases[span].reshape(shape)
         np.matmul(v, coeffs, out=y[span].reshape(shape))
     out = np.empty_like(psi)
@@ -385,15 +386,15 @@ def _per_time_apply(prop, psi, t):
     return out
 
 
-def _per_time_purities(prop, psi0, times, subsystem, dim):
-    """Oracle of the chunked curve: a scalar loop over the times, with the
-    single-state partial trace and purity."""
-    out = []
-    for t in times:
-        mat = _per_time_apply(prop, psi0, t).reshape(dim, dim)
-        rho = mat @ mat.conj().T if subsystem == "x" else mat.T @ mat.conj()
-        out.append(np.sum(np.abs(rho) ** 2))
-    return np.array(out)
+def _oracle_purities(states, subsystem, dim):
+    """Oracle of purity(reduced_density(...)): the partial trace written out
+    per subsystem, and the sum of |rho_ab|^2."""
+    mats = states.reshape(-1, dim, dim)
+    if subsystem == "x":
+        rhos = mats @ mats.conj().swapaxes(1, 2)
+    else:
+        rhos = mats.swapaxes(1, 2) @ mats.conj()
+    return np.sum(np.abs(rhos) ** 2, axis=(1, 2))
 
 
 def _dense_terms_model(sys):
@@ -420,20 +421,28 @@ class TestWholeCurve:
     @pytest.mark.parametrize("two_j", [4, 10, 40])
     @pytest.mark.parametrize("name", sorted(CURVE_MODELS))
     def test_chunked_curve_matches_per_time_loop(self, name, two_j):
+        # the chunks of np.linspace grids take the phase table, forward and
+        # backward in time; the per-time oracle calls np.exp once per time
         sys = ss.SpinSystem(two_j=two_j, hbar=0.7)
         prop = SpectralPropagator(CURVE_MODELS[name](sys).sectors, sys.hbar)
         psi0 = ss.product_coherent(sys, ss.CoherentLabel(0.6 - 0.2j, -0.4 + 0.5j))
-        # a prime number of times spanning three chunks, and two times
+        # a prime number of times spanning three chunks, the last one
+        # partial and ending at the grid's stop, and two times
         n = _prime_above(2 * (CHUNK // sys.joint_dim) + 1)
         assert len(time_chunks(n, sys.joint_dim)) == 3
         for times in (np.linspace(0.0, 1.3 / sys.j, n), np.array([0.0, 0.9 / sys.j])):
-            for sub in ("x", "y"):
-                got = np.concatenate([
-                    ss.purity(ss.reduced_density(prop.apply(psi0, times[rows]), sub, sys.dim))
-                    for rows in time_chunks(times.size, sys.joint_dim)
-                ])
-                want = _per_time_purities(prop, psi0, times, sub, sys.dim)
-                assert np.max(np.abs(got - want) / want) <= 1e-12
+            for xi in (+1, -1):
+                states = np.concatenate([prop.apply(psi0, xi * times[rows])
+                                         for rows in time_chunks(times.size, sys.joint_dim)])
+                want = np.array([_per_time_apply(prop, psi0, xi * t) for t in times])
+                assert np.max(np.abs(states - want)) <= 1e-12
+                for sub in ("x", "y"):
+                    got = np.concatenate([
+                        ss.purity(ss.reduced_density(states[rows], sub, sys.dim))
+                        for rows in time_chunks(times.size, sys.joint_dim)
+                    ])
+                    oracle = _oracle_purities(want, sub, sys.dim)
+                    assert np.max(np.abs(got - oracle) / oracle) <= 1e-12
 
     def test_exact_purity_curve_is_the_chunked_evaluation(self):
         sys = ss.SpinSystem(two_j=10)
@@ -495,6 +504,112 @@ class TestWholeCurve:
         assert time_chunks(100, 1681)[0] == slice(0, 38)
         assert time_chunks(5, CHUNK + 1) == [slice(i, i + 1) for i in range(5)]
         assert time_chunks(0, 121) == []
+
+
+class TestPhaseTable:
+    """The phases of arithmetic grids come from a coarse x fine table of
+    exponentials; every other grid takes one np.exp per entry. The table's
+    states and purities are checked against the per-time oracle in
+    TestWholeCurve."""
+
+    @pytest.mark.parametrize("times", [
+        0.37,
+        [0.0, 0.37],
+        np.linspace(0.0, 0.37, 7),
+        np.linspace(0.0, 0.37, 100) + np.where(np.arange(100) == 41, 1e-9, 0.0),
+        -np.linspace(0.0, 0.37, 100) + np.where(np.arange(100) == 99, 1e-9, 0.0),
+    ], ids=["scalar", "two_points", "short", "one_time_moved", "backward_one_time_moved"])
+    def test_other_grids_take_the_direct_exponentials(self, times):
+        assert quantum.TABLE_MIN > 7
+        sys = ss.SpinSystem(two_j=10, hbar=0.7)
+        w = SpectralPropagator(ss.exchange_coupling_model(sys, 0.8).sectors, sys.hbar).w
+        t = np.asarray(times, dtype=float).ravel()
+        direct = np.exp(np.multiply.outer(w, -1j * t / sys.hbar))
+        assert np.array_equal(quantum._phases(w, t, sys.hbar), direct)
+
+    def test_linspace_grids_take_the_table(self):
+        sys = ss.SpinSystem(two_j=10, hbar=0.7)
+        w = SpectralPropagator(ss.exchange_coupling_model(sys, 0.8).sectors, sys.hbar).w
+        for t in (np.linspace(0.0, 0.37, 100), -np.linspace(0.2, 0.37, 100)):
+            direct = np.exp(np.multiply.outer(w, -1j * t / sys.hbar))
+            got = quantum._phases(w, t, sys.hbar)
+            assert got.flags.c_contiguous
+            assert not np.array_equal(got, direct)
+            assert np.max(np.abs(got - direct)) <= 1e-14
+
+    @pytest.mark.parametrize("model, two_j, t_max, num_points", [
+        ("phase_coupling", 10, 0.5, 4000),  # dense_sampling
+        ("phase_coupling", 40, 0.05, 100),  # exact_large_spin
+        ("exchange_coupling", 10, 0.5, 100),  # exchange_sweep
+    ])
+    def test_benchmark_grids_take_the_table(self, monkeypatch, model, two_j, t_max, num_points):
+        sys = ss.SpinSystem(two_j=two_j)
+        prop = SpectralPropagator(SECTOR_MODELS[model](sys).sectors, sys.hbar)
+        psi0 = ss.product_coherent(sys, ss.CoherentLabel(0.5 + 0.2j, -0.3 + 0.4j))
+        times = np.linspace(0.0, t_max, num_points)
+        counter = _CountingExponentials()
+        monkeypatch.setattr(quantum, "np", counter)
+        for rows in time_chunks(times.size, prop.dim):
+            n = times[rows].size
+            counter.entries = 0
+            prop.apply(psi0, times[rows])
+            per_eigenvalue = counter.entries / prop.w.size
+            assert 2 <= per_eigenvalue <= 2 * math.ceil(math.sqrt(n)) + 1
+
+
+class _CountingExponentials:
+    """Stands in for numpy inside quantum and counts the entries that np.exp
+    and np.cos evaluate: one complex exponential is either one np.exp entry
+    or one np.cos entry (with its np.sin)."""
+
+    def __init__(self):
+        self.entries = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x, *args, **kwargs):
+        self.entries += np.size(x)
+        return np.exp(x, *args, **kwargs)
+
+    def cos(self, x, *args, **kwargs):
+        self.entries += np.size(x)
+        return np.cos(x, *args, **kwargs)
+
+
+class TestPurity:
+    def _stack(self):
+        rng = np.random.default_rng(26)
+        psis = np.array([_random_state(rng, 49) for _ in range(12)])
+        return ss.reduced_density(psis, "x", 7)
+
+    def test_matches_sum_of_absolute_squares(self):
+        rhos = self._stack()
+        for rho in (rhos, rhos[3], rhos.transpose(0, 2, 1), rhos[::2, :, 1:]):
+            want = np.sum(np.abs(rho) ** 2, axis=(-2, -1))
+            got = ss.purity(rho)
+            assert np.max(np.abs(got - want) / want) <= 1e-14
+            assert np.all(got >= 0.0)
+        assert not rhos.transpose(0, 2, 1).flags.c_contiguous
+
+    def test_one_matrix_gives_a_float(self):
+        rho = self._stack()[5]
+        assert type(ss.purity(rho)) is float
+        assert type(ss.purity(rho.T)) is float
+        assert ss.purity(np.eye(3) / 3) == pytest.approx(1 / 3, rel=1e-15)
+        assert ss.purity(np.zeros((2, 2))) == 0.0
+
+
+def test_propagator_keeps_one_copy_of_the_eigenvectors():
+    sys = ss.SpinSystem(two_j=40)
+    sectors = ss.exchange_coupling_model(sys, 0.8).sectors
+    tracemalloc.start()
+    try:
+        prop = SpectralPropagator(sectors, sys.hbar)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained <= 1.1 * sum(v.nbytes for _, v in prop.blocks)
 
 
 def _term_list_models(sys):
