@@ -10,6 +10,13 @@ The engine's one input is a Sectors description: index arrays and
 Hermitian block stacks per sector size. Every model derives it from its
 operator's entries (model.sectors), so no (2j+1)^2 x (2j+1)^2 joint matrix
 is formed. hbar and the states' dimension come from model.sys too.
+
+A grid of times is evaluated time-major: the phases of the distinct
+eigenvalues, times the state's coefficient on each eigenvector, are
+written straight into the (n_t, dim) array that apply returns; sectors of
+more than one state are rotated back in place, and the basis is permuted
+back only where the sectors reorder it. Whole curves walk the grid in
+chunks of about CHUNK elements per array.
 """
 
 import math
@@ -22,8 +29,13 @@ from .numerics import hermitian_eig
 from .spin import product_coherent
 
 # complex elements per array when a time grid is evaluated in chunks
-# (1 MiB): bounds the memory of whole-curve evaluation at any grid length
-CHUNK = 1 << 16
+# (512 KiB): bounds the memory of whole-curve evaluation at any grid length.
+# Measured against 1 << 14 and 1 << 16, run by run in the benchmark's loop:
+# on exact_large_spin 1 << 15 took 0.30 ms less than 1 << 16 per run (half
+# the minor page faults) and 1 << 14 0.32 ms less, while on dense_sampling
+# 1 << 14 cost 0.52 ms more (30 chunks of 135 times, against 15 of 270) and
+# 1 << 15 0.09 ms; exchange_sweep (one chunk) did not move.
+CHUNK = 1 << 15
 
 # _phases() builds arithmetic grids of at least TABLE_MIN times from tables;
 # a grid is arithmetic when each time is within TABLE_ULPS ulps (of the
@@ -113,14 +125,21 @@ class SpectralPropagator:
     stacked: one batched, Hermiticity-checked eigendecomposition per size
     at construction, and one batched rotation into and out of the
     eigenbases per size on each apply. The basis is permuted so that each
-    size's sectors are contiguous, row by row. Only the eigenvector stacks
-    V are kept: V^dagger x is taken as conj(conj(x) V).
+    size's sectors are contiguous, row by row. Of the decompositions, only
+    the eigenvector stacks V and the distinct eigenvalues are kept:
+    V^dagger x is taken as conj(conj(x) V).
     """
 
     def __init__(self, sectors, hbar=1.0):
         self.dim = sectors.dim
         self.hbar = hbar
         self.perm = np.concatenate([idx.ravel() for idx in sectors.indices])
+        # the inverse permutation, gathered through at the end of apply
+        # (about half the time of scattering through perm); None where the
+        # sectors list the basis in order, as phase coupling's and free
+        # precession's single states do
+        self.unperm = (None if np.array_equal(self.perm, np.arange(self.dim))
+                       else np.argsort(self.perm, kind="stable"))
         eigenvalues = []
         self.blocks = []  # (slice of the permuted basis, V) per size
         start = 0
@@ -131,55 +150,79 @@ class SpectralPropagator:
             eigenvalues.append(w.ravel())
             self.blocks.append((slice(start, start + idx.size), v))
             start += idx.size
-        self.w = np.concatenate(eigenvalues)
+        # the distinct eigenvalues, and the one of each eigenvalue: apply
+        # takes its exponentials of these alone. Stable sorts, not np.unique
+        # or a default argsort: their quicksort pages in about 0.3 MB of
+        # code that nothing else in a run touches (peak RSS).
+        w = np.concatenate(eigenvalues)
+        levels = np.sort(w, kind="stable")
+        self.levels = levels[np.concatenate(([True], np.diff(levels) > 0))]
+        self.level_of = np.searchsorted(self.levels, w)
+
+    @property
+    def w(self):
+        """The eigenvalues, in the order of the permuted basis."""
+        return self.levels[self.level_of]
 
     def apply(self, psi, t):
         """e^{-i H t / hbar} psi, shape (dim,) for a scalar t, (n_t, dim) for
-        a 1-d array of times (t < 0 runs backward). psi is rotated into the
-        eigenbases once; one batched matmul per sector size (a product for
-        single-state sectors) covers all times."""
+        a 1-d array of times (t < 0 runs backward), C-contiguous. psi is
+        rotated into the eigenbases once; the phases times its coefficients
+        are written time-major into the array returned, and one batched
+        matmul per multi-state sector size rotates them back."""
         psi = np.asarray(psi, dtype=complex)
         if psi.shape != (self.dim,):
             raise DimensionMismatch(f"state shape {psi.shape}, expected ({self.dim},)")
         t = np.asarray(t, dtype=float)
         if t.ndim > 1:
             raise ValueError("times must be a scalar or a 1-d array")
-        n_t = t.size
-        x = psi[self.perm]
-        # coeffs[i, k]: the phase of eigenvector i at time k, then times
-        # psi's coefficient on it; y[i, k]: component i of the permuted
-        # basis at time k
-        coeffs = _phases(self.w, t.ravel(), self.hbar)
-        y = np.empty_like(coeffs)
+        x = psi if self.unperm is None else psi[self.perm]
+        # psi's coefficient on each eigenvector, in the order of w
+        coeffs = np.empty(self.dim, dtype=complex)
         for span, v in self.blocks:
             k, s = v.shape[:2]
             if s == 1:
                 # single-state sectors: each V is one phase, and the
                 # rotation is one product per entry, cheaper than a matmul
                 v = v.ravel()
-                np.multiply(coeffs[span], (v * v.conj() * x[span])[:, None], out=y[span])
-                continue
-            block = coeffs[span].reshape(k, s, n_t)
-            block *= np.conj(x[span].conj().reshape(k, 1, s) @ v).reshape(k, s, 1)
-            np.matmul(v, block, out=y[span].reshape(k, s, n_t))
-        # the coefficients are spent: their buffer takes the (n_t, dim) result
-        out = coeffs.reshape(n_t, self.dim)
-        out[:, self.perm] = y.T
+                coeffs[span] = v * v.conj() * x[span]
+            else:
+                coeffs[span] = np.conj(x[span].conj().reshape(k, 1, s) @ v).ravel()
+        # out[k, i]: component i of the permuted basis at time k
+        out = _phases(self.levels, self.level_of, t.ravel(), self.hbar, coeffs)
+        for span, v in self.blocks:
+            k, s = v.shape[:2]
+            if s > 1:
+                # eigenvalue-major V @ block, measured a little faster than
+                # the time-major block @ V^T for these stacks
+                block = out[:, span].reshape(out.shape[0], k, s)
+                block[...] = (v @ block.transpose(1, 2, 0)).transpose(2, 0, 1)
+        if self.unperm is not None:
+            out = np.take(out, self.unperm, axis=1)  # C-contiguous, unlike out[:, unperm]
         return out[0] if t.ndim == 0 else out
 
 
-def _phases(w, t, hbar):
-    """exp(-i w t / hbar) as a contiguous (w.size, t.size) array, for 1-d
-    arrays of eigenvalues w and times t.
+def _phases(levels, level_of, t, hbar, coeffs):
+    """coeffs * exp(-i w t / hbar) as a contiguous (t.size, w.size) array,
+    where w = levels[level_of], for 1-d arrays of distinct eigenvalues
+    levels, the level of each eigenvalue, times t and coefficients coeffs
+    (one per eigenvalue).
+
+    Exponentials are taken of the levels only and gathered: a degenerate
+    spectrum, as phase coupling's (305 levels of 1681 eigenvalues at
+    two_j=40, lambda=1), pays for its distinct values, and each entry is
+    bitwise the exponential of its own eigenvalue.
 
     A grid of at least TABLE_MIN times that is arithmetic, t[k] = t[0] +
     k dt to within TABLE_ULPS ulps of its largest |t|, as every chunk of an
-    np.linspace grid is, costs about 2 sqrt(t.size) exponentials per
-    eigenvalue instead of t.size: with m = ceil(sqrt(t.size)), a coarse
-    table at the grid's own times t[q m] times a fine table at the offsets
-    r dt, r < m, fills the columns q m + r block by block. The results
-    differ from the direct exponentials in the last bits. Any other grid
-    (a nan time included) takes np.exp of each entry.
+    np.linspace grid is, costs about
+    2 sqrt(t.size) exponentials per level instead of t.size: with m =
+    ceil(sqrt(t.size)), a coarse table at the grid's own times t[q m] times
+    a fine table at the offsets r dt, r < m, with coeffs folded into the
+    fine table, fills the rows q m + r in one broadcast product. The
+    results differ from the direct products in the last bits. Any other
+    grid (a nan time included) takes np.exp of each level at each time,
+    times coeffs.
     """
     n = t.size
     if n >= TABLE_MIN:
@@ -187,15 +230,20 @@ def _phases(w, t, hbar):
         defect = np.max(np.abs(t - (t[0] + dt * np.arange(n))))
         if defect <= TABLE_ULPS * np.spacing(np.max(np.abs(t))):
             m = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
-            coarse = _expi(np.multiply.outer(w, -t[::m] / hbar))
-            fine = _expi(np.multiply.outer(w, -(dt * np.arange(m)) / hbar))
-            out = np.empty((w.size, n), dtype=complex)
-            for q in range(coarse.shape[1]):
-                np.multiply(coarse[:, q, None], fine[:, :n - q * m],
-                            out=out[:, q * m:(q + 1) * m])
+            # np.take gathers in about a third of the time of a[:, level_of]
+            coarse = np.take(_expi(np.multiply.outer(-t[::m] / hbar, levels)), level_of, axis=1)
+            fine = np.take(_expi(np.multiply.outer(-(dt * np.arange(m)) / hbar, levels)),
+                           level_of, axis=1)
+            fine *= coeffs
+            out = np.empty((n, level_of.size), dtype=complex)
+            whole = n // m  # coarse rows followed by all m fine rows
+            np.multiply(coarse[:whole, None], fine, out=out[:whole * m].reshape(whole, m, -1))
+            np.multiply(coarse[whole:], fine[:n - whole * m], out=out[whole * m:])
             return out
-    out = np.multiply.outer(w, -1j * t / hbar)
-    return np.exp(out, out=out)
+    table = np.multiply.outer(-1j * t / hbar, levels)
+    out = np.take(np.exp(table, out=table), level_of, axis=1)
+    out *= coeffs
+    return out
 
 
 def _expi(theta):
@@ -254,8 +302,10 @@ def exact_purity_curve(sys, model, s0, times, subsystem="x"):
     if sys != model.sys:
         raise ValueError(f"sys {sys} is not the model's {model.sys}")
     times = np.asarray(times, dtype=float)
-    if times.size and (np.any(np.diff(times) <= 0) or times[0] < 0):
-        raise ValueError("times must be ascending and non-negative")
+    # written as not (...) so that a nan time fails the check too
+    if times.size and not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)
+                           and times[0] >= 0):
+        raise ValueError("times must be finite, ascending and non-negative")
     psi0 = product_coherent(sys, s0)
     prop = SpectralPropagator(model.sectors, sys.hbar)
     out = np.empty(times.size)

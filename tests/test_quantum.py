@@ -186,6 +186,19 @@ class TestExactPurityCurve:
             ss.exact_purity_curve(other, model, ss.CoherentLabel(0.5 + 0.2j, -0.3 + 0.4j),
                                   [0.5])
 
+    @pytest.mark.parametrize("times", [
+        [0.0, np.nan, 0.2], [np.nan, 0.1], [0.0, 0.1, np.inf], [np.inf], [-np.inf, 0.0, 0.1],
+        [0.0, 0.2, 0.1], [0.0, 0.1, 0.1], [-0.1, 0.2],
+    ], ids=["nan_inside", "nan_first", "inf_last", "inf_alone", "minus_inf_first",
+            "descending", "repeated", "negative"])
+    def test_times_that_are_not_finite_ascending_and_non_negative_are_rejected(self, times):
+        # nan compares False both ways, so the check must be written to fail
+        # on it: [0, nan, 0.2] used to give [1, nan, 0.983]
+        sys = ss.SpinSystem(two_j=4)
+        model = ss.exchange_coupling_model(sys, 0.8)
+        with pytest.raises(ValueError, match="finite, ascending and non-negative"):
+            ss.exact_purity_curve(sys, model, ss.CoherentLabel(0.5, -0.3j), times)
+
 
 class TestExactPropagatorOverlap:
     def test_zero_time_factorizes(self):
@@ -476,6 +489,17 @@ class TestWholeCurve:
         with pytest.raises(ValueError):
             prop.apply(psi, np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("name", sorted(CURVE_MODELS))
+    def test_apply_returns_contiguous_time_major_states(self, name):
+        sys = ss.SpinSystem(two_j=6, hbar=0.7)
+        prop = SpectralPropagator(CURVE_MODELS[name](sys).sectors, sys.hbar)
+        psi = ss.product_coherent(sys, ss.CoherentLabel(0.3 + 0.4j, -0.7))
+        for times in (0.4, np.array([0.4]), np.array([0.0, 0.2, 0.9]),
+                      np.linspace(0.0, 1.1, 30), -np.linspace(0.0, 1.1, 30)):
+            states = prop.apply(psi, times)
+            assert states.shape == np.shape(times) + (sys.joint_dim,)
+            assert states.flags.c_contiguous
+
     def test_stacks_of_states_and_density_matrices(self):
         rng = np.random.default_rng(12)
         dim = 4
@@ -498,19 +522,40 @@ class TestWholeCurve:
         # the benchmark's dense_sampling (two_j = 10) and exact_large_spin
         # (two_j = 40) grids
         chunks = time_chunks(4000, 121)
-        assert [c.stop - c.start for c in chunks[:-1]] == [541] * 7
-        assert chunks[-1] == slice(3787, 4328)
-        assert len(time_chunks(100, 1681)) == 3
-        assert time_chunks(100, 1681)[0] == slice(0, 38)
+        assert [c.stop - c.start for c in chunks[:-1]] == [270] * 14
+        assert chunks[-1] == slice(3780, 4050)
+        assert len(time_chunks(100, 1681)) == 6
+        assert time_chunks(100, 1681)[0] == slice(0, 19)
         assert time_chunks(5, CHUNK + 1) == [slice(i, i + 1) for i in range(5)]
         assert time_chunks(0, 121) == []
 
 
 class TestPhaseTable:
     """The phases of arithmetic grids come from a coarse x fine table of
-    exponentials; every other grid takes one np.exp per entry. The table's
-    states and purities are checked against the per-time oracle in
-    TestWholeCurve."""
+    exponentials; every other grid takes one np.exp per entry. Either way
+    they come time-major, (t.size, w.size), times one coefficient per
+    eigenvalue, and the exponentials are taken of the distinct eigenvalues
+    (levels) only. The table's states and purities are checked against the
+    per-time oracle in TestWholeCurve."""
+
+    @staticmethod
+    def _spectrum_and_coefficients():
+        sys = ss.SpinSystem(two_j=10, hbar=0.7)
+        prop = SpectralPropagator(ss.exchange_coupling_model(sys, 0.8).sectors, sys.hbar)
+        coeffs = _random_state(np.random.default_rng(27), prop.w.size)
+        return sys, prop, coeffs
+
+    @pytest.mark.parametrize("two_j", [10, 40])
+    @pytest.mark.parametrize("name", ["phase_coupling", "exchange_coupling"])
+    def test_levels_are_the_distinct_eigenvalues(self, name, two_j):
+        # both spectra are degenerate: fewer levels than eigenvalues
+        sys = ss.SpinSystem(two_j=two_j)
+        sectors = SECTOR_MODELS[name](sys).sectors
+        prop = SpectralPropagator(sectors, sys.hbar)
+        assert np.all(np.diff(prop.levels) > 0)
+        assert prop.levels.size < prop.w.size == sys.joint_dim
+        assert np.array_equal(prop.w, np.concatenate([
+            np.linalg.eigh(block)[0].ravel() for block in sectors.blocks]))
 
     @pytest.mark.parametrize("times", [
         0.37,
@@ -521,21 +566,24 @@ class TestPhaseTable:
     ], ids=["scalar", "two_points", "short", "one_time_moved", "backward_one_time_moved"])
     def test_other_grids_take_the_direct_exponentials(self, times):
         assert quantum.TABLE_MIN > 7
-        sys = ss.SpinSystem(two_j=10, hbar=0.7)
-        w = SpectralPropagator(ss.exchange_coupling_model(sys, 0.8).sectors, sys.hbar).w
+        sys, prop, coeffs = self._spectrum_and_coefficients()
         t = np.asarray(times, dtype=float).ravel()
-        direct = np.exp(np.multiply.outer(w, -1j * t / sys.hbar))
-        assert np.array_equal(quantum._phases(w, t, sys.hbar), direct)
+        direct = np.exp(np.multiply.outer(-1j * t / sys.hbar, prop.w))
+        for c, want in ((np.ones(prop.w.size), direct), (coeffs, direct * coeffs)):
+            got = quantum._phases(prop.levels, prop.level_of, t, sys.hbar, c)
+            assert np.array_equal(got, want)
 
     def test_linspace_grids_take_the_table(self):
-        sys = ss.SpinSystem(two_j=10, hbar=0.7)
-        w = SpectralPropagator(ss.exchange_coupling_model(sys, 0.8).sectors, sys.hbar).w
-        for t in (np.linspace(0.0, 0.37, 100), -np.linspace(0.2, 0.37, 100)):
-            direct = np.exp(np.multiply.outer(w, -1j * t / sys.hbar))
-            got = quantum._phases(w, t, sys.hbar)
-            assert got.flags.c_contiguous
-            assert not np.array_equal(got, direct)
-            assert np.max(np.abs(got - direct)) <= 1e-14
+        sys, prop, coeffs = self._spectrum_and_coefficients()
+        for t in (np.linspace(0.0, 0.37, 100), -np.linspace(0.2, 0.37, 100),
+                  np.linspace(0.0, 0.37, 99)):  # 99 = 9 * 10 + 9: a partial last block
+            direct = np.exp(np.multiply.outer(-1j * t / sys.hbar, prop.w))
+            for c in (np.ones(prop.w.size), coeffs):
+                got = quantum._phases(prop.levels, prop.level_of, t, sys.hbar, c)
+                assert got.shape == (t.size, prop.w.size)
+                assert got.flags.c_contiguous
+                assert not np.array_equal(got, direct * c)
+                assert np.max(np.abs(got - direct * c)) <= 1e-14
 
     @pytest.mark.parametrize("model, two_j, t_max, num_points", [
         ("phase_coupling", 10, 0.5, 4000),  # dense_sampling
@@ -553,8 +601,12 @@ class TestPhaseTable:
             n = times[rows].size
             counter.entries = 0
             prop.apply(psi0, times[rows])
-            per_eigenvalue = counter.entries / prop.w.size
-            assert 2 <= per_eigenvalue <= 2 * math.ceil(math.sqrt(n)) + 1
+            # per distinct eigenvalue, and so at most that per eigenvalue
+            per_level = counter.entries / prop.levels.size
+            if n < quantum.TABLE_MIN:  # a short last chunk: one per time
+                assert per_level == n
+            else:
+                assert 2 <= per_level <= 2 * math.ceil(math.sqrt(n)) + 1
 
 
 class _CountingExponentials:
@@ -610,6 +662,31 @@ def test_propagator_keeps_one_copy_of_the_eigenvectors():
     finally:
         tracemalloc.stop()
     assert retained <= 1.1 * sum(v.nbytes for _, v in prop.blocks)
+
+
+@pytest.mark.parametrize("name", ["phase_coupling", "free_precession"])
+def test_apply_writes_the_phases_into_the_states_it_returns(name):
+    # every sector one state, in basis order: the permutation is the
+    # identity, and apply's peak is its result plus the tables (about
+    # 2 sqrt(n_t) rows) or, off the table, plus the exponentials of the
+    # distinct eigenvalues (29 and 31 of 121 here); a second result-sized buffer
+    # would double it
+    sys = ss.SpinSystem(two_j=10)
+    sectors = SECTOR_MODELS[name](sys).sectors
+    assert np.array_equal(np.concatenate([idx.ravel() for idx in sectors.indices]),
+                          np.arange(sys.joint_dim))
+    prop = SpectralPropagator(sectors, sys.hbar)
+    psi0 = ss.product_coherent(sys, ss.CoherentLabel(0.5 + 0.2j, -0.3 + 0.4j))
+    grid = np.linspace(0.0, 0.5, 400)
+    for times in (grid, grid + np.where(np.arange(400) == 7, 1e-9, 0.0)):
+        tracemalloc.start()
+        try:
+            states = prop.apply(psi0, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert states.nbytes == times.size * sys.joint_dim * 16
+        assert peak <= 1.5 * states.nbytes
 
 
 def _term_list_models(sys):
