@@ -46,8 +46,6 @@ from .quantum import (
     reduced_density,
 )
 from .flow import (
-    PhaseSpaceState,
-    StabilityMatrix,
     Trajectory,
     integrate_stability,
     integrate_trajectory,

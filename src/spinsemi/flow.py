@@ -13,8 +13,8 @@ doubles as an integrator diagnostic. The stability matrix is co-integrated
 with the trajectory in one ODE system (20 complex components), which keeps
 its determinant identity accurate to integrator tolerance; one integration
 per trajectory gives both, at any sample times, from the integrator's
-dense output, and the Trajectory carries the matrices (ms) that every
-consumer reads through integrate_stability. hamilton_equations is the one
+dense output; consumers read the Trajectory's own arrays, ys (ux, uy, vx,
+vy) and ms (4x4, rows du_x, du_y, dv_x, dv_y). hamilton_equations is the one
 place the field and its Jacobian are formed, by the same arithmetic at one
 point (the ODE's right-hand side) and along a series (the action
 integrands).
@@ -35,83 +35,12 @@ DEFAULT_SAMPLES = 129
 
 
 @dataclass(frozen=True)
-class PhaseSpaceState:
-    """Complex phase-space point; u and v hold the (x, y) pair in their
-    last axis, so a (n, 2) pair is the series of n states along a
-    trajectory."""
-
-    u: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        for name in ("u", "v"):
-            arr = np.asarray(getattr(self, name), dtype=complex)
-            if arr.shape[-1:] != (2,):
-                raise ValueError(f"{name} must hold (x, y) in its last axis, got {arr.shape}")
-            object.__setattr__(self, name, arr)
-
-    @classmethod
-    def from_vector(cls, y):
-        return cls(y[..., :2], y[..., 2:4])
-
-
-@dataclass(frozen=True)
-class StabilityMatrix:
-    """4x4 linearization in the (du_x, du_y, dv_x, dv_y) ordering, or the
-    series of them along a trajectory.
-
-    m is (4, 4) for one matrix or (n, 4, 4) for n samples; the block views
-    and det() keep the leading axis. A series has len(s) samples, s[i] is
-    the matrix at sample i (a slice gives a shorter series), and iterating
-    yields the matrices one by one.
-    """
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=complex)
-        if m.shape[-2:] != (4, 4) or m.ndim > 3:
-            raise ValueError(f"stability matrix must be (4, 4) or (n, 4, 4), got {m.shape}")
-        object.__setattr__(self, "m", m)
-
-    def __len__(self):
-        if self.m.ndim != 3:
-            raise TypeError("a single stability matrix has no length")
-        return len(self.m)
-
-    def __getitem__(self, i):
-        return StabilityMatrix(self.m[i])
-
-    def __iter__(self):
-        return (StabilityMatrix(m) for m in self.m)
-
-    @property
-    def m_uu(self):
-        return self.m[..., :2, :2]
-
-    @property
-    def m_uv(self):
-        return self.m[..., :2, 2:]
-
-    @property
-    def m_vu(self):
-        return self.m[..., 2:, :2]
-
-    @property
-    def m_vv(self):
-        return self.m[..., 2:, 2:]
-
-    def det(self):
-        det = np.linalg.det(self.m)
-        return complex(det) if det.ndim == 0 else det
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Sampled classical trajectory with its conserved-energy diagnostic.
 
     It starts from the real point of its initial label: ys[0, :2] is
-    (sx, sy) and ys[0, 2:] its conjugate.
+    (sx, sy) and ys[0, 2:] its conjugate. initial and final are the rows
+    ys[0] and ys[-1].
     """
 
     ts: np.ndarray
@@ -121,23 +50,20 @@ class Trajectory:
     integrator: Optional[IntegratorRecord] = None  # what the integration did, if any
 
     def __post_init__(self):
-        if self.ts.size > 1 and np.any(np.diff(self.ts) <= 0):
+        # written as not (...) so that a nan time fails the check too
+        if self.ts.size > 1 and not np.all(np.diff(self.ts) > 0):
             raise ValueError("sample times must be strictly increasing")
 
     def __len__(self):
         return self.ts.size
 
-    def state(self, i):
-        """State at sample i; a slice, such as slice(None), gives the series."""
-        return PhaseSpaceState.from_vector(self.ys[i])
-
     @property
     def initial(self):
-        return self.state(0)
+        return self.ys[0]
 
     @property
     def final(self):
-        return self.state(-1)
+        return self.ys[-1]
 
     def energy_drift(self):
         return float(np.max(np.abs(self.energy - self.energy[0])))
@@ -210,8 +136,9 @@ def integrate_trajectory(model, s0, t_final, cfg, sample_times=None):
     whether or not it was requested: every downstream object (endpoint
     factor, stability window, action boundary terms) is anchored there.
     """
-    if t_final < 0:
-        raise ValueError("t_final must be non-negative")
+    # written as not (...) so that nan is rejected too
+    if not 0 <= t_final < np.inf:
+        raise ValueError("t_final must be finite and non-negative")
     if model.sys.two_j < 1:
         raise ValueError("two_j must be at least 1: spin 0 has no classical phase space")
     y0 = np.concatenate([
@@ -235,13 +162,12 @@ def integrate_trajectory(model, s0, t_final, cfg, sample_times=None):
 
 
 def integrate_stability(traj):
-    """Stability matrices along traj, one StabilityMatrix series with one
-    matrix per sample: traj.ms, which integrate_trajectory co-integrates
-    with (u, v). Evaluates no field. Raises ValueError for a trajectory
-    built without stability matrices, such as one made directly from its
-    samples.
+    """Stability matrices along traj, (n, 4, 4) with one matrix per sample:
+    traj.ms, which integrate_trajectory co-integrates with (u, v). Evaluates
+    no field. Raises ValueError for a trajectory built without stability
+    matrices, such as one made directly from its samples.
     """
     if traj.ms is None:
         raise ValueError("trajectory carries no stability matrices; "
                          "build it with integrate_trajectory")
-    return StabilityMatrix(traj.ms)
+    return traj.ms

@@ -259,9 +259,9 @@ def adaptive_rk(field, y0, t_span, cfg, samples):
     ----------
     field : callable(t, y) -> dy/dt
     y0 : complex array-like
-    t_span : (t0, t1) with t1 >= t0
+    t_span : finite (t0, t1) with t1 >= t0
     cfg : IntegratorConfig
-    samples : ascending array of times in [t0, t1], the output grid. Each
+    samples : ascending array of finite times in [t0, t1], the output grid. Each
         is read off the seventh-order continuous extension of the accepted
         step that holds it. The steps are the ones error control alone
         picks, whatever the samples; a step with a sample before its end
@@ -275,12 +275,16 @@ def adaptive_rk(field, y0, t_span, cfg, samples):
         the IntegratorRecord of the call.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError("t_span must be finite")
     if t1 < t0:
         raise ValueError("t_span must be increasing")
     y = np.array(y0, dtype=complex).ravel()
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("samples must be non-empty")
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("samples must be finite")
     if np.any(np.diff(samples) <= 0):
         raise ValueError("samples must be strictly increasing")
     if samples[0] < t0 - 1e-14 or samples[-1] > t1 + 1e-12 * max(1.0, abs(t1)):

@@ -316,7 +316,9 @@ def exact_purity_curve(sys, model, s0, times, subsystem="x"):
 
 def exact_propagator_overlap(model, s_eta, s0, t, xi=+1):
     """<s_eta | e^{-i xi H t / hbar} | s_0> on the joint space, H the
-    model's, evolved through model.sectors on model.sys."""
+    model's, evolved through model.sectors on model.sys. t must be finite."""
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     prop = SpectralPropagator(model.sectors, model.sys.hbar)
     ket = prop.apply(product_coherent(model.sys, s0), xi * t)
     return complex(np.vdot(product_coherent(model.sys, s_eta), ket))

@@ -58,10 +58,10 @@ def compute_curve(cfg, model=None):
 
     traj = integrate_trajectory(model, cfg.initial_state, cfg.t_max, cfg.integrator,
                                 sample_times=times)
-    m_series = integrate_stability(traj)
-    ev = purity_sc_evaluate(m_series, traj.initial, traj.state(slice(None)))
+    ms = integrate_stability(traj)
+    ev = purity_sc_evaluate(ms, traj.initial, traj.ys)
     flags = {i: reason for i, reason in enumerate(ev.reason) if reason is not None}
-    res_detm = np.abs(m_series.det() - ev.tcal)
+    res_detm = np.abs(np.linalg.det(ms) - ev.tcal)
     res_detm[list(flags)] = np.nan
     curve = PurityCurve(
         times=times,

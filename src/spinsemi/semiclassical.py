@@ -11,9 +11,11 @@ stability matrix and T the endpoint chart-factor ratio (equal to det M
 along the critical trajectory). The equivalent determinant form
 T / sqrt((d - d')^2 - d''^2) is evaluated alongside and the two must agree,
 which is a sharp end-to-end check on the integrated stability matrix.
-prefactor and purity_sc take a trajectory alone and read its own stability
-matrices, so each matrix meets the endpoint of its own sample. Calls that
-take a model read hbar and j from model.sys.
+States are (ux, uy, vx, vy) rows and stability matrices (4, 4) arrays, or
+series of them such as a Trajectory's ys and ms. prefactor and purity_sc
+take a trajectory alone and read its own stability matrices, so each matrix
+meets the endpoint of its own sample. Calls that take a model read hbar and
+j from model.sys.
 """
 
 import cmath
@@ -23,8 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CausticEncountered, LogBranch, ValidityBreakdown
-from .flow import (StabilityMatrix, hamilton_equations, integrate_stability,
-                   integrate_trajectory, require_chart)
+from .flow import hamilton_equations, integrate_stability, integrate_trajectory, require_chart
 from .numerics import IntegratorConfig, cubic_quadrature, det2
 from .spin import CoherentLabel, coherent_overlap
 
@@ -76,10 +77,13 @@ def _permuted_dets(m, perm):
             det2(m[..., bottom, :2]), det2(m[..., top, 2:]))
 
 
-def aux_determinants(stab):
-    """Auxiliary determinants of a stability matrix, or of each matrix of a
-    (n, 4, 4) series (then every field is an array over the samples)."""
-    m = stab.m if isinstance(stab, StabilityMatrix) else np.asarray(stab, dtype=complex)
+def aux_determinants(m):
+    """Auxiliary determinants of a (4, 4) stability matrix, or of each matrix
+    of a (n, 4, 4) series (then every field is an array over the samples).
+    Raises ValueError for any other shape."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape[-2:] != (4, 4) or m.ndim > 3:
+        raise ValueError(f"stability matrix must be (4, 4) or (n, 4, 4), got {m.shape}")
     det_a, det_b, det_c, det_d = _permuted_dets(m, _PERM_ONE)
     det_ap, det_bp, det_cp, det_dp = _permuted_dets(m, _PERM_TWO)
     d = (det2(m[..., :2, :2]) * det2(m[..., 2:, 2:])
@@ -93,14 +97,18 @@ def aux_determinants(stab):
     )
 
 
-def _chart_product(state):
-    """prod_k (1 + u_k v_k) at a state, or along a series of states."""
-    return (1.0 + state.u[..., 0] * state.v[..., 0]) * (1.0 + state.u[..., 1] * state.v[..., 1])
+def _chart_product(y):
+    """prod_k (1 + u_k v_k) at a (ux, uy, vx, vy) row, or along (..., 4) rows."""
+    return (1.0 + y[..., 0] * y[..., 2]) * (1.0 + y[..., 1] * y[..., 3])
 
 
 def endpoint_factor(start, end):
-    """prod_k (1 + u''_k v''_k)^2 / (1 + u'_k v'_k)^2 (equals det M); end may
-    be a series of states, such as traj.state(slice(None))."""
+    """prod_k (1 + u''_k v''_k)^2 / (1 + u'_k v'_k)^2 (equals det M) between
+    (ux, uy, vx, vy) rows; end may be a series of rows, such as traj.ys.
+    Raises ValueError unless both last axes hold 4 entries."""
+    start, end = np.asarray(start), np.asarray(end)
+    if start.shape[-1:] != (4,) or end.shape[-1:] != (4,):
+        raise ValueError(f"states must be (..., 4) rows, got {start.shape} and {end.shape}")
     return (_chart_product(end) / _chart_product(start)) ** 2
 
 
@@ -161,8 +169,8 @@ def prefactor(traj, xi=+1):
     the square root picks up -pi per completed turn, mirroring a
     Maslov-type index.
     """
-    m_series = integrate_stability(traj)
-    det_block = det2(m_series.m_vv if xi == +1 else m_series.m_uu)
+    m = integrate_stability(traj)
+    det_block = det2(m[:, 2:, 2:] if xi == +1 else m[:, :2, :2])
     caustic = np.flatnonzero(np.abs(det_block) < CAUSTIC_TOL)
     if caustic.size:
         i = caustic[0]
@@ -170,7 +178,7 @@ def prefactor(traj, xi=+1):
             f"|det M_{'vv' if xi == +1 else 'uu'}| = {abs(det_block[i]):.3e} "
             f"at t = {traj.ts[i]:.6e}"
         )
-    ratio = _chart_product(traj.state(slice(None))) / _chart_product(traj.initial)
+    ratio = _chart_product(traj.ys) / _chart_product(traj.initial)
     vals = ratio / det_block
     theta = np.unwrap(np.angle(vals))
     return np.sqrt(np.abs(vals[-1])) * np.exp(0.5j * theta[-1])
@@ -189,7 +197,7 @@ def semiclassical_propagator_real(model, s0, t_final, cfg=None):
     traj = integrate_trajectory(model, s0, t_final, cfg or IntegratorConfig())
     bundle = action_integrals(model, traj, +1)
     root_pref = prefactor(traj, +1)
-    return root_pref * cmath.exp(bundle.exponent), CoherentLabel(*traj.final.u)
+    return root_pref * cmath.exp(bundle.exponent), CoherentLabel(*traj.final[:2])
 
 
 @dataclass(frozen=True)
@@ -208,18 +216,19 @@ class PurityEvaluation:
     reason: str
 
 
-def purity_sc_evaluate(stab, start, end):
+def purity_sc_evaluate(m, start, end):
     """Full stability-matrix purity evaluation with diagnostics.
 
-    stab is one StabilityMatrix with end one state, or a series with end
-    the matching series of states (start stays the t = 0 state). Returns
-    the principal-branch value of [1 + 2 d''/T]^(-1/2) and checks it
-    against the determinant form T / sqrt((d-d')^2 - d''^2); disagreement
-    beyond 1e-7 relative means the matrix is inconsistent with its own
-    endpoint factor. Samples that fail a check are flagged through reason,
-    never raised: the first failing check, in the order below, names it.
+    m is one (4, 4) stability matrix with end one (ux, uy, vx, vy) row, or a
+    (n, 4, 4) series with end the matching (n, 4) rows (start stays the
+    t = 0 row). Returns the principal-branch value of [1 + 2 d''/T]^(-1/2)
+    and checks it against the determinant form T / sqrt((d-d')^2 - d''^2);
+    disagreement beyond 1e-7 relative means the matrix is inconsistent with
+    its own endpoint factor. Samples that fail a check are flagged through
+    reason, never raised: the first failing check, in the order below,
+    names it.
     """
-    aux = aux_determinants(stab)
+    aux = aux_determinants(m)
     tcal = endpoint_factor(start, end)
     radicand = 1.0 + 2.0 * aux.d_dprime / tcal
     det_form_sq = (aux.d - aux.d_prime) ** 2 - aux.d_dprime ** 2
@@ -257,8 +266,7 @@ def purity_sc(traj, sample=-1):
 
     Raises ValidityBreakdown where purity_sc_evaluate flags the sample.
     """
-    ev = purity_sc_evaluate(integrate_stability(traj)[sample], traj.initial,
-                            traj.state(sample))
+    ev = purity_sc_evaluate(integrate_stability(traj)[sample], traj.initial, traj.ys[sample])
     reason = next((r for r in np.ravel(ev.reason) if r is not None), None)
     if reason is not None:
         raise ValidityBreakdown(reason)

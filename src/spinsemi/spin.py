@@ -38,8 +38,9 @@ class SpinSystem:
         if two_j < 0 or isinstance(self.two_j, bool):
             raise ValueError("two_j must be a non-negative integer")
         object.__setattr__(self, "two_j", two_j)
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        # written as not (...) so that nan is rejected too
+        if isinstance(self.hbar, bool) or not 0 < self.hbar < math.inf:
+            raise ValueError("hbar must be a positive finite number")
 
     @property
     def j(self):

@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from spinsemi.errors import DimensionMismatch
-from spinsemi.flow import DEFAULT_SAMPLES, StabilityMatrix, Trajectory
+from spinsemi.flow import DEFAULT_SAMPLES, Trajectory
 from spinsemi.numerics import (
     _A,
     _B,
@@ -346,43 +346,46 @@ def evolve_state(h, psi0, t, hbar=1.0):
 
 
 def _endpoint_weights(sys, start, end, xi):
-    """Diagonal endpoint matrices entering the action-Hessian relations."""
+    """Diagonal endpoint matrices entering the action-Hessian relations,
+    between the (ux, uy, vx, vy) rows start and end."""
     scale = -2j * sys.hbar_j
-    pp = (1.0 + start.u * start.v) ** 2
-    pq = (1.0 + end.u * end.v) ** 2
+    pp = (1.0 + start[:2] * start[2:]) ** 2
+    pq = (1.0 + end[:2] * end[2:]) ** 2
     if xi == +1:
-        a = np.diag(scale * start.v ** 2 / pp)
+        a = np.diag(scale * start[2:] ** 2 / pp)
         b = np.diag(scale / pp)
-        c = np.diag(scale * end.u ** 2 / pq)
+        c = np.diag(scale * end[:2] ** 2 / pq)
         d = np.diag(scale / pq)
     else:
-        a = np.diag(scale * end.v ** 2 / pq)
+        a = np.diag(scale * end[2:] ** 2 / pq)
         b = np.diag(scale / pq)
-        c = np.diag(scale * start.u ** 2 / pp)
+        c = np.diag(scale * start[:2] ** 2 / pp)
         d = np.diag(scale / pp)
     return a, b, c, d
 
 
-def action_hessians_from_stability(sys, stab, start, end, xi=+1):
-    """Second derivatives of the action expressed through stability blocks.
+def action_hessians_from_stability(sys, m, start, end, xi=+1):
+    """Second derivatives of the action expressed through the 2x2 blocks of
+    the 4x4 stability matrix m.
 
     For xi=+1 returns (S_u'u', S_u'v'', S_v''u', S_v''v''); for xi=-1 the
     (S_u''u'', S_u''v', S_v'u'', S_v'v') set. Inverting the returned blocks
     through the companion relations reconstructs the stability matrix.
     """
     a, b, c, d = _endpoint_weights(sys, start, end, xi)
+    m_uu, m_uv, m_vu, m_vv = m[:2, :2], m[:2, 2:], m[2:, :2], m[2:, 2:]
     if xi == +1:
-        m_vv_inv = np.linalg.inv(stab.m_vv)
-        s_uu = -b @ m_vv_inv @ stab.m_vu - a
+        m_vv_inv = np.linalg.inv(m_vv)
+        s_uu = -b @ m_vv_inv @ m_vu - a
         s_uv = b @ m_vv_inv
-        s_vu = d @ (stab.m_uu - stab.m_uv @ m_vv_inv @ stab.m_vu)
-        s_vv = d @ stab.m_uv @ m_vv_inv - c
+        s_vu = d @ (m_uu - m_uv @ m_vv_inv @ m_vu)
+        s_vv = d @ m_uv @ m_vv_inv - c
     elif xi == -1:
-        m_uu_inv = np.linalg.inv(stab.m_uu)
-        s_uu = b @ stab.m_vu @ m_uu_inv - a
-        s_uv = b @ (stab.m_vv - stab.m_vu @ m_uu_inv @ stab.m_uv)
+        m_uu_inv = np.linalg.inv(m_uu)
+        s_uu = b @ m_vu @ m_uu_inv - a
+        s_uv = b @ (m_vv - m_vu @ m_uu_inv @ m_uv)
         s_vu = d @ m_uu_inv
-        s_vv = -d @ m_uu_inv @ stab.m_uv - c
+        s_vv = -d @ m_uu_inv @ m_uv - c
     else:
         raise ValueError("xi must be +1 or -1")
     return s_uu, s_uv, s_vu, s_vv
@@ -410,7 +413,7 @@ def stability_from_action_hessians(sys, hessians, start, end, xi=+1):
         m_uv = -s_vu_inv @ ct
         m_vu = b_inv @ at @ s_vu_inv @ d
         m_vv = b_inv @ (s_uv - at @ s_vu_inv @ ct)
-    return StabilityMatrix(np.block([[m_uu, m_uv], [m_vu, m_vv]]))
+    return np.block([[m_uu, m_uv], [m_vu, m_vv]])
 
 
 def permuted_dets(m, perm):
@@ -439,17 +442,17 @@ def block_identity_defect(m, aux):
                for lhs, rhs in pairs)
 
 
-def canonical_purity(stab):
-    """Harmonic-limit purity of one stability matrix, from its own permuted
-    determinants; complex, so that the tests can assert that it lies in
-    (0, 1].
+def canonical_purity(m):
+    """Harmonic-limit purity of one 4x4 stability matrix m, from its own
+    permuted determinants; complex, so that the tests can assert that it
+    lies in (0, 1].
 
     Valid when the endpoint factor has contracted to 1 (large-spin scaled
     labels); then it coincides with the stability-matrix purity.
     """
-    det_a, det_b, det_c, det_d = permuted_dets(stab.m, (0, 3, 2, 1))
-    det_ap, det_bp, _, _ = permuted_dets(stab.m, (0, 2, 1, 3))
-    mm = det2(stab.m_uu) * det2(stab.m_vv)
+    det_a, det_b, det_c, det_d = permuted_dets(m, (0, 3, 2, 1))
+    det_ap, det_bp, _, _ = permuted_dets(m, (0, 2, 1, 3))
+    mm = det2(m[:2, :2]) * det2(m[2:, 2:])
     e_prime = -4.0 * (mm * det_ap * det_bp) ** 2
     e_dprime = (det_ap ** 2 * det_b * det_d - (det_ap * det_bp) ** 2
                 + det_bp ** 2 * det_a * det_c)
@@ -457,14 +460,14 @@ def canonical_purity(stab):
     return complex(e_full ** -0.5 * mm)
 
 
-def gaussian_a1a2(stab):
-    """Coefficients of the saddle-point Gaussian integral, from block ratios.
+def gaussian_a1a2(m):
+    """Coefficients of the saddle-point Gaussian integral, from the block
+    ratios of the 4x4 stability matrix m.
 
     The integral evaluates to (a1^2 - a2^2)^(-1/2); the pair also satisfies
     a1 * det M_uu * det M_vv = d - d' and a2 * det M_uu * det M_vv = d''.
     """
-    m_uu, m_vv = stab.m_uu, stab.m_vv
-    m_uv, m_vu = stab.m_uv, stab.m_vu
+    m_uu, m_uv, m_vu, m_vv = m[:2, :2], m[:2, 2:], m[2:, :2], m[2:, 2:]
     x = m_vu @ np.linalg.inv(m_uu)
     y = m_uv @ np.linalg.inv(m_vv)
     a1 = (
@@ -553,13 +556,12 @@ def pc_stability(params, s0, t_final):
     gx = 2j * params.lam * j * t / (1.0 + u0[1] * v0[1]) ** 2
     gy = 2j * params.lam * j * t / (1.0 + u0[0] * v0[0]) ** 2
     ex, ey = np.exp(lam_x * t), np.exp(lam_y * t)
-    m = np.array([
+    return np.array([
         [ex, -gx * ex * u0[0] * v0[1], 0.0, -gx * ex * u0[0] * u0[1]],
         [-gy * ey * u0[1] * v0[0], ey, -gy * ey * u0[1] * u0[0], 0.0],
         [0.0, gx / ex * v0[0] * v0[1], 1.0 / ex, gx / ex * v0[0] * u0[1]],
         [gy / ey * v0[1] * v0[0], 0.0, gy / ey * v0[1] * u0[0], 1.0 / ey],
-    ])
-    return StabilityMatrix(m)
+    ], dtype=complex)
 
 
 def pc_slin_short_time(params, s0, t_final):

@@ -280,6 +280,17 @@ class TestAdaptiveRk:
         assert np.max(np.abs(ys[-1] - ref_ys[-1])) <= 1e-7 * np.max(np.abs(ref_ys[-1]))
         assert record.field_evals < len(calls)
 
+    @pytest.mark.parametrize("t_span, samples, message", [
+        ((0.0, np.nan), [0.0], "t_span must be finite"),
+        ((0.0, np.inf), [0.0], "t_span must be finite"),
+        ((np.nan, 1.0), [1.0], "t_span must be finite"),
+        ((0.0, 1.0), [0.0, np.nan], "samples must be finite"),
+    ], ids=["nan_end", "inf_end", "nan_start", "nan_sample"])
+    def test_non_finite_times_are_rejected(self, t_span, samples, message):
+        with pytest.raises(ValueError, match=message):
+            ss.adaptive_rk(lambda t, y: y, [1.0 + 0j], t_span, ss.IntegratorConfig(),
+                           samples=samples)
+
     def test_zero_span(self):
         cfg = ss.IntegratorConfig()
         ts, ys, _ = ss.adaptive_rk(lambda t, y: y, [2.0 + 0j], (0.0, 0.0), cfg, samples=[0.0])

@@ -232,6 +232,15 @@ class TestExactPropagatorOverlap:
         rev = ss.exact_propagator_overlap(model, s0, se, 1.1, xi=-1)
         assert abs(fwd - np.conj(rev)) < 1e-10
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_is_rejected(self, t):
+        # nan used to come back as nan+nanj without an error
+        sys = ss.SpinSystem(two_j=4)
+        model = ss.exchange_coupling_model(sys, 0.8)
+        s0 = ss.CoherentLabel(0.5, -0.3j)
+        with pytest.raises(ValueError, match="t must be finite"):
+            ss.exact_propagator_overlap(model, s0, s0, t)
+
 
 def test_spectral_propagator_reuses_decomposition():
     sys = ss.SpinSystem(two_j=2)

@@ -20,7 +20,7 @@ from oracles import (
     stability_from_action_hessians,
 )
 from spinsemi.errors import ValidityBreakdown
-from spinsemi.flow import PhaseSpaceState, Trajectory
+from spinsemi.flow import Trajectory
 from spinsemi.numerics import cubic_quadrature, det2
 from spinsemi.semiclassical import (
     endpoint_factor,
@@ -148,9 +148,9 @@ class TestActionIntegrals:
             vals.append(ss.action_integrals(model, traj, +1).s_action)
         deriv = (vals[1] - vals[0]) / (2 * delta)
         traj = ss.integrate_trajectory(model, s0, t0, CFG)
-        end = traj.final
+        u, v = traj.final[:2], traj.final[2:]
         dy, _ = field_and_jacobian(model, traj.ys[-1])
-        correction = -2j * sys.hbar_j * np.sum(end.u * dy[2:4] / (1 + end.u * end.v))
+        correction = -2j * sys.hbar_j * np.sum(u * dy[2:4] / (1 + u * v))
         expected = -traj.energy[-1] + correction
         assert abs(deriv - expected) < 1e-5 * max(1.0, abs(expected))
 
@@ -242,13 +242,12 @@ class TestPrefactor:
         sys, params, model = _pc(two_j=8, lam=1.5)
         s0 = ss.CoherentLabel(0.8 + 0.1j, 0.5 - 0.6j)
         traj = _pipeline(sys, model, s0, 0.8)
-        start = traj.initial
-        den0 = (1 + start.u[0] * start.v[0]) * (1 + start.u[1] * start.v[1])
+        y0 = traj.initial
+        den0 = (1 + y0[0] * y0[2]) * (1 + y0[1] * y0[3])
         vals = []
-        for i, stab in enumerate(ss.integrate_stability(traj)):
-            stt = traj.state(i)
-            ratio = (1 + stt.u[0] * stt.v[0]) * (1 + stt.u[1] * stt.v[1]) / den0
-            vals.append(ratio / det2(stab.m_vv))
+        for y, m in zip(traj.ys, ss.integrate_stability(traj)):
+            ratio = (1 + y[0] * y[2]) * (1 + y[1] * y[3]) / den0
+            vals.append(ratio / det2(m[2:, 2:]))
         theta = np.unwrap(np.angle(np.asarray(vals)))
         assert np.max(np.abs(np.diff(theta))) < np.pi / 2
 
@@ -286,9 +285,9 @@ class TestBackwardBranch:
         sys, model, traj = self._setup()
         bundle = ss.action_integrals(model, traj, -1)
         k_back = ss.prefactor(traj, -1) * np.exp(bundle.exponent)
-        s_eta = ss.CoherentLabel(traj.final.u[0], traj.final.u[1])
+        s_eta = ss.CoherentLabel(*traj.final[:2])
         k_ex = ss.exact_propagator_overlap(
-            model, s_eta, ss.CoherentLabel(*traj.initial.u), traj.ts[-1]
+            model, s_eta, ss.CoherentLabel(*traj.initial[:2]), traj.ts[-1]
         )
         assert abs(k_back - np.conj(k_ex)) / abs(k_ex) < 2e-2
 
@@ -371,12 +370,29 @@ class TestAuxDeterminants:
         assert block_identity_defect(m, ss.aux_determinants(m)) < 1e-10
 
     def test_endpoint_factor(self):
-        start = PhaseSpaceState([0.3, 0.5], [0.3, 0.5])
-        end = PhaseSpaceState([0.6, 0.2], [0.6, 0.2])
+        start = np.array([0.3, 0.5, 0.3, 0.5])
+        end = np.array([0.6, 0.2, 0.6, 0.2])
         tcal = endpoint_factor(start, end)
         num = (1 + 0.36) * (1 + 0.04)
         den = (1 + 0.09) * (1 + 0.25)
         assert tcal == pytest.approx((num / den) ** 2)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (5, 5), (4, 5), (16,), (2, 3, 4, 4)])
+    def test_matrix_shape_is_checked(self, shape):
+        # a 5x5 input must not be read silently by its top-left blocks
+        m = np.ones(shape)
+        with pytest.raises(ValueError, match=r"must be \(4, 4\) or \(n, 4, 4\)"):
+            ss.aux_determinants(m)
+        with pytest.raises(ValueError, match=r"must be \(4, 4\) or \(n, 4, 4\)"):
+            purity_sc_evaluate(m, _ORIGIN, _ORIGIN)
+
+    def test_state_shape_is_checked(self):
+        with pytest.raises(ValueError, match=r"must be \(\.\.\., 4\) rows"):
+            endpoint_factor(np.zeros(2), _ORIGIN)
+        with pytest.raises(ValueError, match=r"must be \(\.\.\., 4\) rows"):
+            endpoint_factor(_ORIGIN, np.zeros((3, 5)))
+        with pytest.raises(ValueError, match=r"must be \(\.\.\., 4\) rows"):
+            purity_sc_evaluate(np.eye(4), _ORIGIN, np.zeros(2))
 
 
 class TestPuritySc:
@@ -417,8 +433,7 @@ class TestPuritySc:
         sys = ss.SpinSystem(two_j=4)
         model = ss.exchange_coupling_model(sys, 1.0)
         traj = _pipeline(sys, model, ss.CoherentLabel(0.5 + 0.2j, -0.3 + 0.4j), 1.0)
-        ev = purity_sc_evaluate(ss.integrate_stability(traj), traj.initial,
-                                traj.state(slice(None)))
+        ev = purity_sc_evaluate(ss.integrate_stability(traj), traj.initial, traj.ys)
         assert np.ptp(np.abs(ev.tcal)) > 0.1
         assert all(reason is None for reason in ev.reason)
         for i in range(len(traj)):
@@ -436,8 +451,7 @@ class TestPuritySc:
         m = np.eye(4, dtype=complex)
         m[0, 3] = m[1, 2] = 0.8j
         m[2, 1] = m[3, 0] = 0.8j
-        stab = ss.StabilityMatrix(m)
-        ev = purity_sc_evaluate(stab, _ORIGIN, _ORIGIN)
+        ev = purity_sc_evaluate(m, _ORIGIN, _ORIGIN)
         assert ev.reason.startswith("Re(1 + 2 d''/T) = ")
         assert np.isnan(ev.p_sc) and np.isnan(ev.im_residual)
         with pytest.raises(ValidityBreakdown, match="outside the validity window"):
@@ -446,15 +460,15 @@ class TestPuritySc:
     def test_inconsistent_matrix_rejected(self):
         # det M = 16 but the endpoint factor says 1: the two purity forms
         # cannot agree and the evaluation must refuse
-        stab = ss.StabilityMatrix(2.0 * np.eye(4))
-        ev = purity_sc_evaluate(stab, _ORIGIN, _ORIGIN)
+        m = 2.0 * np.eye(4)
+        ev = purity_sc_evaluate(m, _ORIGIN, _ORIGIN)
         assert ev.reason.startswith("purity forms disagree by ")
         assert np.isnan(ev.p_sc) and np.isnan(ev.im_residual)
         with pytest.raises(ValidityBreakdown, match="inconsistent with det M = T"):
-            ss.purity_sc(_static_trajectory(stab.m))
+            ss.purity_sc(_static_trajectory(m))
 
     def test_valid_sample_has_no_reason(self):
-        ev = purity_sc_evaluate(ss.StabilityMatrix(np.eye(4)), _ORIGIN, _ORIGIN)
+        ev = purity_sc_evaluate(np.eye(4), _ORIGIN, _ORIGIN)
         assert ev.reason is None
         assert ev.p_sc == 1.0 and ev.im_residual == 0.0 and ev.tcal == 1.0
 
@@ -483,7 +497,7 @@ class TestPuritySc:
         assert abs(pa - pb) < 1e-9
 
 
-_ORIGIN = PhaseSpaceState([0.0, 0.0], [0.0, 0.0])
+_ORIGIN = np.zeros(4, dtype=complex)
 
 
 def _static_trajectory(m):
@@ -502,8 +516,8 @@ def _per_row_evaluate(m, start, end):
     d = det2(m[:2, :2]) * det2(m[2:, 2:]) + det2(m[:2, 2:]) * det2(m[2:, :2])
     d_prime = det_a * det_b + det_c * det_d
     d_dprime = det_ap * det_bp + det_cp * det_dp
-    num = (1.0 + end.u[0] * end.v[0]) * (1.0 + end.u[1] * end.v[1])
-    den = (1.0 + start.u[0] * start.v[0]) * (1.0 + start.u[1] * start.v[1])
+    num = (1.0 + end[0] * end[2]) * (1.0 + end[1] * end[3])
+    den = (1.0 + start[0] * start[2]) * (1.0 + start[1] * start[3])
     tcal = (num / den) ** 2
     radicand = 1.0 + 2.0 * d_dprime / tcal
     if radicand.real <= 0.0:
@@ -533,10 +547,9 @@ def _series_vs_per_row(m_series, start, ends):
     the oracle raises."""
     ev = purity_sc_evaluate(m_series, start, ends)
     worst = 0.0
-    for i, stab in enumerate(m_series):
-        end = PhaseSpaceState(ends.u[i], ends.v[i])
+    for i, (m, end) in enumerate(zip(m_series, ends)):
         try:
-            p_sc, im_residual, tcal = _per_row_evaluate(stab.m, start, end)
+            p_sc, im_residual, tcal = _per_row_evaluate(m, start, end)
         except ValidityBreakdown as exc:
             assert ev.reason[i] == str(exc)
             assert np.isnan(ev.p_sc[i]) and np.isnan(ev.im_residual[i])
@@ -563,7 +576,7 @@ class TestSeriesEvaluation:
         times = np.linspace(0.0, 0.5, 400)
         traj = ss.integrate_trajectory(model, s0, times[-1], CFG, sample_times=times)
         m_series = ss.integrate_stability(traj)
-        assert _series_vs_per_row(m_series, traj.initial, traj.state(slice(None))) <= 1e-12
+        assert _series_vs_per_row(m_series, traj.initial, traj.ys) <= 1e-12
 
     def test_one_bad_row_is_flagged_alone(self):
         sys, params, model = _pc(two_j=10)
@@ -572,13 +585,12 @@ class TestSeriesEvaluation:
                                        CFG, sample_times=times)
         ms = traj.ms.copy()
         ms[17] = 2.0 * np.eye(4)  # inconsistent with its endpoint factor
-        ends = traj.state(slice(None))
-        ev = purity_sc_evaluate(ss.StabilityMatrix(ms), traj.initial, ends)
+        ev = purity_sc_evaluate(ms, traj.initial, traj.ys)
         assert [i for i, r in enumerate(ev.reason) if r is not None] == [17]
         assert ev.reason[17].startswith("purity forms disagree by ")
         assert np.isnan(ev.p_sc[17]) and np.isnan(ev.im_residual[17])
         for i in range(len(traj)):
-            one = purity_sc_evaluate(ss.StabilityMatrix(ms[i]), traj.initial, traj.state(i))
+            one = purity_sc_evaluate(ms[i], traj.initial, traj.ys[i])
             assert one.reason == ev.reason[i]
             if i != 17:
                 assert abs(one.p_sc - ev.p_sc[i]) <= 1e-12 * abs(one.p_sc)
@@ -588,7 +600,7 @@ class TestSeriesEvaluation:
 
 class TestGaussianCoefficients:
     def test_identity(self):
-        a1, a2 = gaussian_a1a2(ss.StabilityMatrix(np.eye(4)))
+        a1, a2 = gaussian_a1a2(np.eye(4))
         assert a1 == pytest.approx(1.0)
         assert a2 == pytest.approx(0.0)
         assert (a1 ** 2 - a2 ** 2) ** -0.5 == pytest.approx(1.0)
@@ -597,7 +609,7 @@ class TestGaussianCoefficients:
         m = np.zeros((4, 4), dtype=complex)
         m[:2, :2] = [[1.2, 0.3], [0.1, 0.9]]
         m[2:, 2:] = [[0.8, -0.2], [0.4, 1.1]]
-        a1, a2 = gaussian_a1a2(ss.StabilityMatrix(m))
+        a1, a2 = gaussian_a1a2(m)
         assert a1 == pytest.approx(1.0)
         assert a2 == pytest.approx(0.0)
 
@@ -605,11 +617,10 @@ class TestGaussianCoefficients:
     @settings(max_examples=40, deadline=None)
     def test_consistency_with_determinant_form(self, m):
         assume(abs(det2(m[:2, :2])) > 1e-2 and abs(det2(m[2:, 2:])) > 1e-2)
-        stab = ss.StabilityMatrix(m)
-        a1, a2 = gaussian_a1a2(stab)
+        a1, a2 = gaussian_a1a2(m)
         aux = ss.aux_determinants(m)
         lhs = (aux.d - aux.d_prime) ** 2 - aux.d_dprime ** 2
-        mm = det2(stab.m_uu) * det2(stab.m_vv)
+        mm = det2(m[:2, :2]) * det2(m[2:, 2:])
         rhs = mm ** 2 * (a1 ** 2 - a2 ** 2)
         assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(lhs))
 
@@ -617,11 +628,11 @@ class TestGaussianCoefficients:
         sys = ss.SpinSystem(two_j=5)
         model = ss.exchange_coupling_model(sys, 0.7)
         traj = _pipeline(sys, model, ss.CoherentLabel(0.4, 0.6 - 0.2j), 0.4)
-        stab = ss.integrate_stability(traj)[-1]
-        a1, a2 = gaussian_a1a2(stab)
-        aux = ss.aux_determinants(stab)
+        m = ss.integrate_stability(traj)[-1]
+        a1, a2 = gaussian_a1a2(m)
+        aux = ss.aux_determinants(m)
         lhs = (aux.d - aux.d_prime) ** 2 - aux.d_dprime ** 2
-        mm = det2(stab.m_uu) * det2(stab.m_vv)
+        mm = det2(m[:2, :2]) * det2(m[2:, 2:])
         assert abs(lhs - mm ** 2 * (a1 ** 2 - a2 ** 2)) < 1e-8 * max(1.0, abs(lhs))
 
 
@@ -634,43 +645,42 @@ class TestActionHessians:
 
     @pytest.mark.parametrize("xi", [+1, -1])
     def test_roundtrip(self, xi):
-        sys, traj, stab = self._computed()
-        hs = action_hessians_from_stability(sys, stab, traj.initial, traj.final, xi)
+        sys, traj, m = self._computed()
+        hs = action_hessians_from_stability(sys, m, traj.initial, traj.final, xi)
         back = stability_from_action_hessians(sys, hs, traj.initial, traj.final, xi)
-        assert np.max(np.abs(back.m - stab.m)) < 1e-8
+        assert np.max(np.abs(back - m)) < 1e-8
 
     def test_prefactor_equivalence(self):
         # det((i/hbar) S_u'v'') times the endpoint product over 2j equals
         # the block form of the prefactor
-        sys, traj, stab = self._computed()
+        sys, traj, m = self._computed()
         _, s_uv, _, _ = action_hessians_from_stability(
-            sys, stab, traj.initial, traj.final, +1
+            sys, m, traj.initial, traj.final, +1
         )
-        start, end = traj.initial, traj.final
-        prod = np.prod(
-            (1 + end.u * end.v) * (1 + start.u * start.v) / (2 * sys.j)
-        )
+        p_start = 1 + traj.initial[:2] * traj.initial[2:]
+        p_end = 1 + traj.final[:2] * traj.final[2:]
+        prod = np.prod(p_end * p_start / (2 * sys.j))
         pref_hess = np.linalg.det(1j / sys.hbar * s_uv) * prod
-        pref_block = np.prod((1 + end.u * end.v) / (1 + start.u * start.v)) / det2(stab.m_vv)
+        pref_block = np.prod(p_end / p_start) / det2(m[2:, 2:])
         assert abs(pref_hess - pref_block) < 1e-8 * abs(pref_block)
 
     def test_hessian_block_symmetry(self):
         # S_v''v'' is a Hessian: its off-diagonal entries coincide, which is
         # what forces det A' det B' = det C' det D'
-        sys, traj, stab = self._computed()
+        sys, traj, m = self._computed()
         _, _, _, s_vv = action_hessians_from_stability(
-            sys, stab, traj.initial, traj.final, +1
+            sys, m, traj.initial, traj.final, +1
         )
         assert abs(s_vv[0, 1] - s_vv[1, 0]) < 1e-8 * max(1.0, abs(s_vv[0, 1]))
         s_uu, _, _, _ = action_hessians_from_stability(
-            sys, stab, traj.initial, traj.final, -1
+            sys, m, traj.initial, traj.final, -1
         )
         assert abs(s_uu[0, 1] - s_uu[1, 0]) < 1e-8 * max(1.0, abs(s_uu[0, 1]))
 
 
 class TestCanonicalPurity:
     def test_identity(self):
-        assert canonical_purity(ss.StabilityMatrix(np.eye(4))) == pytest.approx(1.0)
+        assert canonical_purity(np.eye(4)) == pytest.approx(1.0)
 
     def test_matches_stability_purity_for_scaled_labels(self):
         z = (1.0, 0.5 + 0.5j)
@@ -688,8 +698,8 @@ class TestCanonicalPurity:
     def test_block_identity_defect_is_small(self):
         sys, params, model = _pc()
         traj = _pipeline(sys, model, ss.CoherentLabel(0.4, 0.2j), 0.2)
-        stab = ss.integrate_stability(traj)[-1]
-        assert block_identity_defect(stab.m, ss.aux_determinants(stab)) < 1e-8
+        m = ss.integrate_stability(traj)[-1]
+        assert block_identity_defect(m, ss.aux_determinants(m)) < 1e-8
 
     def test_two_oscillator_short_time_limit(self):
         z = (1.0, 0.5 + 0.5j)

@@ -41,6 +41,13 @@ def test_spin_system_rejects_non_integer_two_j(two_j):
         ss.SpinSystem(two_j=two_j)
 
 
+@pytest.mark.parametrize("hbar", [np.nan, np.inf, -np.inf, 0.0, -1.0, True])
+def test_spin_system_rejects_hbar_that_is_not_positive_and_finite(hbar):
+    # nan <= 0 is False, so the check must be written to fail on nan
+    with pytest.raises(ValueError, match="hbar must be a positive finite number"):
+        ss.SpinSystem(two_j=4, hbar=hbar)
+
+
 def test_spin_system_stores_numpy_integer_as_int():
     sys = ss.SpinSystem(two_j=np.int64(4))
     assert type(sys.two_j) is int and sys.two_j == 4 and sys.dim == 5
