@@ -17,7 +17,9 @@ dense output; consumers read the Trajectory's own arrays, ys (ux, uy, vx,
 vy) and ms (4x4, rows du_x, du_y, dv_x, dv_y). hamilton_equations is the one
 place the field and its Jacobian are formed, by the same arithmetic at one
 point (the ODE's right-hand side) and along a series (the action
-integrands).
+integrands). The right-hand side (_stability_field) reads the model's
+point_derivs entries as Python scalars, with no array round trip, and
+packs the field and J into one array before the 4x4 product J M.
 """
 
 from dataclasses import dataclass
@@ -53,6 +55,11 @@ class Trajectory:
         # written as not (...) so that a nan time fails the check too
         if self.ts.size > 1 and not np.all(np.diff(self.ts) > 0):
             raise ValueError("sample times must be strictly increasing")
+        for name in ("ys", "energy", "ms"):
+            rows = getattr(self, name)
+            if rows is not None and len(rows) != self.ts.size:
+                raise ValueError(f"{name} has {len(rows)} rows, not one per sample time "
+                                 f"({self.ts.size})")
 
     def __len__(self):
         return self.ts.size
@@ -103,22 +110,32 @@ def hamilton_equations(sys, y, g, hss):
     return (ax * gvx, ay * gvy, -ax * gux, -ay * guy), jac
 
 
-def _hamilton_at(model, y):
-    """hamilton_equations at y[:4] in Python scalars, from one derivs call."""
+def _hamilton_at(sys, point_derivs, y):
+    """hamilton_equations at y[:4] in Python scalars, from one call of
+    point_derivs, the point kernel of a model on the SpinSystem sys."""
     ux, uy, vx, vy = point = y[:4].tolist()
     require_chart(min(abs(1.0 + ux * vx), abs(1.0 + uy * vy)))
-    _, g, hss = model.derivs(y[:2], y[2:4])
-    return hamilton_equations(model.sys, point, g.tolist(), hss.tolist())
+    d = point_derivs(ux, uy, vx, vy)
+    return hamilton_equations(sys, point, d[1:5], (d[5:9], d[9:13], d[13:17], d[17:]))
 
 
-def _field_and_stability(model, y, out):
-    """Right-hand side of the (u, v, M) system into out: the field, then
-    dM/dt = J M with M = y[4:] row-major."""
-    field, jac = _hamilton_at(model, y)
-    out[:4] = field
-    np.matmul(np.array(jac, dtype=complex).reshape(4, 4), y[4:].reshape(4, 4),
-              out=out[4:].reshape(4, 4))
-    return out
+def _stability_field(model):
+    """field(t, y), the right-hand side of the (u, v, M) system: Hamilton's
+    field, then dM/dt = J M with M = y[4:] row-major. The model's sys and
+    point_derivs and the buffers are bound once; the field and J are packed
+    into one 20-entry array, and each call returns the same output array."""
+    sys, point_derivs = model.sys, model.point_derivs
+    packed = np.empty(20, dtype=complex)
+    out = np.empty(20, dtype=complex)
+    jac, dm = packed[4:].reshape(4, 4), out[4:].reshape(4, 4)
+
+    def field(t, y):
+        f, j = _hamilton_at(sys, point_derivs, y)
+        packed[:] = [*f, *j]
+        out[:4] = packed[:4]
+        np.matmul(jac, y[4:].reshape(4, 4), out=dm)
+        return out
+    return field
 
 
 def integrate_trajectory(model, s0, t_final, cfg, sample_times=None):
@@ -150,11 +167,8 @@ def integrate_trajectory(model, s0, t_final, cfg, sample_times=None):
     sample_times = np.asarray(sample_times, dtype=float)
     if sample_times.size == 0 or sample_times[0] > 0.0:
         sample_times = np.concatenate([[0.0], sample_times])
-    out = np.empty(20, dtype=complex)
-    ts, ys, record = adaptive_rk(
-        lambda t, y: _field_and_stability(model, y, out),
-        y0, (0.0, t_final), cfg, samples=sample_times,
-    )
+    ts, ys, record = adaptive_rk(_stability_field(model), y0, (0.0, t_final), cfg,
+                                 samples=sample_times)
     states = np.ascontiguousarray(ys[:, :4])
     energy = model.htilde(states[:, :2], states[:, 2:])
     return Trajectory(ts=ts, ys=states, energy=energy, ms=ys[:, 4:].reshape(-1, 4, 4),

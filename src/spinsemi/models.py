@@ -103,7 +103,10 @@ class HamiltonianModel:
     the order (d/dux, d/duy, d/dvx, d/dvy). u and v are (2,) for one point,
     giving shapes (), (4,) and (4, 4), or (n, 2) for a series of n points,
     giving (n,), (n, 4) and (n, 4, 4). htilde, grad and hess are views of
-    derivs for callers that need one piece.
+    derivs for callers that need one piece. point_derivs(ux, uy, vx, vy) is
+    derivs' own arithmetic at one point, unpacked: its 21 entries (h, the
+    gradient, the Hessian's rows) as Python complex numbers, which the ODE
+    kernel reads (spin.derivs_from_terms).
 
     sectors is the exact engine's one input: the operator split into the
     sectors it never connects (a quantum.Sectors), built from entries on
@@ -116,6 +119,7 @@ class HamiltonianModel:
         self.terms = terms
         self.entries = entries
         self.derivs = derivs
+        self.point_derivs = derivs.point
         self.label = label
         self._operator = None
 
@@ -175,17 +179,20 @@ def _term_entries(sys, terms):
         keys.append((rows * n + cols).ravel())
         values.append(((complex(term.coefficient) * vx)[:, None] * vy).ravel())
     # a stable sort keeps each position's products in term order: the first
-    # is the entry's start value and add.at adds the rest onto it one by one,
-    # ((p1 + p2) + p3) + ..., as a term-by-term sum does (starting from the
-    # first product, not 0.0, keeps the sign of a -0.0 part)
+    # is the entry's start value and the rest are added onto it one rank at
+    # a time, ((p1 + p2) + p3) + ..., as a term-by-term sum does (starting
+    # from the first product, not 0.0, keeps the sign of a -0.0 part); one
+    # rank reaches each entry at most once, so its += is one fancy index
     keys = np.concatenate(keys)
     order = np.argsort(keys, kind="stable")
     keys, values = keys[order], np.concatenate(values)[order]
-    first = np.diff(keys, prepend=-1) != 0
-    total = values[first]
-    rest = ~first
-    np.add.at(total, np.cumsum(first)[rest] - 1, values[rest])
-    return keys[first], total
+    at = np.flatnonzero(np.diff(keys, prepend=-1))  # where each position's run starts
+    total = values[at]
+    length = np.diff(at, append=keys.size)
+    for r in range(1, int(length.max(initial=1))):
+        runs = np.flatnonzero(length > r)
+        total[runs] += values[at[runs] + r]
+    return keys[at], total
 
 
 def _scatter(entries, n):

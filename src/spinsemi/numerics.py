@@ -3,6 +3,11 @@
 Everything here is deliberately small-scale: matrices are at most a few
 thousand rows (joint spin Hilbert spaces) or exactly 2x2/4x4 (stability
 blocks), and the ODE systems have a few dozen complex components.
+
+adaptive_rk follows Hairer, Norsett and Wanner's dop853.f: the DOP853
+tableau and error norm, its initial-step estimate HINIT for the first step
+(_first_step, one field evaluation), and its CONTD8 dense output for the
+samples, evaluated as one real matrix product (_continuous_extension).
 """
 
 import cmath
@@ -20,8 +25,9 @@ from .errors import (
 )
 
 HERMITICITY_TOL = 1e-12
-# first trial step of adaptive_rk, lowered to max_step and the span
-FIRST_STEP = 1e-4
+# adaptive_rk raises StepSizeUnderflow below this step times max(1, |t|); its
+# first step is at least 100 times that
+_MIN_STEP = 1e-14
 
 
 @dataclass(frozen=True)
@@ -195,6 +201,9 @@ _D[3, [0, *range(5, 16)]] = [
 _ROWS = [row[:i].astype(complex) for i, row in enumerate(_A)]  # _ROWS[12] is b
 _E_C = np.array([_E5, _E3], dtype=complex)
 _D_C = _D.astype(complex)
+# column i of the extension's basis is column i - 1 times 1 - theta where
+# this is True, else times theta
+_ODD_POWERS = np.arange(7) % 2 == 1
 
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -205,8 +214,8 @@ _EXPONENT = 1.0 / 8.0  # the step factor is _SAFETY * err ** -_EXPONENT
 @dataclass(frozen=True)
 class IntegratorRecord:
     """What one adaptive_rk call did: its accepted and rejected steps, its
-    field evaluations, and its smallest and largest accepted step (None
-    when it took no step)."""
+    field evaluations, its smallest and largest accepted step, and the
+    first trial step that _first_step chose (None when it took no step)."""
 
     method: str
     accepted_steps: int
@@ -214,6 +223,7 @@ class IntegratorRecord:
     field_evals: int
     min_step: Optional[float]
     max_step: Optional[float]
+    first_step: Optional[float]
 
 
 def _eval_field(field, t, y):
@@ -232,18 +242,55 @@ def _stage(field, k, i, t, y, h):
     k[i] = _eval_field(field, t + _C[i] * h, y + h * (_ROWS[i] @ k[:i]))
 
 
+def _sum_sq(x):
+    """sum |x_i|^2 of a complex array, each as re^2 + im^2 (inf where the
+    squares overflow)."""
+    with np.errstate(over="ignore"):
+        return float(np.sum(x.real * x.real + x.imag * x.imag))
+
+
+def _first_step(field, t, y, f0, cfg, h_max):
+    """The first trial step from (t, y), where the field is f0: dop853.f's
+    HINIT (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4), at the
+    cost of one field evaluation.
+
+    Norms are of x / sk, sk = abs_tol + rel_tol |y|, square roots of sums
+    as in dop853.f. An explicit Euler step of h0 = 0.01 |y| / |f0| (1e-6
+    when either squared norm is at most 1e-10) probes the field for the
+    second derivative d2 = |f(t + h0) - f0| / h0; the step is the h1 with
+    h1^8 max(d2, |f0|) = 0.01 (max(1e-6, 1e-3 h0) when that maximum is at
+    most 1e-15), at most 100 h0. h0 and the step are at most h_max and at
+    least 100 times the underflow floor (_MIN_STEP), so that a huge finite
+    field, whose norms overflow to inf, gives a usable step, not 0 or nan.
+    """
+    floor = min(100.0 * _MIN_STEP * max(1.0, abs(t)), h_max)
+    sk = cfg.abs_tol + cfg.rel_tol * np.abs(y)
+    dnf, dny = _sum_sq(f0 / sk), _sum_sq(y / sk)
+    h = math.sqrt(dny / dnf) * 0.01 if dnf > 1e-10 and dny > 1e-10 else 1e-6
+    h = min(h, h_max) if h > floor else floor  # as written, nan gives the floor
+    f1 = _eval_field(field, t + h, y + h * f0)
+    der12 = max(math.sqrt(_sum_sq((f1 - f0) / sk)) / h, math.sqrt(dnf))
+    h1 = max(1e-6, h * 1e-3) if der12 <= 1e-15 else (0.01 / der12) ** _EXPONENT
+    h = min(100.0 * h, h1, h_max)
+    return h if h > floor else floor
+
+
 def _continuous_extension(theta, y, y_new, h, k):
     """States at fractions theta (m,) of the step y -> y_new from its 16
     stages: the seventh-order continuous extension of DOP853 (dop853.f's
-    CONTD8), nested as y + theta (r0 + (1 - theta) (r1 + theta (r2 + ...)))."""
+    CONTD8), y + theta (r0 + (1 - theta) (r1 + theta (r2 + ...))) expanded
+    in its own product basis theta, theta (1 - theta), theta^2 (1 - theta),
+    ..., theta^4 (1 - theta)^3: one (m, 7) real matrix times the (7, 2n)
+    float view of the coefficients r."""
     ydiff = y_new - y
-    bspl = h * k[0] - ydiff
-    coeffs = [ydiff, bspl, ydiff - h * k[12] - bspl, *(h * (_D_C @ k))]
+    coeffs = np.empty((7, y.size), dtype=complex)
+    coeffs[0] = ydiff
+    coeffs[1] = bspl = h * k[0] - ydiff
+    coeffs[2] = ydiff - h * k[12] - bspl
+    coeffs[3:] = h * (_D_C @ k)
     th = theta[:, None]
-    acc = coeffs[-1]
-    for i in range(len(coeffs) - 2, -1, -1):
-        acc = coeffs[i] + (th if i % 2 else 1.0 - th) * acc
-    return y + th * acc
+    basis = np.cumprod(np.where(_ODD_POWERS, 1.0 - th, th), axis=1)
+    return y + (basis @ coeffs.view(float)).view(complex)
 
 
 def adaptive_rk(field, y0, t_span, cfg, samples):
@@ -253,7 +300,9 @@ def adaptive_rk(field, y0, t_span, cfg, samples):
     Dormand-Prince 8(5,3) (DOP853): eighth-order steps whose local error,
     from the combined fifth- and third-order estimate, is kept below
     abs_tol + rel_tol * |y| componentwise (RMS norm over all components).
-    A step costs 11 field evaluations, plus 1 at its end once accepted.
+    A step costs 11 field evaluations, plus 1 at its end once accepted. The
+    first trial step is dop853.f's initial-step estimate (_first_step), at
+    the cost of one more evaluation than the field at t0.
 
     Parameters
     ----------
@@ -293,21 +342,21 @@ def adaptive_rk(field, y0, t_span, cfg, samples):
     filled = int(np.searchsorted(samples, t0, side="right"))
     out[:filled] = y
 
-    span = t1 - t0
     t = t0
-    h = min(FIRST_STEP, cfg.max_step, span if span > 0 else FIRST_STEP)
     end_tol = 1e-14 * max(1.0, abs(t1))
     k = np.empty((16, y.size), dtype=complex)
     abs_y = np.abs(y)
     evals = rejected = 0
     steps = []
     after_rejection = False
+    first_step = None
     if t < t1 - end_tol:
         k[0] = _eval_field(field, t, y)
-        evals = 1
+        h = first_step = _first_step(field, t, y, k[0], cfg, min(cfg.max_step, t1 - t0))
+        evals = 2
     while t < t1 - end_tol:
         h_try = min(h, cfg.max_step, t1 - t)
-        if h_try < 1e-14 * max(1.0, abs(t)):
+        if h_try < _MIN_STEP * max(1.0, abs(t)):
             raise StepSizeUnderflow(f"step size {h_try:.3e} underflowed at t={t:.6e}")
         for i in range(1, 12):
             _stage(field, k, i, t, y, h_try)
@@ -352,7 +401,7 @@ def adaptive_rk(field, y0, t_span, cfg, samples):
     record = IntegratorRecord(
         method="DOP853", accepted_steps=len(steps), rejected_steps=rejected,
         field_evals=evals, min_step=float(min(steps)) if steps else None,
-        max_step=float(max(steps)) if steps else None,
+        max_step=float(max(steps)) if steps else None, first_step=first_step,
     )
     out[filled:] = y  # samples at t1 when the span is below the end tolerance
     return samples.copy(), out, record

@@ -241,6 +241,11 @@ def derivs_from_terms(sys, terms):
     cost does not depend on j. A constant factor and the scale of a linear
     symbol (power 1) move into the term's coefficient here, so neither costs
     arithmetic to form per call, and terms that vanish are dropped.
+
+    The returned derivs(u, v) packs into arrays the entries of
+    derivs.point(ux, uy, vx, vy), which returns them unpacked: h, the
+    gradient and the Hessian's rows, 21 Python complex numbers at one
+    point, which the ODE kernel reads as they are (model.point_derivs).
     """
     slots = ({}, {})  # per side: (kind, coefficients) -> slot index
     pairs = []
@@ -256,14 +261,13 @@ def derivs_from_terms(sys, terms):
             pairs.append((c, *at))
     sides = [({kind for kind, _ in side}, list(side)) for side in slots]
 
-    def derivs(u, v):
-        u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
-        point = u.ndim == 1
-        (ux, uy), (vx, vy) = (u.tolist(), v.tolist()) if point else (u.T, v.T)
+    def point(ux, uy, vx, vy):
+        """The 21 entries of derivs at (ux, uy, vx, vy): h, the gradient
+        and the Hessian's 16 entries row-major, in the order (ux, uy, vx,
+        vy), its lower triangle the upper one mirrored; Python complex
+        scalars for scalar arguments, numpy rows for rows."""
         xs = _side_partials(ux, vx, *sides[0])
         ys = _side_partials(uy, vy, *sides[1])
-        # h, then the gradient and the Hessian's upper triangle in the
-        # order (ux, uy, vx, vy)
         h = gux = guy = gvx = gvy = 0.0
         h00 = h01 = h02 = h03 = h11 = h12 = h13 = h22 = h23 = h33 = 0.0
         for c, ix, iy in pairs:
@@ -285,12 +289,17 @@ def derivs_from_terms(sys, terms):
             h22 += x5 * cy0
             h23 += cx2 * y2
             h33 += cx0 * y5
-        entries = (h, gux, guy, gvx, gvy, h00, h01, h02, h03, h01, h11, h12, h13,
-                   h02, h12, h22, h23, h03, h13, h23, h33)
-        if point:
-            out = np.array(entries, dtype=complex)
+        return (h, gux, guy, gvx, gvy, h00, h01, h02, h03, h01, h11, h12, h13,
+                h02, h12, h22, h23, h03, h13, h23, h33)
+
+    def derivs(u, v):
+        u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+        if u.ndim == 1:
+            out = np.array(point(*u.tolist(), *v.tolist()), dtype=complex)
             return out[0], out[1:5], out[5:].reshape(4, 4)
-        rows = np.array(np.broadcast_arrays(ux, *entries)[1:], dtype=complex)
+        (ux, uy), (vx, vy) = u.T, v.T
+        rows = np.array(np.broadcast_arrays(ux, *point(ux, uy, vx, vy))[1:], dtype=complex)
         return rows[0], rows[1:5].T, rows[5:].T.reshape(-1, 4, 4)
 
+    derivs.point = point
     return derivs

@@ -3,7 +3,8 @@ closed forms that only check the package, and the integrators it replaced.
 
 Each function here is the independent check of a package path: the factor
 matrices of the bands (spin._factor_band), the np.kron sum and np.nonzero
-entries of the term entries (models._term_entries), the dense-matrix and
+entries of the term entries (models._term_entries, and the np.add.at
+reduction it used before, add_at_entries), the dense-matrix and
 monomial-table derivative paths of derivs_from_terms, and the sector split
 of a dense matrix of model.sectors. They use none of the code they check;
 tests/test_spin.py::test_oracles_import_nothing_they_check guards that.
@@ -22,8 +23,11 @@ and their inverse.
 The Dormand-Prince 5(4) integrator that numerics.adaptive_rk replaced is
 here too, as the oracle of its states: reference_rk_dp5 on the accepted-step
 grid and landing_rk_dp5 on requested samples. reference_rk_dop853 is
-adaptive_rk's own step loop written out over the same DOP853 tableau: its
+adaptive_rk's own step loop written out over the same DOP853 tableau,
+from the first step of hinit_dop853, dop853.f's HINIT transcribed: its
 accepted-step grid is the one adaptive_rk takes whatever it samples.
+nested_continuous_extension is dop853.f's nested CONTD8 form of the dense
+output that adaptive_rk evaluates in a product basis.
 """
 
 import math
@@ -36,12 +40,12 @@ from spinsemi.numerics import (
     _A,
     _B,
     _C,
+    _D,
     _E3,
     _E5,
     _MAX_FACTOR,
     _MIN_FACTOR,
     _SAFETY,
-    FIRST_STEP,
     det2,
     require_hermitian,
 )
@@ -111,6 +115,29 @@ def nonzero_entries(sys, terms):
     keys = sorted(total)
     return (np.array(keys, dtype=np.intp),
             np.array([total[key] for key in keys], dtype=complex))
+
+
+def add_at_entries(sys, terms):
+    """nonzero_entries by the reduction models._term_entries used before:
+    every term's products concatenated, stably sorted by position, and each
+    position's later products added onto its first with np.add.at. The
+    products are c x[nx, mx] y[ny, my] of the factors' real entries, as the
+    bands hold them (a complex J- = J+^dagger entry has a -0.0 imaginary
+    part, which would change the signs of zero parts)."""
+    n, d = sys.joint_dim, sys.dim
+    keys, values = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=complex)]
+    for c, mx, my in term_factors(sys, terms):
+        (rx, cx), (ry, cy) = np.nonzero(mx), np.nonzero(my)
+        keys.append((((rx * d)[:, None] + ry) * n + (cx * d)[:, None] + cy).ravel())
+        values.append(((c * mx.real[rx, cx])[:, None] * my.real[ry, cy]).ravel())
+    keys = np.concatenate(keys)
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], np.concatenate(values)[order]
+    first = np.diff(keys, prepend=-1) != 0
+    total = values[first]
+    rest = ~first
+    np.add.at(total, np.cumsum(first)[rest] - 1, values[rest])
+    return keys[first], total
 
 
 def htilde_from_operator(sys, h_op):
@@ -606,6 +633,8 @@ DP_B4 = np.array(
 DP_E = DP_B5 - DP_B4
 DP_MIN_FACTOR, DP_MAX_FACTOR, DP_SAFETY = 0.2, 5.0, 0.9
 DP_PI_ALPHA, DP_PI_BETA = 0.7 / 5.0, 0.4 / 5.0
+# the replaced integrator's first trial step, lowered to max_step and the span
+DP_FIRST_STEP = 1e-4
 
 
 def _dp5_step(field, t, y, h, k, cfg):
@@ -629,7 +658,7 @@ def reference_rk_dp5(field, y0, t1, cfg):
     """Dormand-Prince 5(4) with PI step control from t = 0 to t1; returns
     the accepted-step grid, the states and the number of rejected steps."""
     t, y = 0.0, np.array(y0, dtype=complex)
-    h = min(FIRST_STEP, cfg.max_step, t1)
+    h = min(DP_FIRST_STEP, cfg.max_step, t1)
     err_prev = 1.0
     rejected = 0
     k = np.empty((7, y.size), dtype=complex)
@@ -655,7 +684,7 @@ def landing_rk_dp5(field, y0, cfg, samples):
     """Dormand-Prince 5(4) steps, each one shortened to land exactly on the
     next sample; the states at samples, of which samples[0] is the start."""
     t, y = samples[0], np.array(y0, dtype=complex)
-    h = min(FIRST_STEP, cfg.max_step, samples[-1] - samples[0])
+    h = min(DP_FIRST_STEP, cfg.max_step, samples[-1] - samples[0])
     err_prev = 1.0
     k = np.empty((7, y.size), dtype=complex)
     k[0] = field(t, y)
@@ -675,18 +704,59 @@ def landing_rk_dp5(field, y0, cfg, samples):
     return np.array(out)
 
 
+def hinit_dop853(field, x, y, f0, cfg, hmax):
+    """dop853.f's HINIT (IORD = 8, scalar ATOL and RTOL), line by line:
+    the initial step from (x, y) with f0 = field(x, y), at most hmax, after
+    one more field call. A complex component counts as its real and
+    imaginary parts, (Y(I)/SK)**2 = re^2 + im^2."""
+    def sumsq(z):
+        return float(np.sum(z.real ** 2 + z.imag ** 2))
+
+    sk = cfg.abs_tol + cfg.rel_tol * np.abs(y)
+    dnf = sumsq(f0 / sk)
+    dny = sumsq(y / sk)
+    if dnf <= 1e-10 or dny <= 1e-10:
+        h = 1e-6
+    else:
+        h = math.sqrt(dny / dnf) * 0.01
+    h = min(h, hmax)
+    y1 = y + h * f0
+    f1 = field(x + h, y1)
+    der2 = math.sqrt(sumsq((f1 - f0) / sk)) / h
+    der12 = max(abs(der2), math.sqrt(dnf))
+    if der12 <= 1e-15:
+        h1 = max(1e-6, abs(h) * 1e-3)
+    else:
+        h1 = (0.01 / der12) ** (1.0 / 8)
+    return min(100 * abs(h), h1, hmax)
+
+
+def nested_continuous_extension(theta, y, y_new, h, k):
+    """DOP853's continuous extension at fractions theta (m,) of a step from
+    its 16 stages k, in dop853.f's nested CONTD8 form
+    y + theta (r0 + (1 - theta) (r1 + theta (r2 + ...)))."""
+    ydiff = y_new - y
+    bspl = h * k[0] - ydiff
+    coeffs = [ydiff, bspl, ydiff - h * k[12] - bspl, *(h * (_D @ k))]
+    th = theta[:, None]
+    acc = coeffs[-1]
+    for i in range(len(coeffs) - 2, -1, -1):
+        acc = coeffs[i] + (th if i % 2 else 1.0 - th) * acc
+    return y + th * acc
+
+
 def reference_rk_dop853(field, y0, t1, cfg):
-    """adaptive_rk's accepted-step loop from t = 0 (oracle): the DOP853 steps
-    with real weights and the error norm written out, as
-    h * err5 / sqrt(n * (err5 + 0.01 * err3)) with err_q the sum of the
-    squared scaled order-q estimates; returns the step grid, the states and
-    the number of rejected steps."""
+    """adaptive_rk's accepted-step loop from t = 0 (oracle): the first step
+    from hinit_dop853, then the DOP853 steps with real weights and the error
+    norm written out, as h * err5 / sqrt(n * (err5 + 0.01 * err3)) with
+    err_q the sum of the squared scaled order-q estimates; returns the step
+    grid, the states and the number of rejected steps."""
     estimators = np.array([_E5, _E3])
     t, y = 0.0, np.array(y0, dtype=complex)
-    h = min(FIRST_STEP, cfg.max_step, t1)
     rejected, after_rejection = 0, False
     k = np.empty((12, y.size), dtype=complex)
     k[0] = field(t, y)
+    h = hinit_dop853(field, t, y, k[0], cfg, min(cfg.max_step, t1))
     ts, ys = [t], [y]
     while t < t1 - 1e-14 * max(1.0, t1):
         h_try = min(h, cfg.max_step, t1 - t)

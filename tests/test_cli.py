@@ -253,6 +253,8 @@ class TestRunExperiment:
         assert meta["integrator"] == asdict(record) == first[0].metadata["integrator"]
         assert meta["integrator"]["method"] == "DOP853"
         assert meta["integrator"]["field_evals"] > 0
+        # the first trial step, which error control accepted here
+        assert meta["integrator"]["first_step"] == meta["integrator"]["min_step"] > 0.0
         # counts and steps only, so a rerun writes the same record
         assert second[0].metadata["integrator"] == first[0].metadata["integrator"]
 

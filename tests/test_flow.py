@@ -7,7 +7,7 @@ from spinsemi.flow import (
     CHART_TOL,
     DEFAULT_SAMPLES,
     Trajectory,
-    _field_and_stability,
+    _stability_field,
 )
 from helpers import field_and_jacobian
 from oracles import landing_rk_dp5, pc_stability, pc_trajectory, reference_rk_dop853
@@ -127,8 +127,8 @@ def _loop_jacobian(sys, model, y):
 
 
 class _CountingModel:
-    """Forwards to a model, counts its derivs calls and records the shape
-    of each htilde argument."""
+    """Forwards to a model, counts its derivs and point_derivs calls (the
+    scalar kernel) and records the shape of each htilde argument."""
 
     def __init__(self, model):
         self.model = model
@@ -139,6 +139,10 @@ class _CountingModel:
     def derivs(self, u, v):
         self.calls += 1
         return self.model.derivs(u, v)
+
+    def point_derivs(self, ux, uy, vx, vy):
+        self.calls += 1
+        return self.model.point_derivs(ux, uy, vx, vy)
 
     def htilde(self, u, v):
         self.htilde_shapes.append(np.shape(u))
@@ -223,14 +227,15 @@ class TestKernel:
         sys = ss.SpinSystem(two_j=two_j, hbar=0.7)
         model = _KERNEL_MODELS[name](sys)
         rng = np.random.default_rng(two_j)
-        out = np.empty(20, dtype=complex)
+        kernel = _stability_field(model)
+        out = kernel(0.0, np.concatenate([[0.3, 0.5j, 0.3, -0.5j], np.eye(4).ravel()]))
         for y in _kernel_points(rng):
             field, jac = _scatter_field_and_jacobian(sys, model, y)
             got_field, got_jac = field_and_jacobian(model, y)
             assert np.max(np.abs(got_field - field)) <= 1e-14 * np.max(np.abs(field))
             assert np.max(np.abs(got_jac - jac)) <= 1e-14 * np.max(np.abs(jac))
             m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            rhs = _field_and_stability(model, np.concatenate([y, m.ravel()]), out)
+            rhs = kernel(0.0, np.concatenate([y, m.ravel()]))
             assert rhs is out
             dm = jac @ m
             assert np.max(np.abs(rhs[:4] - field)) <= 1e-14 * np.max(np.abs(field))
@@ -243,8 +248,7 @@ class TestKernel:
         with pytest.raises(ChartSingularity, match=message):
             field_and_jacobian(model, y)
         with pytest.raises(ChartSingularity, match=message):
-            _field_and_stability(model, np.concatenate([y, np.eye(4).ravel()]),
-                                 np.empty(20, dtype=complex))
+            _stability_field(model)(0.0, np.concatenate([y, np.eye(4).ravel()]))
         traj = Trajectory(ts=np.array([0.0, 0.1]), ys=np.array([[0.3, 0.3, 0.3, 0.3], y]),
                           energy=np.zeros(2, dtype=complex))
         with pytest.raises(ChartSingularity, match=message):
@@ -327,6 +331,18 @@ class TestIntegrateTrajectory:
         with pytest.raises(ValueError, match="strictly increasing"):
             ss.Trajectory(ts=np.array([0.0, np.nan]), ys=np.zeros((2, 4), dtype=complex),
                           energy=np.zeros(2))
+
+    def test_trajectory_rejects_arrays_without_a_row_per_time(self):
+        # arrays of another length than ts used to be accepted here
+        sys = ss.SpinSystem(two_j=4)
+        traj = ss.integrate_trajectory(ss.exchange_coupling_model(sys, 1.0),
+                                       ss.CoherentLabel(0.3, 0.4), 0.3, CFG)
+        fields = {"ts": traj.ts, "ys": traj.ys, "energy": traj.energy, "ms": traj.ms}
+        for name in ("ys", "energy", "ms"):
+            short = dict(fields, **{name: fields[name][:2]})
+            with pytest.raises(ValueError, match=f"{name} has 2 rows") as raised:
+                ss.Trajectory(**short)
+            assert type(raised.value) is ValueError
 
     def test_requested_sample_times(self):
         sys, _, model = _pc()
@@ -461,9 +477,7 @@ class TestOneIntegration:
         cfg = ss.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, max_step=0.5 / 32)
         y0 = np.concatenate([[s0.sx, s0.sy, np.conj(s0.sx), np.conj(s0.sy)],
                              np.eye(4).ravel()])
-        grid, _, rejected = reference_rk_dop853(
-            lambda t, y: _field_and_stability(counting, y, np.empty(20, dtype=complex)),
-            y0, 0.5, cfg)
+        grid, _, rejected = reference_rk_dop853(_stability_field(counting), y0, 0.5, cfg)
         grid_calls = counting.calls
         steps = np.diff(grid)
         evals = {}
@@ -479,11 +493,11 @@ class TestOneIntegration:
                                        - np.searchsorted(times, grid[:-1], side="right"))
             assert counting.calls == record.field_evals == grid_calls + 3 * holding
             evals[n] = counting.calls
-        # of 1000 or 4000 samples, every step holds one before its end but
-        # the first (1e-4 long) and the last (a sliver that ends on t1); 63
-        # samples, 0.008 apart, miss the next two steps of the ramp too
-        assert evals[1000] == evals[4000] == grid_calls + 3 * (steps.size - 2)
-        assert evals[63] == evals[1000] - 3 * 2
+        # of 1000 or 4000 samples, every step holds one before its end; 63
+        # samples, 0.008 apart, miss the first step, 0.0059 long
+        assert 0.005 < steps[0] < 0.5 / 63 < steps[1]
+        assert evals[1000] == evals[4000] == grid_calls + 3 * steps.size
+        assert evals[63] == evals[1000] - 3
 
     def test_closed_forms_at_4000_samples(self):
         sys, params, model = _pc()
@@ -522,9 +536,9 @@ _LABELS = [
 
 
 @pytest.mark.parametrize("model_of, two_j, t_max, num_points, counts", [
-    (lambda sys: ss.exchange_coupling_model(sys, 1.0), 10, 0.5, 100, [247, 277, 314]),
+    (lambda sys: ss.exchange_coupling_model(sys, 1.0), 10, 0.5, 100, [224, 239, 279]),
     (_phase_coupling, 40, 0.05, 100, [103, 103, 103]),
-    (_phase_coupling, 10, 0.5, 4000, [234, 208, 219]),
+    (_phase_coupling, 10, 0.5, 4000, [193, 193, 193]),
 ])
 def test_field_evaluation_counts_are_pinned(model_of, two_j, t_max, num_points, counts):
     # the benchmark workloads' curves at the default integrator settings

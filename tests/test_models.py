@@ -6,6 +6,7 @@ import pytest
 
 import spinsemi as ss
 from oracles import (
+    add_at_entries,
     assemble_operator,
     build_spin_operators,
     htilde_from_operator,
@@ -327,6 +328,54 @@ def test_every_model_runs_the_term_path(name):
         for got, want in zip(model.derivs(*args), terms_path(*args)):
             assert type(got) is type(want) and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+
+
+# J3^2 and ladder powers on both sides, which no built-in model has
+_LADDER_POWER_TERMS = [
+    ss.OperatorTerm(0.3 + 0.7j, ("J+", 2), ("J-", 2)),
+    ss.OperatorTerm(0.3 - 0.7j, ("J-", 2), ("J+", 2)),
+    ss.OperatorTerm(1.1, ("J3", 2), ("I", 0)),
+    ss.OperatorTerm(0.2 - 0.5j, ("J-", 3), ("J3", 2)),
+    ss.OperatorTerm(0.2 + 0.5j, ("J+", 3), ("J3", 2)),
+]
+
+
+@pytest.mark.parametrize("name", [*sorted(MODELS), "ladder_powers"])
+def test_point_derivs_is_derivs_unpacked(name):
+    # the ODE kernel's 21 Python complex entries are derivs' arrays, to the bit
+    sys = ss.SpinSystem(two_j=5, hbar=0.7)
+    if name == "ladder_powers":
+        model = ss.build_operator_model(sys, _LADDER_POWER_TERMS)
+    else:
+        model = MODELS[name][2](sys, MODEL_PARAMS[name])
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        u = 0.5 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        v = np.conj(u) + 0.05 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        entries = model.point_derivs(*u.tolist(), *v.tolist())
+        assert len(entries) == 21 and all(type(e) is complex for e in entries)
+        h, grad, hess = model.derivs(u, v)
+        want = np.concatenate([[h], grad, hess.ravel()])
+        assert np.array(entries).tobytes() == want.tobytes()
+
+
+def test_term_entries_match_the_add_at_reduction():
+    # random term lists of up to 6 terms over few kinds reach many
+    # positions from several terms; coefficients with signed zero parts
+    # make -0.0 parts, whose sign must survive the sum
+    sys = ss.SpinSystem(two_j=3)
+    factors = [("J3", 1), ("J3", 2), ("I", 0), ("J+", 1), ("J-", 1), ("J+", 2), ("J-", 2)]
+    parts = [-1.5, -0.0, 0.0, 0.25, 2.0]
+    rng = np.random.default_rng(4)
+    for _ in range(300):
+        terms = [ss.OperatorTerm(complex(*rng.choice(parts, 2)),
+                                 factors[rng.integers(len(factors))],
+                                 factors[rng.integers(len(factors))])
+                 for _ in range(rng.integers(1, 7))]
+        keys, values = models._term_entries(sys, terms)
+        want_keys, want_values = add_at_entries(sys, terms)
+        assert keys.tobytes() == want_keys.tobytes()
+        assert values.tobytes() == want_values.tobytes()
 
 
 class TestOperatorModels:

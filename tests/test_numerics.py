@@ -4,23 +4,30 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import spinsemi as ss
+from spinsemi import numerics
 from spinsemi.errors import (
     FieldEvaluationError,
     NotHermitian,
     StepSizeUnderflow,
 )
+from spinsemi.flow import _stability_field
 from spinsemi.numerics import (
     _A,
     _B,
     _C,
     _E3,
     _E5,
-    FIRST_STEP,
     cubic_quadrature,
     det2,
 )
 from helpers import field_and_jacobian
-from oracles import pc_trajectory, reference_rk_dop853, reference_rk_dp5
+from oracles import (
+    hinit_dop853,
+    nested_continuous_extension,
+    pc_trajectory,
+    reference_rk_dop853,
+    reference_rk_dp5,
+)
 
 
 def _rand_complex(rng, shape):
@@ -195,8 +202,8 @@ class TestAdaptiveRk:
 
     @pytest.mark.parametrize("bad", [complex(0.0, np.inf), complex(0.0, np.nan)])
     def test_one_non_finite_imaginary_part_at_a_later_stage(self, bad):
-        # evaluations 0-3 are clean; the fifth (stage 4 of the first step)
-        # carries a single non-finite imaginary part
+        # evaluations 0-3 are clean; the fifth (after the first-step probe,
+        # stage 3 of the first step) carries a single non-finite imaginary part
         calls = []
 
         def field(t, y):
@@ -332,33 +339,121 @@ class TestDop853Order:
         # both estimators are differences of weights that sum to 1
         assert abs(_E5.sum()) < 1e-14 and abs(_E3.sum()) < 1e-14
 
+    def test_continuous_extension_matches_the_nested_form(self):
+        # the product basis evaluates dop853.f's nested CONTD8 polynomial to
+        # within 4 ulps of max |y|, at the step ends too
+        rng = np.random.default_rng(2)
+        for n, h in ((1, 0.3), (4, 1e-3), (20, 0.05)):
+            k = _rand_complex(rng, (16, n))
+            y = _rand_complex(rng, n)
+            y_new = y + h * (_B @ k[:12])
+            theta = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 270)])
+            got = numerics._continuous_extension(theta, y, y_new, h, k)
+            want = nested_continuous_extension(theta, y, y_new, h, k)
+            ulp = np.spacing(np.max(np.abs(want)))
+            assert np.max(np.abs(got - want)) <= 4 * ulp
+
     @staticmethod
-    def _one_step(rate, h, samples):
-        # one step of length h (below FIRST_STEP) at loose tolerances, so
-        # adaptive_rk takes it as its first and only step
+    def _one_step(monkeypatch, rate, h, samples):
+        # one step of length h: the first trial step is forced to the whole
+        # span and the tolerances are loose, so adaptive_rk takes it as its
+        # first and only step
+        monkeypatch.setattr(numerics, "_first_step", lambda field, t, y, f0, cfg, h_max: h_max)
         cfg = ss.IntegratorConfig(rel_tol=1.0, abs_tol=1.0)
         _, ys, record = ss.adaptive_rk(lambda t, y: rate * y, [1.0 + 0j], (0.0, h), cfg,
                                        samples=samples)
         assert record.accepted_steps == 1 and record.rejected_steps == 0
+        assert record.first_step == record.max_step == h
         return ys
 
     @staticmethod
     def _slope(hs, errs):
         return np.polyfit(np.log(hs), np.log(errs), 1)[0]
 
-    def test_one_step_error_is_ninth_order(self):
+    def test_one_step_error_is_ninth_order(self, monkeypatch):
         rate = (-0.6 + 2.0j) * 1e4
-        hs = FIRST_STEP * 0.5 ** np.arange(4)
-        errs = [abs(self._one_step(rate, h, [h])[-1, 0] - np.exp(rate * h)) for h in hs]
+        hs = 1e-4 * 0.5 ** np.arange(4)
+        errs = [abs(self._one_step(monkeypatch, rate, h, [h])[-1, 0] - np.exp(rate * h))
+                for h in hs]
         assert self._slope(hs, errs) >= 8.5, errs
 
-    def test_continuous_extension_is_seventh_order(self):
+    def test_continuous_extension_is_seventh_order(self, monkeypatch):
         # the local error at theta = 0.5 shrinks like h^8
         rate = (-0.6 + 2.0j) * 1e4
-        hs = FIRST_STEP * 0.5 ** np.arange(4)
-        errs = [abs(self._one_step(rate, h, [0.0, h / 2, h])[1, 0]
+        hs = 1e-4 * 0.5 ** np.arange(4)
+        errs = [abs(self._one_step(monkeypatch, rate, h, [0.0, h / 2, h])[1, 0]
                     - np.exp(rate * h / 2)) for h in hs]
         assert self._slope(hs, errs) >= 7.5, errs
+
+
+class TestFirstStep:
+    """adaptive_rk's first trial step is dop853.f's HINIT (hinit_dop853),
+    kept above the underflow floor, at the cost of one field evaluation."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_transcription(self, seed):
+        field, y0, calls = TestAdaptiveRk._bump_system(seed)
+        cfg = ss.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12)
+        _, _, record = ss.adaptive_rk(field, y0, (0.0, 1.0), cfg, samples=[1.0])
+        probe = calls[:2]
+        calls.clear()
+        want = hinit_dop853(field, 0.0, y0, field(0.0, y0), cfg, 1.0)
+        assert record.first_step == want and calls == probe
+
+    def test_stability_field_matches_the_transcription(self):
+        model = ss.exchange_coupling_model(ss.SpinSystem(two_j=10), 1.0)
+        s0 = ss.CoherentLabel(0.5 + 0.2j, -0.3 + 0.4j)
+        cfg = ss.IntegratorConfig()
+        traj = ss.integrate_trajectory(model, s0, 0.5, cfg)
+        y0 = np.concatenate([traj.ys[0], np.eye(4).ravel()])
+        field = _stability_field(model)
+        want = hinit_dop853(field, 0.0, y0, field(0.0, y0).copy(), cfg, 0.5)
+        assert traj.integrator.first_step == want
+        assert traj.integrator.first_step == traj.integrator.min_step < 0.01
+
+    def test_zero_field(self):
+        # both norms vanish: a 1e-6 probe, and a first step of 1e-6
+        cfg = ss.IntegratorConfig()
+        calls = []
+
+        def field(t, y):
+            calls.append(t)
+            return 0 * y
+        _, ys, record = ss.adaptive_rk(field, [0.3 + 0.4j, -1.0], (0.0, 2.0), cfg,
+                                       samples=[2.0])
+        assert calls[:2] == [0.0, 1e-6] and record.first_step == 1e-6
+        assert record.rejected_steps == 0
+        assert record.field_evals == len(calls) == 2 + 12 * record.accepted_steps
+        assert np.array_equal(ys[-1], [0.3 + 0.4j, -1.0])
+
+    def test_huge_finite_field_gets_the_floor(self):
+        # |f0 / sk|^2 overflows to inf: the transcription's step is zero,
+        # adaptive_rk's the floor, 100 times the underflow step at t = 0
+        cfg = ss.IntegratorConfig()
+        field = lambda t, y: 0 * y + 1e200
+        y0 = np.zeros(2, dtype=complex)
+        with np.errstate(over="ignore"):
+            assert hinit_dop853(field, 0.0, y0, field(0.0, y0), cfg, 1.0) == 0.0
+        _, ys, record = ss.adaptive_rk(field, y0, (0.0, 1.0), cfg, samples=[1.0])
+        assert record.first_step == 1e-12
+        assert np.allclose(ys[-1], 1e200, rtol=1e-12)
+
+    @pytest.mark.parametrize("max_step, t1", [(1e-3, 0.01), (np.inf, 1e-3)],
+                             ids=["max_step", "span"])
+    def test_clamped_to_max_step_and_span(self, max_step, t1):
+        # y' = i y from y = 1: the Euler probe would be 0.01 long, and the
+        # estimate is (0.01 / |f0 / sk|)^(1/8), about 0.03
+        calls = []
+
+        def field(t, y):
+            calls.append(t)
+            return 1j * y
+        cfg = ss.IntegratorConfig(max_step=max_step)
+        free = hinit_dop853(field, 0.0, np.ones(1, dtype=complex), 1j * np.ones(1), cfg, 1.0)
+        assert 0.02 < free < 0.04
+        calls.clear()
+        _, _, record = ss.adaptive_rk(field, [1.0 + 0j], (0.0, t1), cfg, samples=[t1])
+        assert calls[1] == 1e-3 and record.first_step == record.max_step == 1e-3
 
 
 def _quadrature_by_solves(ts, fs):

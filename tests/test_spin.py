@@ -158,7 +158,7 @@ def test_oracles_import_nothing_they_check():
     assert names
     assert not names & {"_term_entries", "_entries_at", "_factor_band", "derivs_from_terms",
                         "_factor_polynomial", "_polynomial_partials", "_side_partials",
-                        "adaptive_rk", "_stage", "_continuous_extension",
+                        "adaptive_rk", "_stage", "_continuous_extension", "_first_step",
                         "aux_determinants", "_permuted_dets", "purity_sc_evaluate",
                         "integrate_trajectory", "_hamilton_at", "hamilton_equations",
                         "build_operator_model", "phase_coupling_model"}
