@@ -103,7 +103,8 @@ class HamiltonianModel:
     the order (d/dux, d/duy, d/dvx, d/dvy). u and v are (2,) for one point,
     giving shapes (), (4,) and (4, 4), or (n, 2) for a series of n points,
     giving (n,), (n, 4) and (n, 4, 4). htilde, grad and hess are views of
-    derivs for callers that need one piece. point_derivs(ux, uy, vx, vy) is
+    derivs for callers that need one piece; htilde evaluates h alone
+    (derivs.htilde, equal to the bit). point_derivs(ux, uy, vx, vy) is
     derivs' own arithmetic at one point, unpacked: its 21 entries (h, the
     gradient, the Hessian's rows) as Python complex numbers, which the ODE
     kernel reads (spin.derivs_from_terms).
@@ -124,7 +125,7 @@ class HamiltonianModel:
         self._operator = None
 
     def htilde(self, u, v):
-        return self.derivs(u, v)[0]
+        return self.derivs.htilde(u, v)
 
     def grad(self, u, v):
         return self.derivs(u, v)[1]

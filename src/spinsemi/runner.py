@@ -5,13 +5,19 @@ One run produces a CSV with the fixed column set
     t, p_exact, p_sc, slin_exact, slin_sc,
     residual_detM, residual_energy, residual_im_psc
 
-(17 significant digits, LF line endings) plus a JSON metadata sidecar at
-<path>.meta.json. Rows where the semiclassical formula left its validity
-window carry nan in the p_sc/slin_sc/residual_im_psc columns and are listed
-in the sidecar (flagged_rows) with the reason for each (flag_reasons); they
-are flagged, never fabricated. The sidecar's integrator entry says what the
-trajectory integration did: its method, accepted and rejected steps, field
-evaluations, and smallest and largest step.
+(LF line endings) plus a JSON metadata sidecar at <path>.meta.json. Each
+value is written exactly as Python's "%.17g" writes it, byte for byte;
+write_csv forms those bytes for a block of rows at a time in numpy
+(csvformat.Rows), with double-double arithmetic for the 17 digits, and
+hands the few values that cannot be decided exactly (ties within 1e-6,
+magnitudes outside 1e-40 to 1e40) to "%.17g" itself. Rows where the
+semiclassical formula left its validity window carry nan in the
+p_sc/slin_sc/residual_im_psc columns and are listed in the sidecar
+(flagged_rows) with the reason for each (flag_reasons); they are flagged,
+never fabricated. The sidecar's integrator entry says what the trajectory
+integration did: its method, accepted and rejected steps, field
+evaluations, and smallest and largest step; its stages entry gives the
+seconds spent building the model, computing the curve and writing the CSV.
 """
 
 import json
@@ -26,6 +32,7 @@ import numpy as np
 
 from . import __version__
 from .config import CSV_COLUMNS, build_model, sweep_tag
+from .csvformat import BLOCK, Rows
 from .flow import integrate_stability, integrate_trajectory
 from .quantum import PurityCurve, SpectralPropagator, purity, reduced_density, time_chunks
 from .semiclassical import purity_sc_evaluate
@@ -75,15 +82,19 @@ def compute_curve(cfg, model=None):
 
 
 def write_csv(path, curve):
+    """Write the curve as CSV: a header, then one row per time, each value
+    exactly as "%.17g" formats it."""
     columns = [
         curve.times, curve.p_exact, curve.p_sc, curve.slin_exact,
         curve.slin_sc, curve.residual_detM, curve.residual_energy,
         curve.residual_im_psc,
     ]
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        fh.write((row * len(curve.times)) % tuple(np.column_stack(columns).ravel().tolist()))
+    n = len(curve.times)
+    rows = Rows(min(n, BLOCK), len(columns))
+    with open(path, "wb") as fh:
+        fh.write((",".join(CSV_COLUMNS) + "\n").encode())
+        for start in range(0, n, BLOCK):
+            fh.write(rows(columns, start, min(start + BLOCK, n)))
 
 
 def _sweep_entries(cfg):
@@ -108,12 +119,15 @@ def run_experiment(cfg, output_dir=None, quiet=False):
     for override, rel_path in _sweep_entries(cfg):
         started = _time.perf_counter()
         model = build_model(cfg, override)
+        built = _time.perf_counter()
         curve, flags, integrator = compute_curve(cfg, model)
+        computed = _time.perf_counter()
         flagged = list(flags)
-        wall = _time.perf_counter() - started
         out_path = Path(output_dir) / rel_path if output_dir else Path(rel_path)
         out_path.parent.mkdir(parents=True, exist_ok=True)
+        writing = _time.perf_counter()
         write_csv(out_path, curve)
+        written = _time.perf_counter()
         finite = lambda a: a[np.isfinite(a)]
         metadata = {
             "config": cfg.raw,
@@ -123,7 +137,12 @@ def run_experiment(cfg, output_dir=None, quiet=False):
                 "numpy": np.__version__,
                 "python": platform.python_version(),
             },
-            "wall_time_s": wall,
+            "wall_time_s": computed - started,
+            "stages": {
+                "build_s": built - started,
+                "compute_s": computed - built,
+                "write_s": written - writing,
+            },
             "invariants": {
                 "max_residual_detM": _maximum(finite(curve.residual_detM)),
                 "max_residual_energy": _maximum(finite(curve.residual_energy)),

@@ -229,6 +229,29 @@ def _side_partials(u, v, kinds, slots):
             for kind, coefficients in slots]
 
 
+def _side_values(u, v, kinds, slots):
+    """The value P of each slot's symbol at one spin's (u, v): the first of
+    _side_partials' partials, in the same arithmetic, with no derivative."""
+    w = u * v
+    r = 1.0 / (1.0 + w)
+    xi = {None: 1.0}
+    if "J+" in kinds:
+        xi["J+"] = v * r
+    if "J-" in kinds:
+        xi["J-"] = u * r
+    if "J3" in kinds:
+        xi["J3"] = (w - 1.0) * r
+    values = []
+    for kind, coefficients in slots:
+        x = p = xi[kind]
+        if coefficients is not None:
+            p = coefficients[-1]
+            for c in coefficients[-2::-1]:
+                p = p * x + c
+        values.append(p)
+    return values
+
+
 def derivs_from_terms(sys, terms):
     """Classical derivs of H = sum_t c_t A_t (x) B_t from closed-form symbols.
 
@@ -246,6 +269,8 @@ def derivs_from_terms(sys, terms):
     derivs.point(ux, uy, vx, vy), which returns them unpacked: h, the
     gradient and the Hessian's rows, 21 Python complex numbers at one
     point, which the ODE kernel reads as they are (model.point_derivs).
+    derivs.htilde(u, v) is derivs(u, v)[0] to the bit, from the symbols'
+    values alone (_side_values), for callers that need h only.
     """
     slots = ({}, {})  # per side: (kind, coefficients) -> slot index
     pairs = []
@@ -301,5 +326,19 @@ def derivs_from_terms(sys, terms):
         rows = np.array(np.broadcast_arrays(ux, *point(ux, uy, vx, vy))[1:], dtype=complex)
         return rows[0], rows[1:5].T, rows[5:].T.reshape(-1, 4, 4)
 
+    def htilde(u, v):
+        u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+        if u.ndim == 1:
+            xs = _side_values(u[0].item(), v[0].item(), *sides[0])
+            ys = _side_values(u[1].item(), v[1].item(), *sides[1])
+        else:
+            xs = _side_values(u[:, 0], v[:, 0], *sides[0])
+            ys = _side_values(u[:, 1], v[:, 1], *sides[1])
+        h = 0.0
+        for c, ix, iy in pairs:
+            h += c * xs[ix] * ys[iy]
+        return np.array(np.broadcast_to(h, u.shape[:-1]), dtype=complex)[()]
+
     derivs.point = point
+    derivs.htilde = htilde
     return derivs

@@ -3,10 +3,13 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinsemi as ss
 from spinsemi.cli import main
 from spinsemi.config import CSV_COLUMNS, available_models, build_model, parse_config
+from spinsemi.csvformat import BLOCK, Rows
 from spinsemi.errors import ParseError, ValidationError
 from spinsemi.runner import compute_curve, run_experiment, write_csv
 
@@ -258,6 +261,16 @@ class TestRunExperiment:
         # counts and steps only, so a rerun writes the same record
         assert second[0].metadata["integrator"] == first[0].metadata["integrator"]
 
+    def test_sidecar_records_the_stages(self, tmp_path):
+        cfg = parse_config(json.dumps(minimal_config()))
+        report = run_experiment(cfg, output_dir=str(tmp_path), quiet=True)[0]
+        meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
+        stages = meta["stages"]
+        assert stages == report.metadata["stages"]
+        assert sorted(stages) == ["build_s", "compute_s", "write_s"]
+        assert all(seconds > 0.0 for seconds in stages.values())
+        assert meta["wall_time_s"] == pytest.approx(stages["build_s"] + stages["compute_s"])
+
     def test_validity_breakdown_rows_flagged_not_fabricated(self, tmp_path, monkeypatch):
         import spinsemi.runner as runner_mod
         from spinsemi.semiclassical import PurityEvaluation
@@ -392,3 +405,89 @@ def _read_csv(path):
     header = lines[0].split(",")
     data = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
     return {name: data[:, i] for i, name in enumerate(header)}
+
+
+def _g17(values):
+    """values through write_csv's block formatter, one value per row."""
+    values = np.asarray(values, dtype=float)
+    return Rows(len(values), 1)([values], 0, len(values))
+
+
+def _g17_oracle(values):
+    return b"".join(b"%.17g\n" % x for x in np.asarray(values, dtype=float).tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_formatter_is_percent_17g(values):
+    # nan, infinities, zeros and subnormals included
+    assert _g17(values) == _g17_oracle(values)
+
+
+def test_formatter_on_random_bit_patterns():
+    rng = np.random.default_rng(31)
+    n = 100_000
+    anywhere = rng.integers(0, 2 ** 64, size=n, dtype=np.uint64, endpoint=False)
+    # the fast range 1e-40 <= |x| < 1e40: binary exponents -133 to 132
+    exponents = rng.integers(1023 - 133, 1023 + 133, size=n, dtype=np.uint64)
+    fast = (rng.integers(0, 2 ** 52, size=n, dtype=np.uint64) | exponents << np.uint64(52)
+            | rng.integers(0, 2, size=n, dtype=np.uint64) << np.uint64(63))
+    for bits in (anywhere, fast):
+        values = bits.view(np.float64)
+        for start in range(0, n, 8 * BLOCK):
+            chunk = values[start:start + 8 * BLOCK]
+            assert _g17(chunk) == _g17_oracle(chunk)
+
+
+def test_formatter_next_to_powers_of_ten_and_the_range_bounds():
+    values = []
+    for e in range(-41, 42):
+        x = float(f"1e{e}")
+        for _ in range(3):
+            x = np.nextafter(x, 0.0)
+        for _ in range(7):
+            values += [x, -x]
+            x = np.nextafter(x, np.inf)
+    # 1e-14 lies below 10^-14 and its 17 digits round up to it
+    assert _g17([1e-14, 1e-40, 1e40]) == b"1e-14\n9.9999999999999993e-41\n1e+40\n"
+    assert _g17(values) == _g17_oracle(values)
+
+
+def test_formatter_ties_and_short_values():
+    # exact ties round half to even
+    assert _g17([1000000000000000.25, 1000000000000000.75]) == (
+        b"1000000000000000.2\n1000000000000000.8\n")
+    short = [0.5, 2.0, 123.0, 1e-4, 9.5e-5, 1e16, 1e17]
+    values = short + [-x for x in short]
+    assert _g17(values) == _g17_oracle(values)
+    assert _g17(short) == (b"0.5\n2\n123\n0.0001\n9.5000000000000005e-05\n"
+                           b"10000000000000000\n1e+17\n")
+
+
+def _random_curve(rng, n, flagged=()):
+    columns = rng.standard_normal((5, n)) * 10.0 ** rng.integers(-20, 20, size=(5, n))
+    p_sc = columns[1].copy()
+    p_sc[list(flagged)] = NAN
+    im = columns[4].copy()
+    im[list(flagged)] = NAN
+    return ss.PurityCurve(times=np.linspace(0.0, 1.0, n), p_exact=columns[0], p_sc=p_sc,
+                          residual_detM=columns[2], residual_energy=columns[3],
+                          residual_im_psc=im)
+
+
+@pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+def test_csv_blocks_match_the_per_value_writer(tmp_path, rows):
+    curve = _random_curve(np.random.default_rng(rows), rows)
+    write_csv(tmp_path / "new.csv", curve)
+    _per_value_csv(tmp_path / "old.csv", curve)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_flagged_curve_matches_the_per_value_writer(tmp_path):
+    rows = 2 * BLOCK + 3
+    curve = _random_curve(np.random.default_rng(5), rows, flagged=range(1, rows, 2))
+    write_csv(tmp_path / "new.csv", curve)
+    _per_value_csv(tmp_path / "old.csv", curve)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    assert new.count(b"nan") == 3 * (rows // 2)

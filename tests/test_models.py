@@ -359,6 +359,23 @@ def test_point_derivs_is_derivs_unpacked(name):
         assert np.array(entries).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("name", [*sorted(MODELS), "ladder_powers"])
+def test_htilde_is_the_first_derivs_entry(name):
+    # the value-only path gives derivs' h to the bit, at points and on series
+    sys = ss.SpinSystem(two_j=5, hbar=0.7)
+    if name == "ladder_powers":
+        model = ss.build_operator_model(sys, _LADDER_POWER_TERMS)
+    else:
+        model = MODELS[name][2](sys, MODEL_PARAMS[name])
+    rng = np.random.default_rng(13)
+    u = 0.5 * (rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2)))
+    v = np.conj(u) + 0.05 * (rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2)))
+    for args in [(u[i], v[i]) for i in range(len(u))] + [(u, v), (u[:1], v[:1])]:
+        got, want = model.htilde(*args), model.derivs(*args)[0]
+        assert type(got) is type(want) and got.dtype == want.dtype
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_term_entries_match_the_add_at_reduction():
     # random term lists of up to 6 terms over few kinds reach many
     # positions from several terms; coefficients with signed zero parts

@@ -361,8 +361,11 @@ def test_operator_is_built_once_on_first_read(monkeypatch):
 
 
 def _dense_derivs_model(model):
-    """model with its derivs replaced by the dense oracle of its operator."""
-    model.derivs = htilde_from_operator(model.sys, assemble_operator(model.sys, model.terms))
+    """model with its derivs replaced by the dense oracle of its operator,
+    whose htilde is its first entry."""
+    dense = htilde_from_operator(model.sys, assemble_operator(model.sys, model.terms))
+    dense.htilde = lambda u, v: dense(u, v)[0]
+    model.derivs = dense
     return model
 
 
