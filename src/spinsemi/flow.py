@@ -19,7 +19,7 @@ place the field and its Jacobian are formed, by the same arithmetic at one
 point (the ODE's right-hand side) and along a series (the action
 integrands). The right-hand side (_stability_field) reads the model's
 point_derivs entries as Python scalars, with no array round trip, and
-packs the field and J into one array before the 4x4 product J M.
+writes the field into its output and J into the 4x4 factor of J M.
 """
 
 from dataclasses import dataclass
@@ -122,17 +122,16 @@ def _hamilton_at(sys, point_derivs, y):
 def _stability_field(model):
     """field(t, y), the right-hand side of the (u, v, M) system: Hamilton's
     field, then dM/dt = J M with M = y[4:] row-major. The model's sys and
-    point_derivs and the buffers are bound once; the field and J are packed
-    into one 20-entry array, and each call returns the same output array."""
+    point_derivs and the buffers are bound once; the field goes straight
+    into the output, J into a 4x4 array, and each call returns the same
+    output array."""
     sys, point_derivs = model.sys, model.point_derivs
-    packed = np.empty(20, dtype=complex)
+    entries = np.empty(16, dtype=complex)
     out = np.empty(20, dtype=complex)
-    jac, dm = packed[4:].reshape(4, 4), out[4:].reshape(4, 4)
+    jac, dm = entries.reshape(4, 4), out[4:].reshape(4, 4)
 
     def field(t, y):
-        f, j = _hamilton_at(sys, point_derivs, y)
-        packed[:] = [*f, *j]
-        out[:4] = packed[:4]
+        out[:4], entries[:] = _hamilton_at(sys, point_derivs, y)
         np.matmul(jac, y[4:].reshape(4, 4), out=dm)
         return out
     return field

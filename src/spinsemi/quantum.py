@@ -127,7 +127,8 @@ class SpectralPropagator:
     eigenbases per size on each apply. The basis is permuted so that each
     size's sectors are contiguous, row by row. Of the decompositions, only
     the eigenvector stacks V and the distinct eigenvalues are kept:
-    V^dagger x is taken as conj(conj(x) V).
+    V^dagger x is taken as conj(conj(x) V), and as x itself for sectors of
+    one state, whose V is 1.
     """
 
     def __init__(self, sectors, hbar=1.0):
@@ -182,10 +183,9 @@ class SpectralPropagator:
         for span, v in self.blocks:
             k, s = v.shape[:2]
             if s == 1:
-                # single-state sectors: each V is one phase, and the
-                # rotation is one product per entry, cheaper than a matmul
-                v = v.ravel()
-                coeffs[span] = v * v.conj() * x[span]
+                # single-state sectors: |V| = 1, so the coefficient
+                # V conj(V) x is x itself (LAPACK returns V = 1 there)
+                coeffs[span] = x[span]
             else:
                 coeffs[span] = np.conj(x[span].conj().reshape(k, 1, s) @ v).ravel()
         # out[k, i]: component i of the permuted basis at time k

@@ -6,9 +6,10 @@ The purity formula evaluated here is
 
     P_sc = [1 + 2 d'' / T]^(-1/2),
 
-with d'' built from determinants of row-permuted 2x2 blocks of the
-stability matrix and T the endpoint chart-factor ratio (equal to det M
-along the critical trajectory). The equivalent determinant form
+with d'' built from 2x2 minors of the stability matrix (the blocks of its
+row-permuted forms, read from its entries) and T the endpoint chart-factor
+ratio (equal to det M along the critical trajectory). The equivalent
+determinant form
 T / sqrt((d - d')^2 - d''^2) is evaluated alongside and the two must agree,
 which is a sharp end-to-end check on the integrated stability matrix.
 States are (ux, uy, vx, vy) rows and stability matrices (4, 4) arrays, or
@@ -30,10 +31,6 @@ from .numerics import IntegratorConfig, cubic_quadrature, det2
 from .spin import CoherentLabel, coherent_overlap
 
 CAUSTIC_TOL = 1e-12
-
-# row permutations generating the primed/double-primed auxiliary blocks
-_PERM_ONE = (0, 3, 2, 1)
-_PERM_TWO = (0, 2, 1, 3)
 
 
 @dataclass(frozen=True)
@@ -70,24 +67,27 @@ class AuxDeterminants:
     d_dprime: complex
 
 
-def _permuted_dets(m, perm):
-    """Determinants of the A, B, C, D blocks of m with its rows permuted."""
-    top, bottom = list(perm[:2]), list(perm[2:])
-    return (det2(m[..., top, :2]), det2(m[..., bottom, 2:]),
-            det2(m[..., bottom, :2]), det2(m[..., top, 2:]))
+def _minor(m, i, j, a, b):
+    """m_ia m_jb - m_ib m_ja (along the last two axes of a stack): det2 of
+    the block of rows (i, j) and columns (a, b), with no copy of it."""
+    return m[..., i, a] * m[..., j, b] - m[..., i, b] * m[..., j, a]
 
 
 def aux_determinants(m):
     """Auxiliary determinants of a (4, 4) stability matrix, or of each matrix
     of a (n, 4, 4) series (then every field is an array over the samples).
-    Raises ValueError for any other shape."""
+    Raises ValueError for any other shape. det_a..det_d are the A, B, C, D
+    blocks of m with its rows in the order (0, 3, 2, 1), det_ap..det_dp in
+    the order (0, 2, 1, 3)."""
     m = np.asarray(m, dtype=complex)
     if m.shape[-2:] != (4, 4) or m.ndim > 3:
         raise ValueError(f"stability matrix must be (4, 4) or (n, 4, 4), got {m.shape}")
-    det_a, det_b, det_c, det_d = _permuted_dets(m, _PERM_ONE)
-    det_ap, det_bp, det_cp, det_dp = _permuted_dets(m, _PERM_TWO)
-    d = (det2(m[..., :2, :2]) * det2(m[..., 2:, 2:])
-         + det2(m[..., :2, 2:]) * det2(m[..., 2:, :2]))
+    det_a, det_b = _minor(m, 0, 3, 0, 1), _minor(m, 2, 1, 2, 3)
+    det_c, det_d = _minor(m, 2, 1, 0, 1), _minor(m, 0, 3, 2, 3)
+    det_ap, det_bp = _minor(m, 0, 2, 0, 1), _minor(m, 1, 3, 2, 3)
+    det_cp, det_dp = _minor(m, 1, 3, 0, 1), _minor(m, 0, 2, 2, 3)
+    d = (_minor(m, 0, 1, 0, 1) * _minor(m, 2, 3, 2, 3)
+         + _minor(m, 0, 1, 2, 3) * _minor(m, 2, 3, 0, 1))
     d_prime = det_a * det_b + det_c * det_d
     d_dprime = det_ap * det_bp + det_cp * det_dp
     return AuxDeterminants(

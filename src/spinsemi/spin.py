@@ -196,13 +196,9 @@ def _polynomial_partials(coefficients, xi):
             d2 * xv * xv + d1 * xvv)
 
 
-# the partials of a constant factor's chart: its value is in the coefficient
-_CONSTANT = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-
-def _side_partials(u, v, kinds, slots):
+def _side_partials(u, v, slots):
     """Partials (P, P_u, P_v, P_uu, P_uv, P_vv) of each slot's symbol at one
-    spin's (u, v), from the partials of the charts in kinds, formed once.
+    spin's (u, v), in one walk over the slots, each chart formed inline.
 
     With r = 1 / (1 + uv): q = v r (J+) has q_u = -q^2, q_v = r^2,
     q_uu = 2 q^3, q_uv = -2 q r^2 and q_vv = -2 u r^3; q = u r (J-) is the
@@ -214,42 +210,39 @@ def _side_partials(u, v, kinds, slots):
     w = u * v
     r = 1.0 / (1.0 + w)
     r2 = r * r
-    xi = {None: _CONSTANT}
-    if "J+" in kinds:
-        q = v * r
-        xi["J+"] = (q, -q * q, r2, 2.0 * q * q * q, -2.0 * q * r2, -2.0 * u * r * r2)
-    if "J-" in kinds:
-        q = u * r
-        xi["J-"] = (q, r2, -q * q, -2.0 * v * r * r2, -2.0 * q * r2, 2.0 * q * q * q)
-    if "J3" in kinds:
-        z = (w - 1.0) * r
-        zu, zv = 2.0 * v * r2, 2.0 * u * r2
-        xi["J3"] = (z, zu, zv, -2.0 * v * r * zu, -2.0 * z * r2, -2.0 * u * r * zv)
-    return [xi[kind] if coefficients is None else _polynomial_partials(coefficients, xi[kind])
-            for kind, coefficients in slots]
+    out = []
+    for kind, coefficients in slots:
+        if kind == "J+":
+            q = v * r
+            xi = (q, -q * q, r2, 2.0 * q * q * q, -2.0 * q * r2, -2.0 * u * r * r2)
+        elif kind == "J-":
+            q = u * r
+            xi = (q, r2, -q * q, -2.0 * v * r * r2, -2.0 * q * r2, 2.0 * q * q * q)
+        elif kind == "J3":
+            z = (w - 1.0) * r
+            zu, zv = 2.0 * v * r2, 2.0 * u * r2
+            xi = (z, zu, zv, -2.0 * v * r * zu, -2.0 * z * r2, -2.0 * u * r * zv)
+        else:  # a constant: its value is in the term's coefficient
+            xi = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        out.append(xi if coefficients is None else _polynomial_partials(coefficients, xi))
+    return out
 
 
-def _side_values(u, v, kinds, slots):
+def _side_values(u, v, slots):
     """The value P of each slot's symbol at one spin's (u, v): the first of
     _side_partials' partials, in the same arithmetic, with no derivative."""
     w = u * v
     r = 1.0 / (1.0 + w)
-    xi = {None: 1.0}
-    if "J+" in kinds:
-        xi["J+"] = v * r
-    if "J-" in kinds:
-        xi["J-"] = u * r
-    if "J3" in kinds:
-        xi["J3"] = (w - 1.0) * r
-    values = []
+    out = []
     for kind, coefficients in slots:
-        x = p = xi[kind]
+        x = p = (v * r if kind == "J+" else u * r if kind == "J-"
+                 else (w - 1.0) * r if kind == "J3" else 1.0)
         if coefficients is not None:
             p = coefficients[-1]
             for c in coefficients[-2::-1]:
                 p = p * x + c
-        values.append(p)
-    return values
+        out.append(p)
+    return out
 
 
 def derivs_from_terms(sys, terms):
@@ -257,13 +250,14 @@ def derivs_from_terms(sys, terms):
 
     htilde is sum_t c_t phi_t^x phi_t^y, with phi_t^k the symbol of the
     term's factor on spin k, a polynomial in one chart variable of that spin
-    (_factor_polynomial). A call forms each side's chart partials once, each
-    distinct factor's six partials of order <= 2 by the chain rule
-    (_side_partials), and sums the terms' products, in the same arithmetic
-    on Python complex scalars (one point) and on numpy rows (a series); its
-    cost does not depend on j. A constant factor and the scale of a linear
-    symbol (power 1) move into the term's coefficient here, so neither costs
-    arithmetic to form per call, and terms that vanish are dropped.
+    (_factor_polynomial). A call walks each side's distinct factors once,
+    forming each one's chart inline and its six partials of order <= 2 by
+    the chain rule (_side_partials), and sums the terms' products, in the
+    same arithmetic on Python complex scalars (one point) and on numpy rows
+    (a series); its cost does not depend on j. A constant factor and the
+    scale of a linear symbol (power 1) move into the term's coefficient
+    here, so neither costs arithmetic to form per call, and terms that
+    vanish are dropped.
 
     The returned derivs(u, v) packs into arrays the entries of
     derivs.point(ux, uy, vx, vy), which returns them unpacked: h, the
@@ -284,15 +278,15 @@ def derivs_from_terms(sys, terms):
             at.append(side.setdefault((kind, coefficients and tuple(coefficients)), len(side)))
         if c:
             pairs.append((c, *at))
-    sides = [({kind for kind, _ in side}, list(side)) for side in slots]
+    slots_x, slots_y = map(list, slots)
 
     def point(ux, uy, vx, vy):
         """The 21 entries of derivs at (ux, uy, vx, vy): h, the gradient
         and the Hessian's 16 entries row-major, in the order (ux, uy, vx,
         vy), its lower triangle the upper one mirrored; Python complex
         scalars for scalar arguments, numpy rows for rows."""
-        xs = _side_partials(ux, vx, *sides[0])
-        ys = _side_partials(uy, vy, *sides[1])
+        xs = _side_partials(ux, vx, slots_x)
+        ys = _side_partials(uy, vy, slots_y)
         h = gux = guy = gvx = gvy = 0.0
         h00 = h01 = h02 = h03 = h11 = h12 = h13 = h22 = h23 = h33 = 0.0
         for c, ix, iy in pairs:
@@ -329,11 +323,11 @@ def derivs_from_terms(sys, terms):
     def htilde(u, v):
         u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
         if u.ndim == 1:
-            xs = _side_values(u[0].item(), v[0].item(), *sides[0])
-            ys = _side_values(u[1].item(), v[1].item(), *sides[1])
+            xs = _side_values(u[0].item(), v[0].item(), slots_x)
+            ys = _side_values(u[1].item(), v[1].item(), slots_y)
         else:
-            xs = _side_values(u[:, 0], v[:, 0], *sides[0])
-            ys = _side_values(u[:, 1], v[:, 1], *sides[1])
+            xs = _side_values(u[:, 0], v[:, 0], slots_x)
+            ys = _side_values(u[:, 1], v[:, 1], slots_y)
         h = 0.0
         for c, ix, iy in pairs:
             h += c * xs[ix] * ys[iy]

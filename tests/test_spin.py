@@ -159,7 +159,7 @@ def test_oracles_import_nothing_they_check():
     assert not names & {"_term_entries", "_entries_at", "_factor_band", "derivs_from_terms",
                         "_factor_polynomial", "_polynomial_partials", "_side_partials",
                         "adaptive_rk", "_stage", "_continuous_extension", "_first_step",
-                        "aux_determinants", "_permuted_dets", "purity_sc_evaluate",
+                        "aux_determinants", "_minor", "purity_sc_evaluate",
                         "integrate_trajectory", "_hamilton_at", "hamilton_equations",
                         "build_operator_model", "phase_coupling_model"}
 
@@ -392,6 +392,19 @@ OPERATOR_TERMS = [
     ss.OperatorTerm(0.2 + 0.5j, ("J+", 3), ("J3", 1)),
 ]
 
+# Repeated chart kinds on one side: x holds J3^2, J3 and a constant, y holds
+# J+^2 and J+ (and, for Hermiticity, J-^2 and J-), so several slots of one
+# spin share a chart; a polynomial slot comes first, so a slot that took
+# the one before it instead of its own chart would show
+REPEATED_KIND_TERMS = [
+    ss.OperatorTerm(0.3 + 0.6j, ("J3", 2), ("J+", 2)),
+    ss.OperatorTerm(0.3 - 0.6j, ("J3", 2), ("J-", 2)),
+    ss.OperatorTerm(0.4 - 0.2j, ("J3", 1), ("J+", 1)),
+    ss.OperatorTerm(0.4 + 0.2j, ("J3", 1), ("J-", 1)),
+    ss.OperatorTerm(-0.7 + 0.1j, ("I", 0), ("J+", 1)),
+    ss.OperatorTerm(-0.7 - 0.1j, ("I", 0), ("J-", 1)),
+]
+
 FACTORED_MODELS = {
     "exchange": lambda sys: ss.exchange_coupling_model(sys, 0.9),
     "free_precession": lambda sys: ss.free_precession_model(sys, 0.7),
@@ -427,6 +440,18 @@ class TestFactoredDerivs:
         rng = np.random.default_rng(two_j)
         for u, v in _near_real_points(rng, 6):
             assert max(_rel_errors(model.derivs(u, v), oracle(u, v))) <= 1e-12
+
+    @pytest.mark.parametrize("two_j", [1, 2, 5, 10])
+    def test_repeated_chart_kinds_match_dense_oracle(self, two_j):
+        sys = ss.SpinSystem(two_j=two_j)
+        model = ss.build_operator_model(sys, REPEATED_KIND_TERMS)
+        oracle = htilde_from_operator(sys, assemble_operator(sys, model.terms))
+        rng = np.random.default_rng(two_j)
+        for u, v in _near_real_points(rng, 6):
+            entries = model.point_derivs(*u.tolist(), *v.tolist())
+            got = entries[0], entries[1:5], np.reshape(entries[5:], (4, 4))
+            assert max(_rel_errors(got, oracle(u, v))) <= 1e-12
+            assert np.array(model.htilde(u, v)).tobytes() == np.array(entries[0]).tobytes()
 
     def test_views_equal_derivs(self):
         sys = ss.SpinSystem(two_j=5)
